@@ -231,7 +231,7 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
     against amplitude shaping inside the power budget; coarse presampling
     guards the golden-section refine against flat brackets.
     """
-    spec = _resolve_spec(spec, snr_db)
+    spec = spec or AwgnSpec()
     power = 10.0 ** (snr_db / 10.0)
     points = np.asarray(constellation.points, dtype=float)
     label = brgc_label(constellation)
@@ -287,15 +287,9 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
     )
 
 
-def _resolve_spec(spec: AwgnSpec | None, snr_db: float) -> AwgnSpec:
-    if spec is None:
-        return AwgnSpec(snr_db=snr_db)
-    return spec
-
-
 def uniform_rate(constellation: AskConstellation, snr_db: float, spec: AwgnSpec | None = None) -> float:
     """I(X;Y) of the uniform input at its own power normalization."""
-    spec = _resolve_spec(spec, snr_db)
+    spec = spec or AwgnSpec()
     power = 10.0 ** (snr_db / 10.0)
     points = np.asarray(constellation.points, dtype=float)
     d = math.sqrt(power / float(np.mean(points**2)))

@@ -48,6 +48,13 @@ class AskConstellation:
             raise ValueError(f"{x} is not a point of {M}-ASK")
         return (x + M - 1) // 2
 
+    @property
+    def sign_amplitude_index(self) -> np.ndarray:
+        """(2, 2^m) point indices of s * a: row 0 is s = -1, row 1 is s = +1,
+        columns follow ascending amplitudes."""
+        k = np.arange(self.num_amplitudes)
+        return np.stack([self.num_amplitudes - 1 - k, self.num_amplitudes + k])
+
     def amplitude_index(self, a: int) -> int:
         if a % 2 == 0 or not 0 < a < self.size:
             raise ValueError(f"{a} is not an amplitude of {self.size}-ASK")

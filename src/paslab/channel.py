@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .alphabets import AskConstellation, LabelMap
+from .alphabets import LabelMap
 
 ROW_TOL = 1e-12
 
@@ -22,7 +21,6 @@ class AwgnSpec:
     num_bins + 2 letters.
     """
 
-    snr_db: float
     num_bins: int = 2000
     clip_sigmas: float = 6.0
 
@@ -57,21 +55,6 @@ class Dmc:
     def nout(self) -> int:
         return self.w.shape[1]
 
-    def to_json(self) -> str:
-        doc = {
-            "nin": self.nin,
-            "nout": self.nout,
-            "w": [float(v) for v in self.w.ravel()],  # row-major
-            "input_points": list(self.input_points),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dmc":
-        doc = json.loads(text)
-        w = np.array(doc["w"], dtype=float).reshape(doc["nin"], doc["nout"])
-        return cls(w=w, input_points=tuple(doc.get("input_points", ())))
-
 
 def identity_dmc(points) -> Dmc:
     """Noiseless channel: output index reveals the input exactly."""
@@ -98,43 +81,6 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = 6.0) 
     w = np.maximum(w, 0.0)
     w /= w.sum(axis=1, keepdims=True)
     return Dmc(w=w, input_points=tuple(points))
-
-
-def quantize_awgn(constellation: AskConstellation, spec: AwgnSpec, power_pmf) -> Dmc:
-    """Build the quantized AWGN channel seen by the constellation at spec.snr_db.
-
-    power_pmf (over the constellation points) only fixes the signal power:
-    sigma = sqrt(E[X^2] / 10^(snr_db/10)), so SNR is measured against the
-    distribution the channel will be evaluated with.
-    """
-    p = np.asarray(power_pmf, dtype=float)
-    pts = np.asarray(constellation.points, dtype=float)
-    if p.shape != pts.shape:
-        raise ValueError("power_pmf must have one entry per constellation point")
-    energy = float(p @ pts**2)
-    snr = 10.0 ** (spec.snr_db / 10.0)
-    sigma2 = energy / snr
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"derived noise variance {sigma2} is not usable")
-    return gaussian_dmc(pts, np.sqrt(sigma2), spec.num_bins, spec.clip_sigmas)
-
-
-def sequence_log2_likelihood(dmc: Dmc, x_seq, y_seq) -> float:
-    """log2 p(y_seq | x_seq); -inf when any factor is exactly zero."""
-    x = np.asarray(x_seq, dtype=np.intp)
-    y = np.asarray(y_seq, dtype=np.intp)
-    if x.shape != y.shape:
-        raise ValueError("x_seq and y_seq must have equal length")
-    probs = dmc.w[x, y]
-    if np.any(probs == 0.0):
-        return float("-inf")
-    return float(np.log2(probs).sum())
-
-
-def sequence_likelihood(dmc: Dmc, x_seq, y_seq) -> float:
-    """p(y_seq | x_seq), accumulated in the log domain to dodge underflow."""
-    lg = sequence_log2_likelihood(dmc, x_seq, y_seq)
-    return 0.0 if lg == float("-inf") else float(2.0**lg)
 
 
 def bit_channel(dmc: Dmc, label_map: LabelMap, input_pmf, level: int):

@@ -21,11 +21,12 @@ from .airsolver import (
     air_sweep,
     find_basic_point,
     gamma_split,
-    optimize_capacity,
+    mirror_pmf,
     shaping_gap,
 )
 from .channel import AwgnSpec, Dmc, gaussian_dmc, identity_dmc
 from .errors import BudgetError, ConfigError, ConvergenceError
+from .infomeasures import check_pmf
 from .signcode import ExperimentConfig, build_shaping_layer, run_experiment, sign_output_transition
 from .typicality import TypConfig, enumerate_b_typical, enumerate_typical, lemma1_report
 
@@ -74,53 +75,73 @@ def _config_line(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True)
 
 
-def _build_channel(cfg: dict, constellation):
-    """Channel for sim/b-typ configs: noiseless, explicit rows, or quantized AWGN."""
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _typed(cfg: dict, key: str, kind):
+    """cfg[key] converted by kind (int, float or _float_array); a value kind
+    rejects is a config error."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: cannot read {cfg[key]!r} as {kind.__name__}") from exc
+
+
+def _build_channel(cfg: dict, constellation, p_a: np.ndarray):
+    """Channel for sim/b-typ configs: noiseless, explicit rows, or quantized AWGN.
+
+    An snr_db is measured against the symbol pmf mirrored from p_a.
+    """
     if cfg.get("noiseless"):
         return identity_dmc(constellation.points)
-    if cfg.get("w") is not None:
-        w = np.asarray(cfg["w"], dtype=float)
-        if w.shape[0] != constellation.size:
-            raise ConfigError(
-                f"explicit channel needs {constellation.size} rows, got {w.shape[0]}"
-            )
-        return Dmc(w=w, input_points=constellation.points)
-    sigma = cfg.get("sigma")
-    snr_db = cfg.get("snr_db")
-    if (sigma is None) == (snr_db is None):
-        raise ConfigError("give exactly one of sigma or snr_db (or noiseless: true)")
-    if sigma is None:
-        pts = np.asarray(constellation.points, dtype=float)
-        if cfg.get("amplitude_pmf") is not None:
-            p_a = np.asarray(cfg["amplitude_pmf"], dtype=float)
-            p_x = np.concatenate([p_a[::-1], p_a]) / 2.0
-        else:
-            p_x = np.full(constellation.size, 1.0 / constellation.size)
-        power = float(p_x @ pts**2)
-        sigma = float(np.sqrt(power / 10.0 ** (snr_db / 10.0)))
     try:
+        if cfg.get("w") is not None:
+            w = _typed(cfg, "w", _float_array)
+            if w.shape[:1] != (constellation.size,):
+                raise ConfigError(f"explicit channel needs {constellation.size} rows, got {w.shape}")
+            return Dmc(w=w, input_points=constellation.points)
+        if (cfg.get("sigma") is None) == (cfg.get("snr_db") is None):
+            raise ConfigError("give exactly one of sigma or snr_db (or noiseless: true)")
+        if cfg["sigma"] is not None:
+            sigma = _typed(cfg, "sigma", float)
+        else:
+            power = float(mirror_pmf(p_a) @ np.asarray(constellation.points, dtype=float) ** 2)
+            sigma = float(np.sqrt(power / 10.0 ** (_typed(cfg, "snr_db", float) / 10.0)))
         return gaussian_dmc(
-            constellation.points, sigma, int(cfg["num_bins"]), float(cfg["clip_sigmas"])
+            constellation.points,
+            sigma,
+            _typed(cfg, "num_bins", int),
+            _typed(cfg, "clip_sigmas", float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _pmf_from_config(cfg: dict, size: int, key: str = "amplitude_pmf") -> np.ndarray:
-    raw = cfg.get(key)
-    if raw is None:
+def _amplitude_pmf(cfg: dict, size: int) -> np.ndarray:
+    if cfg.get("amplitude_pmf") is None:
         return np.full(size, 1.0 / size)
-    p = np.asarray(raw, dtype=float)
+    p = _typed(cfg, "amplitude_pmf", _float_array)
     if p.shape != (size,):
-        raise ConfigError(f"{key} must have {size} entries, got {p.shape}")
-    return p
+        raise ConfigError(f"amplitude_pmf must have {size} entries, got {p.shape}")
+    try:
+        return check_pmf(p)
+    except ValueError as exc:
+        raise ConfigError(f"amplitude_pmf: {exc}") from exc
 
 
 def _make_constellation(cfg: dict):
     try:
-        return make_ask(int(cfg["m"]))
+        return make_ask(_typed(cfg, "m", int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _awgn_spec(cfg: dict) -> AwgnSpec:
+    num_bins = _typed(cfg, "num_bins", int)
+    if num_bins < 2:
+        raise ConfigError(f"num_bins must be >= 2, got {num_bins}")
+    return AwgnSpec(num_bins=num_bins, clip_sigmas=_typed(cfg, "clip_sigmas", float))
 
 
 # ---------------------------------------------------------------- air-sweep
@@ -149,18 +170,17 @@ def cmd_air_sweep(args) -> int:
     )
     cst = _make_constellation(cfg)
     if cfg["snr_list"] is not None:
-        grid = [float(s) for s in cfg["snr_list"]]
+        grid = _typed(cfg, "snr_list", _float_array).ravel().tolist()
     else:
-        if cfg["snr_step"] <= 0:
+        step = _typed(cfg, "snr_step", float)
+        if step <= 0:
             raise ConfigError(f"snr_step must be positive, got {cfg['snr_step']}")
         grid = list(
-            np.arange(cfg["snr_start"], cfg["snr_stop"] + 1e-9, cfg["snr_step"])
+            np.arange(_typed(cfg, "snr_start", float), _typed(cfg, "snr_stop", float) + 1e-9, step)
         )
     if not grid:
         raise ConfigError("snr grid is empty")
-    spec = AwgnSpec(
-        snr_db=grid[0], num_bins=int(cfg["num_bins"]), clip_sigmas=float(cfg["clip_sigmas"])
-    )
+    spec = _awgn_spec(cfg)
     lines = [f"# config: {_config_line(cfg)}"]
     lines.append("snr_db,capacity,h_a,gamma,mi_uniform,r_bmd_star")
     for snr, point in air_sweep(cst, grid, spec):
@@ -183,7 +203,7 @@ def cmd_basic_point(args) -> int:
     defaults = {"m": 1, "num_bins": 2000, "clip_sigmas": 6.0}
     cfg = _merge_config(defaults, args.config, {"m": args.m, "num_bins": args.num_bins})
     cst = _make_constellation(cfg)
-    spec = AwgnSpec(snr_db=0.0, num_bins=int(cfg["num_bins"]), clip_sigmas=float(cfg["clip_sigmas"]))
+    spec = _awgn_spec(cfg)
     try:
         snr, rate = find_basic_point(cst, spec)
     except ValueError as exc:
@@ -199,11 +219,9 @@ def cmd_gamma_split(args) -> int:
         defaults, args.config, {"m": args.m, "snr_db": args.snr_db, "num_bins": args.num_bins}
     )
     cst = _make_constellation(cfg)
-    spec = AwgnSpec(
-        snr_db=float(cfg["snr_db"]), num_bins=int(cfg["num_bins"]), clip_sigmas=float(cfg["clip_sigmas"])
-    )
+    spec = _awgn_spec(cfg)
     try:
-        h_a, gamma = gamma_split(cst, float(cfg["snr_db"]), spec)
+        h_a, gamma = gamma_split(cst, _typed(cfg, "snr_db", float), spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = {"config": cfg, "h_a": h_a, "gamma": gamma, "rate": h_a + gamma}
@@ -217,9 +235,9 @@ def cmd_shaping_gap(args) -> int:
         defaults, args.config, {"m": args.m, "target_rate": args.target_rate, "num_bins": args.num_bins}
     )
     cst = _make_constellation(cfg)
-    spec = AwgnSpec(snr_db=0.0, num_bins=int(cfg["num_bins"]), clip_sigmas=float(cfg["clip_sigmas"]))
+    spec = _awgn_spec(cfg)
     try:
-        gap = shaping_gap(cst, float(cfg["target_rate"]), spec)
+        gap = shaping_gap(cst, _typed(cfg, "target_rate", float), spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = {"config": cfg, "gap_db": gap}
@@ -248,8 +266,12 @@ def cmd_typ_dump(args) -> int:
     )
     try:
         ts = enumerate_typical(
-            np.asarray(cfg["pmf"], dtype=float),
-            TypConfig(n=int(cfg["n"]), eps=float(cfg["eps"]), budget=int(cfg["budget"])),
+            _typed(cfg, "pmf", _float_array),
+            TypConfig(
+                n=_typed(cfg, "n", int),
+                eps=_typed(cfg, "eps", float),
+                budget=_typed(cfg, "budget", int),
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -303,23 +325,22 @@ def cmd_b_typ(args) -> int:
         },
     )
     if cfg["transition"] is not None:
-        trans = np.asarray(cfg["transition"], dtype=float)
+        trans = _typed(cfg, "transition", _float_array)
         if cfg["pmf"] is None:
             raise ConfigError("explicit transition needs an explicit pmf")
-        pmf = np.asarray(cfg["pmf"], dtype=float)
+        pmf = _typed(cfg, "pmf", _float_array)
     else:
         cst = _make_constellation(cfg)
-        dmc = _build_channel(cfg, cst)
-        trans = sign_output_transition(cst, dmc)
-        pmf = _pmf_from_config(cfg, cst.num_amplitudes)
-    tc = TypConfig(
-        n=int(cfg["n"]),
-        eps=float(cfg["eps"]),
-        budget=int(cfg["budget"]),
-        mc_samples=int(cfg["mc_samples"]),
-        seed=int(cfg["seed"]),
-    )
+        pmf = _amplitude_pmf(cfg, cst.num_amplitudes)
+        trans = sign_output_transition(cst, _build_channel(cfg, cst, pmf))
     try:
+        tc = TypConfig(
+            n=_typed(cfg, "n", int),
+            eps=_typed(cfg, "eps", float),
+            budget=_typed(cfg, "budget", int),
+            mc_samples=_typed(cfg, "mc_samples", int),
+            seed=_typed(cfg, "seed", int),
+        )
         b = enumerate_b_typical(pmf, trans, tc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -372,24 +393,28 @@ def cmd_sim(args) -> int:
             "num_bins": args.num_bins,
         },
     )
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     cst = _make_constellation(cfg)
-    dmc = _build_channel(cfg, cst)
-    pmf = _pmf_from_config(cfg, cst.num_amplitudes)
+    pmf = _amplitude_pmf(cfg, cst.num_amplitudes)
     exp = ExperimentConfig(
         constellation=cst,
-        dmc=dmc,
+        dmc=_build_channel(cfg, cst, pmf),
         amplitude_pmf=tuple(float(v) for v in pmf),
-        eps=float(cfg["eps"]),
-        n=int(cfg["n"]),
-        gamma=float(cfg["gamma"]),
+        eps=_typed(cfg, "eps", float),
+        n=_typed(cfg, "n", int),
+        gamma=_typed(cfg, "gamma", float),
         decoder=str(cfg["decoder"]),
-        trials=int(cfg["trials"]),
-        seed=int(cfg["seed"]),
+        trials=_typed(cfg, "trials", int),
+        seed=_typed(cfg, "seed", int),
         codebook_mode=str(cfg["codebook_mode"]),
-        typ_budget=None if cfg["typ_budget"] is None else int(cfg["typ_budget"]),
-        mc_samples=None if cfg["mc_samples"] is None else int(cfg["mc_samples"]),
+        typ_budget=None if cfg["typ_budget"] is None else _typed(cfg, "typ_budget", int),
+        mc_samples=None if cfg["mc_samples"] is None else _typed(cfg, "mc_samples", int),
     )
-    stats = run_experiment(exp, threads=args.threads)
+    try:
+        stats = run_experiment(exp, threads=args.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = {"config": cfg, "stats": stats.to_dict()}
     _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
     if args.csv:

@@ -37,17 +37,20 @@ def check_pmf(p, tol: float = PMF_TOL) -> np.ndarray:
     return arr
 
 
-def entropy(p) -> float:
-    """Shannon entropy in bits of a pmf of any shape."""
-    arr = check_pmf(p)
-    nz = arr[arr > 0]
-    return float(-(nz * np.log2(nz)).sum())
+def log2_safe(p: np.ndarray) -> np.ndarray:
+    """Elementwise log2 with -inf on zero cells, without a divide warning."""
+    return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), -np.inf)
 
 
-def _entropy_raw(p: np.ndarray) -> float:
-    # same sum without re-validating; internal use on derived tables
+def entropy_raw(p: np.ndarray) -> float:
+    """-sum p log2 p over the positive cells of a table, without validating it."""
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
+
+
+def entropy(p) -> float:
+    """Shannon entropy in bits of a pmf of any shape."""
+    return entropy_raw(check_pmf(p))
 
 
 def joint_from_input(input_pmf, chan) -> np.ndarray:
@@ -64,13 +67,13 @@ def mutual_information(input_pmf, chan) -> float:
     j = joint_from_input(input_pmf, chan)
     px = j.sum(axis=1)
     py = j.sum(axis=0)
-    return _entropy_raw(px) + _entropy_raw(py) - _entropy_raw(j)
+    return entropy_raw(px) + entropy_raw(py) - entropy_raw(j)
 
 
 def equivocation(input_pmf, chan) -> float:
     """H(X|Y) in bits."""
     j = joint_from_input(input_pmf, chan)
-    return _entropy_raw(j) - _entropy_raw(j.sum(axis=0))
+    return entropy_raw(j) - entropy_raw(j.sum(axis=0))
 
 
 def conditional_level_entropy(input_pmf, chan, label_map: LabelMap, level: int) -> float:
@@ -79,14 +82,14 @@ def conditional_level_entropy(input_pmf, chan, label_map: LabelMap, level: int) 
     dmc = chan if isinstance(chan, Dmc) else Dmc(w=w)
     prior, trans = bit_channel(dmc, label_map, check_pmf(input_pmf), level)
     j = prior[:, None] * trans
-    return _entropy_raw(j) - _entropy_raw(j.sum(axis=0))
+    return entropy_raw(j) - entropy_raw(j.sum(axis=0))
 
 
 def bmd_rate_unclipped(input_pmf, chan, label_map: LabelMap) -> float:
     """H(C) - sum_i H(C_i|Y); may be negative for bad channels."""
     p = check_pmf(input_pmf)
     levels = label_map.m + 1
-    h_c = _entropy_raw(p)  # labels are a bijection onto inputs
+    h_c = entropy_raw(p)  # labels are a bijection onto inputs
     cond = sum(conditional_level_entropy(p, chan, label_map, i) for i in range(levels))
     return h_c - cond
 
@@ -135,11 +138,9 @@ def _check_metric(joint: np.ndarray, metric: np.ndarray):
 def _generalized_rate(joint, metric, s, cost=None) -> float:
     """E[log2(q^s r / sum_x' p(x') q^s r)] over the support of p(x,y)."""
     px = joint.sum(axis=1)
-    log2_q = np.where(metric > 0, np.log2(np.where(metric > 0, metric, 1.0)), -np.inf)
-    num = s * log2_q
+    num = s * log2_safe(metric)
     if cost is not None:
-        log2_r = np.where(cost > 0, np.log2(np.where(cost > 0, cost, 1.0)), -np.inf)
-        num = num + log2_r[:, None]
+        num = num + log2_safe(cost)[:, None]
     qs = metric**s if s != 0 else np.ones_like(metric)
     weights = px if cost is None else px * cost
     den = weights @ qs  # per-output normalizer
@@ -208,24 +209,19 @@ def sign_amplitude_joint(p_sa, chan, constellation: AskConstellation) -> np.ndar
         raise ValueError(f"p_sa must be 2 x {na} for this constellation")
     if w.shape[0] != constellation.size:
         raise ValueError("channel input count must match the constellation size")
-    t = np.zeros((2, na, w.shape[1]))
-    for si, s in enumerate((-1, 1)):
-        for ai, a in enumerate(constellation.amplitudes):
-            xi = constellation.point_index(s * a)
-            t[si, ai] = p[si, ai] * w[xi]
-    return t
+    return p[:, :, None] * w[constellation.sign_amplitude_index]
 
 
 def mi_inequality_chain(p_sa, chan, constellation: AskConstellation) -> dict:
     """Decompose I(X;Y) across the sign/amplitude split and check the chain
     I(X;Y) - H(A) <= I(S;Y|A) <= I(S;AY)."""
     t = sign_amplitude_joint(p_sa, chan, constellation)
-    h_say = _entropy_raw(t)
-    h_sa = _entropy_raw(t.sum(axis=2))
-    h_ay = _entropy_raw(t.sum(axis=0))
-    h_a = _entropy_raw(t.sum(axis=(0, 2)))
-    h_s = _entropy_raw(t.sum(axis=(1, 2)))
-    h_y = _entropy_raw(t.sum(axis=(0, 1)))
+    h_say = entropy_raw(t)
+    h_sa = entropy_raw(t.sum(axis=2))
+    h_ay = entropy_raw(t.sum(axis=0))
+    h_a = entropy_raw(t.sum(axis=(0, 2)))
+    h_s = entropy_raw(t.sum(axis=(1, 2)))
+    h_y = entropy_raw(t.sum(axis=(0, 1)))
     mi_xy = h_sa + h_y - h_say
     out = {
         "mi_xy": mi_xy,

@@ -19,7 +19,7 @@ import numpy as np
 from .alphabets import AskConstellation, LabelMap, brgc_label
 from .channel import Dmc
 from .errors import BudgetError, ConfigError
-from .infomeasures import check_pmf
+from .infomeasures import check_pmf, entropy_raw, log2_safe
 from .typicality import (
     LOG_SLACK,
     BTypicalSet,
@@ -30,31 +30,20 @@ from .typicality import (
 DECODE_BUDGET = 1_000_000
 
 
-def _log2_safe(p: np.ndarray) -> np.ndarray:
-    return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), -np.inf)
-
-
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 @dataclass(frozen=True)
 class ShapingLayer:
     """One-to-one message map onto the conditioned typical amplitude set.
 
-    amplitude_seqs[m_a] is an amplitude-index sequence; for the bit-level
-    variant bit_seqs holds the same members as flattened bit-tuple sequences.
+    amplitude_seqs[m_a] is an amplitude-index sequence. Both decoders share
+    it: the bit-level one reads the members through the label bijection.
     """
 
-    kind: str  # "smd" | "bmd"
     constellation: AskConstellation
     label_map: LabelMap
     amplitude_pmf: np.ndarray
     n: int
     eps: float
     amplitude_seqs: tuple = field(repr=False)
-    bit_seqs: tuple = field(default=None, repr=False)
     b_set: BTypicalSet = field(default=None, repr=False)
 
     @property
@@ -66,17 +55,12 @@ class ShapingLayer:
         return self.b_set.exact
 
 
-def sign_output_transition(constellation: AskConstellation, dmc: Dmc, p_a=None) -> np.ndarray:
+def sign_output_transition(constellation: AskConstellation, dmc: Dmc) -> np.ndarray:
     """p((s, y) | a) with uniform signs, flattened as v = s_bit * nout + y."""
-    na = constellation.num_amplitudes
     if dmc.nin != constellation.size:
         raise ValueError("channel inputs must match the constellation points")
-    t = np.zeros((na, 2 * dmc.nout))
-    for ai, a in enumerate(constellation.amplitudes):
-        for sbit, s in ((0, -1), (1, 1)):
-            xi = constellation.point_index(s * a)
-            t[ai, sbit * dmc.nout : (sbit + 1) * dmc.nout] = 0.5 * dmc.w[xi]
-    return t
+    t = 0.5 * dmc.w[constellation.sign_amplitude_index.T]  # (a, s, y)
+    return t.reshape(constellation.num_amplitudes, 2 * dmc.nout)
 
 
 def build_shaping_layer(
@@ -85,18 +69,11 @@ def build_shaping_layer(
     amplitude_pmf,
     n: int,
     eps: float,
-    kind: str = "smd",
     budget: int = None,
     mc_samples: int = None,
     seed: int = 0,
 ) -> ShapingLayer:
-    """Enumerate the conditioned typical set of shaped amplitudes.
-
-    The bit-level variant is the same member set seen through the label
-    bijection, so both kinds share one enumeration.
-    """
-    if kind not in ("smd", "bmd"):
-        raise ValueError(f"kind must be 'smd' or 'bmd', got {kind}")
+    """Enumerate the conditioned typical set of shaped amplitudes."""
     p_a = check_pmf(amplitude_pmf)
     if p_a.shape != (constellation.num_amplitudes,):
         raise ValueError("amplitude_pmf must cover the amplitude alphabet")
@@ -113,22 +90,13 @@ def build_shaping_layer(
             f"no amplitude sequence survives the conditioned typicality test "
             f"(n={n}, eps={eps}); widen eps or change n"
         )
-    label = brgc_label(constellation)
-    bit_seqs = None
-    if kind == "bmd":
-        amp_bits = label.amplitude_bit_matrix  # (2^m, m)
-        weights = 1 << np.arange(constellation.m - 1, -1, -1) if constellation.m else np.array([], dtype=int)
-        flat = amp_bits @ weights if constellation.m else np.zeros(1, dtype=int)
-        bit_seqs = tuple(tuple(int(flat[a]) for a in seq) for seq in b_set.members)
     return ShapingLayer(
-        kind=kind,
         constellation=constellation,
-        label_map=label,
+        label_map=brgc_label(constellation),
         amplitude_pmf=p_a,
         n=n,
         eps=eps,
         amplitude_seqs=b_set.members,
-        bit_seqs=bit_seqs,
         b_set=b_set,
     )
 
@@ -244,13 +212,9 @@ class _Candidates:
         self.m_a_count, self.m_s_count, self.n = m_a_count, m_s_count, n
         amp = np.asarray(layer.amplitude_seqs, dtype=np.intp)  # (M_a, n)
         self.a_idx = np.repeat(amp, m_s_count, axis=0)
-        signs = np.empty((m_a_count * m_s_count, n), dtype=np.intp)
-        for ma in range(m_a_count):
-            for ms in range(m_s_count):
-                signs[ma * m_s_count + ms] = np.concatenate(
-                    [codebook.info_bits[ms], codebook.redundant_bits[ma, ms]]
-                )
-        self.s_idx = signs
+        info = np.broadcast_to(codebook.info_bits, (m_a_count, m_s_count, codebook.n1))
+        signs = np.concatenate([info, codebook.redundant_bits], axis=2)
+        self.s_idx = signs.reshape(m_a_count * m_s_count, n).astype(np.intp)
         bits = layer.label_map.amplitude_bit_matrix  # (2^m, m)
         self.level_bits = [
             bits[:, j][self.a_idx] for j in range(layer.constellation.m)
@@ -273,13 +237,8 @@ class SmdDecoder:
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
         self.layer, self.codebook, self.eps = layer, codebook, layer.eps
         self.cand = _Candidates(layer, codebook)
-        cst = layer.constellation
-        na, nout = cst.num_amplitudes, dmc.nout
-        t = np.zeros((na, 2, nout))  # p(a, s, y)
-        for ai, a in enumerate(cst.amplitudes):
-            for sbit, s in ((0, -1), (1, 1)):
-                t[ai, sbit] = layer.amplitude_pmf[ai] * 0.5 * dmc.w[cst.point_index(s * a)]
-        self.t = t
+        trans = sign_output_transition(layer.constellation, dmc)
+        t = self.t = (layer.amplitude_pmf[:, None] * trans).reshape(-1, 2, dmc.nout)  # p(a, s, y)
         self.h = {}
         self.logt = {}
         for name, axes in {
@@ -287,13 +246,12 @@ class SmdDecoder:
             "as": (2,), "ay": (1,), "sy": (0,), "asy": (),
         }.items():
             marg = t.sum(axis=axes) if axes else t
-            self.h[name] = _entropy(marg)
-            self.logt[name] = _log2_safe(marg)
+            self.h[name] = entropy_raw(marg)
+            self.logt[name] = log2_safe(marg)
         c = self.cand
         self.fix_a = self.logt["a"][c.a_idx].sum(axis=1)
         self.fix_s = self.logt["s"][c.s_idx].sum(axis=1)
         self.fix_as = self.logt["as"][c.a_idx, c.s_idx].sum(axis=1)
-        self.nout = nout
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         c, n, eps = self.cand, self.cand.n, self.eps
@@ -322,44 +280,39 @@ class BmdDecoder:
 
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
         self.layer, self.codebook, self.eps = layer, codebook, layer.eps
-        self.cand = _Candidates(layer, codebook)
-        self._smd = SmdDecoder(layer, codebook, dmc)  # for discrepancy logging
-        cst = layer.constellation
-        t = self._smd.t  # p(a, s, y)
-        p_y = t.sum(axis=(0, 1))
-        p_sy = t.sum(axis=0)
-        self.h_y, self.h_s = _entropy(p_y), _entropy(t.sum(axis=(0, 2)))
-        self.h_sy = _entropy(p_sy)
-        self.log_y, self.log_sy = _log2_safe(p_y), _log2_safe(p_sy)
-        self.log_s = _log2_safe(t.sum(axis=(0, 2)))
+        # one candidate table and p(a, s, y); the symbol test also logs
+        # pairwise-only acceptances
+        self._smd = SmdDecoder(layer, codebook, dmc)
+        self.cand, self.h, self.logt = self._smd.cand, self._smd.h, self._smd.logt
+        self.fix_s = self._smd.fix_s
+        t = self._smd.t
         bits = layer.label_map.amplitude_bit_matrix
         self.levels = []
-        for j in range(cst.m):
+        for j in range(layer.constellation.m):
             p_bjy = np.zeros((2, dmc.nout))
-            for ai in range(cst.num_amplitudes):
+            for ai in range(layer.constellation.num_amplitudes):
                 p_bjy[bits[ai, j]] += t[ai].sum(axis=0)
             self.levels.append(
                 {
-                    "h_b": _entropy(p_bjy.sum(axis=1)),
-                    "h_by": _entropy(p_bjy),
-                    "log_b": _log2_safe(p_bjy.sum(axis=1)),
-                    "log_by": _log2_safe(p_bjy),
+                    "h_b": entropy_raw(p_bjy.sum(axis=1)),
+                    "h_by": entropy_raw(p_bjy),
+                    "log_b": log2_safe(p_bjy.sum(axis=1)),
+                    "log_by": log2_safe(p_bjy),
                 }
             )
         c = self.cand
-        self.fix_s = self.log_s[c.s_idx].sum(axis=1)
         self.fix_b = [
             lv["log_b"][c.level_bits[j]].sum(axis=1) for j, lv in enumerate(self.levels)
         ]
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         c, n, eps = self.cand, self.cand.n, self.eps
-        sum_y = self.log_y[y].sum()
-        if not _box(np.asarray(sum_y), n, self.h_y, eps):
+        sum_y = self.logt["y"][y].sum()
+        if not _box(np.asarray(sum_y), n, self.h["y"], eps):
             return np.zeros(c.count, dtype=bool)
         yb = y[None, :]
-        ok = _box(self.fix_s, n, self.h_s, eps)
-        ok &= _box(self.log_sy[c.s_idx, yb].sum(axis=1), n, self.h_sy, eps)
+        ok = _box(self.fix_s, n, self.h["s"], eps)
+        ok &= _box(self.logt["sy"][c.s_idx, yb].sum(axis=1), n, self.h["sy"], eps)
         for j, lv in enumerate(self.levels):
             ok &= _box(self.fix_b[j], n, lv["h_b"], eps)
             ok &= _box(
@@ -414,6 +367,8 @@ class ExperimentConfig:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.decoder not in ("smd", "bmd"):
             raise ConfigError(f"decoder must be 'smd' or 'bmd', got {self.decoder}")
+        if self.codebook_mode not in ("iid", "linear"):
+            raise ConfigError(f"codebook_mode must be 'iid' or 'linear', got {self.codebook_mode}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.n < 1:
@@ -504,7 +459,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
         np.asarray(config.amplitude_pmf, dtype=float),
         config.n,
         config.eps,
-        kind=config.decoder,
         budget=config.typ_budget,
         mc_samples=config.mc_samples,
         seed=config.seed,
@@ -516,14 +470,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     )
     decoder = _make_decoder(config.decoder, layer, codebook, config.dmc)
     cand = decoder.cand
-    cst = config.constellation
     # candidate -> transmitted point index per position
-    amps = np.asarray(cst.amplitudes)[cand.a_idx]
-    signs = 2 * cand.s_idx - 1
-    point_idx = np.empty_like(cand.a_idx)
-    lookup = {x: i for i, x in enumerate(cst.points)}
-    flat = amps * signs
-    point_idx = np.vectorize(lookup.get, otypes=[np.intp])(flat)
+    point_idx = config.constellation.sign_amplitude_index[cand.s_idx, cand.a_idx]
     cdf_rows = np.cumsum(config.dmc.w, axis=1)
     log_pairwise = config.decoder == "bmd"
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError
-from .infomeasures import check_pmf, entropy
+from .infomeasures import check_pmf, entropy, log2_safe
 
 LOG_SLACK = 1e-12
 DEFAULT_BUDGET = 10_000_000
@@ -41,10 +41,6 @@ class TypConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.budget < 1 or self.mc_samples < 1:
             raise ValueError("budget and mc_samples must be positive")
-
-
-def _log2_safe(p: np.ndarray) -> np.ndarray:
-    return np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), -np.inf)
 
 
 def empirical_rate(seq, pmf) -> float:
@@ -108,7 +104,7 @@ def _scan_typical(pmf: np.ndarray, config: TypConfig):
             f"enumeration needs {total} sequences, budget is {config.budget}",
             needed=total,
         )
-    log2p = _log2_safe(pmf)
+    log2p = log2_safe(pmf)
     for start in range(0, total, CHUNK):
         block = _digit_block(start, min(start + CHUNK, total), k, config.n)
         with np.errstate(invalid="ignore"):
@@ -215,12 +211,12 @@ def conditional_typical_prob(
     if abs(rate_u - h_u) > eps:
         return CondProbResult(prob=0.0, stderr=0.0, exact=True)
 
-    lut_v = _log2_safe(p_v)  # per V symbol
-    lut_uv = _log2_safe(joint)[u]  # (n, kv): row i scores position i
+    lut_v = log2_safe(p_v)  # per V symbol
+    lut_uv = log2_safe(joint)[u]  # (n, kv): row i scores position i
 
     if kv**n <= config.budget:
         total = 0.0
-        log2_t = _log2_safe(t)[u]  # (n, kv) channel weights per position
+        log2_t = log2_safe(t)[u]  # (n, kv) channel weights per position
         for start in range(0, kv**n, CHUNK):
             block = _digit_block(start, min(start + CHUNK, kv**n), kv, n)
             rows = np.arange(n)
@@ -342,18 +338,3 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
         "b_mass": b_mass,
         "b_count": count,
     }
-
-
-def product_transition(*stages) -> np.ndarray:
-    """Flatten independent stage transitions p(v1|u), p(v2|u), ... into one
-    p((v1, v2, ...)|u) with row-major composite indices."""
-    if not stages:
-        raise ValueError("need at least one stage")
-    mats = [np.asarray(s, dtype=float) for s in stages]
-    rows = mats[0].shape[0]
-    if any(m.shape[0] != rows for m in mats):
-        raise ValueError("all stages must share the input alphabet")
-    out = mats[0]
-    for m in mats[1:]:
-        out = (out[:, :, None] * m[:, None, :]).reshape(rows, -1)
-    return out

@@ -24,7 +24,7 @@ from paslab.infomeasures import entropy, mutual_information
 from oracle import capacity_grid_oracle, mb_weights_oracle
 
 # coarse quantizer keeps these tests quick; accuracy tests live in acceptance
-FAST = AwgnSpec(snr_db=0.0, num_bins=300)
+FAST = AwgnSpec(num_bins=300)
 
 
 def test_mb_family_matches_oracle():
@@ -49,8 +49,7 @@ def test_mirror_fold_roundtrip():
 def test_optimize_capacity_dominates_grid_oracle():
     cst = make_ask(1)
     for snr in (2.0, 7.0):
-        spec = AwgnSpec(snr_db=snr, num_bins=FAST.num_bins)
-        pt = optimize_capacity(cst, snr, spec)
+        pt = optimize_capacity(cst, snr, FAST)
 
         def rows(pts):
             return gaussian_dmc(pts, 1.0, FAST.num_bins, FAST.clip_sigmas).w.tolist()
@@ -71,8 +70,7 @@ def test_optimize_capacity_mb_is_not_better():
     # the solver's optimum should not lose to any Maxwell-Boltzmann profile
     cst = make_ask(1)
     snr = 5.0
-    spec = AwgnSpec(snr_db=snr, num_bins=FAST.num_bins)
-    pt = optimize_capacity(cst, snr, spec)
+    pt = optimize_capacity(cst, snr, FAST)
     power = 10 ** (snr / 10)
     pts = np.asarray(cst.points, dtype=float)
     best = -1.0
@@ -89,20 +87,19 @@ def test_optimize_capacity_mb_is_not_better():
 
 def test_capacity_monotone_in_snr():
     cst = make_ask(1)
-    caps = [optimize_capacity(cst, s, AwgnSpec(s, FAST.num_bins)).capacity for s in (-2, 1, 4, 8)]
+    caps = [optimize_capacity(cst, s, FAST).capacity for s in (-2, 1, 4, 8)]
     assert all(b > a for a, b in zip(caps, caps[1:]))
 
 
 def test_uniform_rate_below_capacity():
     cst = make_ask(1)
     for snr in (0.0, 3.0, 6.0):
-        spec = AwgnSpec(snr, FAST.num_bins)
-        assert uniform_rate(cst, snr, spec) <= optimize_capacity(cst, snr, spec).capacity + 1e-6
+        assert uniform_rate(cst, snr, FAST) <= optimize_capacity(cst, snr, FAST).capacity + 1e-6
 
 
 def test_airpoint_split_consistency():
     cst = make_ask(1)
-    pt = optimize_capacity(cst, 6.0, AwgnSpec(6.0, FAST.num_bins))
+    pt = optimize_capacity(cst, 6.0, FAST)
     assert pt.h_a == pytest.approx(entropy(pt.p_a_star), abs=1e-12)
     assert 0.0 <= pt.gamma < 1.0
     # 6 dB sits above the basic point, so the split is exact
@@ -113,7 +110,7 @@ def test_airpoint_split_consistency():
 def test_m0_special_case():
     # 2-ASK has a single amplitude: H(A) = 0, capacity all from the sign
     cst = make_ask(0)
-    pt = optimize_capacity(cst, 3.0, AwgnSpec(3.0, FAST.num_bins))
+    pt = optimize_capacity(cst, 3.0, FAST)
     assert pt.h_a == 0.0
     assert pt.p_a_star == (1.0,)
     assert 0.0 < pt.capacity < 1.0
@@ -121,7 +118,7 @@ def test_m0_special_case():
 
 def test_find_basic_point_coarse():
     cst = make_ask(1)
-    snr, rate = find_basic_point(cst, AwgnSpec(0.0, FAST.num_bins))
+    snr, rate = find_basic_point(cst, FAST)
     # known location near 0.72 dB / 0.562 bit; loose tolerance at 300 bins
     assert abs(snr - 0.72) < 0.2
     assert abs(rate - 0.562) < 0.02
@@ -129,25 +126,24 @@ def test_find_basic_point_coarse():
 
 def test_find_basic_point_no_crossing():
     with pytest.raises(ValueError):
-        find_basic_point(make_ask(0), AwgnSpec(0.0, FAST.num_bins))
+        find_basic_point(make_ask(0), FAST)
 
 
 def test_gamma_split_sums_to_capacity():
     cst = make_ask(1)
-    spec = AwgnSpec(8.0, FAST.num_bins)
-    h_a, gamma = gamma_split(cst, 8.0, spec)
-    pt = optimize_capacity(cst, 8.0, spec)
+    h_a, gamma = gamma_split(cst, 8.0, FAST)
+    pt = optimize_capacity(cst, 8.0, FAST)
     assert h_a + gamma == pytest.approx(pt.capacity, abs=1e-12)
     with pytest.raises(ValueError):
-        gamma_split(cst, -3.0, AwgnSpec(-3.0, FAST.num_bins))
+        gamma_split(cst, -3.0, FAST)
 
 
 def test_shaping_gap_positive_and_bounded():
     cst = make_ask(1)
-    gap = shaping_gap(cst, 1.2, AwgnSpec(0.0, FAST.num_bins))
+    gap = shaping_gap(cst, 1.2, FAST)
     assert 0.0 < gap < 1.0
     with pytest.raises(ValueError):
-        shaping_gap(cst, 2.5, AwgnSpec(0.0, FAST.num_bins))
+        shaping_gap(cst, 2.5, FAST)
 
 
 def test_theorem_feasibility_fields():
@@ -174,14 +170,13 @@ def test_theorem_feasibility_fields():
 
 def test_air_sweep_reports_failures_inline():
     cst = make_ask(1)
-    out = list(air_sweep(cst, [3.0, float("nan")], AwgnSpec(3.0, FAST.num_bins)))
+    out = list(air_sweep(cst, [3.0, float("nan")], FAST))
     assert isinstance(out[0][1], AirPoint)
     assert isinstance(out[1][1], Exception)
 
 
 def test_air_sweep_deterministic():
     cst = make_ask(1)
-    spec = AwgnSpec(0.0, FAST.num_bins)
-    a = [(s, p.capacity) for s, p in air_sweep(cst, [1.0, 2.0], spec)]
-    b = [(s, p.capacity) for s, p in air_sweep(cst, [1.0, 2.0], spec)]
+    a = [(s, p.capacity) for s, p in air_sweep(cst, [1.0, 2.0], FAST)]
+    b = [(s, p.capacity) for s, p in air_sweep(cst, [1.0, 2.0], FAST)]
     assert a == b

@@ -35,6 +35,9 @@ def test_point_and_amplitude_index():
         assert cst.point_index(x) == i
     for i, a in enumerate(cst.amplitudes):
         assert cst.amplitude_index(a) == i
+        for row, s in enumerate((-1, 1)):
+            assert cst.sign_amplitude_index[row, i] == cst.point_index(s * a)
+    assert cst.sign_amplitude_index.shape == (2, cst.num_amplitudes)
     with pytest.raises(ValueError):
         cst.point_index(0)
 

@@ -1,20 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paslab.alphabets import make_ask
-from paslab.channel import (
-    AwgnSpec,
-    Dmc,
-    bit_channel,
-    gaussian_dmc,
-    identity_dmc,
-    quantize_awgn,
-    sequence_likelihood,
-    sequence_log2_likelihood,
-)
+from paslab.channel import Dmc, bit_channel, gaussian_dmc, identity_dmc
 from paslab.alphabets import brgc_label
 from paslab.infomeasures import mutual_information
 
@@ -38,16 +27,6 @@ def test_identity_dmc():
     d = identity_dmc((-1, 1))
     assert np.array_equal(d.w, np.eye(2))
     assert d.input_points == (-1, 1)
-
-
-def test_json_roundtrip():
-    d = gaussian_dmc((-1.0, 1.0), sigma=0.7, num_bins=5)
-    d2 = Dmc.from_json(d.to_json())
-    assert np.array_equal(d.w, d2.w)
-    assert d.input_points == d2.input_points
-    # stable key order
-    assert d.to_json() == d2.to_json()
-    json.loads(d.to_json())
 
 
 def test_gaussian_dmc_shapes_and_tails():
@@ -77,36 +56,6 @@ def test_refinement_ladder_monotone():
         mi = mutual_information(p, d)
         assert mi >= last - 1e-9
         last = mi
-
-
-def test_quantize_awgn_power_normalization():
-    cst = make_ask(1)
-    p_x = np.full(4, 0.25)
-    spec = AwgnSpec(snr_db=6.0, num_bins=200)
-    d = quantize_awgn(cst, spec, p_x)
-    # E[X^2]/sigma^2 should equal the requested SNR; recover sigma from the
-    # quantizer grid: first interior edge sits at min(point) - clip*sigma
-    power = float(p_x @ np.asarray(cst.points, dtype=float) ** 2)
-    snr_lin = 10 ** (6.0 / 10.0)
-    sigma = np.sqrt(power / snr_lin)
-    # channel built on that sigma reproduces the same matrix
-    d2 = gaussian_dmc(cst.points, sigma, spec.num_bins, spec.clip_sigmas)
-    assert np.allclose(d.w, d2.w)
-
-
-def test_sequence_likelihood_basic():
-    w = np.array([[0.9, 0.1], [0.2, 0.8]])
-    d = Dmc(w=w)
-    # 0.9 * 0.2 = 0.18
-    assert sequence_likelihood(d, [0, 1], [0, 0]) == pytest.approx(0.18, abs=1e-15)
-    lg = sequence_log2_likelihood(d, [0, 1], [0, 0])
-    assert lg == pytest.approx(np.log2(0.18), abs=1e-12)
-
-
-def test_sequence_likelihood_zero_prob():
-    d = identity_dmc((0, 1))
-    assert sequence_log2_likelihood(d, [0], [1]) == -np.inf
-    assert sequence_likelihood(d, [0], [1]) == 0.0
 
 
 def test_bit_channel_prior():

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paslab.cli import SIM_CSV_COLUMNS, main
 from paslab.errors import ConvergenceError
@@ -185,3 +190,178 @@ def test_gamma_split_below_basic_point_exit_code(capsys):
     )
     assert rc == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, message",
+    [
+        ({"amplitude_pmf": [1.2, -0.2]}, [], "non-negative"),
+        ({"amplitude_pmf": [0.5, 0.6]}, [], "not 1"),
+        ({"codebook_mode": "bogus"}, [], "codebook_mode"),
+        ({}, ["--threads", "0"], "threads must be >= 1"),
+        ({}, ["--threads", "-3"], "threads must be >= 1"),
+    ],
+    ids=["negative-pmf", "unnormalised-pmf", "bogus-codebook", "threads-0", "threads-negative"],
+)
+def test_sim_rejects_bad_input(tmp_path, capsys, overrides, argv, message):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"noiseless": True, "n": 4, "trials": 5, **overrides}))
+    rc, out, err = run_cli(["sim", "--config", str(cfg), *argv], capsys)
+    assert rc == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_air_sweep_num_bins_one_exit_code(monkeypatch, capsys):
+    def never(*a, **k):
+        raise AssertionError("solver ran on an invalid quantizer")
+
+    monkeypatch.setattr("paslab.cli.air_sweep", never)
+    rc, out, err = run_cli(["air-sweep", "--num-bins", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert "num_bins must be >= 2" in err
+
+
+# ------------------------------------------------------------- config fuzz
+# a valid small config with up to two fields replaced by a bad value
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+
+
+def _pmf(size):
+    return st.lists(st.integers(1, 5), min_size=size, max_size=size).map(
+        lambda w: [v / sum(w) for v in w]
+    )
+
+
+def _rows(count, width):
+    return st.lists(_pmf(width), min_size=count, max_size=count)
+
+
+BAD_PMF = st.one_of(
+    st.integers(1, 5).flatmap(_pmf),  # wrong length unless it happens to fit
+    st.lists(st.floats(-1, 1), min_size=1, max_size=4),  # negative or unnormalised
+    JUNK,
+)
+FAULTS = {
+    "m": st.one_of(st.integers(-2, -1), st.integers(7, 9), JUNK),
+    "amplitude_pmf": BAD_PMF,
+    "sigma": st.one_of(st.floats(-1, 0), JUNK),
+    "snr_db": st.one_of(st.floats(-10, 30), JUNK),
+    "noiseless": JUNK,
+    "w": st.one_of(st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=4), JUNK),
+    "num_bins": st.one_of(st.integers(0, 1), JUNK),
+    "clip_sigmas": st.one_of(st.floats(-1, 1), JUNK),
+    "n": st.one_of(st.integers(-1, 0), JUNK),
+    "eps": st.one_of(st.floats(-0.5, 0), JUNK),
+    "seed": st.one_of(st.integers(-3, -1), JUNK),
+    "mc_samples": st.one_of(st.integers(-1, 20), JUNK),
+}
+SIM_FAULTS = {
+    **FAULTS,
+    "gamma": st.one_of(st.floats(-0.5, -0.01), st.floats(1, 2), JUNK),
+    "decoder": st.one_of(st.just("joint"), JUNK),
+    "codebook_mode": st.one_of(st.just("bogus"), JUNK),
+    "trials": st.one_of(st.integers(-1, 0), JUNK),
+    "typ_budget": st.one_of(st.integers(-1, 40), JUNK),
+}
+B_TYP_FAULTS = {**FAULTS, "budget": st.one_of(st.integers(-1, 40), JUNK)}
+EXPLICIT_FAULTS = {
+    "transition": st.one_of(st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3), JUNK),
+    "pmf": BAD_PMF,
+    "n": FAULTS["n"],
+    "eps": FAULTS["eps"],
+}
+
+
+def _channel(m):
+    return st.one_of(
+        st.fixed_dictionaries({"sigma": st.floats(0.05, 1.0)}),
+        st.fixed_dictionaries({"snr_db": st.floats(0.0, 25.0)}),
+        st.just({"noiseless": True}),
+        st.fixed_dictionaries({"w": _rows(2 ** (m + 1), 3)}),
+    )
+
+
+def _valid_base(m):
+    return st.fixed_dictionaries(
+        {
+            "m": st.just(m),
+            "amplitude_pmf": st.one_of(st.none(), _pmf(2**m)),
+            "num_bins": st.integers(2, 3),
+            "n": st.integers(1, 4),
+            "eps": st.floats(0.05, 0.6),
+            "seed": st.integers(0, 3),
+        }
+    )
+
+
+def _merge(*parts):
+    return st.tuples(*parts).map(lambda ds: {k: v for d in ds for k, v in d.items()})
+
+
+def _with_faults(valid, faults):
+    picks = st.lists(st.sampled_from(sorted(faults)), max_size=2, unique=True)
+    return _merge(valid, picks.flatmap(lambda keys: st.fixed_dictionaries({k: faults[k] for k in keys})))
+
+
+SIM_VALID = st.integers(0, 2).flatmap(
+    lambda m: _merge(
+        _valid_base(m),
+        _channel(m),
+        st.fixed_dictionaries(
+            {
+                "gamma": st.floats(0.0, 0.95),
+                "decoder": st.sampled_from(["smd", "bmd"]),
+                "trials": st.integers(1, 20),
+                "codebook_mode": st.sampled_from(["iid", "linear"]),
+            }
+        ),
+    )
+)
+B_TYP_CHANNEL = st.integers(0, 2).flatmap(lambda m: _merge(_valid_base(m), _channel(m)))
+B_TYP_EXPLICIT = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda kv: st.fixed_dictionaries(
+        {
+            "transition": _rows(*kv),
+            "pmf": _pmf(kv[0]),
+            "n": st.integers(1, 4),
+            "eps": st.floats(0.05, 0.6),
+        }
+    )
+)
+SIM_CONFIGS = _with_faults(SIM_VALID, SIM_FAULTS)
+B_TYP_CONFIGS = st.one_of(
+    _with_faults(B_TYP_CHANNEL, B_TYP_FAULTS), _with_faults(B_TYP_EXPLICIT, EXPLICIT_FAULTS)
+)
+
+
+def _exit_code_and_stderr(argv: list, config: dict) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(SIM_CONFIGS, st.sampled_from(["1", "2", "0"]))
+def test_sim_config_fuzz_keeps_exit_contract(config, threads):
+    rc, err = _exit_code_and_stderr(["sim", "--threads", threads], config)
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(B_TYP_CONFIGS)
+def test_b_typ_config_fuzz_keeps_exit_contract(config):
+    rc, err = _exit_code_and_stderr(["b-typ"], config)
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err

@@ -50,16 +50,6 @@ def test_build_layer_members_match_direct_enumeration():
     assert layer.exact
 
 
-def test_build_layer_bmd_shares_member_set():
-    smd = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1, kind="smd")
-    bmd = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1, kind="bmd")
-    assert smd.amplitude_seqs == bmd.amplitude_seqs
-    # m=1: amplitude 0 -> bit 0, amplitude 1 -> bit 1 under the BRGC split
-    bits = bmd.label_map.amplitude_bit_matrix
-    for a_seq, b_seq in zip(bmd.amplitude_seqs, bmd.bit_seqs):
-        assert b_seq == tuple(int(bits[a, 0]) for a in a_seq)
-
-
 def test_build_layer_raises_on_empty_set():
     too_noisy = gaussian_dmc(np.asarray(CST.points, float), sigma=2.0, num_bins=2)
     with pytest.raises(ConfigError):
@@ -69,8 +59,6 @@ def test_build_layer_raises_on_empty_set():
 def test_build_layer_validates_inputs():
     with pytest.raises(ValueError):
         build_shaping_layer(CST, NOISY, (0.2, 0.3, 0.5), 6, 0.1)
-    with pytest.raises(ValueError):
-        build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1, kind="joint")
 
 
 def test_codebook_shapes_and_determinism():
@@ -132,16 +120,16 @@ def test_layer_amplitude_bits_roundtrip():
         np.testing.assert_array_equal(row, [bits[a, 0] for a in seq])
 
 
-def _noiseless_setup(decoder_kind):
+def _noiseless_setup():
     dmc = identity_dmc(CST.points)
-    layer = build_shaping_layer(CST, dmc, (0.5, 0.5), 4, 0.1, kind=decoder_kind)
+    layer = build_shaping_layer(CST, dmc, (0.5, 0.5), 4, 0.1)
     codebook = draw_sign_codebook(layer.size, 2, 2, seed=1)
     return dmc, layer, codebook
 
 
 @pytest.mark.parametrize("kind", ["smd", "bmd"])
 def test_decode_noiseless_recovers_message(kind):
-    dmc, layer, codebook = _noiseless_setup(kind)
+    dmc, layer, codebook = _noiseless_setup()
     dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, dmc)
     lookup = {x: i for i, x in enumerate(CST.points)}
     amps = np.asarray(CST.amplitudes)
@@ -155,14 +143,13 @@ def test_decode_noiseless_recovers_message(kind):
 
 
 def test_decode_wrappers_agree_with_decoder_objects():
-    dmc, layer, codebook = _noiseless_setup("smd")
+    dmc, layer, codebook = _noiseless_setup()
     lookup = {x: i for i, x in enumerate(CST.points)}
     a_seq = np.asarray(layer.amplitude_seqs[1])
     x = np.asarray(CST.amplitudes)[a_seq] * codebook.sign_sequence(1, 2)
     y = np.array([lookup[v] for v in x])
     assert smd_decode(y, layer, codebook, dmc).status == "ok"
-    layer_b = build_shaping_layer(CST, dmc, (0.5, 0.5), 4, 0.1, kind="bmd")
-    assert bmd_decode(y, layer_b, codebook, dmc).status == "ok"
+    assert bmd_decode(y, layer, codebook, dmc).status == "ok"
 
 
 def test_decode_multiple_on_uninformative_channel():

@@ -13,7 +13,6 @@ from paslab.typicality import (
     is_jointly_typical,
     is_typical,
     lemma1_report,
-    product_transition,
 )
 
 from oracle import (
@@ -231,22 +230,6 @@ def test_lemma1_report_gates_small_n():
     assert not rep["large_n_proxy"]
     assert 0.0 <= rep["p2_mass"] <= 1.0
     assert rep["b_count"] == bt.count
-
-
-def test_product_transition_flattens_stages():
-    t1 = np.array([[0.9, 0.1], [0.2, 0.8]])
-    t2 = np.array([[0.5, 0.5], [0.25, 0.75]])
-    t = product_transition(t1, t2)
-    assert t.shape == (2, 4)
-    # composite index v1 * 2 + v2
-    assert t[0, 0] == pytest.approx(0.9 * 0.5)
-    assert t[0, 3] == pytest.approx(0.1 * 0.5)
-    assert t[1, 1] == pytest.approx(0.2 * 0.75)
-    np.testing.assert_allclose(t.sum(axis=1), 1.0)
-    with pytest.raises(ValueError):
-        product_transition()
-    with pytest.raises(ValueError):
-        product_transition(t1, np.ones((3, 2)) / 2)
 
 
 @settings(deadline=None, max_examples=25)
