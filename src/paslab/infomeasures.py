@@ -32,7 +32,7 @@ def check_pmf(p, tol: float = PMF_TOL) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0):
         raise ValueError("pmf entries must be non-negative")
-    if abs(arr.sum() - 1.0) > tol:
+    if not abs(arr.sum() - 1.0) <= tol:  # a NaN sum fails too
         raise ValueError(f"pmf sums to {arr.sum()!r}, not 1")
     return arr
 

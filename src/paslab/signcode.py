@@ -254,25 +254,29 @@ class SmdDecoder:
         self.fix_as = self.logt["as"][c.a_idx, c.s_idx].sum(axis=1)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        c, n, eps = self.cand, self.cand.n, self.eps
+        return self._mask(y, slice(None))
+
+    def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The same test on the candidates `rows` only."""
+        return self._mask(y, rows)
+
+    def _mask(self, y: np.ndarray, rows) -> np.ndarray:
+        n, eps = self.cand.n, self.eps
+        a_idx, s_idx = self.cand.a_idx[rows], self.cand.s_idx[rows]
         sum_y = self.logt["y"][y].sum()
         if not _box(np.asarray(sum_y), n, self.h["y"], eps):
-            return np.zeros(c.count, dtype=bool)
+            return np.zeros(a_idx.shape[0], dtype=bool)
         yb = y[None, :]
-        sum_ay = self.logt["ay"][c.a_idx, yb].sum(axis=1)
-        sum_sy = self.logt["sy"][c.s_idx, yb].sum(axis=1)
-        sum_asy = self.logt["asy"][c.a_idx, c.s_idx, yb].sum(axis=1)
-        ok = _box(self.fix_a, n, self.h["a"], eps)
-        ok &= _box(self.fix_s, n, self.h["s"], eps)
-        ok &= _box(self.fix_as, n, self.h["as"], eps)
+        sum_ay = self.logt["ay"][a_idx, yb].sum(axis=1)
+        sum_sy = self.logt["sy"][s_idx, yb].sum(axis=1)
+        sum_asy = self.logt["asy"][a_idx, s_idx, yb].sum(axis=1)
+        ok = _box(self.fix_a[rows], n, self.h["a"], eps)
+        ok &= _box(self.fix_s[rows], n, self.h["s"], eps)
+        ok &= _box(self.fix_as[rows], n, self.h["as"], eps)
         ok &= _box(sum_ay, n, self.h["ay"], eps)
         ok &= _box(sum_sy, n, self.h["sy"], eps)
         ok &= _box(sum_asy, n, self.h["asy"], eps)
         return ok
-
-    def triple_mask(self, y: np.ndarray) -> np.ndarray:
-        # used by the bit-level decoder to log pairwise-only acceptances
-        return self.accept_mask(y)
 
 
 class BmdDecoder:
@@ -320,8 +324,10 @@ class BmdDecoder:
             )
         return ok
 
-    def triple_mask(self, y: np.ndarray) -> np.ndarray:
-        return self._smd.accept_mask(y)
+    def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The symbol-level test on the candidates `rows`, to log
+        pairwise-only acceptances."""
+        return self._smd._mask(y, rows)
 
 
 def _make_decoder(kind: str, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
@@ -446,8 +452,8 @@ def _run_trials(decoder, cdf_rows, point_idx, config, trial_indices, log_pairwis
         counts["k2"] += int(kind2)
         counts["both"] += int(kind1 and kind2)
         if log_pairwise and mask.any():
-            triple = decoder.triple_mask(y)
-            counts["pairwise_only"] += int((mask & ~triple).sum())
+            triple = decoder.triple_mask(y, np.flatnonzero(mask))
+            counts["pairwise_only"] += int((~triple).sum())
     return counts
 
 

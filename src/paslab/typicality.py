@@ -37,7 +37,7 @@ class TypConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"block length must be >= 1, got {self.n}")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails too
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.budget < 1 or self.mc_samples < 1:
             raise ValueError("budget and mc_samples must be positive")
@@ -115,6 +115,8 @@ def _scan_typical(pmf: np.ndarray, config: TypConfig):
 def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     """Exhaustively list the typical set in lexicographic order, with bounds."""
     p = check_pmf(pmf)
+    if p.ndim != 1:
+        raise ValueError(f"pmf must be a vector, got shape {p.shape}")
     h = entropy(p)
     members = []
     typical_prob = 0.0
@@ -249,47 +251,69 @@ def conditional_typical_prob(
     return CondProbResult(prob=p_hat, stderr=stderr, exact=False)
 
 
+def _type_key(u, k: int) -> tuple:
+    """Composition (type) of u over a k-letter alphabet: the symbol counts."""
+    return tuple(np.bincount(u, minlength=k).tolist())
+
+
 @dataclass(frozen=True)
 class BTypicalSet:
     """Typical input sequences that stay jointly typical with probability
-    at least 1 - eps under the transition."""
+    at least 1 - eps under the transition.
+
+    Pr{(u, V) jointly typical | u} depends on u only through its composition:
+    permuting u permutes the positions of V and leaves every empirical rate
+    unchanged. class_probs maps each composition of the typical set (the
+    symbol counts of u) to the CondProbResult computed on the class's first
+    member in lexicographic order; cond_probs lists it for each member. A
+    Monte Carlo estimate is seeded by that first member.
+    """
 
     input_pmf: np.ndarray
-    transition: np.ndarray
     config: TypConfig
     h_u: float
     members: tuple = field(repr=False)
     cond_probs: tuple = field(repr=False)
-    exact: bool = True
-    base_set: TypicalSet = field(default=None, repr=False)
+    base_set: TypicalSet = field(repr=False)
+    class_probs: dict = field(repr=False)
 
     @property
     def count(self) -> int:
         return len(self.members)
 
+    @property
+    def exact(self) -> bool:
+        return all(res.exact for res in self.class_probs.values())
+
 
 def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet:
-    """Filter the typical set of U by the conditional joint-typicality test."""
+    """Filter the typical set of U by the conditional joint-typicality test.
+
+    The test probability is computed once per composition class, on the
+    class's first member in lexicographic order (which also seeds a Monte
+    Carlo estimate), and shared by every other member of the class.
+    """
     p_u = check_pmf(input_pmf)
     base = enumerate_typical(p_u, config)
+    class_probs = {}
     members, probs = [], []
-    exact = True
     threshold = 1.0 - config.eps - LOG_SLACK
     for u in base.members:
-        res = conditional_typical_prob(u, p_u, transition, config)
-        exact &= res.exact
+        key = _type_key(u, p_u.size)
+        res = class_probs.get(key)
+        if res is None:
+            res = class_probs[key] = conditional_typical_prob(u, p_u, transition, config)
         if res.prob >= threshold:
             members.append(u)
             probs.append(res.prob)
     return BTypicalSet(
         input_pmf=p_u,
-        transition=np.asarray(transition, dtype=float),
         config=config,
         h_u=base.h,
         members=tuple(members),
         cond_probs=tuple(probs),
-        exact=exact,
         base_set=base,
+        class_probs=class_probs,
     )
 
 
@@ -300,6 +324,11 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
     The complement-mass <= eps claim and the cardinality lower bound only hold
     for n large enough; `large_n_proxy` (joint typical mass >= 1 - eps^2, the
     quantity the proofs actually need) gates those two checks.
+
+    The joint typical mass weighs every typical u by its class's conditional
+    probability from b_set.class_probs (type-class invariant, computed on the
+    class's first member, which also seeds a Monte Carlo estimate), so
+    rejected members are not tested again.
     """
     cfg = b_set.config
     n, eps, h = cfg.n, cfg.eps, b_set.h_u
@@ -313,15 +342,10 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
     b_mass = float(member_probs.sum())
     p2_mass = 1.0 - b_mass
 
-    base = b_set.base_set or enumerate_typical(p_u, cfg)
-    typ_probs = {u: 2.0 ** (-n * empirical_rate(u, p_u)) for u in base.members}
-    cond = dict(zip(b_set.members, b_set.cond_probs))
     joint_mass = 0.0
-    for u, pu in typ_probs.items():
-        cp = cond.get(u)
-        if cp is None:
-            cp = conditional_typical_prob(u, p_u, b_set.transition, cfg).prob
-        joint_mass += pu * cp
+    for u in b_set.base_set.members:
+        cp = b_set.class_probs[_type_key(u, p_u.size)].prob
+        joint_mass += 2.0 ** (-n * empirical_rate(u, p_u)) * cp
     proxy = joint_mass >= 1.0 - eps**2
 
     count = b_set.count

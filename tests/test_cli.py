@@ -50,6 +50,15 @@ def test_typ_dump_budget_exit_code(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("pmf", ["null", "1", "[[0.5, 0.5]]", "[NaN, 0.5]"])
+def test_typ_dump_rejects_malformed_pmf(tmp_path, capsys, pmf):
+    cfg = tmp_path / "typ.json"
+    cfg.write_text(f'{{"pmf": {pmf}, "n": 3}}')  # json.load accepts a bare NaN
+    rc, out, err = run_cli(["typ-dump", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert "config error" in err
+
+
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"fooo": 1}))
@@ -364,4 +373,25 @@ def test_sim_config_fuzz_keeps_exit_contract(config, threads):
 def test_b_typ_config_fuzz_keeps_exit_contract(config):
     rc, err = _exit_code_and_stderr(["b-typ"], config)
     assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+TYP_DUMP_VALID = st.integers(1, 3).flatmap(
+    lambda k: st.fixed_dictionaries(
+        {"pmf": _pmf(k), "n": st.integers(1, 6), "eps": st.floats(0.01, 0.6)}
+    )
+)
+TYP_DUMP_FAULTS = {
+    "pmf": BAD_PMF,
+    "n": FAULTS["n"],
+    "eps": FAULTS["eps"],
+    "budget": st.one_of(st.integers(-1, 40), JUNK),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_with_faults(TYP_DUMP_VALID, TYP_DUMP_FAULTS))
+def test_typ_dump_config_fuzz_keeps_exit_contract(config):
+    rc, err = _exit_code_and_stderr(["typ-dump"], config)
+    assert rc in (0, 2, 3)
     assert "Traceback" not in err

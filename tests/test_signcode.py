@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paslab.alphabets import make_ask
+from paslab.airsolver import theorem_feasibility
+from paslab.alphabets import brgc_label, make_ask
 from paslab.channel import Dmc, gaussian_dmc, identity_dmc
 from paslab.errors import BudgetError, ConfigError
 from paslab.signcode import (
@@ -163,6 +164,62 @@ def test_decode_multiple_on_uninformative_channel():
     assert res.status == "multiple"
     assert res.num_accepted == layer.size * codebook.num_sign_messages
     assert res.m_a is None and res.m_s is None
+
+
+# noisy enough that bit-level decoding accepts candidates whose triple fails
+PAIRWISE = dict(
+    constellation=CST,
+    dmc=gaussian_dmc(np.asarray(CST.points, float), sigma=0.6, num_bins=3),
+    amplitude_pmf=(0.7, 0.3), eps=0.3, n=6, gamma=0.3, decoder="bmd", trials=500, seed=1,
+)
+
+
+def test_triple_mask_on_rows_matches_full_symbol_test():
+    cfg = ExperimentConfig(**PAIRWISE)
+    layer = build_shaping_layer(CST, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
+    codebook = draw_sign_codebook(layer.size, cfg.n1, cfg.n - cfg.n1, seed=2)
+    smd = SmdDecoder(layer, codebook, cfg.dmc)
+    bmd = BmdDecoder(layer, codebook, cfg.dmc)
+    cand = smd.cand
+    points = CST.sign_amplitude_index[cand.s_idx, cand.a_idx]  # (candidates, n)
+    rng = np.random.default_rng(0)
+    pairwise_only = 0
+    for k in rng.integers(cand.count, size=50):
+        y = np.array([rng.choice(cfg.dmc.nout, p=cfg.dmc.w[x]) for x in points[k]])
+        full = smd.accept_mask(y)
+        rows = np.flatnonzero(bmd.accept_mask(y))
+        np.testing.assert_array_equal(smd.triple_mask(y, rows), full[rows])
+        np.testing.assert_array_equal(bmd.triple_mask(y, rows), full[rows])
+        pairwise_only += int((~full[rows]).sum())
+    assert pairwise_only > 0
+
+
+@pytest.mark.parametrize(
+    "mode,frozen",
+    [("iid", (430, 309, 164, 43, 361)), ("linear", (379, 310, 122, 53, 300))],
+)
+def test_experiment_bmd_pairwise_only_frozen(mode, frozen):
+    # frozen draw; testing only the accepted candidates must not move any count
+    st = run_experiment(ExperimentConfig(codebook_mode=mode, **PAIRWISE))
+    assert st.m_a_count == 35
+    assert (
+        st.errors_total, st.errors_kind1, st.errors_kind2, st.both, st.bmd_pairwise_only
+    ) == frozen
+
+
+def test_experiment_above_mutual_information_makes_kind2_errors():
+    # two output bins cap I(X;Y) at 1 bit; the code carries (log2 M_a + n1)/n = 8/6
+    dmc = gaussian_dmc(np.asarray(CST.points, float), sigma=0.3, num_bins=2)
+    feas = theorem_feasibility((0.5, 0.5), 0.25, dmc, brgc_label(CST))
+    assert not feas["smd_ok"] and feas["mi_xy"] <= 1.0
+    cfg = ExperimentConfig(
+        constellation=CST, dmc=dmc, amplitude_pmf=(0.5, 0.5), eps=0.1,
+        n=6, gamma=0.25, decoder="smd", trials=1000, seed=1,
+    )
+    st = run_experiment(cfg)
+    assert st.m_a_count * 2**st.n1 > 1
+    assert st.rate_achieved > feas["mi_xy"]
+    assert st.errors_kind2 > st.trials / 2
 
 
 def test_experiment_noiseless_is_error_free():

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paslab import typicality
+from paslab.alphabets import make_ask
+from paslab.channel import gaussian_dmc
 from paslab.errors import BudgetError
+from paslab.signcode import sign_output_transition
 from paslab.typicality import (
+    LOG_SLACK,
     BTypicalSet,
     TypConfig,
     conditional_typical_prob,
@@ -32,6 +37,8 @@ def test_config_validation():
         TypConfig(n=0, eps=0.1)
     with pytest.raises(ValueError):
         TypConfig(n=4, eps=0.0)
+    with pytest.raises(ValueError):
+        TypConfig(n=4, eps=float("nan"))
     with pytest.raises(ValueError):
         TypConfig(n=4, eps=0.1, budget=0)
 
@@ -230,6 +237,97 @@ def test_lemma1_report_gates_small_n():
     assert not rep["large_n_proxy"]
     assert 0.0 <= rep["p2_mass"] <= 1.0
     assert rep["b_count"] == bt.count
+
+
+def _b_typical_per_member(pmf, transition, config):
+    """The per-member loop the class cache replaced: one conditional test per
+    typical sequence, kept as the reference."""
+    base = enumerate_typical(pmf, config)
+    kept = []
+    for u in base.members:
+        res = conditional_typical_prob(u, pmf, transition, config)
+        if res.prob >= 1.0 - config.eps - LOG_SLACK:
+            kept.append((u, res.prob))
+    return kept
+
+
+def _composition(u, k):
+    return tuple(np.bincount(u, minlength=k).tolist())
+
+
+ASK8 = make_ask(2)
+ASK8_TRANSITION = sign_output_transition(
+    ASK8, gaussian_dmc(np.asarray(ASK8.points, float), sigma=0.3, num_bins=2)
+)
+
+
+@pytest.mark.parametrize(
+    "pmf,transition,n,eps",
+    [
+        ((0.4, 0.6), [[0.6, 0.4], [0.4, 0.6]], 8, 0.25),
+        ((0.2, 0.3, 0.5), [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], 5, 0.4),
+        ((0.4, 0.3, 0.2, 0.1), ASK8_TRANSITION, 4, 0.2),
+    ],
+    ids=["binary", "three-letter", "m2-sign-output"],
+)
+def test_b_typical_class_cache_matches_per_member_loop(pmf, transition, n, eps):
+    cfg = TypConfig(n=n, eps=eps)
+    want = _b_typical_per_member(pmf, transition, cfg)
+    bt = enumerate_b_typical(pmf, transition, cfg)
+    assert bt.exact and bt.count > 0
+    assert bt.members == tuple(u for u, _ in want)
+    assert len(bt.class_probs) < bt.base_set.count  # some class has several members
+    for (_, pr), cp in zip(want, bt.cond_probs):
+        assert abs(cp - pr) <= 1e-15
+
+
+def test_b_typical_mc_shares_one_estimate_per_class():
+    # three outputs: 3^6 grid cells exceed the budget, the 2^6 typical scan does not
+    pmf = (0.4, 0.6)
+    trans = [[0.4, 0.3, 0.3], [0.3, 0.3, 0.4]]
+    cfg = TypConfig(n=6, eps=0.3, budget=64, mc_samples=2000, seed=5)
+    bt = enumerate_b_typical(pmf, trans, cfg)
+    assert not bt.exact
+    assert bt.count > len({_composition(u, 2) for u in bt.members})
+    first = {}
+    for u in bt.base_set.members:
+        first.setdefault(_composition(u, 2), u)
+    assert set(bt.class_probs) == set(first)
+    for key, u in first.items():
+        # the estimate is seeded by the class's first member in lexicographic order
+        assert bt.class_probs[key] == conditional_typical_prob(u, pmf, trans, cfg)
+    for u, cp in zip(bt.members, bt.cond_probs):
+        assert cp == bt.class_probs[_composition(u, 2)].prob
+    again = enumerate_b_typical(pmf, trans, cfg)
+    assert again.members == bt.members
+    assert again.cond_probs == bt.cond_probs
+    assert again.class_probs == bt.class_probs
+
+
+def test_lemma1_report_reuses_class_results(monkeypatch):
+    pmf, trans = (0.4, 0.6), [[0.7, 0.3], [0.3, 0.7]]
+    cfg = TypConfig(n=6, eps=0.25)
+    calls = []
+    original = typicality.conditional_typical_prob
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(typicality, "conditional_typical_prob", counting)
+    bt = enumerate_b_typical(pmf, trans, cfg)
+    assert len(calls) == len(bt.class_probs)
+    assert bt.count < bt.base_set.count  # rejected members exist
+    del calls[:]
+    rep = lemma1_report(bt)
+    assert calls == []
+    monkeypatch.undo()
+    want = sum(
+        2.0 ** (-cfg.n * empirical_rate(u, pmf))
+        * conditional_typical_prob(u, pmf, trans, cfg).prob
+        for u in bt.base_set.members
+    )
+    assert abs(rep["joint_typical_mass"] - want) <= 1e-15
 
 
 @settings(deadline=None, max_examples=25)
