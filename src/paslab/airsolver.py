@@ -2,9 +2,11 @@
 
 Convention: noise variance 1, power budget P = 10^(snr_db/10), and SNR is
 measured against the distribution under evaluation, so every candidate input
-uses the budget exactly. Implemented as an outer 1-D search over the
-constellation scale and an inner power-constrained Blahut-Arimoto solve at
-fixed scale (Lagrange multiplier on E[X^2], bisected to meet the budget).
+uses the budget exactly. An outer 1-D search runs over the constellation
+scale delta. At each scale the amplitudes on the unit grid must carry energy
+E = P/delta^2, so one Newton solve with the two equality rows sum(p) = 1 and
+sum(p a^2) = E maximises I(X;Y) over the 2^m amplitude masses, and no power
+multiplier is searched for. For 4-ASK the two rows pin p outright.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .infomeasures import entropy, equivocation, mutual_information, r_bmd
 from .optim import bisect_until, golden_max
 
 LN2 = math.log(2.0)
-BA_TOL = 1e-9  # duality-gap stop, nats
-BA_MAX_ITER = 200_000
-NEWTON_EVERY = 16  # iterations between Newton refinement attempts
-LAM_XTOL = 1e-10
-E_RTOL = 1e-12  # power-budget feasibility slack
-P_FLOOR = 1e-30  # keeps suppressed inputs recoverable across multiplier steps
+NEWTON_ITER_PER_MASS = 25  # iteration cap per amplitude: each pin or release costs a few
+NEWTON_TOL = 1e-15  # squared Newton decrement (nats): twice the gain left on the face
+RELEASE_TOL = 1e-12  # gain per unit mass (nats) a pinned amplitude needs to be released
+RELEASE_MASS = 1e-12  # a released mass restarts here; the residual term restores feasibility
+FEAS_TOL = 1e-13  # relative constraint residual a solved face may keep
+HESS_SHIFT = 1e-13  # relative diagonal shift of the KKT Hessian block
+R_FLOOR = 1e-300  # output mass floor: a pinned row alone on a bin sees a huge gain, not log(0)
 BASIC_POINT_FTOL = 1e-4
 SNR_XTOL_DB = 1e-3
 
@@ -64,164 +67,98 @@ def fold_pmf(p_x) -> np.ndarray:
     return p[half:] + p[:half][::-1]
 
 
-def _ba_fixed_multiplier(w, energies, lam, p, tol=BA_TOL, max_iter=BA_MAX_ITER):
-    """Ascend I(p) - lam*E[energy] on a fixed channel.
+def _power(snr_db: float) -> float:
+    """Power budget 10^(snr_db/10); ValueError unless it is finite and positive."""
+    try:
+        power = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(f"snr {snr_db} dB gives no finite positive power budget")
+    return power
 
-    Blahut-Arimoto multiplicative updates with periodic Newton refinement
-    on the active face, accepted only on strict Lagrangian improvement.
-    Stops on the duality gap max_x(c_x - lam e_x) - E_p[c - lam e] < tol
-    (nats), which keeps iterating while suppressed inputs still want mass;
-    a plain improvement test stalls on that plateau. Returns
-    (p, mi_bits, mean_energy); p stays symmetric and floored away from zero
-    so smaller multipliers can re-grow suppressed points.
+
+def _channel(points, delta, spec: AwgnSpec) -> np.ndarray:
+    return gaussian_dmc(points * delta, 1.0, spec.num_bins, spec.clip_sigmas).w
+
+
+def _max_mi_at_energy(w, e, energy):
+    """max I(X;Y) on channel w over symmetric inputs whose amplitude masses
+    p >= 0 satisfy sum(p) = 1 and p @ e = energy; returns (p, mi_bits).
+
+    Works on the positive-point rows with output bins y and -y merged into v:
+    I = sum_j p_j c_j with c_j = sum_y w ln w - v_j . ln(r / mult), r = p @ v
+    and mult the number of bins a merged bin holds. Newton runs on the face
+    of unpinned masses, with the constraint residual on the KKT right-hand
+    side so roundoff cannot drift off the feasible plane. A step that would
+    drive a mass negative stops at the boundary and pins it to zero; once a
+    face is solved, the pinned mass that most wants to grow is released.
     """
-    # the iteration keeps p symmetric, so the problem must be exactly
+    # the solve keeps the input symmetric, so the problem must be exactly
     # mirror-symmetric too: quantizer edges from linspace are mirror-equal
     # only to roundoff, and across thousands of bins that leaves a genuinely
     # asymmetric gradient (~1e-8) no symmetric iterate can zero
     w = 0.5 * (w + w[::-1, ::-1])
-    energies = 0.5 * (energies + energies[::-1])
-    lnw = np.log(np.where(w > 0, w, 1.0))
-    neg_row_ent = (w * lnw).sum(axis=1)
-    drive = -lam * energies
-
-    def step(p):
-        q = p @ w
-        lnq = np.log(np.where(q > 0, q, 1.0))
-        c = neg_row_ent - w @ lnq  # E[ln(w/q)] per input, in nats
-        cd = c + drive
-        return c, cd, float(cd.max() - p @ cd)
-
-    def clean(p):
-        p = np.maximum(p, P_FLOOR)
-        p = p / p.sum()
-        return 0.5 * (p + p[::-1])
-
-    def newton_polish(p, cd):
-        # solve the quadratic model of the Lagrangian on the active face
-        # (equality-constrained Newton with fraction-to-boundary steps);
-        # multiplicative updates crawl through flat valleys and regrow
-        # floored symbols at e^(gap) per step, Newton jumps both in one go
-        level = float(p @ cd)
-        act = (p > 1e-9) | (cd > level)
-        act = act & act[::-1]
-        k = int(act.sum())
-        if k < 2:
-            return None
-        ws = w[act]
-        nrs = neg_row_ent[act]
-        ds = drive[act]
-        ps = np.maximum(p[act], 1e-12)
-        ps = ps / ps.sum()
-        free = np.ones(k, dtype=bool)
-        for _ in range(40 + k):
-            q = ps @ ws
-            qs = np.where(q > 0, q, 1.0)
-            g = nrs - ws @ np.log(qs) + ds
-            wf = ws[free]
-            kf = int(free.sum())
-            if kf < 2:
-                break
-            kkt = np.zeros((kf + 1, kf + 1))
-            kkt[:kf, kf] = kkt[kf, :kf] = 1.0
-            kkt[:kf, :kf] = -(wf / qs) @ wf.T
-            rhs = np.zeros(kf + 1)
-            rhs[:kf] = -g[free]
-            try:
-                dp = np.linalg.solve(kkt, rhs)[:kf]
-            except np.linalg.LinAlgError:
-                return None
-            pf = ps[free]
-            neg = dp < 0
-            alpha = 1.0
-            if neg.any():
-                alpha = min(1.0, float(np.min(-pf[neg] / dp[neg])))
-            if not np.isfinite(alpha) or alpha < 0:
-                return None
-            pf = np.maximum(pf + alpha * dp, 1e-18)
-            ps[free] = pf
-            if alpha < 1.0:
-                # a coordinate hit zero; pin it instead of shrinking the
-                # step, or one blocked symbol stalls all the others
-                free[free] = pf > 2e-18
-                continue
-            if float(np.abs(dp).max()) < 1e-13:
-                break
-        cand = np.full(p.size, P_FLOOR)
-        cand[act] = ps / ps.sum()
-        return clean(cand)
-
-    # soften the start: a warm start can arrive with symbols parked at the
-    # floor, and regrowing 1e-30 -> O(1) against a 1e-3 nat gradient takes
-    # tens of thousands of multiplicative steps
-    p = 0.99 * p + 0.01 / p.size
-    for it in range(max_iter):
-        c, cd, gap = step(p)
-        if gap < tol:
-            return p, float(p @ c) / LN2, float(p @ energies)
-        if it % NEWTON_EVERY == NEWTON_EVERY - 1:
-            cand = newton_polish(p, cd)
-            if cand is not None:
-                # near the optimum the Lagrangian is flat to roundoff while
-                # the gap is still above tol, so take gap halving as progress
-                # too; both tests ratchet, so no cycling
-                val = float(p @ cd)
-                for trial in (cand, clean(0.5 * (p + cand))):
-                    _, cd_t, gap_t = step(trial)
-                    if float(trial @ cd_t) > val + 1e-14 or gap_t < 0.5 * gap:
-                        p = trial
-                        break
-                else:
-                    p = clean(p * np.exp(cd - cd.max()))
-                continue
-        p = clean(p * np.exp(cd - cd.max()))
+    w = w[w.shape[0] // 2 :]
+    neg_row_ent = (w * np.log(np.where(w > 0, w, 1.0))).sum(axis=1)
+    half = w.shape[1] // 2  # an odd output count leaves the middle bin unpaired
+    v = w[:, : w.shape[1] - half].copy()
+    v[:, :half] += w[:, ::-1][:, :half]
+    ln_mult = np.where(np.arange(v.shape[1]) < half, LN2, 0.0)
+    k = e.size
+    # closed-form feasible start: the uniform pmf mixed with the inner or
+    # the outer vertex, whichever lies on the far side of the target energy
+    vertex = np.eye(k)[0 if energy <= e.mean() else -1]
+    t = min(max((energy - vertex @ e) / (e.mean() - vertex @ e), 0.0), 1.0)
+    p = t / k + (1.0 - t) * vertex
+    a = np.vstack([np.ones(k), e])
+    b = np.array([1.0, energy])
+    free = p > 0
+    best = -math.inf
+    for _ in range(NEWTON_ITER_PER_MASS * k):
+        r = np.maximum(p @ v, R_FLOOR)
+        c = neg_row_ent - v @ (np.log(r) - ln_mult)  # D(w_j || q) in nats
+        idx = np.flatnonzero(free)
+        if idx.size < 2:
+            # a vertex: with two constraint rows it is the only feasible point
+            return p, float(p @ c) / LN2
+        hess = -(v[idx] / r) @ v[idx].T
+        # a relative shift of the diagonal keeps the system regular when rows
+        # coincide (few bins, or SNR extremes); I is flat along their
+        # difference, and the long step it gets runs into the boundary
+        hess += HESS_SHIFT * np.diag(np.diag(hess))
+        kkt = np.block([[hess, a[:, idx].T], [a[:, idx], np.zeros((2, 2))]])
+        res = b - a @ p
+        try:
+            sol = np.linalg.solve(kkt, np.concatenate([-c[idx], res]))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular KKT system: {exc}", last_iterate=p) from exc
+        dp, nu = sol[: idx.size], sol[idx.size :]
+        if -dp @ hess @ dp < NEWTON_TOL and np.all(np.abs(res) <= FEAS_TOL * b):
+            mi = float(p @ c)
+            want = np.where(free, -np.inf, c + nu @ a)
+            j = int(np.argmax(want))
+            if want[j] <= RELEASE_TOL or mi <= best + NEWTON_TOL:
+                return p, mi / LN2
+            best = mi
+            # restart the mass just above zero: a row that owns output bins
+            # alone has unbounded slope and curvature at zero, and Newton
+            # climbs such a log-shaped ridge from below without overshoot
+            p[j] = RELEASE_MASS
+            free[j] = True
+            continue
+        ratio = np.divide(-p[idx], dp, out=np.full(idx.size, np.inf), where=dp < 0)
+        block = int(np.argmin(ratio))
+        alpha = min(1.0, float(ratio[block]))
+        p[idx] = np.maximum(p[idx] + alpha * dp, 0.0)
+        if alpha < 1.0:
+            # pin the blocking mass instead of shrinking the step, or one
+            # blocked symbol stalls all the others
+            p[idx[block]] = 0.0
+            free[idx[block]] = False
     raise ConvergenceError(
-        f"Blahut-Arimoto did not converge in {max_iter} iterations",
-        last_iterate=p,
+        f"Newton solve did not converge in {NEWTON_ITER_PER_MASS * k} iterations", last_iterate=p
     )
-
-
-def _constrained_capacity(w, energies, budget, p0=None, lam_hint=None):
-    """max_p I(p) s.t. E[energy] <= budget, via multiplier bisection.
-
-    Returns (p, mi_bits, lam). The reported iterate sits on the feasible side
-    of the budget.
-    """
-    n = w.shape[0]
-    p = np.full(n, 1.0 / n) if p0 is None else np.asarray(p0, dtype=float)
-    p, mi, e = _ba_fixed_multiplier(w, energies, 0.0, p)
-    ok = budget * (1.0 + E_RTOL)
-    if e <= ok:
-        return p, mi, 0.0
-    lo = 0.0
-    p_lo = p  # iterate on the infeasible (less suppressed) side: cheap to warm-start from
-    hi = lam_hint if (lam_hint is not None and lam_hint > 0) else 1e-3
-    p_hi, mi_hi, e_hi = _ba_fixed_multiplier(w, energies, hi, p_lo)
-    doublings = 0
-    while e_hi > ok and doublings < 80:
-        lo, p_lo = hi, p_hi
-        hi *= 2.0
-        p_hi, mi_hi, e_hi = _ba_fixed_multiplier(w, energies, hi, p_lo)
-        doublings += 1
-    if e_hi > ok:
-        raise ConvergenceError("could not bracket the power multiplier", last_iterate=p_hi)
-    feasible = (p_hi, mi_hi, hi)
-    while hi - lo > LAM_XTOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        p_mid, mi_mid, e_mid = _ba_fixed_multiplier(w, energies, mid, p_lo)
-        if e_mid <= ok:
-            hi = mid
-            feasible = (p_mid, mi_mid, mid)
-            if abs(e_mid - budget) <= 1e-10 * budget:
-                break
-        else:
-            lo, p_lo = mid, p_mid
-    return feasible
-
-
-def _scaled_channel(points, delta, spec: AwgnSpec):
-    pts = np.asarray(points, dtype=float) * delta
-    return pts, gaussian_dmc(pts, 1.0, spec.num_bins, spec.clip_sigmas).w
 
 
 def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: AwgnSpec | None = None) -> AirPoint:
@@ -229,71 +166,54 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
 
     The outer scale search covers every way of trading constellation spread
     against amplitude shaping inside the power budget; coarse presampling
-    guards the golden-section refine against flat brackets.
+    guards the golden-section refine against flat brackets. At scale delta
+    the amplitudes must carry energy P / delta^2 on the unit grid.
     """
     spec = spec or AwgnSpec()
-    power = 10.0 ** (snr_db / 10.0)
+    power = _power(snr_db)
     points = np.asarray(constellation.points, dtype=float)
-    label = brgc_label(constellation)
-    m_big = constellation.size - 1  # outermost point magnitude
 
     if constellation.size == 2:
-        delta_star = math.sqrt(power)
-        p_star = np.array([0.5, 0.5])
-        pts, w = _scaled_channel(points, delta_star, spec)
-        cap = mutual_information(p_star, w)
+        p_a_star = np.array([1.0])
+        w = _channel(points, math.sqrt(power), spec)
+        cap = mutual_information(mirror_pmf(p_a_star), w)
     else:
-        warm = {"p": None, "lam": None}
+        e = np.asarray(constellation.amplitudes, dtype=float) ** 2
 
-        def g(delta: float) -> float:
-            _, w = _scaled_channel(points, delta, spec)
-            energies = (points * delta) ** 2
-            p, mi, lam = _constrained_capacity(
-                w, energies, power, p0=warm["p"], lam_hint=warm["lam"]
-            )
-            warm["p"], warm["lam"] = p, lam
-            return mi
+        def solve(delta: float):
+            w = _channel(points, delta, spec)
+            return (w, *_max_mi_at_energy(w, e, power / delta**2))
 
-        d_lo = math.sqrt(power) / m_big
-        d_hi = math.sqrt(power)
+        d_lo = math.sqrt(power) / (constellation.size - 1)  # all mass on the outer amplitude
+        d_hi = math.sqrt(power)  # all mass on the inner amplitude
         grid = np.geomspace(d_lo, d_hi, 13)
-        vals = [g(d) for d in grid]
+        vals = [solve(d)[2] for d in grid]
         k = int(np.argmax(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        delta_star, _ = golden_max(g, lo, hi, xtol=3e-5 * d_hi)
-        pts, w = _scaled_channel(points, delta_star, spec)
-        energies = pts**2
-        p_star, cap, _ = _constrained_capacity(
-            w, energies, power, p0=warm["p"], lam_hint=warm["lam"]
-        )
+        delta_star, _ = golden_max(lambda d: solve(d)[2], lo, hi, xtol=3e-5 * d_hi)
+        w, p_a_star, cap = solve(delta_star)
 
-    p_a_star = fold_pmf(p_star)
     h_a = entropy(p_a_star)
     gamma = min(max(cap - h_a, 0.0), math.nextafter(1.0, 0.0))
-    e_unif = float(np.mean(points**2))
-    d_unif = math.sqrt(power / e_unif)
-    _, w_unif = _scaled_channel(points, d_unif, spec)
-    p_unif = np.full(constellation.size, 1.0 / constellation.size)
-    mi_unif = mutual_information(p_unif, w_unif)
     return AirPoint(
         snr_db=float(snr_db),
         capacity=float(cap),
         p_a_star=p_a_star,
         h_a=float(h_a),
         gamma=float(gamma),
-        mi_uniform=float(mi_unif),
-        r_bmd_star=float(r_bmd(p_star, w, label)),
+        mi_uniform=uniform_rate(constellation, snr_db, spec),
+        r_bmd_star=float(r_bmd(mirror_pmf(p_a_star), w, brgc_label(constellation))),
     )
 
 
 def uniform_rate(constellation: AskConstellation, snr_db: float, spec: AwgnSpec | None = None) -> float:
     """I(X;Y) of the uniform input at its own power normalization."""
     spec = spec or AwgnSpec()
-    power = 10.0 ** (snr_db / 10.0)
+    power = _power(snr_db)
     points = np.asarray(constellation.points, dtype=float)
     d = math.sqrt(power / float(np.mean(points**2)))
-    _, w = _scaled_channel(points, d, spec)
+    w = _channel(points, d, spec)
     p = np.full(constellation.size, 1.0 / constellation.size)
     return mutual_information(p, w)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,6 +31,7 @@ from .infomeasures import check_pmf
 from .signcode import ExperimentConfig, build_shaping_layer, run_experiment, sign_output_transition
 from .typicality import TypConfig, enumerate_b_typical, enumerate_typical, lemma1_report
 
+MAX_SWEEP_POINTS = 10_000
 SIM_CSV_COLUMNS = (
     "n",
     "gamma",
@@ -141,7 +143,10 @@ def _awgn_spec(cfg: dict) -> AwgnSpec:
     num_bins = _typed(cfg, "num_bins", int)
     if num_bins < 2:
         raise ConfigError(f"num_bins must be >= 2, got {num_bins}")
-    return AwgnSpec(num_bins=num_bins, clip_sigmas=_typed(cfg, "clip_sigmas", float))
+    clip_sigmas = _typed(cfg, "clip_sigmas", float)
+    if not (math.isfinite(clip_sigmas) and clip_sigmas >= 0):
+        raise ConfigError(f"clip_sigmas must be finite and >= 0, got {clip_sigmas}")
+    return AwgnSpec(num_bins=num_bins, clip_sigmas=clip_sigmas)
 
 
 # ---------------------------------------------------------------- air-sweep
@@ -172,12 +177,14 @@ def cmd_air_sweep(args) -> int:
     if cfg["snr_list"] is not None:
         grid = _typed(cfg, "snr_list", _float_array).ravel().tolist()
     else:
-        step = _typed(cfg, "snr_step", float)
+        start, stop, step = (_typed(cfg, key, float) for key in ("snr_start", "snr_stop", "snr_step"))
+        if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+            raise ConfigError(f"snr_start, snr_stop and snr_step must be finite, got {start}, {stop}, {step}")
         if step <= 0:
             raise ConfigError(f"snr_step must be positive, got {cfg['snr_step']}")
-        grid = list(
-            np.arange(_typed(cfg, "snr_start", float), _typed(cfg, "snr_stop", float) + 1e-9, step)
-        )
+        if (stop - start) / step >= MAX_SWEEP_POINTS:  # checked before np.arange allocates
+            raise ConfigError(f"snr grid would hold more than {MAX_SWEEP_POINTS} points")
+        grid = list(np.arange(start, stop + 1e-9, step))
     if not grid:
         raise ConfigError("snr grid is empty")
     spec = _awgn_spec(cfg)

@@ -1,7 +1,8 @@
 """Tiny 1-D search routines with explicit stopping rules.
 
-Hand-rolled rather than scipy.optimize because the callers stop on function
-value (|f| < tol) or need the evaluation trace for warm starts.
+Hand-rolled rather than scipy.optimize: bisect_until stops on function value
+(|f| <= ftol), golden_max returns the best point it probed, and importing
+scipy.optimize would add about 0.3 s to the start of every command.
 """
 
 from __future__ import annotations

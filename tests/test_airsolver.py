@@ -66,9 +66,10 @@ def test_optimize_capacity_dominates_grid_oracle():
         assert np.allclose(np.sum(pt.p_a_star), 1.0)
 
 
-def test_optimize_capacity_mb_is_not_better():
+@pytest.mark.parametrize("m", [1, 2], ids=["m1", "m2"])
+def test_optimize_capacity_mb_is_not_better(m):
     # the solver's optimum should not lose to any Maxwell-Boltzmann profile
-    cst = make_ask(1)
+    cst = make_ask(m)
     snr = 5.0
     pt = optimize_capacity(cst, snr, FAST)
     power = 10 ** (snr / 10)
@@ -83,6 +84,27 @@ def test_optimize_capacity_mb_is_not_better():
             w = gaussian_dmc(d * pts, 1.0, FAST.num_bins, FAST.clip_sigmas)
             best = max(best, mutual_information(p_x, w))
     assert pt.capacity >= best - 1e-3
+
+
+# capacities at FAST from the Blahut-Arimoto solver with power-multiplier
+# bisection that the Newton solve replaced; it stopped on a 1e-9-nat duality
+# gap, so it can sit up to about 1.4e-9 bit below the optimum
+BA_REFERENCE = [
+    (1, -2.0, 0.35275448524899966),
+    (1, 0.73, 0.5627686748093146),
+    (1, 5.0, 1.0218976539456897),
+    (1, 9.74, 1.5999208070639452),
+    (2, 3.0, 0.7911378722903657),
+    (2, 8.0, 1.4337693648853924),
+    (2, 14.0, 2.3112025297262706),
+    (2, 18.0, 2.777807995816061),
+]
+
+
+@pytest.mark.parametrize("m, snr, ref", BA_REFERENCE, ids=[f"{m}-{snr:g}" for m, snr, _ in BA_REFERENCE])
+def test_capacity_matches_parent_reference(m, snr, ref):
+    cap = optimize_capacity(make_ask(m), snr, FAST).capacity
+    assert ref - 1e-9 <= cap <= ref + 2e-9
 
 
 def test_capacity_monotone_in_snr():

@@ -193,11 +193,59 @@ def test_basic_point_convergence_exit_code(monkeypatch, capsys):
     assert "solver did not converge" in err
 
 
+def test_gamma_split_newton_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr("paslab.airsolver.NEWTON_ITER_PER_MASS", 1)
+    rc, out, err = run_cli(["gamma-split", "--m", "2", "--snr-db", "8", "--num-bins", "300"], capsys)
+    assert rc == 4 and out == ""
+    assert "Newton solve did not converge" in err
+
+
 def test_gamma_split_below_basic_point_exit_code(capsys):
     rc, _, err = run_cli(
         ["gamma-split", "--snr-db", "-3", "--num-bins", "300"], capsys
     )
     assert rc == 2
+    assert "config error" in err
+
+
+def _forbid(monkeypatch, target: str, message: str) -> None:
+    def never(*a, **k):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(target, never)
+
+
+@pytest.mark.parametrize("snr", ["nan", "4000", "-4000"])
+def test_gamma_split_rejects_unusable_snr(monkeypatch, capsys, snr):
+    _forbid(monkeypatch, "paslab.airsolver.gaussian_dmc", "a channel was built for an unusable snr")
+    rc, out, err = run_cli(["gamma-split", "--snr-db", snr], capsys)
+    assert rc == 2 and out == ""
+    assert "no finite positive power budget" in err
+
+
+def test_air_sweep_reports_unusable_snr_inline(monkeypatch, capsys):
+    _forbid(monkeypatch, "paslab.airsolver.gaussian_dmc", "a channel was built for an unusable snr")
+    rc, out, err = run_cli(["air-sweep", "--snr-start", "4000", "--snr-stop", "4000"], capsys)
+    assert rc == 0
+    assert out.strip().split("\n")[-1] == "4000,nan,nan,nan,nan,nan"
+    assert "snr 4000 dB failed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--snr-start", "nan"],
+        ["--snr-stop", "inf"],
+        ["--snr-step", "nan"],
+        ["--snr-step", "1e-300"],
+        ["--snr-stop", "1e300"],
+    ],
+    ids=["nan-start", "inf-stop", "nan-step", "tiny-step", "huge-stop"],
+)
+def test_air_sweep_rejects_unusable_grid(monkeypatch, capsys, argv):
+    _forbid(monkeypatch, "paslab.cli.air_sweep", "solver ran on an unusable grid")
+    rc, out, err = run_cli(["air-sweep", *argv], capsys)
+    assert rc == 2 and out == ""
     assert "config error" in err
 
 
@@ -395,3 +443,60 @@ def test_typ_dump_config_fuzz_keeps_exit_contract(config):
     rc, err = _exit_code_and_stderr(["typ-dump"], config)
     assert rc in (0, 2, 3)
     assert "Traceback" not in err
+
+
+# solver commands: small quantizers keep each solve to milliseconds
+SNR = st.one_of(
+    st.floats(-30, 40),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0, 3000.0, -3000.0]),
+)
+SOLVER_FAULTS = {
+    "m": FAULTS["m"],
+    "num_bins": st.one_of(st.integers(0, 1), JUNK),
+    "clip_sigmas": st.one_of(st.floats(-1, 1), st.sampled_from([float("nan"), float("inf")]), JUNK),
+}
+
+
+def _solver_valid(**fields):
+    return st.fixed_dictionaries(
+        {"m": st.integers(0, 2), "num_bins": st.integers(2, 60), **fields}
+    )
+
+
+SOLVER_CONFIGS = {
+    "air-sweep": _with_faults(
+        st.one_of(
+            _solver_valid(snr_list=st.lists(SNR, min_size=1, max_size=2)),
+            _solver_valid(snr_start=st.floats(-10, 20), snr_stop=st.floats(-10, 21), snr_step=st.floats(0.5, 5)),
+        ),
+        {
+            **SOLVER_FAULTS,
+            "snr_list": st.one_of(st.lists(JUNK, max_size=2), JUNK),
+            "snr_start": st.one_of(SNR, JUNK),
+            "snr_stop": st.one_of(SNR, JUNK),
+            "snr_step": st.one_of(st.floats(-1, 0), SNR, JUNK),
+        },
+    ),
+    "gamma-split": _with_faults(_solver_valid(snr_db=SNR), {**SOLVER_FAULTS, "snr_db": JUNK}),
+    "basic-point": _with_faults(_solver_valid(), SOLVER_FAULTS),
+    "shaping-gap": _with_faults(
+        _solver_valid(target_rate=st.floats(0.05, 0.95)),  # below 1 bit: valid for every m
+        {**SOLVER_FAULTS, "target_rate": st.one_of(st.floats(-1, 0), st.floats(3, 5), SNR, JUNK)},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, examples",
+    [("air-sweep", 60), ("gamma-split", 100), ("basic-point", 15), ("shaping-gap", 15)],
+    ids=["air-sweep", "gamma-split", "basic-point", "shaping-gap"],
+)
+def test_solver_config_fuzz_keeps_exit_contract(command, examples):
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(SOLVER_CONFIGS[command])
+    def run(config):
+        rc, err = _exit_code_and_stderr([command], config)
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err
+
+    run()
