@@ -36,6 +36,8 @@ class Dmc:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError("w must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("channel transition probabilities must be finite")
         if np.any(w < 0):
             raise ValueError("transition probabilities must be non-negative")
         rows = w.sum(axis=1)

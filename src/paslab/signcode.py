@@ -3,8 +3,10 @@ carry redundancy (plus an optional gamma * n information-sign budget), and
 decoding is a joint-typicality search.
 
 Seed discipline: the codebook draws from SeedSequence([seed, 0]), trial t from
-SeedSequence([seed, 1, t]); results are therefore independent of how trials
-are scheduled across threads.
+SeedSequence([seed, 1, t]), one stream per trial. Trials are scored in blocks
+of about BLOCK_CELLS (trial, candidate) cells, and `--threads` maps over the
+blocks; since every trial keeps its own stream, results do not depend on the
+block size or on how blocks are scheduled across threads.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +31,9 @@ from .typicality import (
 )
 
 DECODE_BUDGET = 1_000_000
+# (trial, candidate) cells scored at once; bounds a block's working set, since
+# the candidate count can reach DECODE_BUDGET
+BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -215,10 +221,9 @@ class _Candidates:
         info = np.broadcast_to(codebook.info_bits, (m_a_count, m_s_count, codebook.n1))
         signs = np.concatenate([info, codebook.redundant_bits], axis=2)
         self.s_idx = signs.reshape(m_a_count * m_s_count, n).astype(np.intp)
-        bits = layer.label_map.amplitude_bit_matrix  # (2^m, m)
-        self.level_bits = [
-            bits[:, j][self.a_idx] for j in range(layer.constellation.m)
-        ]  # each (C, n) in {0,1}
+        # position-major copies, (n, C), for the per-position gathers
+        self.a_pos = np.ascontiguousarray(self.a_idx.T)
+        self.s_pos = np.ascontiguousarray(self.s_idx.T)
 
     @property
     def count(self) -> int:
@@ -230,13 +235,61 @@ def _box(stat_sum: np.ndarray, n: int, h: float, eps: float) -> np.ndarray:
         return np.abs(-stat_sum / n - h) <= eps + LOG_SLACK
 
 
+def _outputs(y: np.ndarray) -> np.ndarray:
+    """y as a (B, n) index block, from one (n,) output or a (B, n) block."""
+    return np.atleast_2d(np.asarray(y, dtype=np.intp))
+
+
+class _BoxTest:
+    """The joint-typicality boxes of one decoder over every candidate.
+
+    The y-independent boxes are folded once into the static candidate mask.
+    The y box sums log p(y); every other box sums a log table over positions,
+    table[codes[i], y[i]], adding one position at a time.
+    """
+
+    def __init__(self, n, eps, log_y, h_y, static, terms):
+        self.n, self.eps = n, eps
+        self.log_y, self.h_y = log_y, h_y
+        self.static = static  # (C,) bool
+        self.terms = terms  # [(table (K, nout), codes (n, C), entropy)]
+
+    def _y_box(self, y: np.ndarray) -> np.ndarray:
+        return _box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
+
+    def accept(self, y: np.ndarray) -> np.ndarray:
+        """(C,) acceptances of every candidate for one (n,) output, (B, C)
+        for a (B, n) block of outputs."""
+        block = _outputs(y)
+        ok = self.static[:, None] & self._y_box(block)  # (C, B): row gathers are the fast ones
+        for table, codes, h in self.terms:
+            total = np.take(table[:, block[:, 0]], codes[0], axis=0)
+            for i in range(1, self.n):
+                total += np.take(table[:, block[:, i]], codes[i], axis=0)
+            ok &= _box(total, self.n, h, self.eps)
+        return ok.T if np.ndim(y) == 2 else ok[:, 0]
+
+    def pairs(self, y: np.ndarray, rows) -> np.ndarray:
+        """(P,) acceptances of candidate rows[p] for output y (n,), or for
+        y[p] of a (P, n) block, summed in the same order as `accept`."""
+        rows = np.asarray(rows, dtype=np.intp)
+        y = np.broadcast_to(_outputs(y), (rows.size, self.n))
+        ok = self.static[rows] & self._y_box(y)
+        for table, codes, h in self.terms:
+            total = table[codes[0, rows], y[:, 0]]
+            for i in range(1, self.n):
+                total += table[codes[i, rows], y[:, i]]
+            ok &= _box(total, self.n, h, self.eps)
+        return ok
+
+
 class SmdDecoder:
     """Accepts (m_a, m_s) iff the amplitude, sign and output sequences are
     jointly typical as a triple (every subset box must hold)."""
 
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
         self.layer, self.codebook, self.eps = layer, codebook, layer.eps
-        self.cand = _Candidates(layer, codebook)
+        self.cand = c = _Candidates(layer, codebook)
         trans = sign_output_transition(layer.constellation, dmc)
         t = self.t = (layer.amplitude_pmf[:, None] * trans).reshape(-1, 2, dmc.nout)  # p(a, s, y)
         self.h = {}
@@ -248,35 +301,25 @@ class SmdDecoder:
             marg = t.sum(axis=axes) if axes else t
             self.h[name] = entropy_raw(marg)
             self.logt[name] = log2_safe(marg)
-        c = self.cand
-        self.fix_a = self.logt["a"][c.a_idx].sum(axis=1)
-        self.fix_s = self.logt["s"][c.s_idx].sum(axis=1)
-        self.fix_as = self.logt["as"][c.a_idx, c.s_idx].sum(axis=1)
+        h, logt, n, eps = self.h, self.logt, c.n, self.eps
+        static = _box(logt["a"][c.a_idx].sum(axis=1), n, h["a"], eps)
+        static &= _box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
+        static &= _box(logt["as"][c.a_idx, c.s_idx].sum(axis=1), n, h["as"], eps)
+        terms = [
+            (logt["ay"], c.a_pos, h["ay"]),
+            (logt["sy"], c.s_pos, h["sy"]),
+            (logt["asy"].reshape(-1, dmc.nout), 2 * c.a_pos + c.s_pos, h["asy"]),
+        ]
+        self.test = _BoxTest(n, eps, logt["y"], h["y"], static, terms)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        return self._mask(y, slice(None))
+        """(C,) acceptances for one (n,) output, (B, C) for a (B, n) block."""
+        return self.test.accept(y)
 
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The same test on the candidates `rows` only."""
-        return self._mask(y, rows)
-
-    def _mask(self, y: np.ndarray, rows) -> np.ndarray:
-        n, eps = self.cand.n, self.eps
-        a_idx, s_idx = self.cand.a_idx[rows], self.cand.s_idx[rows]
-        sum_y = self.logt["y"][y].sum()
-        if not _box(np.asarray(sum_y), n, self.h["y"], eps):
-            return np.zeros(a_idx.shape[0], dtype=bool)
-        yb = y[None, :]
-        sum_ay = self.logt["ay"][a_idx, yb].sum(axis=1)
-        sum_sy = self.logt["sy"][s_idx, yb].sum(axis=1)
-        sum_asy = self.logt["asy"][a_idx, s_idx, yb].sum(axis=1)
-        ok = _box(self.fix_a[rows], n, self.h["a"], eps)
-        ok &= _box(self.fix_s[rows], n, self.h["s"], eps)
-        ok &= _box(self.fix_as[rows], n, self.h["as"], eps)
-        ok &= _box(sum_ay, n, self.h["ay"], eps)
-        ok &= _box(sum_sy, n, self.h["sy"], eps)
-        ok &= _box(sum_asy, n, self.h["asy"], eps)
-        return ok
+        """The same test on the candidates `rows` only; a (len(rows), n) y
+        gives each row its own output."""
+        return self.test.pairs(y, rows)
 
 
 class BmdDecoder:
@@ -288,7 +331,6 @@ class BmdDecoder:
         # pairwise-only acceptances
         self._smd = SmdDecoder(layer, codebook, dmc)
         self.cand, self.h, self.logt = self._smd.cand, self._smd.h, self._smd.logt
-        self.fix_s = self._smd.fix_s
         t = self._smd.t
         bits = layer.label_map.amplitude_bit_matrix
         self.levels = []
@@ -304,30 +346,23 @@ class BmdDecoder:
                     "log_by": log2_safe(p_bjy),
                 }
             )
-        c = self.cand
-        self.fix_b = [
-            lv["log_b"][c.level_bits[j]].sum(axis=1) for j, lv in enumerate(self.levels)
-        ]
+        c, h, logt, n, eps = self.cand, self.h, self.logt, self.cand.n, self.eps
+        static = _box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
+        terms = [(logt["sy"], c.s_pos, h["sy"])]
+        for j, lv in enumerate(self.levels):
+            level = bits[:, j].astype(np.intp)
+            static &= _box(lv["log_b"][level[c.a_idx]].sum(axis=1), n, lv["h_b"], eps)
+            terms.append((lv["log_by"], level[c.a_pos], lv["h_by"]))
+        self.test = _BoxTest(n, eps, logt["y"], h["y"], static, terms)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        c, n, eps = self.cand, self.cand.n, self.eps
-        sum_y = self.logt["y"][y].sum()
-        if not _box(np.asarray(sum_y), n, self.h["y"], eps):
-            return np.zeros(c.count, dtype=bool)
-        yb = y[None, :]
-        ok = _box(self.fix_s, n, self.h["s"], eps)
-        ok &= _box(self.logt["sy"][c.s_idx, yb].sum(axis=1), n, self.h["sy"], eps)
-        for j, lv in enumerate(self.levels):
-            ok &= _box(self.fix_b[j], n, lv["h_b"], eps)
-            ok &= _box(
-                lv["log_by"][c.level_bits[j], yb].sum(axis=1), n, lv["h_by"], eps
-            )
-        return ok
+        """(C,) acceptances for one (n,) output, (B, C) for a (B, n) block."""
+        return self.test.accept(y)
 
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The symbol-level test on the candidates `rows`, to log
         pairwise-only acceptances."""
-        return self._smd._mask(y, rows)
+        return self._smd.test.pairs(y, rows)
 
 
 def _make_decoder(kind: str, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
@@ -431,30 +466,45 @@ class TrialStats:
         }
 
 
-def _run_trials(decoder, cdf_rows, point_idx, config, trial_indices, log_pairwise):
-    cand = decoder.cand
-    counts = {"err": 0, "k1": 0, "k2": 0, "both": 0, "pairwise_only": 0}
-    n, nout = config.n, cdf_rows.shape[1]
-    for t in trial_indices:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, int(t)]))
+def _draw_trials(config, cand, trials: range):
+    """Sent candidate and channel uniforms of each trial, from the trial's own stream."""
+    sent = np.empty(len(trials), dtype=np.intp)
+    u = np.empty((len(trials), config.n))
+    for j, t in enumerate(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, t]))
         m_a = int(rng.integers(cand.m_a_count))
         m_s = int(rng.integers(cand.m_s_count))
-        k = m_a * cand.m_s_count + m_s
-        x = point_idx[k]
-        u = rng.random(n)
-        y = (cdf_rows[x] < u[:, None]).sum(axis=1)
-        np.minimum(y, nout - 1, out=y)
-        mask = decoder.accept_mask(y)
-        kind1 = not mask[k]
-        kind2 = bool(mask.sum() - int(mask[k]) > 0)
-        counts["err"] += int(kind1 or kind2)
-        counts["k1"] += int(kind1)
-        counts["k2"] += int(kind2)
-        counts["both"] += int(kind1 and kind2)
-        if log_pairwise and mask.any():
-            triple = decoder.triple_mask(y, np.flatnonzero(mask))
-            counts["pairwise_only"] += int((~triple).sum())
-    return counts
+        sent[j] = m_a * cand.m_s_count + m_s
+        u[j] = rng.random(config.n)
+    return sent, u
+
+
+def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Output letter per entry of x: the number of its cdf row's entries below u,
+    capped at the last letter (a cdf row is non-decreasing, so a sorted search)."""
+    y = np.empty(x.shape, dtype=np.intp)
+    for point in np.unique(x):
+        at = x == point
+        y[at] = np.searchsorted(cdf_rows[point], u[at], side="left")
+    return np.minimum(y, cdf_rows.shape[1] - 1)
+
+
+def _score_block(decoder, cdf_rows, point_idx, config, log_pairwise, trials: range):
+    """[errors, kind1, kind2, both, pairwise-only] over one block of trials."""
+    sent, u = _draw_trials(config, decoder.cand, trials)
+    y = _channel_outputs(cdf_rows, point_idx[sent], u)
+    mask = decoder.accept_mask(y)  # (B, C)
+    hit = mask[np.arange(len(trials)), sent]
+    kind1 = ~hit
+    kind2 = mask.sum(axis=1) - hit > 0
+    pairwise_only = 0
+    if log_pairwise:
+        b, c = np.nonzero(mask)
+        if b.size:
+            pairwise_only = int((~decoder.triple_mask(y[b], c)).sum())
+    return np.array(
+        [(kind1 | kind2).sum(), kind1.sum(), kind2.sum(), (kind1 & kind2).sum(), pairwise_only]
+    )
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
@@ -481,28 +531,22 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     cdf_rows = np.cumsum(config.dmc.w, axis=1)
     log_pairwise = config.decoder == "bmd"
 
-    all_idx = np.arange(config.trials)
+    size = max(1, BLOCK_CELLS // cand.count)
+    blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
+    score = partial(_score_block, decoder, cdf_rows, point_idx, config, log_pairwise)
     if threads <= 1:
-        parts = [_run_trials(decoder, cdf_rows, point_idx, config, all_idx, log_pairwise)]
+        parts = [score(block) for block in blocks]
     else:
-        chunks = np.array_split(all_idx, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ch: _run_trials(
-                        decoder, cdf_rows, point_idx, config, ch, log_pairwise
-                    ),
-                    chunks,
-                )
-            )
-    tot = {k: sum(p[k] for p in parts) for k in parts[0]}
+            parts = list(pool.map(score, blocks))
+    err, k1, k2, both, pairwise_only = (int(v) for v in np.sum(parts, axis=0))
     rate = (math.log2(layer.size) + n1) / config.n
     return TrialStats(
         trials=config.trials,
-        errors_total=tot["err"],
-        errors_kind1=tot["k1"],
-        errors_kind2=tot["k2"],
-        both=tot["both"],
+        errors_total=err,
+        errors_kind1=k1,
+        errors_kind2=k2,
+        both=both,
         rate_achieved=rate,
         n=config.n,
         eps=config.eps,
@@ -512,5 +556,5 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
         m_a_count=layer.size,
         seed=config.seed,
         decoder=config.decoder,
-        bmd_pairwise_only=tot["pairwise_only"],
+        bmd_pairwise_only=pairwise_only,
     )

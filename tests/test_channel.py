@@ -17,6 +17,14 @@ def test_dmc_row_validation():
         Dmc(w=np.array([[1.1, -0.1]]))
 
 
+def test_dmc_rejects_nan_entries():
+    # a NaN row sum passes the row-sum tolerance test, so it is caught first
+    with pytest.raises(ValueError, match="finite"):
+        Dmc(w=np.array([[0.5, np.nan], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_dmc((-1.0, 1.0), sigma=0.5, num_bins=4, clip_sigmas=float("nan"))
+
+
 def test_dmc_renormalizes_drift():
     w = np.array([[0.5 + 1e-14, 0.5 - 2e-14]])
     d = Dmc(w=w)

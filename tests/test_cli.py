@@ -268,6 +268,21 @@ def test_sim_rejects_bad_input(tmp_path, capsys, overrides, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["sim", "b-typ"])
+@pytest.mark.parametrize(
+    "channel",
+    [{"clip_sigmas": float("nan"), "sigma": 0.5}, {"w": [[0.5, float("nan")]] + [[0.5, 0.5]] * 3}],
+    ids=["nan-clip-sigmas", "nan-w"],
+)
+def test_nan_channel_exits_with_channel_message(tmp_path, capsys, command, channel):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, **channel}))  # json writes a bare NaN
+    rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert "channel transition probabilities must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_air_sweep_num_bins_one_exit_code(monkeypatch, capsys):
     def never(*a, **k):
         raise AssertionError("solver ran on an invalid quantizer")

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from paslab import signcode
 from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
 from paslab.channel import Dmc, gaussian_dmc, identity_dmc
 from paslab.errors import BudgetError, ConfigError
 from paslab.signcode import (
     ExperimentConfig,
+    ShapingLayer,
     bmd_decode,
     build_shaping_layer,
     decode,
@@ -18,7 +22,7 @@ from paslab.signcode import (
     BmdDecoder,
     SmdDecoder,
 )
-from paslab.typicality import TypConfig, enumerate_b_typical
+from paslab.typicality import LOG_SLACK, TypConfig, enumerate_b_typical
 
 CST = make_ask(1)
 NOISY = gaussian_dmc(np.asarray(CST.points, float), sigma=0.45, num_bins=2)
@@ -222,6 +226,157 @@ def test_experiment_above_mutual_information_makes_kind2_errors():
     assert st.errors_kind2 > st.trials / 2
 
 
+def test_experiment_at_feasible_point_freezes_kind2_errors():
+    # H(A) + gamma = 1.38 <= I(X;Y) = 1.82, so the theorem's condition holds;
+    # with M_a * M_s = 41 * 8 candidates a wrong codeword can still pass at n = 6
+    dmc = gaussian_dmc(np.asarray(CST.points, float), sigma=0.3, num_bins=4)
+    feas = theorem_feasibility((0.7, 0.3), 0.5, dmc, brgc_label(CST))
+    assert feas["smd_ok"]
+    cfg = ExperimentConfig(
+        constellation=CST, dmc=dmc, amplitude_pmf=(0.7, 0.3), eps=0.3,
+        n=6, gamma=0.5, decoder="smd", trials=3000, seed=1,
+    )
+    st = run_experiment(cfg)
+    assert st.m_a_count * 2**st.n1 == 328
+    assert 0 < st.rate_achieved < feas["mi_xy"]
+    # frozen from the per-trial loop
+    assert (st.errors_total, st.errors_kind1, st.errors_kind2, st.both) == (158, 158, 20, 20)
+
+
+def _box(total, n, h, eps):
+    return np.abs(-total / n - h) <= eps + LOG_SLACK
+
+
+def _reference_mask(dec, y):
+    """One trial's mask as a (candidates, n) gather summed along positions,
+    every box evaluated on its own."""
+    c, h, lt, n, eps = dec.cand, dec.h, dec.logt, dec.cand.n, dec.eps
+    if not _box(lt["y"][y].sum(), n, h["y"], eps):
+        return np.zeros(c.count, dtype=bool)
+    yb = y[None, :]
+    ok = _box(lt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
+    ok &= _box(lt["sy"][c.s_idx, yb].sum(axis=1), n, h["sy"], eps)
+    if isinstance(dec, SmdDecoder):
+        ok &= _box(lt["a"][c.a_idx].sum(axis=1), n, h["a"], eps)
+        ok &= _box(lt["as"][c.a_idx, c.s_idx].sum(axis=1), n, h["as"], eps)
+        ok &= _box(lt["ay"][c.a_idx, yb].sum(axis=1), n, h["ay"], eps)
+        ok &= _box(lt["asy"][c.a_idx, c.s_idx, yb].sum(axis=1), n, h["asy"], eps)
+        return ok
+    bits = dec.layer.label_map.amplitude_bit_matrix
+    for j, lv in enumerate(dec.levels):
+        b = bits[:, j][c.a_idx]
+        ok &= _box(lv["log_b"][b].sum(axis=1), n, lv["h_b"], eps)
+        ok &= _box(lv["log_by"][b, yb].sum(axis=1), n, lv["h_by"], eps)
+    return ok
+
+
+def _per_trial_reference(cfg):
+    """The experiment scored one trial at a time; returns the decoder, the
+    (trials, n) outputs, the stacked masks and the error counts."""
+    layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
+    amp_bits = layer_amplitude_bits(layer) if cfg.codebook_mode == "linear" else None
+    codebook = draw_sign_codebook(
+        layer.size, cfg.n1, cfg.n - cfg.n1, mode=cfg.codebook_mode, seed=cfg.seed,
+        amplitude_bits=amp_bits,
+    )
+    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(layer, codebook, cfg.dmc)
+    smd = SmdDecoder(layer, codebook, cfg.dmc)
+    cand = dec.cand
+    points = cfg.constellation.sign_amplitude_index[cand.s_idx, cand.a_idx]
+    cdf_rows = np.cumsum(cfg.dmc.w, axis=1)
+    outputs, masks = [], []
+    counts = dict.fromkeys(("err", "k1", "k2", "both", "pairwise_only"), 0)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, t]))
+        m_a = int(rng.integers(cand.m_a_count))
+        m_s = int(rng.integers(cand.m_s_count))
+        k = m_a * cand.m_s_count + m_s
+        u = rng.random(cfg.n)
+        y = (cdf_rows[points[k]] < u[:, None]).sum(axis=1)
+        np.minimum(y, cfg.dmc.nout - 1, out=y)
+        mask = _reference_mask(dec, y)
+        kind1 = not mask[k]
+        kind2 = bool(mask.sum() - int(mask[k]) > 0)
+        counts["err"] += int(kind1 or kind2)
+        counts["k1"] += int(kind1)
+        counts["k2"] += int(kind2)
+        counts["both"] += int(kind1 and kind2)
+        if cfg.decoder == "bmd":
+            counts["pairwise_only"] += int((~_reference_mask(smd, y)[mask]).sum())
+        outputs.append(y)
+        masks.append(mask)
+    return dec, np.array(outputs), np.array(masks), counts
+
+
+M2 = make_ask(2)
+BLOCK_CASES = {
+    f"m{cst.m}-{kind}-{mode}": dict(
+        constellation=cst,
+        dmc=gaussian_dmc(np.asarray(cst.points, float), sigma=0.5, num_bins=bins),
+        amplitude_pmf=pmf, eps=eps, n=n, gamma=0.5, decoder=kind, trials=300, seed=11,
+        codebook_mode=mode,
+    )
+    for cst, pmf, bins, eps, n in (
+        (CST, (0.7, 0.3), 2, 0.1, 6),
+        (M2, (0.4, 0.3, 0.2, 0.1), 2, 0.2, 4),
+    )
+    for kind in ("smd", "bmd")
+    for mode in ("iid", "linear")
+}
+BLOCK_CASES["bmd-pairwise-only"] = {**PAIRWISE, "gamma": 0.5}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
+    cfg = ExperimentConfig(**BLOCK_CASES[case])
+    dec, y, masks, counts = _per_trial_reference(cfg)
+    # runs of a tail letter, which the y box rejects, among the drawn outputs
+    tails = np.repeat([[0], [cfg.dmc.nout - 1]], cfg.n, axis=1)
+    assert not _box(dec.logt["y"][tails].sum(axis=1), cfg.n, dec.h["y"], cfg.eps).any()
+    y = np.concatenate([y[:100], tails, y[100:]])
+    masks = np.concatenate([masks[:100], [_reference_mask(dec, row) for row in tails], masks[100:]])
+    block = dec.accept_mask(y)
+    assert block.shape == (cfg.trials + 2, dec.cand.count)
+    np.testing.assert_array_equal(block, masks)
+    np.testing.assert_array_equal(np.array([dec.accept_mask(row) for row in y]), masks)
+    assert masks.any()
+    if case == "bmd-pairwise-only":
+        assert counts["pairwise_only"] > 500
+    candidates = dec.cand.count
+    # default blocks; 7 trials a block (300 and 500 are not multiples of 7);
+    # fewer cells than candidates, so one trial a block
+    for cells in (signcode.BLOCK_CELLS, 7 * candidates, candidates - 1):
+        monkeypatch.setattr(signcode, "BLOCK_CELLS", cells)
+        st = run_experiment(cfg)
+        assert (
+            st.errors_total, st.errors_kind1, st.errors_kind2, st.both, st.bmd_pairwise_only
+        ) == (counts["err"], counts["k1"], counts["k2"], counts["both"], counts["pairwise_only"])
+
+
+@pytest.mark.parametrize("kind", ["smd", "bmd"])
+def test_block_mask_applies_y_independent_boxes(kind):
+    # every amplitude sequence, typical or not, so the static boxes reject
+    # some; the output ignores the input, so an atypical output can offset an
+    # atypical amplitude sequence in the joint boxes
+    blind = Dmc(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
+    layer = ShapingLayer(
+        constellation=CST, label_map=brgc_label(CST), amplitude_pmf=np.array([0.7, 0.3]),
+        n=6, eps=0.2, amplitude_seqs=tuple(itertools.product(range(2), repeat=6)),
+    )
+    codebook = draw_sign_codebook(layer.size, 1, 5, seed=3)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, blind)
+    assert not dec.test.static.all()
+    y = np.random.default_rng(0).integers(blind.nout, size=(200, 6))
+    masks = np.array([_reference_mask(dec, row) for row in y])
+    np.testing.assert_array_equal(dec.accept_mask(y), masks)
+    assert masks.any()
+    smd = SmdDecoder(layer, codebook, blind)
+    full = np.array([_reference_mask(smd, row) for row in y[:20]])
+    b, c = np.nonzero(np.ones_like(full))  # every (output, candidate) pair
+    np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])
+    np.testing.assert_array_equal(dec.triple_mask(y[0], c[: full.shape[1]]), full[0])
+
+
 def test_experiment_noiseless_is_error_free():
     dmc = identity_dmc(CST.points)
     for kind in ("smd", "bmd"):
@@ -256,6 +411,17 @@ def test_experiment_thread_count_invariance():
         n=6, gamma=0.25, decoder="smd", trials=150, seed=3,
     )
     assert run_experiment(cfg, threads=1) == run_experiment(cfg, threads=3)
+
+
+@pytest.mark.parametrize("case", [dict(decoder="smd", seed=3), dict(PAIRWISE, trials=200)])
+def test_experiment_threads_share_blocks_identically(case, monkeypatch):
+    cfg = ExperimentConfig(**{
+        "constellation": CST, "dmc": NOISY, "amplitude_pmf": (0.7, 0.3), "eps": 0.1,
+        "n": 6, "gamma": 0.25, "trials": 150, **case,
+    })
+    monkeypatch.setattr(signcode, "BLOCK_CELLS", 1000)  # 10 and 29 blocks
+    runs = [run_experiment(cfg, threads=t) for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_experiment_seed_changes_draws():
