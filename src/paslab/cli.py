@@ -14,6 +14,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,41 +31,152 @@ from .airsolver import (
 from .channel import AwgnSpec, Dmc, gaussian_dmc, identity_dmc
 from .errors import BudgetError, ConfigError, ConvergenceError
 from .infomeasures import check_pmf
-from .signcode import ExperimentConfig, build_shaping_layer, run_experiment, sign_output_transition
+from .signcode import ExperimentConfig, run_experiment, sign_output_transition
 from .typicality import TypConfig, enumerate_b_typical, enumerate_typical, lemma1_report
 
 MAX_SWEEP_POINTS = 10_000
-SIM_CSV_COLUMNS = (
-    "n",
-    "gamma",
-    "eps",
-    "trials",
-    "errors_total",
-    "kind1",
-    "kind2",
-    "rate_achieved",
-    "seed",
+# kind1 and kind2 are the errors_kind1 and errors_kind2 fields of the sim stats
+SIM_CSV_COLUMNS = ("n", "gamma", "eps", "trials", "errors_total", "kind1", "kind2", "rate_achieved", "seed")
+
+
+# ------------------------------------------------------------------ options
+
+
+def _int(value) -> int:
+    """An int, or an integral float such as 4.0; bools, strings and fractions are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _bool(value) -> bool:
+    """A JSON boolean only; "no", 0 and null are rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One config key of a subcommand: the reader of its value, its default and
+    whether a --key-name flag sets it. A key whose default is None is optional
+    and reads null as absent; every other value goes through the reader."""
+
+    key: str
+    read: Callable
+    default: Any = None
+    flag: bool = False
+    choices: tuple | None = None
+
+
+_FLAG_TYPES = {_int: int, float: float}  # argparse type of a flag, by reader
+
+_M = Option("m", _int, 1, flag=True)
+_NUM_BINS = Option("num_bins", _int, 2000, flag=True)
+_CLIP_SIGMAS = Option("clip_sigmas", float, 6.0)
+# sim and b-typ open their tables with the constellation, the amplitude pmf and
+# the four channel sources, and close them with the quantizer of the channel
+_CHANNEL = (
+    _M,
+    Option("amplitude_pmf", _floats),
+    Option("sigma", float, flag=True),
+    Option("snr_db", float),
+    Option("noiseless", _bool, False),
+    Option("w", _floats),
 )
+_CHANNEL_QUANTIZER = (replace(_NUM_BINS, default=8), _CLIP_SIGMAS)
+
+# every config key of every subcommand; a command's flags follow its row order
+OPTIONS = {
+    "air-sweep": (
+        _M,
+        Option("snr_start", float, -2.0, flag=True),
+        Option("snr_stop", float, 10.0, flag=True),
+        Option("snr_step", float, 0.5, flag=True),
+        Option("snr_list", _floats),
+        _NUM_BINS,
+        _CLIP_SIGMAS,
+    ),
+    "basic-point": (_M, _NUM_BINS, _CLIP_SIGMAS),
+    "gamma-split": (_M, Option("snr_db", float, 9.74, flag=True), _NUM_BINS, _CLIP_SIGMAS),
+    "shaping-gap": (_M, Option("target_rate", float, 1.6, flag=True), _NUM_BINS, _CLIP_SIGMAS),
+    "typ-dump": (
+        Option("pmf", _floats, (0.5, 0.5)),
+        Option("n", _int, 4, flag=True),
+        Option("eps", float, 0.1, flag=True),
+        Option("budget", _int, 10_000_000, flag=True),
+    ),
+    "b-typ": (
+        *_CHANNEL,
+        Option("n", _int, 6, flag=True),
+        Option("eps", float, 0.2, flag=True),
+        Option("budget", _int, 10_000_000, flag=True),
+        Option("mc_samples", _int, 100_000, flag=True),
+        Option("seed", _int, 0, flag=True),
+        Option("transition", _floats),
+        Option("pmf", _floats),
+        *_CHANNEL_QUANTIZER,
+    ),
+    "sim": (
+        *_CHANNEL,
+        Option("eps", float, 0.1, flag=True),
+        Option("n", _int, 8, flag=True),
+        Option("gamma", float, 0.0, flag=True),
+        Option("decoder", str, "smd", flag=True, choices=("smd", "bmd")),
+        Option("trials", _int, 1000, flag=True),
+        Option("seed", _int, 0, flag=True),
+        Option("codebook_mode", str, "iid"),
+        Option("typ_budget", _int),
+        Option("mc_samples", _int),
+        *_CHANNEL_QUANTIZER,
+    ),
+}
 
 
-def _merge_config(defaults: dict, path: str | None, overrides: dict) -> dict:
-    cfg = dict(defaults)
-    if path:
+def _load_config(args) -> tuple[dict, dict]:
+    """The config of args.command, merged from its table defaults, the --config
+    file and the flags given, and the same keys as their readers read them."""
+    rows = OPTIONS[args.command]
+    cfg = {opt.key: opt.default for opt in rows}
+    if args.config:
         try:
-            with open(path, encoding="utf-8") as f:
+            with open(args.config, encoding="utf-8") as f:
                 data = json.load(f)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(defaults))
+        unknown = sorted(set(data) - set(cfg))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(data)
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return cfg
+    cfg.update({o.key: getattr(args, o.key) for o in rows if o.flag and getattr(args, o.key) is not None})
+    values = {}
+    for opt in rows:
+        value = cfg[opt.key]
+        try:
+            values[opt.key] = None if value is None and opt.default is None else opt.read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            kind = opt.read.__name__.strip("_")
+            raise ConfigError(f"{opt.key}: cannot read {json.dumps(value)} as {kind}") from exc
+    return cfg, values
+
+
+@contextmanager
+def _config_errors(prefix: str = ""):
+    """Report a ValueError raised by a library check on config values as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -73,111 +187,69 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_line(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True)
-
-
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _typed(cfg: dict, key: str, kind):
-    """cfg[key] converted by kind (int, float or _float_array); a value kind
-    rejects is a config error."""
-    try:
-        return kind(cfg[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: cannot read {cfg[key]!r} as {kind.__name__}") from exc
-
-
-def _build_channel(cfg: dict, constellation, p_a: np.ndarray):
-    """Channel for sim/b-typ configs: noiseless, explicit rows, or quantized AWGN.
+def _build_channel(v: dict, constellation, p_a: np.ndarray):
+    """Channel for sim/b-typ configs from exactly one source: sigma, snr_db,
+    explicit rows w, or noiseless: true.
 
     An snr_db is measured against the symbol pmf mirrored from p_a.
     """
-    if cfg.get("noiseless"):
+    given = [key for key in ("sigma", "snr_db", "w") if v[key] is not None]
+    if v["noiseless"]:
+        given.append("noiseless")
+    if len(given) != 1:
+        got = ", ".join(given) or "none"
+        raise ConfigError(f"give exactly one of sigma, snr_db, w or noiseless: true; got {got}")
+    if v["noiseless"]:
         return identity_dmc(constellation.points)
-    try:
-        if cfg.get("w") is not None:
-            w = _typed(cfg, "w", _float_array)
-            if w.shape[:1] != (constellation.size,):
-                raise ConfigError(f"explicit channel needs {constellation.size} rows, got {w.shape}")
-            return Dmc(w=w, input_points=constellation.points)
-        if (cfg.get("sigma") is None) == (cfg.get("snr_db") is None):
-            raise ConfigError("give exactly one of sigma or snr_db (or noiseless: true)")
-        if cfg["sigma"] is not None:
-            sigma = _typed(cfg, "sigma", float)
-        else:
+    with _config_errors():
+        if v["w"] is not None:
+            if v["w"].shape[:1] != (constellation.size,):
+                raise ConfigError(f"explicit channel needs {constellation.size} rows, got {v['w'].shape}")
+            return Dmc(w=v["w"], input_points=constellation.points)
+        sigma = v["sigma"]
+        if sigma is None:
             power = float(mirror_pmf(p_a) @ np.asarray(constellation.points, dtype=float) ** 2)
-            sigma = float(np.sqrt(power / 10.0 ** (_typed(cfg, "snr_db", float) / 10.0)))
-        return gaussian_dmc(
-            constellation.points,
-            sigma,
-            _typed(cfg, "num_bins", int),
-            _typed(cfg, "clip_sigmas", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            sigma = float(np.sqrt(power / 10.0 ** (v["snr_db"] / 10.0)))
+        return gaussian_dmc(constellation.points, sigma, v["num_bins"], v["clip_sigmas"])
 
 
-def _amplitude_pmf(cfg: dict, size: int) -> np.ndarray:
-    if cfg.get("amplitude_pmf") is None:
+def _amplitude_pmf(v: dict, size: int) -> np.ndarray:
+    p = v["amplitude_pmf"]
+    if p is None:
         return np.full(size, 1.0 / size)
-    p = _typed(cfg, "amplitude_pmf", _float_array)
     if p.shape != (size,):
         raise ConfigError(f"amplitude_pmf must have {size} entries, got {p.shape}")
-    try:
+    with _config_errors("amplitude_pmf: "):
         return check_pmf(p)
-    except ValueError as exc:
-        raise ConfigError(f"amplitude_pmf: {exc}") from exc
 
 
-def _make_constellation(cfg: dict):
-    try:
-        return make_ask(_typed(cfg, "m", int))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _make_constellation(v: dict):
+    with _config_errors():
+        return make_ask(v["m"])
 
 
-def _awgn_spec(cfg: dict) -> AwgnSpec:
-    num_bins = _typed(cfg, "num_bins", int)
+def _awgn_spec(v: dict) -> AwgnSpec:
+    num_bins, clip_sigmas = v["num_bins"], v["clip_sigmas"]
     if num_bins < 2:
         raise ConfigError(f"num_bins must be >= 2, got {num_bins}")
-    clip_sigmas = _typed(cfg, "clip_sigmas", float)
     if not (math.isfinite(clip_sigmas) and clip_sigmas >= 0):
         raise ConfigError(f"clip_sigmas must be finite and >= 0, got {clip_sigmas}")
     return AwgnSpec(num_bins=num_bins, clip_sigmas=clip_sigmas)
 
 
+def _emit_json(out: dict, out_path: str | None) -> None:
+    _emit(json.dumps(out, sort_keys=True) + "\n", out_path)
+
+
 # ---------------------------------------------------------------- air-sweep
 
 
-def cmd_air_sweep(args) -> int:
-    defaults = {
-        "m": 1,
-        "snr_start": -2.0,
-        "snr_stop": 10.0,
-        "snr_step": 0.5,
-        "snr_list": None,
-        "num_bins": 2000,
-        "clip_sigmas": 6.0,
-    }
-    cfg = _merge_config(
-        defaults,
-        args.config,
-        {
-            "m": args.m,
-            "snr_start": args.snr_start,
-            "snr_stop": args.snr_stop,
-            "snr_step": args.snr_step,
-            "num_bins": args.num_bins,
-        },
-    )
-    cst = _make_constellation(cfg)
-    if cfg["snr_list"] is not None:
-        grid = _typed(cfg, "snr_list", _float_array).ravel().tolist()
+def cmd_air_sweep(args, cfg: dict, v: dict) -> None:
+    cst = _make_constellation(v)
+    if v["snr_list"] is not None:
+        grid = v["snr_list"].ravel().tolist()
     else:
-        start, stop, step = (_typed(cfg, key, float) for key in ("snr_start", "snr_stop", "snr_step"))
+        start, stop, step = v["snr_start"], v["snr_stop"], v["snr_step"]
         if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
             raise ConfigError(f"snr_start, snr_stop and snr_step must be finite, got {start}, {stop}, {step}")
         if step <= 0:
@@ -187,8 +259,8 @@ def cmd_air_sweep(args) -> int:
         grid = list(np.arange(start, stop + 1e-9, step))
     if not grid:
         raise ConfigError("snr grid is empty")
-    spec = _awgn_spec(cfg)
-    lines = [f"# config: {_config_line(cfg)}"]
+    spec = _awgn_spec(v)
+    lines = [f"# config: {json.dumps(cfg, sort_keys=True)}"]
     lines.append("snr_db,capacity,h_a,gamma,mi_uniform,r_bmd_star")
     for snr, point in air_sweep(cst, grid, spec):
         if isinstance(point, Exception):
@@ -200,56 +272,30 @@ def cmd_air_sweep(args) -> int:
             f"{point.gamma:.12g},{point.mi_uniform:.12g},{point.r_bmd_star:.12g}"
         )
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
 # ------------------------------------------------- basic-point / gamma-split
 
 
-def cmd_basic_point(args) -> int:
-    defaults = {"m": 1, "num_bins": 2000, "clip_sigmas": 6.0}
-    cfg = _merge_config(defaults, args.config, {"m": args.m, "num_bins": args.num_bins})
-    cst = _make_constellation(cfg)
-    spec = _awgn_spec(cfg)
-    try:
+def cmd_basic_point(args, cfg: dict, v: dict) -> None:
+    cst, spec = _make_constellation(v), _awgn_spec(v)
+    with _config_errors():
         snr, rate = find_basic_point(cst, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = {"config": cfg, "snr_db": snr, "rate": rate}
-    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
-    return 0
+    _emit_json({"config": cfg, "snr_db": snr, "rate": rate}, args.out)
 
 
-def cmd_gamma_split(args) -> int:
-    defaults = {"m": 1, "snr_db": 9.74, "num_bins": 2000, "clip_sigmas": 6.0}
-    cfg = _merge_config(
-        defaults, args.config, {"m": args.m, "snr_db": args.snr_db, "num_bins": args.num_bins}
-    )
-    cst = _make_constellation(cfg)
-    spec = _awgn_spec(cfg)
-    try:
-        h_a, gamma = gamma_split(cst, _typed(cfg, "snr_db", float), spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = {"config": cfg, "h_a": h_a, "gamma": gamma, "rate": h_a + gamma}
-    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
-    return 0
+def cmd_gamma_split(args, cfg: dict, v: dict) -> None:
+    cst, spec = _make_constellation(v), _awgn_spec(v)
+    with _config_errors():
+        h_a, gamma = gamma_split(cst, v["snr_db"], spec)
+    _emit_json({"config": cfg, "h_a": h_a, "gamma": gamma, "rate": h_a + gamma}, args.out)
 
 
-def cmd_shaping_gap(args) -> int:
-    defaults = {"m": 1, "target_rate": 1.6, "num_bins": 2000, "clip_sigmas": 6.0}
-    cfg = _merge_config(
-        defaults, args.config, {"m": args.m, "target_rate": args.target_rate, "num_bins": args.num_bins}
-    )
-    cst = _make_constellation(cfg)
-    spec = _awgn_spec(cfg)
-    try:
-        gap = shaping_gap(cst, _typed(cfg, "target_rate", float), spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = {"config": cfg, "gap_db": gap}
-    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
-    return 0
+def cmd_shaping_gap(args, cfg: dict, v: dict) -> None:
+    cst, spec = _make_constellation(v), _awgn_spec(v)
+    with _config_errors():
+        gap = shaping_gap(cst, v["target_rate"], spec)
+    _emit_json({"config": cfg, "gap_db": gap}, args.out)
 
 
 # ----------------------------------------------------------- typ-dump / b-typ
@@ -261,96 +307,28 @@ def _format_member(seq, alphabet_size: int) -> str:
     return ",".join(str(int(v)) for v in seq)
 
 
-def cmd_typ_dump(args) -> int:
-    defaults = {
-        "pmf": [0.5, 0.5],
-        "n": 4,
-        "eps": 0.1,
-        "budget": 10_000_000,
-    }
-    cfg = _merge_config(
-        defaults, args.config, {"pmf": None, "n": args.n, "eps": args.eps, "budget": args.budget}
-    )
-    try:
-        ts = enumerate_typical(
-            _typed(cfg, "pmf", _float_array),
-            TypConfig(
-                n=_typed(cfg, "n", int),
-                eps=_typed(cfg, "eps", float),
-                budget=_typed(cfg, "budget", int),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    header = {
-        "config": cfg,
-        "entropy": ts.h,
-        "count": ts.count,
-        "typical_prob": ts.bounds.typical_prob,
-        "upper_ok": ts.bounds.upper_ok,
-        "lower_ok": ts.bounds.lower_ok,
-        "lower_applicable": ts.bounds.lower_applicable,
-        "member_prob_ok": ts.bounds.member_prob_ok,
-    }
+def cmd_typ_dump(args, cfg: dict, v: dict) -> None:
+    with _config_errors():
+        ts = enumerate_typical(v["pmf"], TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"]))
+    header = {"config": cfg, "entropy": ts.h, "count": ts.count, **ts.bounds._asdict()}
     k = len(ts.pmf)
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(_format_member(m, k) for m in ts.members)
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def cmd_b_typ(args) -> int:
-    defaults = {
-        "m": 1,
-        "amplitude_pmf": None,
-        "sigma": None,
-        "snr_db": None,
-        "noiseless": False,
-        "w": None,
-        "num_bins": 8,
-        "clip_sigmas": 6.0,
-        "n": 6,
-        "eps": 0.2,
-        "budget": 10_000_000,
-        "mc_samples": 100_000,
-        "seed": 0,
-        "transition": None,
-        "pmf": None,
-    }
-    cfg = _merge_config(
-        defaults,
-        args.config,
-        {
-            "m": args.m,
-            "sigma": args.sigma,
-            "n": args.n,
-            "eps": args.eps,
-            "budget": args.budget,
-            "mc_samples": args.mc_samples,
-            "seed": args.seed,
-            "num_bins": args.num_bins,
-        },
-    )
-    if cfg["transition"] is not None:
-        trans = _typed(cfg, "transition", _float_array)
-        if cfg["pmf"] is None:
+def cmd_b_typ(args, cfg: dict, v: dict) -> None:
+    if v["transition"] is not None:
+        trans, pmf = v["transition"], v["pmf"]
+        if pmf is None:
             raise ConfigError("explicit transition needs an explicit pmf")
-        pmf = _typed(cfg, "pmf", _float_array)
     else:
-        cst = _make_constellation(cfg)
-        pmf = _amplitude_pmf(cfg, cst.num_amplitudes)
-        trans = sign_output_transition(cst, _build_channel(cfg, cst, pmf))
-    try:
-        tc = TypConfig(
-            n=_typed(cfg, "n", int),
-            eps=_typed(cfg, "eps", float),
-            budget=_typed(cfg, "budget", int),
-            mc_samples=_typed(cfg, "mc_samples", int),
-            seed=_typed(cfg, "seed", int),
-        )
+        cst = _make_constellation(v)
+        pmf = _amplitude_pmf(v, cst.num_amplitudes)
+        trans = sign_output_transition(cst, _build_channel(v, cst, pmf))
+    with _config_errors():
+        tc = TypConfig(**{key: v[key] for key in ("n", "eps", "budget", "mc_samples", "seed")})
         b = enumerate_b_typical(pmf, trans, tc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     report = lemma1_report(b)
     header = {"config": cfg, "h_u": b.h_u, "count": b.count, "exact": b.exact}
     header.update(report)
@@ -359,173 +337,71 @@ def cmd_b_typ(args) -> int:
     for member, prob in zip(b.members, b.cond_probs):
         lines.append(f"{_format_member(member, k)} {prob:.10g}")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
 # ------------------------------------------------------------------------ sim
 
 
-def cmd_sim(args) -> int:
-    defaults = {
-        "m": 1,
-        "amplitude_pmf": None,
-        "sigma": None,
-        "snr_db": None,
-        "noiseless": False,
-        "w": None,
-        "num_bins": 8,
-        "clip_sigmas": 6.0,
-        "eps": 0.1,
-        "n": 8,
-        "gamma": 0.0,
-        "decoder": "smd",
-        "trials": 1000,
-        "seed": 0,
-        "codebook_mode": "iid",
-        "typ_budget": None,
-        "mc_samples": None,
-    }
-    cfg = _merge_config(
-        defaults,
-        args.config,
-        {
-            "m": args.m,
-            "sigma": args.sigma,
-            "eps": args.eps,
-            "n": args.n,
-            "gamma": args.gamma,
-            "decoder": args.decoder,
-            "trials": args.trials,
-            "seed": args.seed,
-            "num_bins": args.num_bins,
-        },
-    )
+def cmd_sim(args, cfg: dict, v: dict) -> None:
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    cst = _make_constellation(cfg)
-    pmf = _amplitude_pmf(cfg, cst.num_amplitudes)
+    cst = _make_constellation(v)
+    pmf = _amplitude_pmf(v, cst.num_amplitudes)
+    keys = ("eps", "n", "gamma", "decoder", "trials", "seed", "codebook_mode", "typ_budget", "mc_samples")
     exp = ExperimentConfig(
         constellation=cst,
-        dmc=_build_channel(cfg, cst, pmf),
-        amplitude_pmf=tuple(float(v) for v in pmf),
-        eps=_typed(cfg, "eps", float),
-        n=_typed(cfg, "n", int),
-        gamma=_typed(cfg, "gamma", float),
-        decoder=str(cfg["decoder"]),
-        trials=_typed(cfg, "trials", int),
-        seed=_typed(cfg, "seed", int),
-        codebook_mode=str(cfg["codebook_mode"]),
-        typ_budget=None if cfg["typ_budget"] is None else _typed(cfg, "typ_budget", int),
-        mc_samples=None if cfg["mc_samples"] is None else _typed(cfg, "mc_samples", int),
+        dmc=_build_channel(v, cst, pmf),
+        amplitude_pmf=tuple(float(p) for p in pmf),
+        **{key: v[key] for key in keys},
     )
-    try:
+    with _config_errors():
         stats = run_experiment(exp, threads=args.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = {"config": cfg, "stats": stats.to_dict()}
-    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
+    summary = stats.to_dict()
+    _emit_json({"config": cfg, "stats": summary}, args.out)
     if args.csv:
-        row = {
-            "n": stats.n,
-            "gamma": stats.gamma,
-            "eps": stats.eps,
-            "trials": stats.trials,
-            "errors_total": stats.errors_total,
-            "kind1": stats.errors_kind1,
-            "kind2": stats.errors_kind2,
-            "rate_achieved": stats.rate_achieved,
-            "seed": stats.seed,
-        }
+        row = {**summary, "kind1": summary["errors_kind1"], "kind2": summary["errors_kind2"]}
         fresh = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
         with open(args.csv, "a", encoding="utf-8") as f:
             if fresh:
                 f.write(",".join(SIM_CSV_COLUMNS) + "\n")
             f.write(",".join(f"{row[c]}" for c in SIM_CSV_COLUMNS) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------- main
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output path (default stdout)")
+COMMANDS = {
+    "air-sweep": (cmd_air_sweep, "rate curves over an SNR grid (CSV)"),
+    "basic-point": (cmd_basic_point, "SNR where shaped amplitudes alone reach capacity"),
+    "gamma-split": (cmd_gamma_split, "capacity split H(A) + gamma at an SNR"),
+    "shaping-gap": (cmd_shaping_gap, "SNR penalty of uniform inputs at a target rate"),
+    "typ-dump": (cmd_typ_dump, "enumerate a typical set with bound checks"),
+    "b-typ": (cmd_b_typ, "enumerate a conditioned typical set with a lemma report"),
+    "sim": (cmd_sim, "random sign-coding decode experiment"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="paslab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("air-sweep", help="rate curves over an SNR grid (CSV)")
-    _add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--snr-start", dest="snr_start", type=float)
-    p.add_argument("--snr-stop", dest="snr_stop", type=float)
-    p.add_argument("--snr-step", dest="snr_step", type=float)
-    p.add_argument("--num-bins", dest="num_bins", type=int)
-    p.set_defaults(func=cmd_air_sweep)
-
-    p = sub.add_parser("basic-point", help="SNR where shaped amplitudes alone reach capacity")
-    _add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--num-bins", dest="num_bins", type=int)
-    p.set_defaults(func=cmd_basic_point)
-
-    p = sub.add_parser("gamma-split", help="capacity split H(A) + gamma at an SNR")
-    _add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--num-bins", dest="num_bins", type=int)
-    p.set_defaults(func=cmd_gamma_split)
-
-    p = sub.add_parser("shaping-gap", help="SNR penalty of uniform inputs at a target rate")
-    _add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--target-rate", dest="target_rate", type=float)
-    p.add_argument("--num-bins", dest="num_bins", type=int)
-    p.set_defaults(func=cmd_shaping_gap)
-
-    p = sub.add_parser("typ-dump", help="enumerate a typical set with bound checks")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_typ_dump)
-
-    p = sub.add_parser("b-typ", help="enumerate a conditioned typical set with a lemma report")
-    _add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--num-bins", dest="num_bins", type=int)
-    p.set_defaults(func=cmd_b_typ)
-
-    p = sub.add_parser("sim", help="random sign-coding decode experiment")
-    _add_common(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--decoder", choices=("smd", "bmd"))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--num-bins", dest="num_bins", type=int)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--csv", help="append a summary row to this CSV file")
-    p.set_defaults(func=cmd_sim)
-
+    for name, (func, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output path (default stdout)")
+        for opt in OPTIONS[name]:
+            if opt.flag:
+                flag = "--" + opt.key.replace("_", "-")
+                p.add_argument(flag, dest=opt.key, type=_FLAG_TYPES.get(opt.read), choices=opt.choices)
+        p.set_defaults(func=func)
+    sim = sub.choices["sim"]
+    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--csv", help="append a summary row to this CSV file")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args, *_load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -535,6 +411,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paslab.cli import SIM_CSV_COLUMNS, main
+from paslab.cli import OPTIONS, SIM_CSV_COLUMNS, _bool, _int, main
 from paslab.errors import ConvergenceError
 
 
@@ -283,6 +283,57 @@ def test_nan_channel_exits_with_channel_message(tmp_path, capsys, command, chann
     assert "Traceback" not in err
 
 
+W_FLAT = [[0.5, 0.5]] * 4  # an explicit 4-ASK channel
+
+
+@pytest.mark.parametrize("command", ["sim", "b-typ"])
+@pytest.mark.parametrize(
+    "channel, given",
+    [
+        ({"noiseless": True, "sigma": 0.5}, "sigma, noiseless"),
+        ({"w": W_FLAT, "sigma": 0.5}, "sigma, w"),
+        ({"sigma": 0.5, "snr_db": 3.0}, "sigma, snr_db"),
+        ({"w": W_FLAT, "noiseless": True}, "w, noiseless"),
+        ({"noiseless": False}, "none"),
+    ],
+    ids=["noiseless-sigma", "w-sigma", "sigma-snr", "w-noiseless", "none"],
+)
+def test_channel_needs_exactly_one_source(tmp_path, capsys, command, channel, given):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, **channel}))
+    rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert f"give exactly one of sigma, snr_db, w or noiseless: true; got {given}" in err
+
+
+STRICT_KEYS = [
+    (command, opt.key, opt.read)
+    for command, rows in OPTIONS.items()
+    for opt in rows
+    if opt.read in (_int, _bool)
+]
+
+
+@pytest.mark.parametrize("command, key, read", STRICT_KEYS, ids=[f"{c}-{k}" for c, k, _ in STRICT_KEYS])
+def test_int_and_bool_keys_are_read_strictly(tmp_path, capsys, command, key, read):
+    cfg = tmp_path / "cfg.json"
+    for value in ([True, "4", 3.7] if read is _int else ["no", 1, None]):
+        cfg.write_text(json.dumps({key: value}))
+        rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert rc == 2 and out == ""
+        assert f"config error: {key}: cannot read {json.dumps(value)} as" in err
+
+
+def test_integral_float_reads_as_int(tmp_path, capsys):
+    cfg = tmp_path / "typ.json"
+    cfg.write_text(json.dumps({"n": 3.0, "eps": 0.2, "budget": 1e7}))
+    rc, out, _ = run_cli(["typ-dump", "--config", str(cfg)], capsys)
+    assert rc == 0
+    header = json.loads(out.split("\n")[0])
+    assert header["count"] == 8
+    assert header["config"]["n"] == 3.0 and isinstance(header["config"]["n"], float)  # echoed raw
+
+
 def test_air_sweep_num_bins_one_exit_code(monkeypatch, capsys):
     def never(*a, **k):
         raise AssertionError("solver ran on an invalid quantizer")
@@ -320,6 +371,11 @@ BAD_PMF = st.one_of(
     st.lists(st.floats(-1, 1), min_size=1, max_size=4),  # negative or unnormalised
     JUNK,
 )
+SNR = st.one_of(
+    st.floats(-30, 40),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0, 3000.0, -3000.0]),
+)
+# one fault strategy per config key; each command fuzzes the keys of its OPTIONS table
 FAULTS = {
     "m": st.one_of(st.integers(-2, -1), st.integers(7, 9), JUNK),
     "amplitude_pmf": BAD_PMF,
@@ -333,22 +389,31 @@ FAULTS = {
     "eps": st.one_of(st.floats(-0.5, 0), JUNK),
     "seed": st.one_of(st.integers(-3, -1), JUNK),
     "mc_samples": st.one_of(st.integers(-1, 20), JUNK),
-}
-SIM_FAULTS = {
-    **FAULTS,
     "gamma": st.one_of(st.floats(-0.5, -0.01), st.floats(1, 2), JUNK),
     "decoder": st.one_of(st.just("joint"), JUNK),
     "codebook_mode": st.one_of(st.just("bogus"), JUNK),
     "trials": st.one_of(st.integers(-1, 0), JUNK),
     "typ_budget": st.one_of(st.integers(-1, 40), JUNK),
-}
-B_TYP_FAULTS = {**FAULTS, "budget": st.one_of(st.integers(-1, 40), JUNK)}
-EXPLICIT_FAULTS = {
+    "budget": st.one_of(st.integers(-1, 40), JUNK),
     "transition": st.one_of(st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3), JUNK),
     "pmf": BAD_PMF,
-    "n": FAULTS["n"],
-    "eps": FAULTS["eps"],
+    "snr_list": st.one_of(st.lists(JUNK, max_size=2), JUNK),
+    "snr_start": st.one_of(SNR, JUNK),
+    "snr_stop": st.one_of(SNR, JUNK),
+    "snr_step": st.one_of(st.floats(-1, 0), SNR, JUNK),
+    "target_rate": st.one_of(st.floats(-1, 0), st.floats(3, 5), SNR, JUNK),
 }
+
+
+def _faults(command, **overrides):
+    """Fault strategies for the keys of OPTIONS[command]; a key with none is left out."""
+    strategies = {**FAULTS, **overrides}
+    return {opt.key: strategies[opt.key] for opt in OPTIONS[command] if opt.key in strategies}
+
+
+SIM_FAULTS = _faults("sim")
+B_TYP_FAULTS = _faults("b-typ")
+EXPLICIT_FAULTS = {key: B_TYP_FAULTS[key] for key in ("transition", "pmf", "n", "eps")}
 
 
 def _channel(m):
@@ -444,12 +509,7 @@ TYP_DUMP_VALID = st.integers(1, 3).flatmap(
         {"pmf": _pmf(k), "n": st.integers(1, 6), "eps": st.floats(0.01, 0.6)}
     )
 )
-TYP_DUMP_FAULTS = {
-    "pmf": BAD_PMF,
-    "n": FAULTS["n"],
-    "eps": FAULTS["eps"],
-    "budget": st.one_of(st.integers(-1, 40), JUNK),
-}
+TYP_DUMP_FAULTS = _faults("typ-dump")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -461,14 +521,12 @@ def test_typ_dump_config_fuzz_keeps_exit_contract(config):
 
 
 # solver commands: small quantizers keep each solve to milliseconds
-SNR = st.one_of(
-    st.floats(-30, 40),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0, 3000.0, -3000.0]),
-)
+SOLVER_CLIP_SIGMAS = st.one_of(st.floats(-1, 1), st.sampled_from([float("nan"), float("inf")]), JUNK)
 SOLVER_FAULTS = {
-    "m": FAULTS["m"],
-    "num_bins": st.one_of(st.integers(0, 1), JUNK),
-    "clip_sigmas": st.one_of(st.floats(-1, 1), st.sampled_from([float("nan"), float("inf")]), JUNK),
+    "air-sweep": _faults("air-sweep", clip_sigmas=SOLVER_CLIP_SIGMAS),
+    "gamma-split": _faults("gamma-split", clip_sigmas=SOLVER_CLIP_SIGMAS, snr_db=JUNK),
+    "basic-point": _faults("basic-point", clip_sigmas=SOLVER_CLIP_SIGMAS),
+    "shaping-gap": _faults("shaping-gap", clip_sigmas=SOLVER_CLIP_SIGMAS),
 }
 
 
@@ -484,19 +542,13 @@ SOLVER_CONFIGS = {
             _solver_valid(snr_list=st.lists(SNR, min_size=1, max_size=2)),
             _solver_valid(snr_start=st.floats(-10, 20), snr_stop=st.floats(-10, 21), snr_step=st.floats(0.5, 5)),
         ),
-        {
-            **SOLVER_FAULTS,
-            "snr_list": st.one_of(st.lists(JUNK, max_size=2), JUNK),
-            "snr_start": st.one_of(SNR, JUNK),
-            "snr_stop": st.one_of(SNR, JUNK),
-            "snr_step": st.one_of(st.floats(-1, 0), SNR, JUNK),
-        },
+        SOLVER_FAULTS["air-sweep"],
     ),
-    "gamma-split": _with_faults(_solver_valid(snr_db=SNR), {**SOLVER_FAULTS, "snr_db": JUNK}),
-    "basic-point": _with_faults(_solver_valid(), SOLVER_FAULTS),
+    "gamma-split": _with_faults(_solver_valid(snr_db=SNR), SOLVER_FAULTS["gamma-split"]),
+    "basic-point": _with_faults(_solver_valid(), SOLVER_FAULTS["basic-point"]),
     "shaping-gap": _with_faults(
         _solver_valid(target_rate=st.floats(0.05, 0.95)),  # below 1 bit: valid for every m
-        {**SOLVER_FAULTS, "target_rate": st.one_of(st.floats(-1, 0), st.floats(3, 5), SNR, JUNK)},
+        SOLVER_FAULTS["shaping-gap"],
     ),
 }
 
@@ -515,3 +567,17 @@ def test_solver_config_fuzz_keeps_exit_contract(command, examples):
         assert "Traceback" not in err
 
     run()
+
+
+FUZZED = {
+    "sim": [SIM_FAULTS],
+    "b-typ": [B_TYP_FAULTS, EXPLICIT_FAULTS],
+    "typ-dump": [TYP_DUMP_FAULTS],
+    **{command: [faults] for command, faults in SOLVER_FAULTS.items()},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_config_fuzz_covers_every_table_key(command):
+    fuzzed = set().union(*FUZZED[command])
+    assert fuzzed == {opt.key for opt in OPTIONS[command]}
