@@ -51,6 +51,13 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """A JSON number; bools and strings such as "0.2" are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _bool(value) -> bool:
     """A JSON boolean only; "no", 0 and null are rejected."""
     if not isinstance(value, bool):
@@ -66,68 +73,72 @@ def _floats(value) -> np.ndarray:
 class Option:
     """One config key of a subcommand: the reader of its value, its default and
     whether a --key-name flag sets it. A key whose default is None is optional
-    and reads null as absent; every other value goes through the reader."""
+    and reads null as absent; every other value goes through the reader. A key
+    given a value replaces the keys in `replaces`, so giving any of them too
+    is an error rather than a silently ignored setting."""
 
     key: str
     read: Callable
     default: Any = None
     flag: bool = False
     choices: tuple | None = None
+    replaces: tuple = ()
 
 
-_FLAG_TYPES = {_int: int, float: float}  # argparse type of a flag, by reader
+_FLAG_TYPES = {_int: int, _float: float}  # argparse type of a flag, by reader
 
 _M = Option("m", _int, 1, flag=True)
 _NUM_BINS = Option("num_bins", _int, 2000, flag=True)
-_CLIP_SIGMAS = Option("clip_sigmas", float, 6.0)
+_CLIP_SIGMAS = Option("clip_sigmas", _float, 6.0)
 # sim and b-typ open their tables with the constellation, the amplitude pmf and
 # the four channel sources, and close them with the quantizer of the channel
 _CHANNEL = (
     _M,
     Option("amplitude_pmf", _floats),
-    Option("sigma", float, flag=True),
-    Option("snr_db", float),
+    Option("sigma", _float, flag=True),
+    Option("snr_db", _float),
     Option("noiseless", _bool, False),
     Option("w", _floats),
 )
 _CHANNEL_QUANTIZER = (replace(_NUM_BINS, default=8), _CLIP_SIGMAS)
+_CHANNEL_KEYS = tuple(opt.key for opt in (*_CHANNEL, *_CHANNEL_QUANTIZER))
 
 # every config key of every subcommand; a command's flags follow its row order
 OPTIONS = {
     "air-sweep": (
         _M,
-        Option("snr_start", float, -2.0, flag=True),
-        Option("snr_stop", float, 10.0, flag=True),
-        Option("snr_step", float, 0.5, flag=True),
-        Option("snr_list", _floats),
+        Option("snr_start", _float, -2.0, flag=True),
+        Option("snr_stop", _float, 10.0, flag=True),
+        Option("snr_step", _float, 0.5, flag=True),
+        Option("snr_list", _floats, replaces=("snr_start", "snr_stop", "snr_step")),
         _NUM_BINS,
         _CLIP_SIGMAS,
     ),
     "basic-point": (_M, _NUM_BINS, _CLIP_SIGMAS),
-    "gamma-split": (_M, Option("snr_db", float, 9.74, flag=True), _NUM_BINS, _CLIP_SIGMAS),
-    "shaping-gap": (_M, Option("target_rate", float, 1.6, flag=True), _NUM_BINS, _CLIP_SIGMAS),
+    "gamma-split": (_M, Option("snr_db", _float, 9.74, flag=True), _NUM_BINS, _CLIP_SIGMAS),
+    "shaping-gap": (_M, Option("target_rate", _float, 1.6, flag=True), _NUM_BINS, _CLIP_SIGMAS),
     "typ-dump": (
         Option("pmf", _floats, (0.5, 0.5)),
         Option("n", _int, 4, flag=True),
-        Option("eps", float, 0.1, flag=True),
+        Option("eps", _float, 0.1, flag=True),
         Option("budget", _int, 10_000_000, flag=True),
     ),
     "b-typ": (
         *_CHANNEL,
         Option("n", _int, 6, flag=True),
-        Option("eps", float, 0.2, flag=True),
+        Option("eps", _float, 0.2, flag=True),
         Option("budget", _int, 10_000_000, flag=True),
         Option("mc_samples", _int, 100_000, flag=True),
         Option("seed", _int, 0, flag=True),
-        Option("transition", _floats),
+        Option("transition", _floats, replaces=_CHANNEL_KEYS),
         Option("pmf", _floats),
         *_CHANNEL_QUANTIZER,
     ),
     "sim": (
         *_CHANNEL,
-        Option("eps", float, 0.1, flag=True),
+        Option("eps", _float, 0.1, flag=True),
         Option("n", _int, 8, flag=True),
-        Option("gamma", float, 0.0, flag=True),
+        Option("gamma", _float, 0.0, flag=True),
         Option("decoder", str, "smd", flag=True, choices=("smd", "bmd")),
         Option("trials", _int, 1000, flag=True),
         Option("seed", _int, 0, flag=True),
@@ -141,9 +152,13 @@ OPTIONS = {
 
 def _load_config(args) -> tuple[dict, dict]:
     """The config of args.command, merged from its table defaults, the --config
-    file and the flags given, and the same keys as their readers read them."""
+    file and the flags given, and the same keys as their readers read them.
+
+    A key is given when the file or a flag sets it to a value other than null;
+    a given key that replaces others may not come with any of them."""
     rows = OPTIONS[args.command]
     cfg = {opt.key: opt.default for opt in rows}
+    given = set()
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -158,7 +173,14 @@ def _load_config(args) -> tuple[dict, dict]:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(data)
-    cfg.update({o.key: getattr(args, o.key) for o in rows if o.flag and getattr(args, o.key) is not None})
+        given.update(key for key, value in data.items() if value is not None)
+    flags = {o.key: getattr(args, o.key) for o in rows if o.flag and getattr(args, o.key) is not None}
+    cfg.update(flags)
+    given.update(flags)
+    for opt in rows:
+        clash = [key for key in opt.replaces if key in given]
+        if opt.key in given and clash:
+            raise ConfigError(f"{opt.key} replaces {', '.join(clash)}; give one or the other")
     values = {}
     for opt in rows:
         value = cfg[opt.key]
@@ -301,20 +323,22 @@ def cmd_shaping_gap(args, cfg: dict, v: dict) -> None:
 # ----------------------------------------------------------- typ-dump / b-typ
 
 
-def _format_member(seq, alphabet_size: int) -> str:
-    if alphabet_size <= 10:
-        return "".join(str(int(v)) for v in seq)
-    return ",".join(str(int(v)) for v in seq)
+def _member_text(members: np.ndarray, alphabet_size: int) -> str:
+    """One newline-terminated line per row of an (N, n) member array: its
+    letters as digits for alphabets of at most 10 letters, comma-separated
+    indices above that."""
+    if alphabet_size > 10:
+        return "".join(",".join(map(str, row)) + "\n" for row in members.tolist())
+    text = np.full((len(members), members.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = members + ord("0")
+    return text.tobytes().decode("ascii")
 
 
 def cmd_typ_dump(args, cfg: dict, v: dict) -> None:
     with _config_errors():
         ts = enumerate_typical(v["pmf"], TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"]))
     header = {"config": cfg, "entropy": ts.h, "count": ts.count, **ts.bounds._asdict()}
-    k = len(ts.pmf)
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(_format_member(m, k) for m in ts.members)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(json.dumps(header, sort_keys=True) + "\n" + _member_text(ts.members, len(ts.pmf)), args.out)
 
 
 def cmd_b_typ(args, cfg: dict, v: dict) -> None:
@@ -332,11 +356,12 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
     report = lemma1_report(b)
     header = {"config": cfg, "h_u": b.h_u, "count": b.count, "exact": b.exact}
     header.update(report)
-    k = len(pmf)
-    lines = [json.dumps(header, sort_keys=True)]
-    for member, prob in zip(b.members, b.cond_probs):
-        lines.append(f"{_format_member(member, k)} {prob:.10g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    # members of one type class share their probability: format each value once
+    probs, which = np.unique(b.cond_probs, return_inverse=True)
+    labels = [f" {prob:.10g}\n" for prob in probs.tolist()]
+    lines = _member_text(b.members, len(pmf)).splitlines()
+    body = "".join(line + labels[i] for line, i in zip(lines, which.tolist()))
+    _emit(json.dumps(header, sort_keys=True) + "\n" + body, args.out)
 
 
 # ------------------------------------------------------------------------ sim

@@ -40,8 +40,10 @@ BLOCK_CELLS = 1 << 18
 class ShapingLayer:
     """One-to-one message map onto the conditioned typical amplitude set.
 
-    amplitude_seqs[m_a] is an amplitude-index sequence. Both decoders share
-    it: the bit-level one reads the members through the label bijection.
+    amplitude_seqs is the read-only (M_a, n) array of the conditioned typical
+    set's members (uint8 amplitude indices, in lexicographic order), so row
+    m_a is message m_a's amplitude sequence. Both decoders share it: the
+    bit-level one reads the members through the label bijection.
     """
 
     constellation: AskConstellation
@@ -49,7 +51,7 @@ class ShapingLayer:
     amplitude_pmf: np.ndarray
     n: int
     eps: float
-    amplitude_seqs: tuple = field(repr=False)
+    amplitude_seqs: np.ndarray = field(repr=False)
     b_set: BTypicalSet = field(default=None, repr=False)
 
     @property
@@ -192,9 +194,8 @@ def draw_sign_codebook(
 
 def layer_amplitude_bits(layer: ShapingLayer) -> np.ndarray:
     """(M_a, m*n) amplitude-bit strings of the layer members, for linear codebooks."""
-    amp_bits = layer.label_map.amplitude_bit_matrix
-    rows = [np.concatenate([amp_bits[a] for a in seq]) for seq in layer.amplitude_seqs]
-    return np.asarray(rows, dtype=np.int8)
+    amp_bits = layer.label_map.amplitude_bit_matrix  # (2^m, m)
+    return amp_bits[layer.amplitude_seqs].reshape(layer.size, -1)
 
 
 class DecodeResult(NamedTuple):
@@ -216,7 +217,7 @@ class _Candidates:
             )
         n = layer.n
         self.m_a_count, self.m_s_count, self.n = m_a_count, m_s_count, n
-        amp = np.asarray(layer.amplitude_seqs, dtype=np.intp)  # (M_a, n)
+        amp = layer.amplitude_seqs.astype(np.intp)  # (M_a, n)
         self.a_idx = np.repeat(amp, m_s_count, axis=0)
         info = np.broadcast_to(codebook.info_bits, (m_a_count, m_s_count, codebook.n1))
         signs = np.concatenate([info, codebook.redundant_bits], axis=2)

@@ -1,7 +1,10 @@
 """Weak typicality at desk scale: exhaustive sets, joint tests, and the
 conditioned subset whose members stay jointly typical with high probability.
 
-Sequences are tuples of alphabet indices. Membership uses the empirical
+A single sequence is any sequence of alphabet indices. An enumerated set
+holds its members as one C-contiguous (N, n) array of letter indices, uint8
+for alphabets of at most 256 letters, one member per row in lexicographic
+order; an empty set has shape (0, n). Membership uses the empirical
 log-probability rate against entropy with a 1e-12 slack so boundary
 compositions do not flap with float noise. Cardinality/probability bounds
 that only hold for large n are reported with an applicability flag instead
@@ -84,15 +87,24 @@ class SetBounds(NamedTuple):
 
 @dataclass(frozen=True)
 class TypicalSet:
+    """The typical set of an iid pmf: members is a read-only (N, n) index
+    array, one member per row in lexicographic order."""
+
     pmf: np.ndarray
     config: TypConfig
     h: float
-    members: tuple = field(repr=False)
+    members: np.ndarray = field(repr=False)
     bounds: SetBounds = None
 
     @property
     def count(self) -> int:
         return len(self.members)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only, so a frozen set cannot be edited through it."""
+    a.flags.writeable = False
+    return a
 
 
 def _scan_typical(pmf: np.ndarray, config: TypConfig):
@@ -118,7 +130,8 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     if p.ndim != 1:
         raise ValueError(f"pmf must be a vector, got shape {p.shape}")
     h = entropy(p)
-    members = []
+    dtype = np.min_scalar_type(p.size - 1)  # uint8 up to 256 letters
+    kept = [np.empty((0, config.n), dtype=dtype)]
     typical_prob = 0.0
     prob_lo = 2.0 ** (-config.n * (h + config.eps)) * (1 - LOG_SLACK)
     prob_hi = 2.0 ** (-config.n * (h - config.eps)) * (1 + LOG_SLACK)
@@ -126,10 +139,11 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     for block, rate, prob in _scan_typical(p, config):
         keep = np.abs(rate - h) <= config.eps + LOG_SLACK
         if keep.any():
-            members.extend(tuple(map(int, row)) for row in block[keep])
+            kept.append(block[keep].astype(dtype))
             typical_prob += float(prob[keep].sum())
             kp = prob[keep]
             member_prob_ok &= bool(np.all(kp >= prob_lo) and np.all(kp <= prob_hi))
+    members = _frozen(np.concatenate(kept))
     count = len(members)
     bounds = SetBounds(
         upper_ok=count <= 2.0 ** (config.n * (h + config.eps)) * (1 + LOG_SLACK),
@@ -138,7 +152,7 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
         member_prob_ok=member_prob_ok,
         typical_prob=typical_prob,
     )
-    return TypicalSet(pmf=p, config=config, h=h, members=tuple(members), bounds=bounds)
+    return TypicalSet(pmf=p, config=config, h=h, members=members, bounds=bounds)
 
 
 def _subset_stats(seqs: dict, joint: np.ndarray) -> list:
@@ -251,9 +265,26 @@ def conditional_typical_prob(
     return CondProbResult(prob=p_hat, stderr=stderr, exact=False)
 
 
-def _type_key(u, k: int) -> tuple:
-    """Composition (type) of u over a k-letter alphabet: the symbol counts."""
-    return tuple(np.bincount(u, minlength=k).tolist())
+def _type_classes(members: np.ndarray, k: int):
+    """Composition classes of the rows of an (N, n) member array over a
+    k-letter alphabet: (counts, first, inverse), with counts the (C, k) symbol
+    counts of each class, first the row of its first member and inverse the
+    class of every row."""
+    n_rows = len(members)
+    offsets = members + k * np.arange(n_rows)[:, None]  # row r counts into cells r*k .. r*k + k-1
+    counts = np.bincount(offsets.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+    counts, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    return counts, first, inverse.reshape(-1)
+
+
+def _member_probs(members: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p(u) of every row u of an (N, n) member array, as 2^(-n * rate) with the
+    empirical rate of each row summed along the row, like `empirical_rate`."""
+    n = members.shape[1]
+    rate = -log2_safe(p)[members].sum(axis=1) / n
+    # Python's float power (libm pow), which numpy's vectorised power does not
+    # match bit for bit on every host
+    return np.array([2.0 ** x for x in (-n * rate).tolist()])
 
 
 @dataclass(frozen=True)
@@ -264,16 +295,18 @@ class BTypicalSet:
     Pr{(u, V) jointly typical | u} depends on u only through its composition:
     permuting u permutes the positions of V and leaves every empirical rate
     unchanged. class_probs maps each composition of the typical set (the
-    symbol counts of u) to the CondProbResult computed on the class's first
-    member in lexicographic order; cond_probs lists it for each member. A
-    Monte Carlo estimate is seeded by that first member.
+    symbol counts of u, as a tuple) to the CondProbResult computed on the
+    class's first member in lexicographic order. members is a read-only
+    (N, n) index array of the kept sequences, in lexicographic order, and
+    cond_probs the (N,) float array of their class probabilities. A Monte
+    Carlo estimate is seeded by the class's first member.
     """
 
     input_pmf: np.ndarray
     config: TypConfig
     h_u: float
-    members: tuple = field(repr=False)
-    cond_probs: tuple = field(repr=False)
+    members: np.ndarray = field(repr=False)
+    cond_probs: np.ndarray = field(repr=False)
     base_set: TypicalSet = field(repr=False)
     class_probs: dict = field(repr=False)
 
@@ -295,23 +328,20 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
     """
     p_u = check_pmf(input_pmf)
     base = enumerate_typical(p_u, config)
-    class_probs = {}
-    members, probs = [], []
-    threshold = 1.0 - config.eps - LOG_SLACK
-    for u in base.members:
-        key = _type_key(u, p_u.size)
-        res = class_probs.get(key)
-        if res is None:
-            res = class_probs[key] = conditional_typical_prob(u, p_u, transition, config)
-        if res.prob >= threshold:
-            members.append(u)
-            probs.append(res.prob)
+    counts, first, inverse = _type_classes(base.members, p_u.size)
+    keys = [tuple(row) for row in counts.tolist()]
+    class_probs = {
+        keys[c]: conditional_typical_prob(base.members[first[c]], p_u, transition, config)
+        for c in np.argsort(first)  # in the order the classes' first members come
+    }
+    probs = np.array([class_probs[key].prob for key in keys])[inverse]
+    keep = probs >= 1.0 - config.eps - LOG_SLACK
     return BTypicalSet(
         input_pmf=p_u,
         config=config,
         h_u=base.h,
-        members=tuple(members),
-        cond_probs=tuple(probs),
+        members=_frozen(base.members[keep]),
+        cond_probs=_frozen(probs[keep]),
         base_set=base,
         class_probs=class_probs,
     )
@@ -335,17 +365,17 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
     p_u = b_set.input_pmf
     lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
     hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
-    member_probs = np.array(
-        [2.0 ** (-n * empirical_rate(u, p_u)) for u in b_set.members]
-    )
+    member_probs = _member_probs(b_set.members, p_u)
     p1_ok = bool(np.all(member_probs >= lo) and np.all(member_probs <= hi))
     b_mass = float(member_probs.sum())
     p2_mass = 1.0 - b_mass
 
-    joint_mass = 0.0
-    for u in b_set.base_set.members:
-        cp = b_set.class_probs[_type_key(u, p_u.size)].prob
-        joint_mass += 2.0 ** (-n * empirical_rate(u, p_u)) * cp
+    base = b_set.base_set.members
+    counts, _, inverse = _type_classes(base, p_u.size)
+    class_cp = np.array([b_set.class_probs[tuple(row)].prob for row in counts.tolist()])
+    weighted = _member_probs(base, p_u) * class_cp[inverse]
+    # summed left to right, one member after another
+    joint_mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
     proxy = joint_mass >= 1.0 - eps**2
 
     count = b_set.count

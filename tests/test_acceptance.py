@@ -224,10 +224,9 @@ def test_06_typicality_oracle_equivalence():
     for pmf, trans_rows, n, eps in B_INSTANCES:
         b = enumerate_b_typical(pmf, np.asarray(trans_rows, float), TypConfig(n=n, eps=eps))
         want = dict(b_typical_oracle(list(pmf), [list(r) for r in trans_rows], n, eps))
-        ok &= set(b.members) == set(want)
-        ok &= all(
-            abs(pr - want[u]) <= 1e-12 for u, pr in zip(b.members, b.cond_probs)
-        )
+        rows = [tuple(u) for u in b.members.tolist()]
+        ok &= set(rows) == set(want)
+        ok &= all(abs(pr - want[u]) <= 1e-12 for u, pr in zip(rows, b.cond_probs))
         checked += 1
 
     b12 = enumerate_b_typical(

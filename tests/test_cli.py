@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paslab.cli import OPTIONS, SIM_CSV_COLUMNS, _bool, _int, main
+from paslab.cli import OPTIONS, SIM_CSV_COLUMNS, _bool, _float, _int, main
 from paslab.errors import ConvergenceError
 
 
@@ -310,18 +310,66 @@ STRICT_KEYS = [
     (command, opt.key, opt.read)
     for command, rows in OPTIONS.items()
     for opt in rows
-    if opt.read in (_int, _bool)
+    if opt.read in (_int, _bool, _float)
 ]
+STRICT_JUNK = {_int: [True, "4", 3.7], _bool: ["no", 1, None], _float: [True, "0.2"]}
 
 
 @pytest.mark.parametrize("command, key, read", STRICT_KEYS, ids=[f"{c}-{k}" for c, k, _ in STRICT_KEYS])
 def test_int_and_bool_keys_are_read_strictly(tmp_path, capsys, command, key, read):
+    """Every int, bool and float key exits 2 on a value of the wrong JSON type."""
     cfg = tmp_path / "cfg.json"
-    for value in ([True, "4", 3.7] if read is _int else ["no", 1, None]):
+    for value in STRICT_JUNK[read]:
         cfg.write_text(json.dumps({key: value}))
         rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
         assert rc == 2 and out == ""
         assert f"config error: {key}: cannot read {json.dumps(value)} as" in err
+
+
+BSC_TRANSITION = {"transition": [[0.6, 0.4], [0.4, 0.6]], "pmf": [0.4, 0.6], "n": 4}
+
+
+@pytest.mark.parametrize(
+    "config, argv, clash",
+    [
+        ({**BSC_TRANSITION, "sigma": 0.3, "m": 2}, [], "m, sigma"),
+        ({**BSC_TRANSITION, "noiseless": False, "clip_sigmas": 4.0}, [], "noiseless, clip_sigmas"),
+        (BSC_TRANSITION, ["--num-bins", "4"], "num_bins"),
+    ],
+    ids=["sigma-m", "noiseless-clip", "num-bins-flag"],
+)
+def test_b_typ_transition_with_channel_keys_exit_code(tmp_path, capsys, config, argv, clash):
+    cfg = tmp_path / "bt.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run_cli(["b-typ", "--config", str(cfg), *argv], capsys)
+    assert rc == 2 and out == ""
+    assert f"config error: transition replaces {clash}; give one or the other" in err
+
+
+def test_b_typ_transition_with_null_channel_keys_runs(tmp_path, capsys):
+    # null reads as absent, so a null channel key is not given
+    cfg = tmp_path / "bt.json"
+    cfg.write_text(json.dumps({**BSC_TRANSITION, "sigma": None, "w": None}))
+    rc, out, _ = run_cli(["b-typ", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert json.loads(out.split("\n")[0])["count"] > 0
+
+
+@pytest.mark.parametrize(
+    "config, argv, clash",
+    [
+        ({"snr_list": [1.0], "snr_start": 0.0}, [], "snr_start"),
+        ({"snr_list": [1.0]}, ["--snr-stop", "4", "--snr-step", "1"], "snr_stop, snr_step"),
+    ],
+    ids=["config-start", "flags-stop-step"],
+)
+def test_air_sweep_snr_list_with_grid_keys_exit_code(monkeypatch, tmp_path, capsys, config, argv, clash):
+    _forbid(monkeypatch, "paslab.cli.air_sweep", "solver ran on a config with ignored keys")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run_cli(["air-sweep", "--config", str(cfg), *argv], capsys)
+    assert rc == 2 and out == ""
+    assert f"config error: snr_list replaces {clash}; give one or the other" in err
 
 
 def test_integral_float_reads_as_int(tmp_path, capsys):

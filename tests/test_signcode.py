@@ -50,7 +50,10 @@ def test_build_layer_members_match_direct_enumeration():
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
     trans = sign_output_transition(CST, NOISY)
     b = enumerate_b_typical((0.7, 0.3), trans, TypConfig(n=6, eps=0.1, seed=0))
-    assert layer.amplitude_seqs == b.members
+    np.testing.assert_array_equal(layer.amplitude_seqs, b.members)
+    seqs = layer.amplitude_seqs
+    assert seqs.dtype == np.uint8 and seqs.shape == (layer.size, 6)
+    assert seqs.flags.c_contiguous and not seqs.flags.writeable
     assert layer.size == 15
     assert layer.exact
 
@@ -361,7 +364,7 @@ def test_block_mask_applies_y_independent_boxes(kind):
     blind = Dmc(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
     layer = ShapingLayer(
         constellation=CST, label_map=brgc_label(CST), amplitude_pmf=np.array([0.7, 0.3]),
-        n=6, eps=0.2, amplitude_seqs=tuple(itertools.product(range(2), repeat=6)),
+        n=6, eps=0.2, amplitude_seqs=np.array(list(itertools.product(range(2), repeat=6)), dtype=np.uint8),
     )
     codebook = draw_sign_codebook(layer.size, 1, 5, seed=3)
     dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, blind)

@@ -32,6 +32,11 @@ from oracle import (
 BSC01 = [[0.9, 0.1], [0.1, 0.9]]
 
 
+def _rows(members):
+    """The rows of an (N, n) member array as tuples, to compare with the oracles."""
+    return [tuple(row) for row in members.tolist()]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TypConfig(n=0, eps=0.1)
@@ -59,12 +64,12 @@ def test_typical_set_binary_n4():
     # (0.3, 0.7), n=4, eps=0.1: only the single-zero compositions qualify
     ts = enumerate_typical((0.3, 0.7), TypConfig(n=4, eps=0.1))
     assert ts.h == pytest.approx(0.8812908992306927, abs=1e-12)
-    assert ts.members == (
-        (0, 1, 1, 1),
-        (1, 0, 1, 1),
-        (1, 1, 0, 1),
-        (1, 1, 1, 0),
-    )
+    assert ts.members.tolist() == [
+        [0, 1, 1, 1],
+        [1, 0, 1, 1],
+        [1, 1, 0, 1],
+        [1, 1, 1, 0],
+    ]
     assert ts.bounds.typical_prob == pytest.approx(0.4116, abs=1e-12)
     assert ts.bounds.upper_ok and ts.bounds.member_prob_ok
     # typical mass < 1 - eps, so the cardinality lower bound is not claimed
@@ -83,7 +88,7 @@ def test_typical_set_binary_n4():
 def test_enumerate_typical_matches_oracle(pmf, n, eps):
     members, mass = typical_set_oracle(pmf, n, eps)
     ts = enumerate_typical(pmf, TypConfig(n=n, eps=eps))
-    assert ts.members == tuple(members)
+    assert _rows(ts.members) == members
     assert ts.bounds.typical_prob == pytest.approx(mass, abs=1e-12)
     count, mass2 = typical_count_by_composition(pmf, n, eps)
     assert ts.count == count
@@ -98,10 +103,46 @@ def test_uniform_pmf_everything_typical():
     assert ts.bounds.member_prob_ok
 
 
+def _assert_member_array(members, n):
+    assert members.dtype == np.uint8
+    assert members.ndim == 2 and members.shape[1] == n
+    assert members.flags.c_contiguous
+    assert not members.flags.writeable
+
+
+def test_member_arrays():
+    cfg = TypConfig(n=5, eps=0.25)
+    ts = enumerate_typical((0.4, 0.6), cfg)
+    bt = enumerate_b_typical((0.4, 0.6), [[0.7, 0.3], [0.3, 0.7]], cfg)
+    assert 0 < bt.count < ts.count
+    for s in (ts, bt, bt.base_set):
+        _assert_member_array(s.members, 5)
+        assert s.count == len(s.members)
+    assert bt.cond_probs.dtype == np.float64 and bt.cond_probs.shape == (bt.count,)
+    assert not bt.cond_probs.flags.writeable
+
+
+def test_empty_sets_have_zero_rows():
+    # one letter per sequence: rates 1.74 and 0.51 both miss H = 0.88 by more than 0.1
+    ts = enumerate_typical((0.3, 0.7), TypConfig(n=1, eps=0.1))
+    assert ts.members.shape == (0, 1) and ts.count == 0
+    _assert_member_array(ts.members, 1)
+    bt = enumerate_b_typical((0.3, 0.7), [[0.95, 0.05], [0.05, 0.95]], TypConfig(n=6, eps=0.25))
+    assert bt.members.shape == (0, 6) and bt.cond_probs.shape == (0,)
+    _assert_member_array(bt.members, 6)
+    assert lemma1_report(bt)["b_count"] == 0
+
+
+def test_members_of_a_wide_alphabet_widen_past_uint8():
+    ts = enumerate_typical(np.full(300, 1 / 300), TypConfig(n=1, eps=0.1))
+    assert ts.members.dtype == np.uint16
+    assert ts.members.tolist() == [[i] for i in range(300)]
+
+
 def test_is_typical_against_membership():
     cfg = TypConfig(n=5, eps=0.2)
     ts = enumerate_typical((0.3, 0.7), cfg)
-    member_set = set(ts.members)
+    member_set = set(_rows(ts.members))
     for idx in range(2**5):
         seq = tuple((idx >> k) & 1 for k in range(5))
         assert is_typical(seq, (0.3, 0.7), cfg) == (seq in member_set)
@@ -198,7 +239,7 @@ def test_b_typical_matches_oracle():
     t = [[0.6, 0.4], [0.4, 0.6]]
     orc = b_typical_oracle(p, t, 6, 0.25)
     bt = enumerate_b_typical(p, t, TypConfig(n=6, eps=0.25))
-    assert bt.members == tuple(u for u, _ in orc)
+    assert _rows(bt.members) == [u for u, _ in orc]
     assert bt.count == 56
     assert bt.exact
     for (u, pr), cp in zip(orc, bt.cond_probs):
@@ -214,8 +255,8 @@ def test_b_typical_can_be_empty():
 
 def test_b_typical_subset_of_typical():
     bt = enumerate_b_typical((0.4, 0.6), [[0.6, 0.4], [0.4, 0.6]], TypConfig(n=6, eps=0.25))
-    base = set(bt.base_set.members)
-    assert set(bt.members) <= base
+    base = set(_rows(bt.base_set.members))
+    assert set(_rows(bt.members)) <= base
 
 
 def test_lemma1_report_bounds_hold():
@@ -275,7 +316,7 @@ def test_b_typical_class_cache_matches_per_member_loop(pmf, transition, n, eps):
     want = _b_typical_per_member(pmf, transition, cfg)
     bt = enumerate_b_typical(pmf, transition, cfg)
     assert bt.exact and bt.count > 0
-    assert bt.members == tuple(u for u, _ in want)
+    assert _rows(bt.members) == [tuple(u.tolist()) for u, _ in want]
     assert len(bt.class_probs) < bt.base_set.count  # some class has several members
     for (_, pr), cp in zip(want, bt.cond_probs):
         assert abs(cp - pr) <= 1e-15
@@ -299,8 +340,8 @@ def test_b_typical_mc_shares_one_estimate_per_class():
     for u, cp in zip(bt.members, bt.cond_probs):
         assert cp == bt.class_probs[_composition(u, 2)].prob
     again = enumerate_b_typical(pmf, trans, cfg)
-    assert again.members == bt.members
-    assert again.cond_probs == bt.cond_probs
+    np.testing.assert_array_equal(again.members, bt.members)
+    np.testing.assert_array_equal(again.cond_probs, bt.cond_probs)
     assert again.class_probs == bt.class_probs
 
 
