@@ -2,23 +2,30 @@
 carry redundancy (plus an optional gamma * n information-sign budget), and
 decoding is a joint-typicality search.
 
-Seed discipline: the codebook draws from SeedSequence([seed, 0]), trial t from
-SeedSequence([seed, 1, t]), one stream per trial. Trials are scored in blocks
-of about BLOCK_CELLS (trial, candidate) cells, and `--threads` maps over the
+Seed discipline: the codebook draws from SeedSequence([seed, 0]). Trial t
+draws exactly what numpy's default_rng(SeedSequence([seed, 1, t])) gives
+through .integers(M_a), .integers(M_s) and .random(n), but `streams.draw`
+computes them for DRAW_CHUNK trials at once. It relies on numpy's
+SeedSequence mixing, PCG64 with the XSL-RR output, 32-bit Lemire bounded
+integers and 53-bit doubles; tests/test_streams.py fails if a numpy release
+changes any of them. Trials are scored in blocks of about BLOCK_CELLS (trial,
+candidate) cells, sliced from the drawn chunks, and `--threads` maps over the
 blocks; since every trial keeps its own stream, results do not depend on the
-block size or on how blocks are scheduled across threads.
+chunk or block size or on how blocks are scheduled across threads.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import streams
 from .alphabets import AskConstellation, LabelMap, brgc_label
 from .channel import Dmc
 from .errors import BudgetError, ConfigError
@@ -34,6 +41,9 @@ DECODE_BUDGET = 1_000_000
 # (trial, candidate) cells scored at once; bounds a block's working set, since
 # the candidate count can reach DECODE_BUDGET
 BLOCK_CELLS = 1 << 18
+# trials drawn per vectorised pass of streams.draw, rounded to whole blocks:
+# the pass has a fixed cost, which a one-trial block would pay per trial
+DRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -415,8 +425,10 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if not 0 < self.eps:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:  # NaN fails too
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n1(self) -> int:
@@ -469,15 +481,8 @@ class TrialStats:
 
 def _draw_trials(config, cand, trials: range):
     """Sent candidate and channel uniforms of each trial, from the trial's own stream."""
-    sent = np.empty(len(trials), dtype=np.intp)
-    u = np.empty((len(trials), config.n))
-    for j, t in enumerate(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, t]))
-        m_a = int(rng.integers(cand.m_a_count))
-        m_s = int(rng.integers(cand.m_s_count))
-        sent[j] = m_a * cand.m_s_count + m_s
-        u[j] = rng.random(config.n)
-    return sent, u
+    ints, u = streams.draw(config.seed, trials, (cand.m_a_count, cand.m_s_count), config.n)
+    return ints[:, 0] * cand.m_s_count + ints[:, 1], u
 
 
 def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -490,12 +495,11 @@ def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.n
     return np.minimum(y, cdf_rows.shape[1] - 1)
 
 
-def _score_block(decoder, cdf_rows, point_idx, config, log_pairwise, trials: range):
-    """[errors, kind1, kind2, both, pairwise-only] over one block of trials."""
-    sent, u = _draw_trials(config, decoder.cand, trials)
-    y = _channel_outputs(cdf_rows, point_idx[sent], u)
+def _score_block(decoder, log_pairwise, sent, y):
+    """[errors, kind1, kind2, both, pairwise-only] over one block of trials,
+    given each trial's sent candidate and (n,) output."""
     mask = decoder.accept_mask(y)  # (B, C)
-    hit = mask[np.arange(len(trials)), sent]
+    hit = mask[np.arange(len(sent)), sent]
     kind1 = ~hit
     kind2 = mask.sum(axis=1) - hit > 0
     pairwise_only = 0
@@ -533,13 +537,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     log_pairwise = config.decoder == "bmd"
 
     size = max(1, BLOCK_CELLS // cand.count)
-    blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
-    score = partial(_score_block, decoder, cdf_rows, point_idx, config, log_pairwise)
-    if threads <= 1:
-        parts = [score(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(score, blocks))
+    chunk = max(1, DRAW_CHUNK // size) * size  # whole blocks
+    score = partial(_score_block, decoder, log_pairwise)
+    parts = []
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        for start in range(0, config.trials, chunk):
+            sent, u = _draw_trials(config, cand, range(start, min(start + chunk, config.trials)))
+            y = _channel_outputs(cdf_rows, point_idx[sent], u)
+            starts = range(0, len(sent), size)
+            parts += mapper(score, [sent[i : i + size] for i in starts], [y[i : i + size] for i in starts])
     err, k1, k2, both, pairwise_only = (int(v) for v in np.sum(parts, axis=0))
     rate = (math.log2(layer.size) + n1) / config.n
     return TrialStats(

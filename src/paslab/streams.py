@@ -1,0 +1,163 @@
+"""The per-trial random streams of the sign-coding experiment, many trials at once.
+
+Trial t of a run seeded with `seed` draws from
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, t]))
+    [rng.integers(bound) for bound in bounds], rng.random(n)
+
+`draw` returns exactly these values for a range of trials without building a
+Generator per trial. It redoes numpy's algorithms as array arithmetic over
+trials:
+
+- SeedSequence: the entropy words [words(seed)..., 1, t] are hash-mixed into
+  a 4-word pool and expanded by `generate_state(4, np.uint64)`;
+- PCG64 (O'Neill, HMC-CS-2014-0905): 128-bit LCG seeded as
+  inc = 2 * seq + 1, state = (inc + init) * MULT + inc, each output one LCG
+  step followed by the XSL-RR output function;
+- `integers(M)` for 1 < M < 2^32: Lemire's 32-bit bounded integers
+  (ACM TOMACS 2019) on one 32-bit half of an output, the low half first and
+  the buffered high half next; M = 1 draws nothing;
+- `random`: (x >> 11) * 2^-53 on whole 64-bit outputs.
+
+Lemire rejects a draw when its low product word is below (2^32 - M) mod M,
+with probability under M / 2^32; those trials, and any case outside the
+ranges above, are redone by `per_trial`, the plain per-trial Generator code.
+tests/test_streams.py compares both against numpy itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+MASK32 = 0xFFFFFFFF
+# numpy SeedSequence constants (pool of 4 uint32 words)
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's default 128-bit LCG multiplier
+PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def per_trial(seed: int, trials, bounds: tuple, n: int):
+    """(len(trials), len(bounds)) integer draws and (len(trials), n)
+    uniforms of the trials numbered in `trials`, one Generator per trial."""
+    ints = np.empty((len(trials), len(bounds)), dtype=np.int64)
+    u = np.empty((len(trials), n))
+    for j, t in enumerate(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1, t]))
+        ints[j] = [rng.integers(bound) for bound in bounds]
+        u[j] = rng.random(n)
+    return ints, u
+
+
+def _words(value: int) -> list:
+    """value as 32-bit words, least significant first; 0 is one word."""
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    words = [value & MASK32]
+    while value := value >> 32:
+        words.append(value & MASK32)
+    return words
+
+
+def _pool_state(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(8) as (8, T) uint32, from (L, T)
+    uint32 entropy words (one column per trial)."""
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * MULT_A) & MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(POOL_SIZE, len(entropy)):
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * MULT_B) & MASK32
+        value = value * np.uint32(hash_const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return np.array(state)
+
+
+def _limbs(value: int) -> np.ndarray:
+    """A 128-bit constant as (4, 1) 32-bit limbs in uint64, least significant first."""
+    return np.array([[(value >> (32 * i)) & MASK32] for i in range(4)], dtype=np.uint64)
+
+
+def _mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a * b + c mod 2^128 on (4, ...) limb arrays; each limb product is split
+    into 32-bit halves, so no column sum can overflow 64 bits."""
+    cols = list(c)
+    for i in range(4):
+        for j in range(4 - i):
+            prod = a[i] * b[j]
+            cols[i + j] = cols[i + j] + (prod & MASK32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
+    out, carry = [], 0
+    for col in cols:
+        col = col + carry
+        out.append(col & MASK32)
+        carry = col >> 32
+    return np.array(out)
+
+
+def _xsl_rr(state: np.ndarray) -> np.ndarray:
+    """PCG64's 64-bit output of (4, T) limb states."""
+    x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
+    rot = state[3] >> 26
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def draw(seed: int, trials: range, bounds: tuple, n: int):
+    """`per_trial(seed, trials, bounds, n)`, computed for all trials at once."""
+    seed, bounds = int(seed), tuple(int(bound) for bound in bounds)
+    if trials.stop > 1 << 32 or not all(1 <= bound <= MASK32 for bound in bounds):
+        return per_trial(seed, trials, bounds, n)
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    head = np.array(_words(seed) + [1], dtype=np.uint32)
+    entropy = np.concatenate([np.repeat(head[:, None], len(t), axis=1), t[None]])
+    words = _pool_state(entropy).astype(np.uint64)
+    # generate_state(4, uint64) = [init_hi, init_lo, seq_hi, seq_lo]
+    init = words[[2, 3, 0, 1]]
+    seq = words[[6, 7, 4, 5]]
+    inc = ((seq << 1) | np.concatenate([np.ones_like(seq[:1]), seq[:3] >> 31])) & MASK32
+    mult = _limbs(PCG_MULT)
+    state = _mul_add(_mul_add(inc, _limbs(1), init), mult, inc)
+
+    drawn = [k for k, bound in enumerate(bounds) if bound > 1]
+    skip = (len(drawn) + 1) // 2  # outputs whose 32-bit halves the bounded draws take
+    outputs = []
+    for _ in range(skip + n):
+        state = _mul_add(state, mult, inc)
+        outputs.append(_xsl_rr(state))
+    ints = np.zeros((len(t), len(bounds)), dtype=np.int64)
+    rejected = np.zeros(len(t), dtype=bool)
+    halves = [half for out in outputs[:skip] for half in (out & MASK32, out >> 32)]
+    for k, half in zip(drawn, halves):
+        product = half * np.uint64(bounds[k])
+        rejected |= (product & MASK32) < (2**32 - bounds[k]) % bounds[k]
+        ints[:, k] = product >> 32
+    x = np.array(outputs[skip:], dtype=np.uint64).reshape(n, len(t)).T
+    u = (x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    if rejected.any():
+        redo = np.flatnonzero(rejected)
+        ints[redo], u[redo] = per_trial(seed, [trials[j] for j in redo], bounds, n)
+    return ints, u

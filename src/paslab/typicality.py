@@ -13,6 +13,7 @@ of being asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,8 +41,8 @@ class TypConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"block length must be >= 1, got {self.n}")
-        if not self.eps > 0:  # NaN fails too
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.budget < 1 or self.mc_samples < 1:
             raise ValueError("budget and mc_samples must be positive")
 

@@ -1,15 +1,21 @@
-"""Pinned stdout of `typ-dump` and `b-typ`: the cases in golden.json, each a
-command line, an optional JSON config and the sha256 of the command's full
-stdout.
+"""Pinned stdout of `typ-dump`, `b-typ` and `sim`: the cases in golden.json,
+each a command line, an optional JSON config and the sha256 of the command's
+full stdout.
 
     python tests/golden.py [SCRIPT]
 
 runs every case through the console script SCRIPT (default `paslab`) in a
 subprocess and exits 1 if any exit code or stdout hash differs;
-`tests/test_golden.py` checks the same cases in-process. The hashes were taken
-before typical-set members became arrays, so they pin the member-line format:
-digits for alphabets of at most 10 letters, comma-separated indices above
-that, and a header line alone for an empty set. A change that alters one of
+`tests/test_golden.py` checks the same cases in-process.
+
+The `typ-dump` and `b-typ` hashes were taken before typical-set members
+became arrays, so they pin the member-line format: digits for alphabets of at
+most 10 letters, comma-separated indices above that, and a header line alone
+for an empty set. The `sim` hashes (the README line, a bit-level run with
+pairwise-only acceptances and a linear-codebook run) were taken while each
+trial still built its own numpy Generator, so they pin the per-trial streams;
+`readme-sim-threads-3` repeats the README line at `--threads 3` under the same
+hash, which pins determinism across thread counts. A change that alters one of
 these outputs on purpose updates its hash here.
 """
 

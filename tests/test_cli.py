@@ -268,6 +268,36 @@ def test_sim_rejects_bad_input(tmp_path, capsys, overrides, argv, message):
     assert message in err and "Traceback" not in err
 
 
+EPS_BASE = {
+    "typ-dump": {"n": 3},
+    "b-typ": {"sigma": 0.45, "num_bins": 2, "n": 3},
+    "sim": {"noiseless": True, "n": 4, "trials": 5},
+}
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(EPS_BASE))
+def test_non_finite_eps_exit_code(tmp_path, capsys, command, spelling):
+    cfg = tmp_path / "cfg.json"
+    base = EPS_BASE[command]
+    cfg.write_text(json.dumps(base if spelling == "flag" else {**base, "eps": float("inf")}))  # bare Infinity
+    argv = ["--eps", "inf"] if spelling == "flag" else []
+    rc, out, err = run_cli([command, "--config", str(cfg), *argv], capsys)
+    assert rc == 2 and out == ""
+    assert "eps must be finite and positive, got inf" in err
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_sim_negative_seed_names_the_key(monkeypatch, tmp_path, capsys, spelling):
+    _forbid(monkeypatch, "paslab.signcode.build_shaping_layer", "the experiment started on a negative seed")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EPS_BASE["sim"], **({"seed": -1} if spelling == "config" else {})}))
+    argv = ["--seed", "-1"] if spelling == "flag" else []
+    rc, out, err = run_cli(["sim", "--config", str(cfg), *argv], capsys)
+    assert rc == 2 and out == ""
+    assert "config error: seed must be non-negative, got -1" in err
+
+
 @pytest.mark.parametrize("command", ["sim", "b-typ"])
 @pytest.mark.parametrize(
     "channel",

@@ -1,6 +1,8 @@
-"""The full stdout of the golden cases (the README `typ-dump` and `b-typ`
-lines, an 11-letter `typ-dump` and `b-typ` in the comma format, and an empty
-typical set) matches the sha256 pinned in golden.json."""
+"""The full stdout of the golden cases (the README `typ-dump`, `b-typ` and
+`sim` lines, an 11-letter `typ-dump` and `b-typ` in the comma format, an empty
+typical set, a bmd `sim` with pairwise-only acceptances, a linear-codebook
+`sim` and the README `sim` line at `--threads 3`) matches the sha256 pinned in
+golden.json."""
 
 import pytest
 
@@ -14,3 +16,8 @@ CASES = load_cases()
 def test_stdout_matches_pinned_hash(case, tmp_path, capsys):
     assert main(case_argv(case, tmp_path)) == 0
     assert sha256(capsys.readouterr().out.encode()) == case["sha256"]
+
+
+def test_threads_twin_pins_the_same_output():
+    hashes = {case["id"]: case["sha256"] for case in CASES}
+    assert hashes["readme-sim-threads-3"] == hashes["readme-sim"]

@@ -460,6 +460,9 @@ def test_experiment_config_validation():
         {"trials": 0},
         {"n": 0},
         {"eps": 0.0},
+        {"eps": float("inf")},
+        {"eps": float("nan")},
+        {"seed": -1},
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**good, **bad})

@@ -44,6 +44,8 @@ def test_config_validation():
         TypConfig(n=4, eps=0.0)
     with pytest.raises(ValueError):
         TypConfig(n=4, eps=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        TypConfig(n=4, eps=float("inf"))
     with pytest.raises(ValueError):
         TypConfig(n=4, eps=0.1, budget=0)
 
