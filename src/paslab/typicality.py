@@ -9,10 +9,19 @@ log-probability rate against entropy with a 1e-12 slack so boundary
 compositions do not flap with float noise. Cardinality/probability bounds
 that only hold for large n are reported with an applicability flag instead
 of being asserted.
+
+The probability that the channel output stays jointly typical with a given
+input u is type-class invariant: it depends on u only through its
+composition, and on an output sequence v only through the conditional type
+of v given u (how many positions holding each input letter carry each
+output letter). Its exact value is therefore a sum over conditional types,
+each weighted by the number of output sequences it holds (Csiszar and
+Korner's method of types), not a scan of the |V|^n output sequences.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,6 +54,8 @@ class TypConfig:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.budget < 1 or self.mc_samples < 1:
             raise ValueError("budget and mc_samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def empirical_rate(seq, pmf) -> float:
@@ -199,15 +210,85 @@ class CondProbResult(NamedTuple):
     exact: bool
 
 
+def _block_types(support: list, m: int, scores: np.ndarray):
+    """Yield (count, score) arrays over the compositions of the m outputs at
+    the positions that hold one input letter, at most CHUNK at a time.
+
+    Each composition is drawn once, as its sorted multiset of m letters from
+    support. count is the number of output orderings that share it,
+    m! / prod_v k_v! for its letter counts k_v; score is the (rows, 3) sum of
+    scores[v] over its letters.
+    """
+    draws = itertools.combinations_with_replacement(support, m)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(draws, CHUNK)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        letters = flat.reshape(-1, m)
+        # after j + 1 letters, count is that prefix's multinomial, an
+        # integer; count * (j + 1) is at most m times the final count, so
+        # float64 holds every step exactly
+        count = np.ones(len(letters))
+        run = np.ones(len(letters))
+        for j in range(1, m):
+            run = np.where(letters[:, j] == letters[:, j - 1], run + 1, 1.0)
+            count = count * (j + 1) / run
+        yield count, scores[letters].sum(axis=1)
+
+
+def _outer_types(blocks, count, score):
+    """Yield every combination of one composition per block, as (count,
+    score) with count the product and score the sum over the blocks after
+    the given prefix, at most CHUNK combinations at a time. blocks holds the
+    _block_types arguments of each block, whose compositions are drawn afresh
+    for every slice of the prefix."""
+    if not blocks:
+        yield count, score
+        return
+    for b_count, b_score in _block_types(*blocks[0]):
+        step = max(1, CHUNK // len(b_count))
+        for i in range(0, len(count), step):
+            yield from _outer_types(
+                blocks[1:],
+                (count[i:i + step, None] * b_count).ravel(),
+                (score[i:i + step, None] + b_score).reshape(-1, 3),
+            )
+
+
+def _conditional_types(u, t, joint, lut_v):
+    """Iterate (count, score) arrays over the conditional types of V given u,
+    at most CHUNK types at a time.
+
+    A conditional type fixes, for every letter a of u, how many of the
+    positions holding a carry each output letter. Its count is the number of
+    output sequences with that type; the columns of its score are the log2
+    of prod t(v_i|u_i), of prod p_V(v_i) and of prod p(u_i, v_i), which every
+    sequence of the type shares. Outputs with t(v|a) = 0 are left out of a's
+    block: their sequences have weight 0.
+    """
+    scores = np.stack(np.broadcast_arrays(log2_safe(t), lut_v, log2_safe(joint)), axis=-1)  # (|U|, |V|, 3)
+    blocks = [
+        (np.flatnonzero(t[a] > 0).tolist(), m, scores[a])
+        for a, m in enumerate(np.bincount(u, minlength=len(t)).tolist())
+        if m
+    ]
+    return _outer_types(blocks, np.ones(1), np.zeros((1, 3)))
+
+
 def conditional_typical_prob(
     u_seq, input_pmf, transition, config: TypConfig
 ) -> CondProbResult:
     """Pr{(u, V) jointly typical | U = u} with V drawn per-symbol from the
     transition rows.
 
-    Exact summation over the |V|^n grid inside the budget, otherwise a seeded
-    Monte Carlo estimate (the sample seed derives from config.seed and the
-    sequence itself, so the answer is a pure function of the inputs).
+    While the |V|^n output sequences fit the budget the result is exact: a
+    sum over the conditional types of V given u that pass the V and (U, V)
+    rate boxes, each type weighted by its multinomial count times the
+    probability t(v|u) its sequences share. It is type-class invariant, so
+    any member of u's composition class gives the same value. Above the
+    budget it is a seeded Monte Carlo estimate (the sample seed derives from
+    config.seed and the sequence itself, so the answer is a pure function of
+    the inputs).
     """
     p_u = check_pmf(input_pmf)
     t = np.asarray(transition, dtype=float)
@@ -229,22 +310,17 @@ def conditional_typical_prob(
         return CondProbResult(prob=0.0, stderr=0.0, exact=True)
 
     lut_v = log2_safe(p_v)  # per V symbol
-    lut_uv = log2_safe(joint)[u]  # (n, kv): row i scores position i
 
     if kv**n <= config.budget:
         total = 0.0
-        log2_t = log2_safe(t)[u]  # (n, kv) channel weights per position
-        for start in range(0, kv**n, CHUNK):
-            block = _digit_block(start, min(start + CHUNK, kv**n), kv, n)
-            rows = np.arange(n)
-            rv = -lut_v[block].sum(axis=1) / n
-            ruv = -lut_uv[rows, block].sum(axis=1) / n
-            ok = (np.abs(rv - h_v) <= eps) & (np.abs(ruv - h_uv) <= eps)
+        for count, score in _conditional_types(u, t, joint, lut_v):
+            lt, lv, luv = score.T
+            ok = (np.abs(-lv / n - h_v) <= eps) & (np.abs(-luv / n - h_uv) <= eps)
             if ok.any():
-                lw = log2_t[rows, block[ok]].sum(axis=1)
-                total += float(np.exp2(lw).sum())
+                total += float((count[ok] * np.exp2(lt[ok])).sum())
         return CondProbResult(prob=min(total, 1.0), stderr=0.0, exact=True)
 
+    lut_uv = log2_safe(joint)[u]  # (n, kv): row i scores position i
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, *map(int, u)]))
     cdf = np.cumsum(t[u], axis=1)  # (n, kv)
     hits = 0

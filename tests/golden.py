@@ -15,8 +15,12 @@ for an empty set. The `sim` hashes (the README line, a bit-level run with
 pairwise-only acceptances and a linear-codebook run) were taken while each
 trial still built its own numpy Generator, so they pin the per-trial streams;
 `readme-sim-threads-3` repeats the README line at `--threads 3` under the same
-hash, which pins determinism across thread counts. A change that alters one of
-these outputs on purpose updates its hash here.
+hash, which pins determinism across thread counts. The last three `b-typ`
+hashes were taken while the exact conditional probabilities still scanned
+every |V|^n output sequence: `b-typ-monte-carlo` (budget 100) and
+`b-typ-4-bins-n7` (12^7 outputs, above the default budget) pin the Monte
+Carlo path, and `b-typ-m2-n4` pins an exact 8-ASK case. A change that
+alters one of these outputs on purpose updates its hash here.
 """
 
 from __future__ import annotations

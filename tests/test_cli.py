@@ -298,6 +298,17 @@ def test_sim_negative_seed_names_the_key(monkeypatch, tmp_path, capsys, spelling
     assert "config error: seed must be non-negative, got -1" in err
 
 
+@pytest.mark.parametrize("budget", [10_000_000, 100], ids=["exact", "monte-carlo"])
+def test_b_typ_negative_seed_names_the_key(monkeypatch, capsys, budget):
+    # at budget 100 the 8-letter output grid of n=3 falls back to Monte Carlo,
+    # the only path that reads the seed
+    _forbid(monkeypatch, "paslab.typicality.enumerate_typical", "the enumeration started on a negative seed")
+    argv = ["b-typ", "--sigma", "0.45", "--num-bins", "2", "--n", "3", "--budget", str(budget), "--seed", "-1"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    assert "config error: seed must be non-negative, got -1" in err
+
+
 @pytest.mark.parametrize("command", ["sim", "b-typ"])
 @pytest.mark.parametrize(
     "channel",

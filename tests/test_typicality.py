@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,7 @@ from paslab import typicality
 from paslab.alphabets import make_ask
 from paslab.channel import gaussian_dmc
 from paslab.errors import BudgetError
+from paslab.infomeasures import entropy, log2_safe
 from paslab.signcode import sign_output_transition
 from paslab.typicality import (
     LOG_SLACK,
@@ -48,6 +53,8 @@ def test_config_validation():
         TypConfig(n=4, eps=float("inf"))
     with pytest.raises(ValueError):
         TypConfig(n=4, eps=0.1, budget=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TypConfig(n=4, eps=0.1, seed=-1)
 
 
 def test_empirical_rate_matches_oracle():
@@ -234,6 +241,130 @@ def test_conditional_prob_validates_transition():
         conditional_typical_prob((0, 1, 0, 1), (0.5, 0.5), [[0.7, 0.7], [0.5, 0.5]], cfg)
     with pytest.raises(ValueError):
         conditional_typical_prob((0, 1, 0), (0.5, 0.5), BSC01, cfg)
+
+
+def _grid_prob(u, pmf, transition, config):
+    """Pr{(u, V) jointly typical | u} by scanning every one of the |V|^n output
+    sequences in CHUNK rows at a time: the exact engine the method of types
+    replaced, kept as its reference."""
+    p_u = np.asarray(pmf, dtype=float)
+    t = np.asarray(transition, dtype=float)
+    u = np.asarray(u, dtype=np.intp)
+    n, kv = config.n, t.shape[1]
+    joint = p_u[:, None] * t
+    p_v = joint.sum(axis=0)
+    h_v, h_uv = entropy(p_v), entropy(joint)
+    eps = config.eps + LOG_SLACK
+    lut_v = log2_safe(p_v)
+    lut_uv = log2_safe(joint)[u]
+    log2_t = log2_safe(t)[u]
+    rows = np.arange(n)
+    total = 0.0
+    for start in range(0, kv**n, typicality.CHUNK):
+        block = typicality._digit_block(start, min(start + typicality.CHUNK, kv**n), kv, n)
+        rv = -lut_v[block].sum(axis=1) / n
+        ruv = -lut_uv[rows, block].sum(axis=1) / n
+        ok = (np.abs(rv - h_v) <= eps) & (np.abs(ruv - h_uv) <= eps)
+        if ok.any():
+            total += float(np.exp2(log2_t[rows, block[ok]].sum(axis=1)).sum())
+    return min(total, 1.0)
+
+
+def _sign_transition(m, sigma, num_bins):
+    cst = make_ask(m)
+    dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=num_bins)
+    return sign_output_transition(cst, dmc)
+
+
+def _class_firsts(pmf, config):
+    """The first member of every composition class of the typical set."""
+    members = enumerate_typical(pmf, config).members
+    _, first, _ = typicality._type_classes(members, len(pmf))
+    return members[np.sort(first)]
+
+
+TYPE_ENGINE_CASES = {
+    # id: (pmf, transition, n, eps)
+    "m1-sign-output": ((0.5, 0.5), _sign_transition(1, 0.45, 2), 6, 0.1),
+    "m1-sign-output-3-bins": ((0.7, 0.3), _sign_transition(1, 0.6, 3), 5, 0.3),
+    "m2-sign-output-n-distinct": ((0.25,) * 4, _sign_transition(2, 0.3, 2), 4, 0.3),
+    "m2-sign-output-eps0.6": ((0.1, 0.2, 0.3, 0.4), _sign_transition(2, 0.5, 2), 3, 0.6),
+    "zero-cells": ((0.3, 0.3, 0.4), [[0.5, 0.5, 0, 0], [0, 0.2, 0.8, 0], [0.1, 0, 0.6, 0.3]], 5, 0.4),
+    "zero-column": ((0.5, 0.5), [[0.7, 0.0, 0.3], [0.2, 0.0, 0.8]], 6, 0.2),
+    "three-letter-n-distinct": ((0.3, 0.3, 0.4), [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], 3, 0.5),
+    "n1": ((0.5, 0.5), BSC01, 1, 0.6),
+    "binary-n10": ((0.4, 0.6), [[0.6, 0.4], [0.4, 0.6]], 10, 0.25),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_ENGINE_CASES))
+def test_type_engine_matches_grid_scan(case):
+    pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+    cfg = TypConfig(n=n, eps=eps)
+    firsts = _class_firsts(pmf, cfg)
+    assert len(firsts) > 0
+    if case.endswith("n-distinct"):
+        assert max(len(set(u.tolist())) for u in firsts) == n
+    probs = []
+    for u in firsts:
+        res = conditional_typical_prob(u, pmf, transition, cfg)
+        want = _grid_prob(u, pmf, transition, cfg)
+        assert res.exact and res.stderr == 0.0
+        assert abs(res.prob - want) <= 2e-15, (u, res.prob, want)
+        keep = 1.0 - eps - LOG_SLACK
+        assert (res.prob >= keep) == (want >= keep)
+        probs.append(res.prob)
+    assert max(probs) > 0
+
+
+@pytest.mark.parametrize("case", ["m2-sign-output-n-distinct", "zero-cells", "binary-n10"])
+def test_type_engine_chunks_bound_memory_and_agree(monkeypatch, case):
+    pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+    cfg = TypConfig(n=n, eps=eps)
+    firsts = _class_firsts(pmf, cfg)
+    want = [conditional_typical_prob(u, pmf, transition, cfg).prob for u in firsts]
+    monkeypatch.setattr(typicality, "CHUNK", 5)  # below the blocks' sizes: every split runs
+    got = [conditional_typical_prob(u, pmf, transition, cfg).prob for u in firsts]
+    assert got == pytest.approx(want, abs=2e-15)
+    t = np.asarray(transition, dtype=float)
+    joint = np.asarray(pmf)[:, None] * t
+    lut_v = log2_safe(joint.sum(axis=0))
+    support = (t > 0).sum(axis=1)
+    for u in firsts:
+        sizes = [len(count) for count, _ in typicality._conditional_types(u, t, joint, lut_v)]
+        letter_counts = np.bincount(u, minlength=len(t))
+        types = math.prod(math.comb(m + s - 1, s - 1) for m, s in zip(letter_counts, support))
+        assert max(sizes) <= 5 and sum(sizes) == types
+
+
+def test_type_engine_is_no_further_from_exact_than_grid():
+    pmf, transition, n, eps = TYPE_ENGINE_CASES["binary-n10"]
+    cfg = TypConfig(n=n, eps=eps)
+    shape = (len(pmf), len(transition[0]))
+    joint = {(a, b): pmf[a] * transition[a][b] for a in range(shape[0]) for b in range(shape[1])}
+    weight = [[Fraction(x) for x in row] for row in transition]  # the floats' exact values
+    for u in _class_firsts(pmf, cfg).tolist():
+        exact = sum(
+            (math.prod(weight[a][b] for a, b in zip(u, v))
+             for v in product(range(shape[1]), repeat=n)
+             if jointly_typical_oracle((u, v), joint, shape, eps)),
+            Fraction(0),
+        )
+        engine = conditional_typical_prob(u, pmf, transition, cfg).prob
+        grid = _grid_prob(u, pmf, transition, cfg)
+        assert abs(Fraction(engine) - exact) <= abs(Fraction(grid) - exact), u
+
+
+def test_type_engine_scans_no_sequence_grid(monkeypatch):
+    def no_grid(*a, **k):
+        raise AssertionError("conditional_typical_prob built a |V|^n sequence grid")
+
+    pmf, transition, n, eps = TYPE_ENGINE_CASES["m1-sign-output"]
+    cfg = TypConfig(n=n, eps=eps)
+    firsts = _class_firsts(pmf, cfg)  # enumerate_typical still scans its |U|^n grid
+    monkeypatch.setattr(typicality, "_digit_block", no_grid)
+    res = [conditional_typical_prob(u, pmf, transition, cfg) for u in firsts]
+    assert all(r.exact for r in res) and max(r.prob for r in res) > 0
 
 
 def test_b_typical_matches_oracle():
