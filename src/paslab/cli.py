@@ -32,7 +32,7 @@ from .channel import AwgnSpec, Dmc, gaussian_dmc, identity_dmc
 from .errors import BudgetError, ConfigError, ConvergenceError
 from .infomeasures import check_pmf
 from .signcode import ExperimentConfig, run_experiment, sign_output_transition
-from .typicality import TypConfig, enumerate_b_typical, enumerate_typical, lemma1_report
+from .typicality import DEFAULT_BUDGET, TypConfig, enumerate_b_typical, enumerate_typical, lemma1_report
 
 MAX_SWEEP_POINTS = 10_000
 # kind1 and kind2 are the errors_kind1 and errors_kind2 fields of the sim stats
@@ -121,15 +121,13 @@ OPTIONS = {
         Option("pmf", _floats, (0.5, 0.5)),
         Option("n", _int, 4, flag=True),
         Option("eps", _float, 0.1, flag=True),
-        Option("budget", _int, 10_000_000, flag=True),
+        Option("budget", _int, DEFAULT_BUDGET, flag=True),
     ),
     "b-typ": (
         *_CHANNEL,
         Option("n", _int, 6, flag=True),
         Option("eps", _float, 0.2, flag=True),
-        Option("budget", _int, 10_000_000, flag=True),
-        Option("mc_samples", _int, 100_000, flag=True),
-        Option("seed", _int, 0, flag=True),
+        Option("budget", _int, DEFAULT_BUDGET, flag=True),
         Option("transition", _floats, replaces=_CHANNEL_KEYS),
         Option("pmf", _floats),
         *_CHANNEL_QUANTIZER,
@@ -144,7 +142,6 @@ OPTIONS = {
         Option("seed", _int, 0, flag=True),
         Option("codebook_mode", str, "iid"),
         Option("typ_budget", _int),
-        Option("mc_samples", _int),
         *_CHANNEL_QUANTIZER,
     ),
 }
@@ -351,7 +348,7 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
         pmf = _amplitude_pmf(v, cst.num_amplitudes)
         trans = sign_output_transition(cst, _build_channel(v, cst, pmf))
     with _config_errors():
-        tc = TypConfig(**{key: v[key] for key in ("n", "eps", "budget", "mc_samples", "seed")})
+        tc = TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"])
         b = enumerate_b_typical(pmf, trans, tc)
     report = lemma1_report(b)
     header = {"config": cfg, "h_u": b.h_u, "count": b.count, "exact": b.exact}
@@ -372,7 +369,7 @@ def cmd_sim(args, cfg: dict, v: dict) -> None:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     cst = _make_constellation(v)
     pmf = _amplitude_pmf(v, cst.num_amplitudes)
-    keys = ("eps", "n", "gamma", "decoder", "trials", "seed", "codebook_mode", "typ_budget", "mc_samples")
+    keys = ("eps", "n", "gamma", "decoder", "trials", "seed", "codebook_mode", "typ_budget")
     exp = ExperimentConfig(
         constellation=cst,
         dmc=_build_channel(v, cst, pmf),

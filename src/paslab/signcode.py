@@ -31,6 +31,7 @@ from .channel import Dmc
 from .errors import BudgetError, ConfigError
 from .infomeasures import check_pmf, entropy_raw, log2_safe
 from .typicality import (
+    DEFAULT_BUDGET,
     LOG_SLACK,
     BTypicalSet,
     TypConfig,
@@ -68,10 +69,6 @@ class ShapingLayer:
     def size(self) -> int:
         return len(self.amplitude_seqs)
 
-    @property
-    def exact(self) -> bool:
-        return self.b_set.exact
-
 
 def sign_output_transition(constellation: AskConstellation, dmc: Dmc) -> np.ndarray:
     """p((s, y) | a) with uniform signs, flattened as v = s_bit * nout + y."""
@@ -87,20 +84,13 @@ def build_shaping_layer(
     amplitude_pmf,
     n: int,
     eps: float,
-    budget: int = None,
-    mc_samples: int = None,
-    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
 ) -> ShapingLayer:
     """Enumerate the conditioned typical set of shaped amplitudes."""
     p_a = check_pmf(amplitude_pmf)
     if p_a.shape != (constellation.num_amplitudes,):
         raise ValueError("amplitude_pmf must cover the amplitude alphabet")
-    kwargs = {}
-    if budget is not None:
-        kwargs["budget"] = budget
-    if mc_samples is not None:
-        kwargs["mc_samples"] = mc_samples
-    cfg = TypConfig(n=n, eps=eps, seed=seed, **kwargs)
+    cfg = TypConfig(n=n, eps=eps, budget=budget)
     trans = sign_output_transition(constellation, dmc)
     b_set = enumerate_b_typical(p_a, trans, cfg)
     if b_set.count == 0:
@@ -411,8 +401,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     codebook_mode: str = "iid"
-    typ_budget: int = None
-    mc_samples: int = None
+    typ_budget: int = None  # the typicality budget; None is DEFAULT_BUDGET
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -429,6 +418,8 @@ class ExperimentConfig:
             raise ConfigError(f"eps must be finite and positive, got {self.eps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.typ_budget is not None and self.typ_budget < 1:
+            raise ConfigError(f"typ_budget must be positive, got {self.typ_budget}")
 
     @property
     def n1(self) -> int:
@@ -520,9 +511,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
         np.asarray(config.amplitude_pmf, dtype=float),
         config.n,
         config.eps,
-        budget=config.typ_budget,
-        mc_samples=config.mc_samples,
-        seed=config.seed,
+        DEFAULT_BUDGET if config.typ_budget is None else config.typ_budget,
     )
     n1, n2 = config.n1, config.n - config.n1
     amp_bits = layer_amplitude_bits(layer) if config.codebook_mode == "linear" else None

@@ -16,7 +16,9 @@ composition, and on an output sequence v only through the conditional type
 of v given u (how many positions holding each input letter carry each
 output letter). Its exact value is therefore a sum over conditional types,
 each weighted by the number of output sequences it holds (Csiszar and
-Korner's method of types), not a scan of the |V|^n output sequences.
+Korner's method of types), not a scan of the |V|^n output sequences. It is
+exact while those types fit the budget and a Monte Carlo estimate above it;
+either way a function of u's type class alone.
 """
 
 from __future__ import annotations
@@ -33,29 +35,27 @@ from .infomeasures import check_pmf, entropy, log2_safe
 
 LOG_SLACK = 1e-12
 DEFAULT_BUDGET = 10_000_000
-DEFAULT_MC_SAMPLES = 100_000
+MC_SAMPLES = 100_000
 CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class TypConfig:
-    """Block length, tolerance and enumeration limits."""
+    """Block length, tolerance and the work budget: the most sequences an
+    enumeration may scan, and the most conditional types an exact
+    conditional probability may visit."""
 
     n: int
     eps: float
     budget: int = DEFAULT_BUDGET
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"block length must be >= 1, got {self.n}")
         if not 0 < self.eps < math.inf:  # NaN fails too
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if self.budget < 1 or self.mc_samples < 1:
-            raise ValueError("budget and mc_samples must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be positive, got {self.budget}")
 
 
 def empirical_rate(seq, pmf) -> float:
@@ -206,8 +206,26 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
 
 class CondProbResult(NamedTuple):
     prob: float
-    stderr: float
-    exact: bool
+    exact: bool  # False for a Monte Carlo estimate
+
+
+def _check_transition(transition, size: int) -> np.ndarray:
+    """Validate and return a size x |V| row-stochastic transition matrix."""
+    t = np.asarray(transition, dtype=float)
+    # NaN fails the sign test and an infinity the row sums
+    shape_ok = t.ndim == 2 and t.shape[0] == size
+    if not (shape_ok and np.all(t >= 0) and np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError(f"transition must be {size} rows of finite non-negative entries, each summing to 1")
+    return t
+
+
+def _type_count(u: np.ndarray, t: np.ndarray) -> int:
+    """The number of conditional types of V given u that _conditional_types
+    visits: prod over input letters a of C(n_a + s_a - 1, s_a - 1), with n_a
+    the positions of u holding a and s_a the outputs with t(v|a) > 0."""
+    support = (t > 0).sum(axis=1).tolist()
+    counts = np.bincount(u, minlength=len(t)).tolist()
+    return math.prod(math.comb(m + s - 1, s - 1) for m, s in zip(counts, support))
 
 
 def _block_types(support: list, m: int, scores: np.ndarray):
@@ -281,21 +299,16 @@ def conditional_typical_prob(
     """Pr{(u, V) jointly typical | U = u} with V drawn per-symbol from the
     transition rows.
 
-    While the |V|^n output sequences fit the budget the result is exact: a
-    sum over the conditional types of V given u that pass the V and (U, V)
-    rate boxes, each type weighted by its multinomial count times the
-    probability t(v|u) its sequences share. It is type-class invariant, so
-    any member of u's composition class gives the same value. Above the
-    budget it is a seeded Monte Carlo estimate (the sample seed derives from
-    config.seed and the sequence itself, so the answer is a pure function of
-    the inputs).
+    While the conditional types of V given u fit the budget (their count is
+    _type_count) the result is exact: a sum over the types that pass the V
+    and (U, V) rate boxes, each weighted by its multinomial count times the
+    probability t(v|u) its sequences share. Above the budget it is a Monte
+    Carlo estimate of MC_SAMPLES draws, seeded by the composition of u and
+    drawn over u sorted. Either way the result is a function of u's type
+    class: every permutation of u gives the same value, bit for bit.
     """
     p_u = check_pmf(input_pmf)
-    t = np.asarray(transition, dtype=float)
-    if t.ndim != 2 or t.shape[0] != p_u.size:
-        raise ValueError("transition must be |U| x |V| row-stochastic")
-    if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("transition rows must sum to 1")
+    t = _check_transition(transition, p_u.size)
     u = np.asarray(u_seq, dtype=np.intp)
     if u.size != config.n:
         raise ValueError("u_seq must have length config.n")
@@ -307,39 +320,35 @@ def conditional_typical_prob(
 
     rate_u = empirical_rate(u, p_u)
     if abs(rate_u - h_u) > eps:
-        return CondProbResult(prob=0.0, stderr=0.0, exact=True)
+        return CondProbResult(prob=0.0, exact=True)
 
     lut_v = log2_safe(p_v)  # per V symbol
 
-    if kv**n <= config.budget:
+    if _type_count(u, t) <= config.budget:
         total = 0.0
         for count, score in _conditional_types(u, t, joint, lut_v):
             lt, lv, luv = score.T
             ok = (np.abs(-lv / n - h_v) <= eps) & (np.abs(-luv / n - h_uv) <= eps)
             if ok.any():
                 total += float((count[ok] * np.exp2(lt[ok])).sum())
-        return CondProbResult(prob=min(total, 1.0), stderr=0.0, exact=True)
+        return CondProbResult(prob=min(total, 1.0), exact=True)
 
+    rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=p_u.size).tolist()))
+    u = np.sort(u)
     lut_uv = log2_safe(joint)[u]  # (n, kv): row i scores position i
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, *map(int, u)]))
     cdf = np.cumsum(t[u], axis=1)  # (n, kv)
     hits = 0
-    remaining = config.mc_samples
     rows = np.arange(n)
-    while remaining > 0:
-        batch = min(remaining, CHUNK)
-        draws = rng.random((batch, n))
-        v = np.empty((batch, n), dtype=np.intp)
+    for start in range(0, MC_SAMPLES, CHUNK):
+        draws = rng.random((min(CHUNK, MC_SAMPLES - start), n))
+        v = np.empty(draws.shape, dtype=np.intp)
         for i in range(n):
             v[:, i] = np.searchsorted(cdf[i], draws[:, i], side="right")
         np.minimum(v, kv - 1, out=v)  # guard against cdf tails just under 1.0
         rv = -lut_v[v].sum(axis=1) / n
         ruv = -lut_uv[rows, v].sum(axis=1) / n
         hits += int(((np.abs(rv - h_v) <= eps) & (np.abs(ruv - h_uv) <= eps)).sum())
-        remaining -= batch
-    p_hat = hits / config.mc_samples
-    stderr = float(np.sqrt(p_hat * (1 - p_hat) / config.mc_samples))
-    return CondProbResult(prob=p_hat, stderr=stderr, exact=False)
+    return CondProbResult(prob=hits / MC_SAMPLES, exact=False)
 
 
 def _type_classes(members: np.ndarray, k: int):
@@ -375,8 +384,7 @@ class BTypicalSet:
     symbol counts of u, as a tuple) to the CondProbResult computed on the
     class's first member in lexicographic order. members is a read-only
     (N, n) index array of the kept sequences, in lexicographic order, and
-    cond_probs the (N,) float array of their class probabilities. A Monte
-    Carlo estimate is seeded by the class's first member.
+    cond_probs the (N,) float array of their class probabilities.
     """
 
     input_pmf: np.ndarray
@@ -399,11 +407,13 @@ class BTypicalSet:
 def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet:
     """Filter the typical set of U by the conditional joint-typicality test.
 
-    The test probability is computed once per composition class, on the
-    class's first member in lexicographic order (which also seeds a Monte
-    Carlo estimate), and shared by every other member of the class.
+    The transition is checked first, so a bad one fails even when the typical
+    set is empty. The test probability is computed once per composition
+    class, on the class's first member in lexicographic order, and shared by
+    every other member of the class.
     """
     p_u = check_pmf(input_pmf)
+    transition = _check_transition(transition, p_u.size)
     base = enumerate_typical(p_u, config)
     counts, first, inverse = _type_classes(base.members, p_u.size)
     keys = [tuple(row) for row in counts.tolist()]
@@ -434,8 +444,7 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
 
     The joint typical mass weighs every typical u by its class's conditional
     probability from b_set.class_probs (type-class invariant, computed on the
-    class's first member, which also seeds a Monte Carlo estimate), so
-    rejected members are not tested again.
+    class's first member), so rejected members are not tested again.
     """
     cfg = b_set.config
     n, eps, h = cfg.n, cfg.eps, b_set.h_u

@@ -8,19 +8,22 @@ runs every case through the console script SCRIPT (default `paslab`) in a
 subprocess and exits 1 if any exit code or stdout hash differs;
 `tests/test_golden.py` checks the same cases in-process.
 
-The `typ-dump` and `b-typ` hashes were taken before typical-set members
-became arrays, so they pin the member-line format: digits for alphabets of at
-most 10 letters, comma-separated indices above that, and a header line alone
-for an empty set. The `sim` hashes (the README line, a bit-level run with
-pairwise-only acceptances and a linear-codebook run) were taken while each
-trial still built its own numpy Generator, so they pin the per-trial streams;
-`readme-sim-threads-3` repeats the README line at `--threads 3` under the same
-hash, which pins determinism across thread counts. The last three `b-typ`
-hashes were taken while the exact conditional probabilities still scanned
-every |V|^n output sequence: `b-typ-monte-carlo` (budget 100) and
-`b-typ-4-bins-n7` (12^7 outputs, above the default budget) pin the Monte
-Carlo path, and `b-typ-m2-n4` pins an exact 8-ASK case. A change that
-alters one of these outputs on purpose updates its hash here.
+The `typ-dump` hashes were taken before typical-set members became arrays,
+and `b-typ` has printed its members the same way since, so they pin the
+member-line format: digits for alphabets of at most 10 letters, comma-separated indices
+above that, and a header line alone for an empty set. The `sim` runs (the
+README line, a bit-level run with pairwise-only acceptances and a
+linear-codebook run) keep the per-trial streams of the time each trial built
+its own numpy Generator; `readme-sim-threads-3` repeats the README line at
+`--threads 3` under the same hash, which pins determinism across thread
+counts. Every `b-typ` and `sim` hash was last re-pinned when the typicality
+seed and sample-count keys left the echoed config. Only `b-typ-monte-carlo`
+pins the Monte Carlo path: at budget 100 every typical class has more
+conditional types (at least 462) than the budget allows, so each class gets
+an estimate of 100,000 draws seeded by its composition. `b-typ-4-bins-n7`
+(12^7 outputs, at most 117,975 conditional types per class) and
+`b-typ-m2-n4` (8-ASK) pin exact cases. A change that alters one of these
+outputs on purpose updates its hash here.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from paslab.cli import OPTIONS, SIM_CSV_COLUMNS, _bool, _float, _int, main
 from paslab.errors import ConvergenceError
+from paslab.typicality import TypConfig, enumerate_typical
 
 
 def run_cli(argv, capsys):
@@ -98,6 +99,23 @@ def test_b_typ_output_is_self_consistent(tmp_path, capsys):
                 "large_n_proxy", "joint_typical_mass", "b_mass", "b_count"):
         assert key in header
     assert header["b_count"] == header["count"]
+
+
+def test_large_n_bounds_bind_on_the_quantized_channel(tmp_path, capsys):
+    # at n=16 the typical mass of p_A = (0.7, 0.3) reaches 1 - eps = 0.8, so the
+    # cardinality lower bound applies; the amplitudes reach 6 and 7 of the 8
+    # sign-output letters, so the largest typical class has 3.4 M conditional
+    # types, inside the budget, while the 8^16 output grid is not
+    bounds = enumerate_typical((0.7, 0.3), TypConfig(n=16, eps=0.2)).bounds
+    assert bounds.lower_applicable and bounds.lower_ok
+    cfg = tmp_path / "bt.json"
+    cfg.write_text(json.dumps({"amplitude_pmf": [0.7, 0.3]}))
+    argv = ["b-typ", "--sigma", "0.45", "--num-bins", "2", "--n", "16", "--eps", "0.2", "--config", str(cfg)]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    header = json.loads(out.partition("\n")[0])
+    assert header["exact"] and header["p2_ok"] and header["p3_lower_ok"]
+    assert header["count"] > 0
 
 
 def test_b_typ_transition_requires_pmf(tmp_path, capsys):
@@ -298,15 +316,60 @@ def test_sim_negative_seed_names_the_key(monkeypatch, tmp_path, capsys, spelling
     assert "config error: seed must be non-negative, got -1" in err
 
 
-@pytest.mark.parametrize("budget", [10_000_000, 100], ids=["exact", "monte-carlo"])
-def test_b_typ_negative_seed_names_the_key(monkeypatch, capsys, budget):
-    # at budget 100 the 8-letter output grid of n=3 falls back to Monte Carlo,
-    # the only path that reads the seed
-    _forbid(monkeypatch, "paslab.typicality.enumerate_typical", "the enumeration started on a negative seed")
-    argv = ["b-typ", "--sigma", "0.45", "--num-bins", "2", "--n", "3", "--budget", str(budget), "--seed", "-1"]
-    rc, out, err = run_cli(argv, capsys)
+RETIRED_KEYS = [("b-typ", "seed"), ("b-typ", "mc_samples"), ("sim", "mc_samples")]
+
+
+@pytest.mark.parametrize("command, key", RETIRED_KEYS, ids=[f"{c}-{k}" for c, k in RETIRED_KEYS])
+def test_retired_typicality_keys_are_rejected(monkeypatch, tmp_path, capsys, command, key):
+    # a typicality estimate is a function of the type class alone: no seed or
+    # sample count reaches it, as a flag or as a config key
+    _forbid(monkeypatch, "paslab.typicality.enumerate_typical", f"the enumeration started with {key}")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EPS_BASE[command], key: 1}))
+    rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert rc == 2 and out == ""
-    assert "config error: seed must be non-negative, got -1" in err
+    assert f"config error: unknown config keys: {key}" in err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", "--" + key.replace("_", "-"), "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("typ-dump", "budget"), ("b-typ", "budget"), ("sim", "typ_budget")],
+)
+def test_non_positive_budget_names_the_key(monkeypatch, tmp_path, capsys, command, key):
+    _forbid(monkeypatch, "paslab.typicality.enumerate_typical", "the enumeration started on a zero budget")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EPS_BASE[command], key: 0}))
+    rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert f"config error: {key} must be positive, got 0" in err
+
+
+BAD_TRANSITION = [[1.5, -0.5], [0.5, 0.5]]  # rows sum to 1
+
+
+@pytest.mark.parametrize(
+    "transition, n",
+    [
+        (BAD_TRANSITION, 1),  # the typical set is empty
+        (BAD_TRANSITION, 4),
+        ([[float("nan"), 0.5], [0.5, 0.5]], 4),
+        ([[float("inf"), 0.5], [0.5, 0.5]], 4),
+        ([[0.6, 0.3], [0.5, 0.5]], 4),
+        ([[0.6, 0.4]], 4),
+    ],
+    ids=["negative-empty-set", "negative", "nan", "inf", "row-sum", "shape"],
+)
+def test_b_typ_rejects_bad_transition_up_front(monkeypatch, tmp_path, capsys, transition, n):
+    _forbid(monkeypatch, "paslab.typicality.enumerate_typical", "the enumeration started on a bad transition")
+    cfg = tmp_path / "bt.json"
+    cfg.write_text(json.dumps({"pmf": [0.3, 0.7], "transition": transition, "n": n, "eps": 0.1}))
+    rc, out, err = run_cli(["b-typ", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert "config error: transition must be 2 rows of finite non-negative entries, each summing to 1" in err
 
 
 @pytest.mark.parametrize("command", ["sim", "b-typ"])
@@ -477,7 +540,6 @@ FAULTS = {
     "n": st.one_of(st.integers(-1, 0), JUNK),
     "eps": st.one_of(st.floats(-0.5, 0), JUNK),
     "seed": st.one_of(st.integers(-3, -1), JUNK),
-    "mc_samples": st.one_of(st.integers(-1, 20), JUNK),
     "gamma": st.one_of(st.floats(-0.5, -0.01), st.floats(1, 2), JUNK),
     "decoder": st.one_of(st.just("joint"), JUNK),
     "codebook_mode": st.one_of(st.just("bogus"), JUNK),
@@ -522,7 +584,6 @@ def _valid_base(m):
             "num_bins": st.integers(2, 3),
             "n": st.integers(1, 4),
             "eps": st.floats(0.05, 0.6),
-            "seed": st.integers(0, 3),
         }
     )
 
@@ -545,6 +606,7 @@ SIM_VALID = st.integers(0, 2).flatmap(
                 "gamma": st.floats(0.0, 0.95),
                 "decoder": st.sampled_from(["smd", "bmd"]),
                 "trials": st.integers(1, 20),
+                "seed": st.integers(0, 3),
                 "codebook_mode": st.sampled_from(["iid", "linear"]),
             }
         ),

@@ -49,13 +49,13 @@ def test_sign_output_transition_rejects_mismatched_channel():
 def test_build_layer_members_match_direct_enumeration():
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
     trans = sign_output_transition(CST, NOISY)
-    b = enumerate_b_typical((0.7, 0.3), trans, TypConfig(n=6, eps=0.1, seed=0))
+    b = enumerate_b_typical((0.7, 0.3), trans, TypConfig(n=6, eps=0.1))
     np.testing.assert_array_equal(layer.amplitude_seqs, b.members)
     seqs = layer.amplitude_seqs
     assert seqs.dtype == np.uint8 and seqs.shape == (layer.size, 6)
     assert seqs.flags.c_contiguous and not seqs.flags.writeable
     assert layer.size == 15
-    assert layer.exact
+    assert layer.b_set.exact
 
 
 def test_build_layer_raises_on_empty_set():
@@ -463,9 +463,25 @@ def test_experiment_config_validation():
         {"eps": float("inf")},
         {"eps": float("nan")},
         {"seed": -1},
+        {"typ_budget": 0},
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**good, **bad})
+    with pytest.raises(ConfigError, match="typ_budget must be positive, got 0"):
+        ExperimentConfig(**good, typ_budget=0)
+
+
+def test_monte_carlo_layer_does_not_depend_on_the_experiment_seed():
+    # at budget 100 every typical class of n=6 has more conditional types
+    # than the budget allows, so the layer is a Monte Carlo estimate
+    base = dict(
+        constellation=CST, dmc=NOISY, amplitude_pmf=(0.7, 0.3), eps=0.1,
+        n=6, gamma=0.25, decoder="smd", trials=10, typ_budget=100,
+    )
+    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1, budget=100)
+    assert not any(res.exact for res in layer.b_set.class_probs.values())
+    sizes = {run_experiment(ExperimentConfig(seed=seed, **base)).m_a_count for seed in (0, 1, 9)}
+    assert sizes == {layer.size}
 
 
 def test_gamma_realized_rounding():

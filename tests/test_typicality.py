@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -51,10 +51,11 @@ def test_config_validation():
         TypConfig(n=4, eps=float("nan"))
     with pytest.raises(ValueError, match="finite"):
         TypConfig(n=4, eps=float("inf"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget must be positive, got 0"):
         TypConfig(n=4, eps=0.1, budget=0)
-    with pytest.raises(ValueError, match="seed must be non-negative"):
-        TypConfig(n=4, eps=0.1, seed=-1)
+    for knob in ("seed", "mc_samples"):  # the estimate is a function of the type class alone
+        with pytest.raises(TypeError):
+            TypConfig(n=4, eps=0.1, **{knob: 1})
 
 
 def test_empirical_rate_matches_oracle():
@@ -205,7 +206,7 @@ def test_conditional_prob_exact_matches_oracle():
     p = (0.3, 0.7)
     for u in [(1, 1, 1, 1, 1, 0), (0, 1, 1, 0, 1, 1), (1, 1, 1, 1, 1, 1)]:
         res = conditional_typical_prob(u, p, BSC01, cfg)
-        assert res.exact and res.stderr == 0.0
+        assert res.exact
         assert res.prob == pytest.approx(cond_typical_prob_oracle(u, p, BSC01, 0.3), abs=1e-12)
 
 
@@ -215,30 +216,67 @@ def test_conditional_prob_atypical_input_is_zero():
     assert res.prob == 0.0 and res.exact
 
 
+def _type_count(u, transition):
+    """prod over input letters a of C(n_a + s_a - 1, s_a - 1): the conditional
+    types of V given u, with s_a the outputs a reaches."""
+    t = np.asarray(transition)
+    letter_counts = np.bincount(u, minlength=len(t))
+    return math.prod(math.comb(m + s - 1, s - 1) for m, s in zip(letter_counts, (t > 0).sum(axis=1)))
+
+
+MC_U = (0, 1, 1, 0, 1, 1, 0, 1, 1, 1)  # 3 zeros and 7 ones: C(4, 1) * C(8, 1) = 32 types over BSC01
+
+
 def test_conditional_prob_mc_agrees_with_exact():
-    u = (0, 1, 1, 0, 1, 1, 0, 1, 1, 1)
     p = (0.3, 0.7)
-    exact = conditional_typical_prob(u, p, BSC01, TypConfig(n=10, eps=0.3))
-    mc = conditional_typical_prob(
-        u, p, BSC01, TypConfig(n=10, eps=0.3, budget=512, mc_samples=40000, seed=7)
-    )
+    exact = conditional_typical_prob(MC_U, p, BSC01, TypConfig(n=10, eps=0.3))
+    mc = conditional_typical_prob(MC_U, p, BSC01, TypConfig(n=10, eps=0.3, budget=31))
     assert exact.exact and not mc.exact
-    assert mc.stderr > 0
-    assert abs(mc.prob - exact.prob) <= 4 * mc.stderr + 1e-12
+    stderr = math.sqrt(mc.prob * (1 - mc.prob) / typicality.MC_SAMPLES)
+    assert stderr > 0
+    assert abs(mc.prob - exact.prob) <= 4 * stderr + 1e-12
 
 
 def test_conditional_prob_mc_deterministic():
-    u = (0, 1, 1, 0, 1, 1, 0, 1, 1, 1)
-    cfg = TypConfig(n=10, eps=0.3, budget=512, mc_samples=5000, seed=11)
-    a = conditional_typical_prob(u, (0.3, 0.7), BSC01, cfg)
-    b = conditional_typical_prob(u, (0.3, 0.7), BSC01, cfg)
-    assert a == b
+    cfg = TypConfig(n=10, eps=0.3, budget=16)
+    a = conditional_typical_prob(MC_U, (0.3, 0.7), BSC01, cfg)
+    b = conditional_typical_prob(MC_U, (0.3, 0.7), BSC01, cfg)
+    assert a == b and not a.exact
+
+
+def test_conditional_prob_mc_is_a_function_of_the_type_class():
+    cfg = TypConfig(n=10, eps=0.3, budget=16)
+    want = conditional_typical_prob(sorted(MC_U), (0.3, 0.7), BSC01, cfg)
+    assert not want.exact and 0 < want.prob < 1
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        u = rng.permutation(MC_U)
+        assert conditional_typical_prob(u, (0.3, 0.7), BSC01, cfg) == want
+    # every arrangement of a short class: C(3, 1)^2 = 9 types, above the budget
+    small = TypConfig(n=4, eps=0.3, budget=8)
+    probs = {conditional_typical_prob(u, (0.3, 0.7), BSC01, small) for u in set(permutations((0, 0, 1, 1)))}
+    assert len(probs) == 1 and not probs.pop().exact
+
+
+@pytest.mark.parametrize("case", ["zero-cells", "m2-sign-output-n-distinct", "binary-n10"])
+def test_exact_iff_the_conditional_types_fit_the_budget(case):
+    pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+    u = _class_firsts(pmf, TypConfig(n=n, eps=eps))[0]
+    count = _type_count(u, transition)
+    assert count < len(transition[0]) ** n  # the count, not the |V|^n grid, sets the rule
+    want = conditional_typical_prob(u, pmf, transition, TypConfig(n=n, eps=eps))
+    at = conditional_typical_prob(u, pmf, transition, TypConfig(n=n, eps=eps, budget=count))
+    below = conditional_typical_prob(u, pmf, transition, TypConfig(n=n, eps=eps, budget=count - 1))
+    assert at.exact and at == want
+    assert not below.exact
 
 
 def test_conditional_prob_validates_transition():
     cfg = TypConfig(n=4, eps=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="transition must be 2 rows"):
         conditional_typical_prob((0, 1, 0, 1), (0.5, 0.5), [[0.7, 0.7], [0.5, 0.5]], cfg)
+    with pytest.raises(ValueError, match="transition must be 2 rows"):  # before the empty typical set
+        enumerate_b_typical((0.3, 0.7), [[1.5, -0.5], [0.5, 0.5]], TypConfig(n=1, eps=0.1))
     with pytest.raises(ValueError):
         conditional_typical_prob((0, 1, 0), (0.5, 0.5), BSC01, cfg)
 
@@ -309,7 +347,7 @@ def test_type_engine_matches_grid_scan(case):
     for u in firsts:
         res = conditional_typical_prob(u, pmf, transition, cfg)
         want = _grid_prob(u, pmf, transition, cfg)
-        assert res.exact and res.stderr == 0.0
+        assert res.exact
         assert abs(res.prob - want) <= 2e-15, (u, res.prob, want)
         keep = 1.0 - eps - LOG_SLACK
         assert (res.prob >= keep) == (want >= keep)
@@ -329,12 +367,9 @@ def test_type_engine_chunks_bound_memory_and_agree(monkeypatch, case):
     t = np.asarray(transition, dtype=float)
     joint = np.asarray(pmf)[:, None] * t
     lut_v = log2_safe(joint.sum(axis=0))
-    support = (t > 0).sum(axis=1)
     for u in firsts:
         sizes = [len(count) for count, _ in typicality._conditional_types(u, t, joint, lut_v)]
-        letter_counts = np.bincount(u, minlength=len(t))
-        types = math.prod(math.comb(m + s - 1, s - 1) for m, s in zip(letter_counts, support))
-        assert max(sizes) <= 5 and sum(sizes) == types
+        assert max(sizes) <= 5 and sum(sizes) == _type_count(u, transition)
 
 
 def test_type_engine_is_no_further_from_exact_than_grid():
@@ -456,20 +491,23 @@ def test_b_typical_class_cache_matches_per_member_loop(pmf, transition, n, eps):
 
 
 def test_b_typical_mc_shares_one_estimate_per_class():
-    # three outputs: 3^6 grid cells exceed the budget, the 2^6 typical scan does not
+    # four outputs: every typical class has at least C(9, 3) = 84 conditional
+    # types, above the budget, while the 2^6 typical scan fits it
     pmf = (0.4, 0.6)
-    trans = [[0.4, 0.3, 0.3], [0.3, 0.3, 0.4]]
-    cfg = TypConfig(n=6, eps=0.3, budget=64, mc_samples=2000, seed=5)
+    trans = [[0.4, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.4]]
+    cfg = TypConfig(n=6, eps=0.3, budget=64)
     bt = enumerate_b_typical(pmf, trans, cfg)
-    assert not bt.exact
+    assert not any(res.exact for res in bt.class_probs.values())
     assert bt.count > len({_composition(u, 2) for u in bt.members})
     first = {}
     for u in bt.base_set.members:
         first.setdefault(_composition(u, 2), u)
     assert set(bt.class_probs) == set(first)
+    last = {_composition(u, 2): u for u in bt.base_set.members}
     for key, u in first.items():
-        # the estimate is seeded by the class's first member in lexicographic order
+        # the estimate is a function of the class: its first and last members agree
         assert bt.class_probs[key] == conditional_typical_prob(u, pmf, trans, cfg)
+        assert bt.class_probs[key] == conditional_typical_prob(last[key], pmf, trans, cfg)
     for u, cp in zip(bt.members, bt.cond_probs):
         assert cp == bt.class_probs[_composition(u, 2)].prob
     again = enumerate_b_typical(pmf, trans, cfg)
