@@ -316,6 +316,23 @@ def test_sim_negative_seed_names_the_key(monkeypatch, tmp_path, capsys, spelling
     assert "config error: seed must be non-negative, got -1" in err
 
 
+@pytest.mark.parametrize("budget", [10_000_000, 100], ids=["exact", "monte-carlo"])
+def test_b_typ_negative_seed_names_the_key(monkeypatch, tmp_path, capsys, budget):
+    # at budget 100 the n=3 estimate falls back to Monte Carlo, which is seeded
+    # by the composition of u: a seed is refused by name on either path
+    _forbid(monkeypatch, "paslab.typicality.enumerate_typical", "the enumeration started on a negative seed")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EPS_BASE["b-typ"], "budget": budget, "seed": -1}))
+    rc, out, err = run_cli(["b-typ", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert "config error: unknown config keys: seed" in err
+    argv = ["b-typ", "--sigma", "0.45", "--num-bins", "2", "--n", "3", "--budget", str(budget), "--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+
+
 RETIRED_KEYS = [("b-typ", "seed"), ("b-typ", "mc_samples"), ("sim", "mc_samples")]
 
 
