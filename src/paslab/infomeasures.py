@@ -45,7 +45,7 @@ def log2_safe(p: np.ndarray) -> np.ndarray:
 def entropy_raw(p: np.ndarray) -> float:
     """-sum p log2 p over the positive cells of a table, without validating it."""
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(-(nz * np.log2(nz)).sum()) + 0.0  # + 0.0 turns a point mass's -0.0 into 0.0
 
 
 def entropy(p) -> float:

@@ -1,4 +1,4 @@
-"""Weak typicality at desk scale: exhaustive sets, joint tests, and the
+"""Weak typicality at desk scale: typical sets, joint tests, and the
 conditioned subset whose members stay jointly typical with high probability.
 
 A single sequence is any sequence of alphabet indices. An enumerated set
@@ -10,15 +10,16 @@ compositions do not flap with float noise. Cardinality/probability bounds
 that only hold for large n are reported with an applicability flag instead
 of being asserted.
 
-The probability that the channel output stays jointly typical with a given
-input u is type-class invariant: it depends on u only through its
-composition, and on an output sequence v only through the conditional type
-of v given u (how many positions holding each input letter carry each
-output letter). Its exact value is therefore a sum over conditional types,
-each weighted by the number of output sequences it holds (Csiszar and
-Korner's method of types), not a scan of the |V|^n output sequences. It is
-exact while those types fit the budget and a Monte Carlo estimate above it;
-either way a function of u's type class alone.
+Both sides of typicality follow Csiszar and Korner's method of types, and
+neither scans a sequence grid. A sequence is typical or not by its
+composition, so a set is listed one composition class at a time. The
+probability that the channel output stays jointly typical with an input u
+depends on u only through its composition, and on an output v only through
+the conditional type of v given u (how many positions holding each input
+letter carry each output letter): its exact value is a sum over conditional
+types, each weighted by the number of output sequences it holds. It is exact
+while those types fit the budget and a Monte Carlo estimate above it; either
+way a function of u's type class alone.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class TypConfig:
-    """Block length, tolerance and the work budget: the most sequences an
-    enumeration may scan, and the most conditional types an exact
-    conditional probability may visit."""
+    """Block length, tolerance and the work budget: the most composition
+    classes an enumeration may visit and the most members it may list, and
+    the most conditional types an exact conditional probability may visit."""
 
     n: int
     eps: float
@@ -77,16 +78,6 @@ def is_typical(seq, pmf, config: TypConfig) -> bool:
     return bool(abs(rate - h) <= config.eps + LOG_SLACK)
 
 
-def _digit_block(start: int, stop: int, k: int, n: int) -> np.ndarray:
-    """Rows start..stop of the lexicographic (base-k, MSB-first) sequence grid."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((idx.size, n), dtype=np.int64)
-    for pos in range(n - 1, -1, -1):
-        out[:, pos] = idx % k
-        idx //= k
-    return out
-
-
 class SetBounds(NamedTuple):
     """Certified checks for one enumerated typical set."""
 
@@ -100,13 +91,18 @@ class SetBounds(NamedTuple):
 @dataclass(frozen=True)
 class TypicalSet:
     """The typical set of an iid pmf: members is a read-only (N, n) index
-    array, one member per row in lexicographic order."""
+    array, one member per row in lexicographic order; class_firsts the
+    read-only (C, n) first member of each composition class (its letters
+    sorted), classes in the order their first members come, and member_class
+    the class of every member."""
 
     pmf: np.ndarray
     config: TypConfig
     h: float
     members: np.ndarray = field(repr=False)
-    bounds: SetBounds = None
+    bounds: SetBounds
+    class_firsts: np.ndarray = field(repr=False)
+    member_class: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -119,52 +115,109 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _scan_typical(pmf: np.ndarray, config: TypConfig):
-    """Yield (digit_block, rate_vector, prob_vector) over the full grid."""
-    k = pmf.size
-    total = k**config.n
-    if total > config.budget:
-        raise BudgetError(
-            f"enumeration needs {total} sequences, budget is {config.budget}",
-            needed=total,
-        )
-    log2p = log2_safe(pmf)
-    for start in range(0, total, CHUNK):
-        block = _digit_block(start, min(start + CHUNK, total), k, config.n)
-        with np.errstate(invalid="ignore"):
-            lp = log2p[block].sum(axis=1)
-        yield block, -lp / config.n, np.exp2(lp)
+def _block_types(support: list, m: int, scores: np.ndarray):
+    """Yield (letters, count, score) arrays over the compositions of m letters
+    from support, at most CHUNK at a time.
+
+    Each composition is drawn once, as its sorted multiset of m letters, a
+    row of letters; rows come in lexicographic order. count is the number of
+    sequences that share it, m! / prod_v k_v! for its letter counts k_v;
+    score is the sum of scores[v] over its letters.
+    """
+    draws = itertools.combinations_with_replacement(support, m)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(draws, CHUNK)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        letters = flat.reshape(-1, m)
+        # after j + 1 letters, count is that prefix's multinomial, an
+        # integer; count * (j + 1) is at most m times the final count, so
+        # float64 holds every step exactly
+        count = np.ones(len(letters))
+        run = np.ones(len(letters))
+        for j in range(1, m):
+            run = np.where(letters[:, j] == letters[:, j - 1], run + 1, 1.0)
+            count = count * (j + 1) / run
+        yield letters, count, scores[letters].sum(axis=1)
+
+
+def _class_members(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sequences of the classes with first members (letters sorted) firsts
+    and sizes sizes, class after class and each in lexicographic order, as the
+    columns of an (n, N) array. A prefix expansion over each class's distinct
+    letters, O(N n) however wide the alphabet: each row of remaining holds the
+    counts of its class's letters that a prefix has left to place, and size
+    its number of completions, which fill a run of columns."""
+    classes, n = firsts.shape
+    starts = np.ones(firsts.shape, dtype=bool)  # the first place of each distinct letter
+    starts[:, 1:] = firsts[:, 1:] != firsts[:, :-1]
+    at = np.cumsum(starts, axis=1) - 1  # the place of each letter in its class's row
+    w = int(at.max(initial=0)) + 1
+    letters = np.zeros((classes, w), dtype=firsts.dtype)
+    letters[np.nonzero(starts)[0], at[starts]] = firsts[starts]
+    remaining = np.bincount((at + w * np.arange(classes)[:, None]).ravel(), minlength=classes * w)
+    remaining = remaining.reshape(classes, w).astype(np.min_scalar_type(n))
+    cls, size = np.arange(classes), sizes
+    out = np.empty((n, int(sizes.sum())), dtype=firsts.dtype)
+    for j in range(n - 1):
+        flat = np.flatnonzero(remaining)
+        prefix, at = np.divmod(flat, w)
+        # the letter comes next in (its count) of every (n - j) orderings of what remains
+        size = size[prefix] * remaining.ravel()[flat] // (n - j)
+        remaining = remaining[prefix]
+        remaining.ravel()[np.arange(prefix.size) * w + at] -= 1
+        cls = cls[prefix]
+        out[j] = np.repeat(letters[cls, at], size)
+    out[n - 1] = letters[cls, np.flatnonzero(remaining) % w]  # one letter is left to each prefix
+    return out
 
 
 def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
-    """Exhaustively list the typical set in lexicographic order, with bounds."""
+    """List the typical set in lexicographic order, with bounds. Typicality
+    is decided once per composition class of the s letters with p > 0, and
+    only the typical classes' members are listed. The budget bounds the
+    C(n + s - 1, s - 1) classes, checked before any is drawn, and the members
+    (BudgetError carries their count, exact below 2^53)."""
     p = check_pmf(pmf)
     if p.ndim != 1:
         raise ValueError(f"pmf must be a vector, got shape {p.shape}")
     h = entropy(p)
+    n, eps, budget = config.n, config.eps, config.budget
+    support = np.flatnonzero(p > 0)
+    classes = math.comb(n + support.size - 1, support.size - 1)
+    if classes > budget:
+        raise BudgetError(f"enumeration visits {classes} composition classes, budget is {budget}", needed=classes)
     dtype = np.min_scalar_type(p.size - 1)  # uint8 up to 256 letters
-    kept = [np.empty((0, config.n), dtype=dtype)]
-    typical_prob = 0.0
-    prob_lo = 2.0 ** (-config.n * (h + config.eps)) * (1 - LOG_SLACK)
-    prob_hi = 2.0 ** (-config.n * (h - config.eps)) * (1 + LOG_SLACK)
-    member_prob_ok = True
-    for block, rate, prob in _scan_typical(p, config):
-        keep = np.abs(rate - h) <= config.eps + LOG_SLACK
-        if keep.any():
-            kept.append(block[keep].astype(dtype))
-            typical_prob += float(prob[keep].sum())
-            kp = prob[keep]
-            member_prob_ok &= bool(np.all(kp >= prob_lo) and np.all(kp <= prob_hi))
-    members = _frozen(np.concatenate(kept))
-    count = len(members)
+    log2p = log2_safe(p)
+    firsts, sizes = [], []  # the typical classes' sorted letters and sizes
+    for letters, count, score in _block_types(support.tolist(), n, log2p):
+        keep = np.abs(-score / n - h) <= eps + LOG_SLACK
+        firsts.append(letters[keep].astype(dtype))
+        sizes.append(count[keep])
+    firsts, sizes = np.concatenate(firsts), np.concatenate(sizes)
+    listed = int(sizes.sum())
+    if listed > budget:
+        raise BudgetError(f"enumeration lists {listed} typical sequences, budget is {budget}", needed=listed)
+    sizes = sizes.astype(np.int64)
+    columns = _class_members(firsts, sizes)
+    order = np.lexsort(columns[::-1])
+    members = columns.T[order]
+    log_prob = np.empty(listed)
+    for i in range(0, listed, CHUNK):  # a (CHUNK, n) table of log2 p at a time
+        log_prob[i:i + CHUNK] = log2p[members[i:i + CHUNK]].sum(axis=1)
+    prob = np.exp2(log_prob)
+    prob_lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
+    prob_hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
+    typical_prob = float(prob.sum())  # in lexicographic order
     bounds = SetBounds(
-        upper_ok=count <= 2.0 ** (config.n * (h + config.eps)) * (1 + LOG_SLACK),
-        lower_ok=count >= (1 - config.eps) * 2.0 ** (config.n * (h - config.eps)) * (1 - LOG_SLACK),
-        lower_applicable=typical_prob >= 1 - config.eps,
-        member_prob_ok=member_prob_ok,
+        upper_ok=listed <= 2.0 ** (n * (h + eps)) * (1 + LOG_SLACK),
+        lower_ok=listed >= (1 - eps) * 2.0 ** (n * (h - eps)) * (1 - LOG_SLACK),
+        lower_applicable=typical_prob >= 1 - eps,
+        member_prob_ok=bool(np.all(prob >= prob_lo) and np.all(prob <= prob_hi)),
         typical_prob=typical_prob,
     )
-    return TypicalSet(pmf=p, config=config, h=h, members=members, bounds=bounds)
+    member_class = np.repeat(np.arange(len(firsts)), sizes)[order]
+    return TypicalSet(p, config, h, _frozen(members), bounds, _frozen(firsts), _frozen(member_class))
 
 
 def _subset_stats(seqs: dict, joint: np.ndarray) -> list:
@@ -173,20 +226,13 @@ def _subset_stats(seqs: dict, joint: np.ndarray) -> list:
     seqs maps axis -> index sequence; margins marginalize the other axes.
     """
     ndim = joint.ndim
-    n = len(next(iter(seqs.values())))
     out = []
     for mask in range(1, 2**ndim):
         axes = [d for d in range(ndim) if mask & (1 << d)]
         drop = tuple(d for d in range(ndim) if d not in axes)
         marg = joint.sum(axis=drop) if drop else joint
-        h = entropy(marg)
-        idx = tuple(np.asarray(seqs[d], dtype=np.intp) for d in axes)
-        vals = marg[idx]
-        if np.any(vals == 0.0):
-            rate = float("inf")
-        else:
-            rate = float(-np.log2(vals).sum() / n)
-        out.append((rate, h))
+        idx = np.ravel_multi_index(tuple(np.asarray(seqs[d], dtype=np.intp) for d in axes), marg.shape)
+        out.append((empirical_rate(idx, marg.ravel()), entropy(marg)))
     return out
 
 
@@ -228,32 +274,6 @@ def _type_count(u: np.ndarray, t: np.ndarray) -> int:
     return math.prod(math.comb(m + s - 1, s - 1) for m, s in zip(counts, support))
 
 
-def _block_types(support: list, m: int, scores: np.ndarray):
-    """Yield (count, score) arrays over the compositions of the m outputs at
-    the positions that hold one input letter, at most CHUNK at a time.
-
-    Each composition is drawn once, as its sorted multiset of m letters from
-    support. count is the number of output orderings that share it,
-    m! / prod_v k_v! for its letter counts k_v; score is the (rows, 3) sum of
-    scores[v] over its letters.
-    """
-    draws = itertools.combinations_with_replacement(support, m)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(draws, CHUNK)), dtype=np.intp)
-        if flat.size == 0:
-            return
-        letters = flat.reshape(-1, m)
-        # after j + 1 letters, count is that prefix's multinomial, an
-        # integer; count * (j + 1) is at most m times the final count, so
-        # float64 holds every step exactly
-        count = np.ones(len(letters))
-        run = np.ones(len(letters))
-        for j in range(1, m):
-            run = np.where(letters[:, j] == letters[:, j - 1], run + 1, 1.0)
-            count = count * (j + 1) / run
-        yield count, scores[letters].sum(axis=1)
-
-
 def _outer_types(blocks, count, score):
     """Yield every combination of one composition per block, as (count,
     score) with count the product and score the sum over the blocks after
@@ -263,7 +283,7 @@ def _outer_types(blocks, count, score):
     if not blocks:
         yield count, score
         return
-    for b_count, b_score in _block_types(*blocks[0]):
+    for _, b_count, b_score in _block_types(*blocks[0]):
         step = max(1, CHUNK // len(b_count))
         for i in range(0, len(count), step):
             yield from _outer_types(
@@ -351,18 +371,6 @@ def conditional_typical_prob(
     return CondProbResult(prob=hits / MC_SAMPLES, exact=False)
 
 
-def _type_classes(members: np.ndarray, k: int):
-    """Composition classes of the rows of an (N, n) member array over a
-    k-letter alphabet: (counts, first, inverse), with counts the (C, k) symbol
-    counts of each class, first the row of its first member and inverse the
-    class of every row."""
-    n_rows = len(members)
-    offsets = members + k * np.arange(n_rows)[:, None]  # row r counts into cells r*k .. r*k + k-1
-    counts = np.bincount(offsets.ravel(), minlength=n_rows * k).reshape(n_rows, k)
-    counts, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-    return counts, first, inverse.reshape(-1)
-
-
 def _member_probs(members: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p(u) of every row u of an (N, n) member array, as 2^(-n * rate) with the
     empirical rate of each row summed along the row, like `empirical_rate`."""
@@ -381,8 +389,9 @@ class BTypicalSet:
     Pr{(u, V) jointly typical | u} depends on u only through its composition:
     permuting u permutes the positions of V and leaves every empirical rate
     unchanged. class_probs maps each composition of the typical set (the
-    symbol counts of u, as a tuple) to the CondProbResult computed on the
-    class's first member in lexicographic order. members is a read-only
+    symbol counts of u, as a tuple), in the order of base_set's classes, to
+    the CondProbResult computed on the class's first member in lexicographic
+    order. members is a read-only
     (N, n) index array of the kept sequences, in lexicographic order, and
     cond_probs the (N,) float array of their class probabilities.
     """
@@ -415,13 +424,11 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
     p_u = check_pmf(input_pmf)
     transition = _check_transition(transition, p_u.size)
     base = enumerate_typical(p_u, config)
-    counts, first, inverse = _type_classes(base.members, p_u.size)
-    keys = [tuple(row) for row in counts.tolist()]
     class_probs = {
-        keys[c]: conditional_typical_prob(base.members[first[c]], p_u, transition, config)
-        for c in np.argsort(first)  # in the order the classes' first members come
+        tuple(np.bincount(u, minlength=p_u.size).tolist()): conditional_typical_prob(u, p_u, transition, config)
+        for u in base.class_firsts
     }
-    probs = np.array([class_probs[key].prob for key in keys])[inverse]
+    probs = np.array([res.prob for res in class_probs.values()])[base.member_class]
     keep = probs >= 1.0 - config.eps - LOG_SLACK
     return BTypicalSet(
         input_pmf=p_u,
@@ -456,10 +463,9 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
     b_mass = float(member_probs.sum())
     p2_mass = 1.0 - b_mass
 
-    base = b_set.base_set.members
-    counts, _, inverse = _type_classes(base, p_u.size)
-    class_cp = np.array([b_set.class_probs[tuple(row)].prob for row in counts.tolist()])
-    weighted = _member_probs(base, p_u) * class_cp[inverse]
+    base = b_set.base_set
+    class_cp = np.array([res.prob for res in b_set.class_probs.values()])
+    weighted = _member_probs(base.members, p_u) * class_cp[base.member_class]
     # summed left to right, one member after another
     joint_mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
     proxy = joint_mass >= 1.0 - eps**2

@@ -11,7 +11,11 @@ subprocess and exits 1 if any exit code or stdout hash differs;
 The `typ-dump` hashes were taken before typical-set members became arrays,
 and `b-typ` has printed its members the same way since, so they pin the
 member-line format: digits for alphabets of at most 10 letters, comma-separated indices
-above that, and a header line alone for an empty set. The `sim` runs (the
+above that, and a header line alone for an empty set. `typ-dump-n48` pins a
+set listed by composition class whose 2^48 sequences are far above the budget:
+18,473 members from the 4 typical classes of 49, every bound check true; its
+hash was first taken when enumeration moved from a scan of all sequences,
+which refused the case, to composition classes. The `sim` runs (the
 README line, a bit-level run with pairwise-only acceptances and a
 linear-codebook run) keep the per-trial streams of the time each trial built
 its own numpy Generator; `readme-sim-threads-3` repeats the README line at

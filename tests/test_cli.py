@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -49,6 +50,35 @@ def test_typ_dump_budget_exit_code(capsys):
     assert rc == 3
     assert out == ""
     assert "budget exceeded" in err
+
+
+def test_typ_dump_lists_a_large_n_set_by_class(tmp_path, capsys):
+    # 2^48 sequences, far over the budget; in it, the 49 composition classes
+    # and the 18,473 members of the 4 typical ones, with no more than three 1s
+    cfg = tmp_path / "typ.json"
+    cfg.write_text(json.dumps({"pmf": [0.98, 0.02], "n": 48, "eps": 0.3}))
+    rc, out, err = run_cli(["typ-dump", "--config", str(cfg)], capsys)
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    header = json.loads(lines[0])
+    assert header["count"] == len(lines) - 1 == 18473
+    assert header["config"]["budget"] < 2**48
+    for key in ("lower_applicable", "lower_ok", "upper_ok", "member_prob_ok"):
+        assert header[key] is True, key
+    assert header["typical_prob"] == pytest.approx(0.98452, abs=1e-5)
+    assert lines[1:3] == ["0" * 48, "0" * 47 + "1"] and lines[-1] == "111" + "0" * 45
+
+
+def test_point_mass_entropy_prints_positive_zero(tmp_path, capsys):
+    rc, out, _ = run_cli(["gamma-split", "--m", "0", "--snr-db", "3"], capsys)
+    assert rc == 0
+    assert '"h_a": 0.0,' in out
+    assert math.copysign(1.0, json.loads(out)["h_a"]) == 1.0
+    cfg = tmp_path / "typ.json"
+    cfg.write_text(json.dumps({"pmf": [1.0], "n": 3}))
+    rc, out, _ = run_cli(["typ-dump", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert '"entropy": 0.0,' in out and out.endswith("\n000\n")
 
 
 @pytest.mark.parametrize("pmf", ["null", "1", "[[0.5, 0.5]]", "[NaN, 0.5]"])

@@ -1,6 +1,6 @@
 """The full stdout of the golden cases (the README `typ-dump`, `b-typ` and
 `sim` lines, an 11-letter `typ-dump` and `b-typ` in the comma format, an empty
-typical set, a bmd `sim` with pairwise-only acceptances, a linear-codebook
+typical set, a `typ-dump` at n = 48 listed by composition class, a bmd `sim` with pairwise-only acceptances, a linear-codebook
 `sim`, the README `sim` line at `--threads 3`, a Monte Carlo `b-typ` at
 budget 100, an exact 4-bin `b-typ` and an exact 8-ASK `b-typ`) matches the
 sha256 pinned in golden.json."""

@@ -39,6 +39,7 @@ def test_entropy_closed_forms():
     assert entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
     assert entropy([0.25, 0.75]) == pytest.approx(0.8112781244591328, abs=1e-14)
     assert entropy([1.0, 0.0]) == 0.0
+    assert math.copysign(1.0, entropy([1.0, 0.0])) == 1.0  # not -0.0
     assert entropy(np.full(8, 0.125)) == pytest.approx(3.0, abs=1e-14)
 
 

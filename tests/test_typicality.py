@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -28,7 +29,9 @@ from paslab.typicality import (
 from oracle import (
     b_typical_oracle,
     cond_typical_prob_oracle,
+    entropy_oracle,
     jointly_typical_oracle,
+    seq_prob,
     seq_rate,
     typical_count_by_composition,
     typical_set_oracle,
@@ -168,6 +171,66 @@ def test_enumeration_budget_error():
         assert e.needed == 2**30
 
 
+def test_budget_bounds_the_members_listed():
+    # 2^10 sequences, 11 classes, and 1,013 typical members
+    pmf, cfg = (0.4, 0.6), TypConfig(n=10, eps=0.25)
+    count = enumerate_typical(pmf, cfg).count
+    assert count == 1013
+    assert enumerate_typical(pmf, TypConfig(n=10, eps=0.25, budget=count)).count == count
+    with pytest.raises(BudgetError) as info:
+        enumerate_typical(pmf, TypConfig(n=10, eps=0.25, budget=count - 1))
+    assert info.value.needed == count
+
+
+def test_class_budget_is_checked_before_anything_is_allocated(monkeypatch):
+    def no_classes(*a, **k):
+        raise AssertionError("a composition class was drawn")
+
+    monkeypatch.setattr(typicality, "_block_types", no_classes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            enumerate_typical(np.full(64, 1 / 64), TypConfig(n=8, eps=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.needed == math.comb(71, 63) == 10_639_125_640
+    assert peak < 64 * 1024
+
+
+BRUTE_FORCE_CASES = {
+    # id: (pmf, n, eps)
+    "zero-prob-letter": ((0.3, 0.0, 0.7), 7, 0.2),
+    "one-letter": ((1.0,), 5, 0.1),
+    "n1": ((0.2, 0.3, 0.5), 1, 0.9),
+    "empty": ((0.3, 0.7), 1, 0.1),
+    "11-letters": ((0.05, 0.05, 0.05, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.15), 4, 0.2),
+    "k4-n9": ((0.1, 0.2, 0.3, 0.4), 9, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(BRUTE_FORCE_CASES))
+def test_class_enumeration_matches_brute_force(case):
+    pmf, n, eps = BRUTE_FORCE_CASES[case]
+    members, _ = typical_set_oracle(pmf, n, eps)
+    ts = enumerate_typical(pmf, TypConfig(n=n, eps=eps))
+    assert _rows(ts.members) == members
+    _assert_member_array(ts.members, n)
+    assert ts.count == len(members) == typical_count_by_composition(pmf, n, eps)[0]
+    assert (ts.count == 0) == (case == "empty")
+    # the oracle's own left-to-right mass drifts by 2e-13 over the 79,894
+    # members of k4-n9, so its member probabilities are summed exactly
+    probs = [seq_prob(u, pmf) for u in members]
+    assert abs(ts.bounds.typical_prob - math.fsum(probs)) <= 1e-15
+    h = entropy_oracle(pmf)
+    lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
+    hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
+    assert ts.bounds.member_prob_ok == all(lo <= q <= hi for q in probs)
+    # every member is a reordering of its class's first member
+    np.testing.assert_array_equal(ts.class_firsts[ts.member_class], np.sort(ts.members, axis=1))
+    _assert_member_array(ts.class_firsts, n)
+
+
 def test_jointly_typical_matches_oracle():
     # correlated pair, every aligned sequence combination at n=4
     joint = np.array([[0.4, 0.1], [0.1, 0.4]])
@@ -283,8 +346,8 @@ def test_conditional_prob_validates_transition():
 
 def _grid_prob(u, pmf, transition, config):
     """Pr{(u, V) jointly typical | u} by scanning every one of the |V|^n output
-    sequences in CHUNK rows at a time: the exact engine the method of types
-    replaced, kept as its reference."""
+    sequences: the exact engine the method of types replaced, kept as its
+    reference."""
     p_u = np.asarray(pmf, dtype=float)
     t = np.asarray(transition, dtype=float)
     u = np.asarray(u, dtype=np.intp)
@@ -293,19 +356,12 @@ def _grid_prob(u, pmf, transition, config):
     p_v = joint.sum(axis=0)
     h_v, h_uv = entropy(p_v), entropy(joint)
     eps = config.eps + LOG_SLACK
-    lut_v = log2_safe(p_v)
-    lut_uv = log2_safe(joint)[u]
-    log2_t = log2_safe(t)[u]
+    grid = np.array(list(product(range(kv), repeat=n)), dtype=np.intp)  # lexicographic
     rows = np.arange(n)
-    total = 0.0
-    for start in range(0, kv**n, typicality.CHUNK):
-        block = typicality._digit_block(start, min(start + typicality.CHUNK, kv**n), kv, n)
-        rv = -lut_v[block].sum(axis=1) / n
-        ruv = -lut_uv[rows, block].sum(axis=1) / n
-        ok = (np.abs(rv - h_v) <= eps) & (np.abs(ruv - h_uv) <= eps)
-        if ok.any():
-            total += float(np.exp2(log2_t[rows, block[ok]].sum(axis=1)).sum())
-    return min(total, 1.0)
+    rv = -log2_safe(p_v)[grid].sum(axis=1) / n
+    ruv = -log2_safe(joint)[u][rows, grid].sum(axis=1) / n
+    ok = (np.abs(rv - h_v) <= eps) & (np.abs(ruv - h_uv) <= eps)
+    return min(float(np.exp2(log2_safe(t)[u][rows, grid[ok]].sum(axis=1)).sum()), 1.0)
 
 
 def _sign_transition(m, sigma, num_bins):
@@ -316,9 +372,9 @@ def _sign_transition(m, sigma, num_bins):
 
 def _class_firsts(pmf, config):
     """The first member of every composition class of the typical set."""
-    members = enumerate_typical(pmf, config).members
-    _, first, _ = typicality._type_classes(members, len(pmf))
-    return members[np.sort(first)]
+    ts = enumerate_typical(pmf, config)
+    _, first = np.unique(ts.member_class, return_index=True)
+    return ts.members[np.sort(first)]
 
 
 TYPE_ENGINE_CASES = {
@@ -390,15 +446,18 @@ def test_type_engine_is_no_further_from_exact_than_grid():
         assert abs(Fraction(engine) - exact) <= abs(Fraction(grid) - exact), u
 
 
-def test_type_engine_scans_no_sequence_grid(monkeypatch):
-    def no_grid(*a, **k):
-        raise AssertionError("conditional_typical_prob built a |V|^n sequence grid")
-
-    pmf, transition, n, eps = TYPE_ENGINE_CASES["m1-sign-output"]
-    cfg = TypConfig(n=n, eps=eps)
-    firsts = _class_firsts(pmf, cfg)  # enumerate_typical still scans its |U|^n grid
-    monkeypatch.setattr(typicality, "_digit_block", no_grid)
-    res = [conditional_typical_prob(u, pmf, transition, cfg) for u in firsts]
+def test_type_engine_scans_no_sequence_grid():
+    # 2^20 input and 2^20 output sequences, over a budget that holds only the
+    # 1,350 typical members (one, two or three 1s), the 21 composition classes
+    # and each class's at most 18 * 4 conditional types: neither side scans
+    # a sequence grid
+    pmf, n = (0.9, 0.1), 20
+    cfg = TypConfig(n=n, eps=0.3, budget=1350)
+    ts = enumerate_typical(pmf, cfg)
+    assert ts.count == cfg.budget < 2**n
+    assert sorted(set(ts.members.sum(axis=1).tolist())) == [1, 2, 3]
+    firsts = _class_firsts(pmf, cfg)
+    res = [conditional_typical_prob(u, pmf, BSC01, cfg) for u in firsts]
     assert all(r.exact for r in res) and max(r.prob for r in res) > 0
 
 
