@@ -8,10 +8,12 @@ through .integers(M_a), .integers(M_s) and .random(n), but `streams.draw`
 computes them for DRAW_CHUNK trials at once. It relies on numpy's
 SeedSequence mixing, PCG64 with the XSL-RR output, 32-bit Lemire bounded
 integers and 53-bit doubles; tests/test_streams.py fails if a numpy release
-changes any of them. Trials are scored in blocks of about BLOCK_CELLS (trial,
-candidate) cells, sliced from the drawn chunks, and `--threads` maps over the
-blocks; since every trial keeps its own stream, results do not depend on the
-chunk or block size or on how blocks are scheduled across threads.
+changes any of them. A trial's acceptances depend only on its output, so
+each distinct output of a drawn chunk is scored once, against every
+candidate, in blocks of about BLOCK_CELLS (output, candidate) cells, and
+`--threads` maps over the blocks. Since every trial keeps its own stream and
+the counts are integer sums, results do not depend on the chunk or block size
+or on the thread count.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .typicality import (
 )
 
 DECODE_BUDGET = 1_000_000
-# (trial, candidate) cells scored at once; bounds a block's working set, since
+# (output, candidate) cells scored at once; bounds a block's working set, since
 # the candidate count can reach DECODE_BUDGET
 BLOCK_CELLS = 1 << 18
-# trials drawn per vectorised pass of streams.draw, rounded to whole blocks:
-# the pass has a fixed cost, which a one-trial block would pay per trial
+# trials drawn per vectorised pass of streams.draw, rounded to a multiple of
+# the block size: the pass has a fixed cost, and a repeated output is scored
+# once per chunk, so a large chunk pays for both over many trials
 DRAW_CHUNK = 1 << 14
 
 
@@ -486,18 +489,34 @@ def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.n
     return np.minimum(y, cdf_rows.shape[1] - 1)
 
 
-def _score_block(decoder, log_pairwise, sent, y):
-    """[errors, kind1, kind2, both, pairwise-only] over one block of trials,
-    given each trial's sent candidate and (n,) output."""
-    mask = decoder.accept_mask(y)  # (B, C)
-    hit = mask[np.arange(len(sent)), sent]
+def _distinct_outputs(y: np.ndarray, nout: int):
+    """The distinct rows of a (T, n) output block in lexicographic order, and
+    the trial order that groups the trials by row: row r's trials are
+    order[bounds[r]:bounds[r + 1]]."""
+    n = y.shape[1]
+    if nout**n <= np.iinfo(np.int64).max:  # the row read as a base-nout integer
+        key = y @ nout ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    else:
+        key = np.unique(y, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(key, kind="stable")
+    firsts = np.flatnonzero(np.diff(key[order], prepend=-1))  # keys are >= 0
+    return y[order[firsts]], order, np.append(firsts, key.size)
+
+
+def _score_block(decoder, log_pairwise, y, counts, sent):
+    """[errors, kind1, kind2, both, pairwise-only] over the trials that
+    received a block of distinct outputs y (D, n): counts[r] trials received
+    y[r], and sent holds their sent candidates, grouped by output in row order."""
+    mask = decoder.accept_mask(y)  # (D, C)
+    received = np.repeat(np.arange(len(y)), counts)
+    hit = mask[received, sent]
     kind1 = ~hit
-    kind2 = mask.sum(axis=1) - hit > 0
+    kind2 = mask.sum(axis=1)[received] - hit > 0
     pairwise_only = 0
     if log_pairwise:
-        b, c = np.nonzero(mask)
-        if b.size:
-            pairwise_only = int((~decoder.triple_mask(y[b], c)).sum())
+        r, c = np.nonzero(mask)
+        if r.size:
+            pairwise_only = int(counts[r][~decoder.triple_mask(y[r], c)].sum())
     return np.array(
         [(kind1 | kind2).sum(), kind1.sum(), kind2.sum(), (kind1 & kind2).sum(), pairwise_only]
     )
@@ -534,8 +553,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
         for start in range(0, config.trials, chunk):
             sent, u = _draw_trials(config, cand, range(start, min(start + chunk, config.trials)))
             y = _channel_outputs(cdf_rows, point_idx[sent], u)
-            starts = range(0, len(sent), size)
-            parts += mapper(score, [sent[i : i + size] for i in starts], [y[i : i + size] for i in starts])
+            rows, order, bounds = _distinct_outputs(y, config.dmc.nout)
+            sent = sent[order]
+            starts = range(0, len(rows), size)
+            edges = [bounds[r : r + size + 1] for r in starts]
+            parts += mapper(
+                score, [rows[r : r + size] for r in starts], [np.diff(e) for e in edges],
+                [sent[e[0] : e[-1]] for e in edges],
+            )
     err, k1, k2, both, pairwise_only = (int(v) for v in np.sum(parts, axis=0))
     rate = (math.log2(layer.size) + n1) / config.n
     return TrialStats(

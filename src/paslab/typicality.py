@@ -375,10 +375,15 @@ def _member_probs(members: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p(u) of every row u of an (N, n) member array, as 2^(-n * rate) with the
     empirical rate of each row summed along the row, like `empirical_rate`."""
     n = members.shape[1]
-    rate = -log2_safe(p)[members].sum(axis=1) / n
+    log2p = log2_safe(p)
+    exponent = np.empty(len(members))
+    for i in range(0, len(members), CHUNK):  # a (CHUNK, n) table of log2 p at a time
+        rate = -log2p[members[i:i + CHUNK]].sum(axis=1) / n
+        exponent[i:i + CHUNK] = -n * rate
     # Python's float power (libm pow), which numpy's vectorised power does not
-    # match bit for bit on every host
-    return np.array([2.0 ** x for x in (-n * rate).tolist()])
+    # match bit for bit on every host; once per distinct exponent
+    values, inverse = np.unique(exponent, return_inverse=True)
+    return np.array([2.0 ** x for x in values.tolist()])[inverse]
 
 
 @dataclass(frozen=True)

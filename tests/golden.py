@@ -26,8 +26,11 @@ pins the Monte Carlo path: at budget 100 every typical class has more
 conditional types (at least 462) than the budget allows, so each class gets
 an estimate of 100,000 draws seeded by its composition. `b-typ-4-bins-n7`
 (12^7 outputs, at most 117,975 conditional types per class) and
-`b-typ-m2-n4` (8-ASK) pin exact cases. A change that alters one of these
-outputs on purpose updates its hash here.
+`b-typ-m2-n4` (8-ASK) pin exact cases. `sim-8-bins` draws its outputs from
+10^6 sequences, so few of its 1,000 trials share an output, and
+`sim-8-bins-threads-2` repeats it at `--threads 2` under the same hash; both
+were pinned before the decoder scored each distinct output once. A change
+that alters one of these outputs on purpose updates its hash here.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 `sim` lines, an 11-letter `typ-dump` and `b-typ` in the comma format, an empty
 typical set, a `typ-dump` at n = 48 listed by composition class, a bmd `sim` with pairwise-only acceptances, a linear-codebook
 `sim`, the README `sim` line at `--threads 3`, a Monte Carlo `b-typ` at
-budget 100, an exact 4-bin `b-typ` and an exact 8-ASK `b-typ`) matches the
+budget 100, an exact 4-bin `b-typ`, an exact 8-ASK `b-typ`, and an 8-bin
+`sim` whose outputs seldom repeat with its `--threads 2` twin) matches the
 sha256 pinned in golden.json."""
 
 import pytest
@@ -22,3 +23,4 @@ def test_stdout_matches_pinned_hash(case, tmp_path, capsys):
 def test_threads_twin_pins_the_same_output():
     hashes = {case["id"]: case["sha256"] for case in CASES}
     assert hashes["readme-sim-threads-3"] == hashes["readme-sim"]
+    assert hashes["sim-8-bins-threads-2"] == hashes["sim-8-bins"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -327,12 +328,19 @@ BLOCK_CASES = {
     for mode in ("iid", "linear")
 }
 BLOCK_CASES["bmd-pairwise-only"] = {**PAIRWISE, "gamma": 0.5}
+# each of the 2-bin channel's 4 outputs split into 375 equal letters: 1500^6
+# output sequences overflow an int64 key, and outputs seldom repeat
+BLOCK_CASES["wide-output"] = {
+    **BLOCK_CASES["m1-smd-iid"], "dmc": Dmc(np.repeat(NOISY.w, 375, axis=1) / 375)
+}
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     cfg = ExperimentConfig(**BLOCK_CASES[case])
     dec, y, masks, counts = _per_trial_reference(cfg)
+    distinct = len(np.unique(y, axis=0))
+    assert (distinct > 0.9 * cfg.trials) if case == "wide-output" else (distinct < cfg.trials)
     # runs of a tail letter, which the y box rejects, among the drawn outputs
     tails = np.repeat([[0], [cfg.dmc.nout - 1]], cfg.n, axis=1)
     assert not _box(dec.logt["y"][tails].sum(axis=1), cfg.n, dec.h["y"], cfg.eps).any()
@@ -346,14 +354,36 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     if case == "bmd-pairwise-only":
         assert counts["pairwise_only"] > 500
     candidates = dec.cand.count
-    # default blocks; 7 trials a block (300 and 500 are not multiples of 7);
-    # fewer cells than candidates, so one trial a block
-    for cells in (signcode.BLOCK_CELLS, 7 * candidates, candidates - 1):
-        monkeypatch.setattr(signcode, "BLOCK_CELLS", cells)
-        st = run_experiment(cfg)
-        assert (
-            st.errors_total, st.errors_kind1, st.errors_kind2, st.both, st.bmd_pairwise_only
-        ) == (counts["err"], counts["k1"], counts["k2"], counts["both"], counts["pairwise_only"])
+    cells, row_sorts = [], [0]
+    accept_mask, unique = type(dec).accept_mask, np.unique
+
+    def counted_mask(self, outputs):
+        mask = accept_mask(self, outputs)
+        cells.append(mask.size)
+        return mask
+
+    def counted_unique(ar, *args, **kwargs):
+        row_sorts[0] += kwargs.get("axis") == 0
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(type(dec), "accept_mask", counted_mask)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    # default blocks; 7 distinct outputs a block; fewer cells than
+    # candidates, so one distinct output a block. Every trial fits in one
+    # drawn chunk, and each distinct output is scored once
+    for block_cells in (signcode.BLOCK_CELLS, 7 * candidates, candidates - 1):
+        monkeypatch.setattr(signcode, "BLOCK_CELLS", block_cells)
+        for threads in (1, 2, 3):
+            cells.clear()
+            row_sorts[0] = 0
+            st = run_experiment(cfg, threads=threads)
+            assert (
+                st.errors_total, st.errors_kind1, st.errors_kind2, st.both, st.bmd_pairwise_only
+            ) == (counts["err"], counts["k1"], counts["k2"], counts["both"], counts["pairwise_only"])
+            assert sum(cells) == distinct * candidates
+            assert len(cells) == math.ceil(distinct / max(1, block_cells // candidates))
+            # the integer key, unless nout^n overflows int64
+            assert row_sorts[0] == (case == "wide-output")
 
 
 @pytest.mark.parametrize("kind", ["smd", "bmd"])

@@ -14,6 +14,7 @@ from paslab.alphabets import make_ask
 from paslab.channel import gaussian_dmc
 from paslab.errors import ConfigError
 from paslab.signcode import ExperimentConfig, run_experiment
+from test_signcode import _per_trial_reference
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**63 + 2**40 + 7]
 BOUNDS = [1, 2, 40, 999_983, 2**31 + 1]
@@ -109,7 +110,8 @@ def test_negative_seed_is_a_config_error():
 def test_one_trial_blocks_draw_once_per_chunk(monkeypatch, chunk):
     cfg = ExperimentConfig(**EXPERIMENT)
     want = run_experiment(cfg)
-    passes, masks = [], [0]
+    outputs = _per_trial_reference(cfg)[1]
+    passes, scored = [], []
     draw, accept_mask = streams.draw, signcode.SmdDecoder.accept_mask
 
     def counted_draw(seed, trials, bounds, n):
@@ -117,17 +119,21 @@ def test_one_trial_blocks_draw_once_per_chunk(monkeypatch, chunk):
         return draw(seed, trials, bounds, n)
 
     def counted_mask(self, y):
-        masks[0] += 1
+        scored.append(y)
         return accept_mask(self, y)
 
     monkeypatch.setattr(streams, "draw", counted_draw)
     monkeypatch.setattr(signcode.SmdDecoder, "accept_mask", counted_mask)
     monkeypatch.setattr(signcode, "DRAW_CHUNK", chunk)
-    monkeypatch.setattr(signcode, "BLOCK_CELLS", 1)  # below C: one trial a block
+    monkeypatch.setattr(signcode, "BLOCK_CELLS", 1)  # below C: one distinct output a block
     assert run_experiment(cfg) == want
     assert len(passes) == math.ceil(cfg.trials / chunk)
     assert [t for trials in passes for t in trials] == list(range(cfg.trials))
-    assert masks[0] == cfg.trials  # the blocks are unchanged
+    # each chunk's distinct outputs, each scored once, in lexicographic order
+    distinct = [np.unique(outputs[i : i + chunk], axis=0) for i in range(0, cfg.trials, chunk)]
+    assert all(len(y) == 1 for y in scored)
+    np.testing.assert_array_equal(np.concatenate(scored), np.concatenate(distinct))
+    assert len(scored) < cfg.trials
 
 
 def test_chunks_hold_whole_blocks(monkeypatch):
