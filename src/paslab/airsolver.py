@@ -191,8 +191,7 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
         k = int(np.argmax(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        delta_star, _ = golden_max(lambda d: solve(d)[2], lo, hi, xtol=3e-5 * d_hi)
-        w, p_a_star, cap = solve(delta_star)
+        _, (w, p_a_star, cap) = golden_max(solve, lo, hi, xtol=3e-5 * d_hi, key=lambda r: r[2])
 
     h_a = entropy(p_a_star)
     gamma = min(max(cap - h_a, 0.0), math.nextafter(1.0, 0.0))

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .alphabets import LabelMap
+from .erfc import half_erfc
 
 ROW_TOL = 1e-12
 
@@ -16,9 +17,10 @@ ROW_TOL = 1e-12
 class AwgnSpec:
     """Quantizer settings for a real AWGN channel.
 
-    num_bins uniform bins cover [min(x) - clip_sigmas*sigma, max(x) + clip_sigmas*sigma];
-    two extra unbounded tail bins catch the rest, so the output alphabet has
-    num_bins + 2 letters.
+    num_bins uniform bins cover [-r, r] with r = max|x| + clip_sigmas*sigma,
+    on a grid centred at 0 (edges (i - num_bins/2) * 2r/num_bins, so edge
+    num_bins - i is exactly minus edge i); two extra unbounded tail bins catch
+    the rest, so the output alphabet has num_bins + 2 letters.
     """
 
     num_bins: int = 2000
@@ -65,22 +67,44 @@ def identity_dmc(points) -> Dmc:
 
 
 def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = 6.0) -> Dmc:
-    """Quantize y = x + N(0, sigma^2) onto a uniform bin grid plus two tails."""
+    """Quantize y = x + N(0, sigma^2) onto a uniform bin grid plus two tails.
+
+    Each row is the cdf F at every edge, differenced: the lower tail bin is
+    F at the first edge, the upper one 1 - F at the last. F comes from the
+    tail T = erfc(|z|) / 2 at z = (edge - x) / (sigma sqrt 2): F = T below x
+    and 1 - T above. Since the edges are symmetric about 0, the z of -x at
+    edge i is minus the z of x at edge num_bins - i, so T is evaluated once
+    per distinct |x| and read reversed for the negative point.
+    """
     if num_bins < 2:
         raise ValueError(f"num_bins must be >= 2, got {num_bins}")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"noise sigma must be positive and finite, got {sigma}")
     pts = np.asarray(points, dtype=float)
-    lo = pts.min() - clip_sigmas * sigma
-    hi = pts.max() + clip_sigmas * sigma
-    edges = np.linspace(lo, hi, num_bins + 1)
-    # tail bin (-inf, lo), num_bins interior bins, tail bin (hi, inf)
-    cdf = ndtr((edges[None, :] - pts[:, None]) / sigma)
-    w = np.empty((len(pts), num_bins + 2))
-    w[:, 0] = cdf[:, 0]
-    w[:, 1:-1] = np.diff(cdf, axis=1)
-    w[:, -1] = 1.0 - cdf[:, -1]
-    w = np.maximum(w, 0.0)
+    mags = np.unique(np.abs(pts))
+    half = mags[-1] + clip_sigmas * sigma
+    edges = (np.arange(num_bins + 1) - num_bins / 2) * (2.0 * half / num_bins)
+    # one row of |z| per |x|, and how many edges lie below and above that |x|
+    # (the edges rise, so those come first and last)
+    below = np.searchsorted(edges, mags, side="left")
+    above = num_bins + 1 - np.searchsorted(edges, mags, side="right")
+    z = np.abs(edges - mags[:, None])
+    z /= sigma * math.sqrt(2.0)
+    tail = half_erfc(z)
+    upper = 1.0 - tail
+    # cdf framed by 0 and 1: the tail bins (-inf, edges[0]) and (edges[-1], inf)
+    # are its first and last differences
+    cdf = np.empty((len(pts), num_bins + 3))
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    group = np.searchsorted(mags, np.abs(pts))
+    for row, x, j in zip(cdf[:, 1:-1], pts.tolist(), group.tolist()):
+        if x < 0:
+            t, u, n = tail[j, ::-1], upper[j, ::-1], above[j]
+        else:
+            t, u, n = tail[j], upper[j], below[j]
+        row[:n], row[n:] = t[:n], u[n:]
+    w = np.diff(cdf, axis=1)
+    np.maximum(w, 0.0, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return Dmc(w=w, input_points=tuple(points))
 

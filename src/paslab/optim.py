@@ -13,32 +13,38 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200):
+def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None):
     """Golden-section maximization of a unimodal f on [a, b].
 
-    Returns (x_best, f_best) over all probed points, so a non-unimodal f
-    still yields the best sample seen.
+    Returns (x_best, f(x_best)) over all probed points, ranked by key(f(x))
+    (f(x) itself by default), so a non-unimodal f still yields the best
+    sample seen, and a caller whose f returns more than the objective gets
+    back what f computed there without calling it again.
     """
+    key = key or (lambda y: y)
+
+    def better(best, y, x):  # best is (key, x, y); ties in key go to the larger x
+        return (key(y), x, y) if (key(y), x) > best[:2] else best
+
     h = b - a
     c, d = a + INVPHI2 * h, a + INVPHI * h
-    fc, fd = f(c), f(d)
-    best = max([(fc, c), (fd, d)])
+    yc, yd = f(c), f(d)
+    best = better((key(yc), c, yc), yd, d)
     it = 0
     while h > xtol and it < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
+        if key(yc) >= key(yd):
+            b, d, yd = d, c, yc
             h = b - a
             c = a + INVPHI2 * h
-            fc = f(c)
+            yc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, yc = c, d, yd
             h = b - a
             d = a + INVPHI * h
-            fd = f(d)
-        best = max(best, (fc, c), (fd, d))
+            yd = f(d)
+        best = better(better(best, yc, c), yd, d)
         it += 1
-    fbest, xbest = best
-    return xbest, fbest
+    return best[1], best[2]
 
 
 def bisect_until(f, lo: float, hi: float, ftol: float, xtol: float = 0.0, max_iter: int = 200):

@@ -11,9 +11,9 @@ integers and 53-bit doubles; tests/test_streams.py fails if a numpy release
 changes any of them. A trial's acceptances depend only on its output, so
 each distinct output of a drawn chunk is scored once, against every
 candidate, in blocks of about BLOCK_CELLS (output, candidate) cells, and
-`--threads` maps over the blocks. Since every trial keeps its own stream and
-the counts are integer sums, results do not depend on the chunk or block size
-or on the thread count.
+`--threads` maps over the blocks of a chunk that holds more than one. Since
+every trial keeps its own stream and the counts are integer sums, results do
+not depend on the chunk or block size or on the thread count.
 """
 
 from __future__ import annotations
@@ -549,7 +549,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     score = partial(_score_block, decoder, log_pairwise)
     parts = []
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        mapper = pool.map if pool else map
         for start in range(0, config.trials, chunk):
             sent, u = _draw_trials(config, cand, range(start, min(start + chunk, config.trials)))
             y = _channel_outputs(cdf_rows, point_idx[sent], u)
@@ -557,6 +556,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
             sent = sent[order]
             starts = range(0, len(rows), size)
             edges = [bounds[r : r + size + 1] for r in starts]
+            # a chunk of one block gains nothing from the pool but its hand-off
+            mapper = pool.map if pool and len(starts) > 1 else map
             parts += mapper(
                 score, [rows[r : r + size] for r in starts], [np.diff(e) for e in edges],
                 [sent[e[0] : e[-1]] for e in edges],

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,43 @@ def test_gaussian_dmc_shapes_and_tails():
     assert np.allclose(d.w, d.w[::-1, ::-1])
     # most mass near the transmitted point, not in the far tail
     assert d.w[0, -1] < 1e-12
+
+
+def _ndtr_channel(points, sigma, num_bins, clip_sigmas, centred):
+    """The quantized channel built on scipy's ndtr: cdf at each edge, upper
+    tail 1 - cdf, clamp at 0 and row normalisation; edges on the grid
+    centred at 0, or from linspace(min - clip, max + clip)."""
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    pts = np.asarray(points, dtype=float)
+    if centred:
+        half = np.abs(pts).max() + clip_sigmas * sigma
+        edges = (np.arange(num_bins + 1) - num_bins / 2) * (2.0 * half / num_bins)
+    else:
+        edges = np.linspace(pts.min() - clip_sigmas * sigma, pts.max() + clip_sigmas * sigma, num_bins + 1)
+    cdf = ndtr((edges[None, :] - pts[:, None]) / sigma)
+    w = np.empty((len(pts), num_bins + 2))
+    w[:, 0] = cdf[:, 0]
+    w[:, 1:-1] = np.diff(cdf, axis=1)
+    w[:, -1] = 1.0 - cdf[:, -1]
+    w = np.maximum(w, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return Dmc(w=w).w
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_gaussian_dmc_matches_ndtr_channel(m):
+    # only the tail values move, by a few ulp: the zero pattern (cells whose
+    # cdf underflows, or rounds to 1, at both edges) is the ndtr channel's,
+    # also on the linspace grid the channel used before its edges were
+    # centred. The tolerance holds only on the same grid: at sigma 0.02 the
+    # edges' last-bit difference alone moves cells by 3e-13 relative
+    points = make_ask(m).points
+    for sigma, bins, clip in itertools.product((0.02, 0.1, 0.45, 1.0, 3.0), (2, 3, 8, 101, 2000), (0.0, 2.0, 6.0, 20.0)):
+        got = gaussian_dmc(points, sigma, bins, clip).w
+        want = _ndtr_channel(points, sigma, bins, clip, centred=True)
+        np.testing.assert_array_equal(got == 0, want == 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want + 5e-16), (sigma, bins, clip)
+        np.testing.assert_array_equal(got == 0, _ndtr_channel(points, sigma, bins, clip, centred=False) == 0)
 
 
 def test_gaussian_dmc_arg_checks():

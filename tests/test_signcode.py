@@ -366,8 +366,16 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
         row_sorts[0] += kwargs.get("axis") == 0
         return unique(ar, *args, **kwargs)
 
+    pool_maps = [0]
+    pool_map = signcode.ThreadPoolExecutor.map
+
+    def counted_pool_map(self, *args, **kwargs):
+        pool_maps[0] += 1
+        return pool_map(self, *args, **kwargs)
+
     monkeypatch.setattr(type(dec), "accept_mask", counted_mask)
     monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(signcode.ThreadPoolExecutor, "map", counted_pool_map)
     # default blocks; 7 distinct outputs a block; fewer cells than
     # candidates, so one distinct output a block. Every trial fits in one
     # drawn chunk, and each distinct output is scored once
@@ -375,7 +383,7 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
         monkeypatch.setattr(signcode, "BLOCK_CELLS", block_cells)
         for threads in (1, 2, 3):
             cells.clear()
-            row_sorts[0] = 0
+            row_sorts[0] = pool_maps[0] = 0
             st = run_experiment(cfg, threads=threads)
             assert (
                 st.errors_total, st.errors_kind1, st.errors_kind2, st.both, st.bmd_pairwise_only
@@ -384,6 +392,8 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
             assert len(cells) == math.ceil(distinct / max(1, block_cells // candidates))
             # the integer key, unless nout^n overflows int64
             assert row_sorts[0] == (case == "wide-output")
+            # the one chunk goes through the pool only if it holds several blocks
+            assert pool_maps[0] == (threads > 1 and len(cells) > 1)
 
 
 @pytest.mark.parametrize("kind", ["smd", "bmd"])
