@@ -353,11 +353,11 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
     report = lemma1_report(b)
     header = {"config": cfg, "h_u": b.h_u, "count": b.count, "exact": b.exact}
     header.update(report)
-    # members of one type class share their probability: format each value once
-    probs, which = np.unique(b.cond_probs, return_inverse=True)
-    labels = [f" {prob:.10g}\n" for prob in probs.tolist()]
+    # members of one type class share their probability: format each kept class's once
+    probs = [res.prob for res in b.class_probs.values()]
+    labels = {k: f" {probs[k]:.10g}\n" for k in np.flatnonzero(b.class_kept).tolist()}
     lines = _member_text(b.members, len(pmf)).splitlines()
-    body = "".join(line + labels[i] for line, i in zip(lines, which.tolist()))
+    body = "".join(line + labels[k] for line, k in zip(lines, b.member_class.tolist()))
     _emit(json.dumps(header, sort_keys=True) + "\n" + body, args.out)
 
 

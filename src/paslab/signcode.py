@@ -31,13 +31,13 @@ from . import streams
 from .alphabets import AskConstellation, LabelMap, brgc_label
 from .channel import Dmc
 from .errors import BudgetError, ConfigError
-from .infomeasures import check_pmf, entropy_raw, log2_safe
+from .infomeasures import check_pmf, entropy_raw, log2_safe, sign_amplitude_joint
 from .typicality import (
     DEFAULT_BUDGET,
-    LOG_SLACK,
     BTypicalSet,
     TypConfig,
     enumerate_b_typical,
+    in_box,
 )
 
 DECODE_BUDGET = 1_000_000
@@ -234,11 +234,6 @@ class _Candidates:
         return self.a_idx.shape[0]
 
 
-def _box(stat_sum: np.ndarray, n: int, h: float, eps: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        return np.abs(-stat_sum / n - h) <= eps + LOG_SLACK
-
-
 def _outputs(y: np.ndarray) -> np.ndarray:
     """y as a (B, n) index block, from one (n,) output or a (B, n) block."""
     return np.atleast_2d(np.asarray(y, dtype=np.intp))
@@ -259,7 +254,7 @@ class _BoxTest:
         self.terms = terms  # [(table (K, nout), codes (n, C), entropy)]
 
     def _y_box(self, y: np.ndarray) -> np.ndarray:
-        return _box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
+        return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
 
     def accept(self, y: np.ndarray) -> np.ndarray:
         """(C,) acceptances of every candidate for one (n,) output, (B, C)
@@ -270,7 +265,7 @@ class _BoxTest:
             total = np.take(table[:, block[:, 0]], codes[0], axis=0)
             for i in range(1, self.n):
                 total += np.take(table[:, block[:, i]], codes[i], axis=0)
-            ok &= _box(total, self.n, h, self.eps)
+            ok &= in_box(total, self.n, h, self.eps)
         return ok.T if np.ndim(y) == 2 else ok[:, 0]
 
     def pairs(self, y: np.ndarray, rows) -> np.ndarray:
@@ -283,7 +278,7 @@ class _BoxTest:
             total = table[codes[0, rows], y[:, 0]]
             for i in range(1, self.n):
                 total += table[codes[i, rows], y[:, i]]
-            ok &= _box(total, self.n, h, self.eps)
+            ok &= in_box(total, self.n, h, self.eps)
         return ok
 
 
@@ -294,8 +289,9 @@ class SmdDecoder:
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
         self.layer, self.codebook, self.eps = layer, codebook, layer.eps
         self.cand = c = _Candidates(layer, codebook)
-        trans = sign_output_transition(layer.constellation, dmc)
-        t = self.t = (layer.amplitude_pmf[:, None] * trans).reshape(-1, 2, dmc.nout)  # p(a, s, y)
+        p_sa = np.outer([0.5, 0.5], layer.amplitude_pmf)  # uniform signs
+        # p(a, s, y), copied: numpy sums a transposed view's margins in another order
+        t = self.t = np.ascontiguousarray(sign_amplitude_joint(p_sa, dmc, layer.constellation).transpose(1, 0, 2))
         self.h = {}
         self.logt = {}
         for name, axes in {
@@ -306,9 +302,9 @@ class SmdDecoder:
             self.h[name] = entropy_raw(marg)
             self.logt[name] = log2_safe(marg)
         h, logt, n, eps = self.h, self.logt, c.n, self.eps
-        static = _box(logt["a"][c.a_idx].sum(axis=1), n, h["a"], eps)
-        static &= _box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
-        static &= _box(logt["as"][c.a_idx, c.s_idx].sum(axis=1), n, h["as"], eps)
+        static = in_box(logt["a"][c.a_idx].sum(axis=1), n, h["a"], eps)
+        static &= in_box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
+        static &= in_box(logt["as"][c.a_idx, c.s_idx].sum(axis=1), n, h["as"], eps)
         terms = [
             (logt["ay"], c.a_pos, h["ay"]),
             (logt["sy"], c.s_pos, h["sy"]),
@@ -351,11 +347,11 @@ class BmdDecoder:
                 }
             )
         c, h, logt, n, eps = self.cand, self.h, self.logt, self.cand.n, self.eps
-        static = _box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
+        static = in_box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
         terms = [(logt["sy"], c.s_pos, h["sy"])]
         for j, lv in enumerate(self.levels):
             level = bits[:, j].astype(np.intp)
-            static &= _box(lv["log_b"][level[c.a_idx]].sum(axis=1), n, lv["h_b"], eps)
+            static &= in_box(lv["log_b"][level[c.a_idx]].sum(axis=1), n, lv["h_b"], eps)
             terms.append((lv["log_by"], level[c.a_pos], lv["h_by"]))
         self.test = _BoxTest(n, eps, logt["y"], h["y"], static, terms)
 

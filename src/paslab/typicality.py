@@ -4,22 +4,23 @@ conditioned subset whose members stay jointly typical with high probability.
 A single sequence is any sequence of alphabet indices. An enumerated set
 holds its members as one C-contiguous (N, n) array of letter indices, uint8
 for alphabets of at most 256 letters, one member per row in lexicographic
-order; an empty set has shape (0, n). Membership uses the empirical
-log-probability rate against entropy with a 1e-12 slack so boundary
-compositions do not flap with float noise. Cardinality/probability bounds
-that only hold for large n are reported with an applicability flag instead
-of being asserted.
+order; an empty set has shape (0, n). Every membership test, here and in
+the sign-coding decoders, is `in_box`: the empirical log-probability rate
+against entropy with a 1e-12 slack so boundary compositions do not flap with
+float noise. Cardinality/probability bounds that only hold for large n are
+reported with an applicability flag instead of being asserted.
 
 Both sides of typicality follow Csiszar and Korner's method of types, and
-neither scans a sequence grid. A sequence is typical or not by its
-composition, so a set is listed one composition class at a time. The
-probability that the channel output stays jointly typical with an input u
-depends on u only through its composition, and on an output v only through
-the conditional type of v given u (how many positions holding each input
-letter carry each output letter): its exact value is a sum over conditional
-types, each weighted by the number of output sequences it holds. It is exact
-while those types fit the budget and a Monte Carlo estimate above it; either
-way a function of u's type class alone.
+neither scans a sequence grid. Typicality and p(u) are shared by every
+sequence of a composition class, so a set is listed, and its masses and
+probability checks summed and checked, one class at a time. The probability
+that the channel output stays jointly typical with an input u depends on u
+only through its composition, and on an output v only through the
+conditional type of v given u (how many positions holding each input letter
+carry each output letter): its exact value is a sum over conditional types,
+each weighted by the number of output sequences it holds. It is exact while
+those types fit the budget and a Monte Carlo estimate above it; either way a
+function of u's type class alone.
 """
 
 from __future__ import annotations
@@ -59,23 +60,29 @@ class TypConfig:
             raise ValueError(f"budget must be positive, got {self.budget}")
 
 
-def empirical_rate(seq, pmf) -> float:
-    """-(1/n) log2 p(seq) under an iid pmf; inf when a symbol has probability 0."""
-    p = np.asarray(pmf, dtype=float)
+def _log2_prob(seq, pmf) -> float:
+    """log2 p(seq) under an iid pmf; -inf when a symbol has probability 0."""
     idx = np.asarray(seq, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("sequence must be non-empty")
-    vals = p[idx]
-    if np.any(vals == 0.0):
-        return float("inf")
-    return float(-np.log2(vals).sum() / idx.size)
+    return float(log2_safe(np.asarray(pmf, dtype=float))[idx].sum())
+
+
+def empirical_rate(seq, pmf) -> float:
+    """-(1/n) log2 p(seq) under an iid pmf; inf when a symbol has probability 0."""
+    return -_log2_prob(seq, pmf) / np.size(seq)
+
+
+def in_box(log2_sum, n: int, h: float, eps: float):
+    """The weak-typicality box |-log2_sum / n - h| <= eps (+ boundary slack) on
+    the log2 p of sequences of n letters, elementwise; -inf and NaN are out."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(-log2_sum / n - h) <= eps + LOG_SLACK
 
 
 def is_typical(seq, pmf, config: TypConfig) -> bool:
-    """Weak typicality: |empirical rate - H| <= eps (+ boundary slack)."""
-    h = entropy(pmf)
-    rate = empirical_rate(seq, pmf)
-    return bool(abs(rate - h) <= config.eps + LOG_SLACK)
+    """Weak typicality of one sequence against the entropy of pmf."""
+    return bool(in_box(_log2_prob(seq, pmf), np.size(seq), entropy(pmf), config.eps))
 
 
 class SetBounds(NamedTuple):
@@ -88,13 +95,26 @@ class SetBounds(NamedTuple):
     typical_prob: float
 
 
+def _bounds_ok(count: int, probs: np.ndarray, n: int, h: float, eps: float) -> tuple:
+    """The upper_ok, lower_ok and member_prob_ok checks of SetBounds on a set of
+    count sequences with distinct probabilities probs."""
+    lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
+    hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
+    return (
+        count <= 2.0 ** (n * (h + eps)) * (1 + LOG_SLACK),
+        count >= (1 - eps) * 2.0 ** (n * (h - eps)) * (1 - LOG_SLACK),
+        bool(np.all(probs >= lo) and np.all(probs <= hi)),
+    )
+
+
 @dataclass(frozen=True)
 class TypicalSet:
     """The typical set of an iid pmf: members is a read-only (N, n) index
     array, one member per row in lexicographic order; class_firsts the
     read-only (C, n) first member of each composition class (its letters
-    sorted), classes in the order their first members come, and member_class
-    the class of every member."""
+    sorted), classes in the order their first members come, with their sizes
+    class_sizes and the p(u) class_prob of their members; member_class the
+    class of every member."""
 
     pmf: np.ndarray
     config: TypConfig
@@ -103,6 +123,8 @@ class TypicalSet:
     bounds: SetBounds
     class_firsts: np.ndarray = field(repr=False)
     member_class: np.ndarray = field(repr=False)
+    class_sizes: np.ndarray = field(repr=False)
+    class_prob: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -174,10 +196,10 @@ def _class_members(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     """List the typical set in lexicographic order, with bounds. Typicality
-    is decided once per composition class of the s letters with p > 0, and
-    only the typical classes' members are listed. The budget bounds the
-    C(n + s - 1, s - 1) classes, checked before any is drawn, and the members
-    (BudgetError carries their count, exact below 2^53)."""
+    and p(u) are decided once per composition class of the s letters with
+    p > 0, and only the typical classes' members are listed. The budget bounds
+    the C(n + s - 1, s - 1) classes, checked before any is drawn, and the
+    members (BudgetError carries their count, exact below 2^53)."""
     p = check_pmf(pmf)
     if p.ndim != 1:
         raise ValueError(f"pmf must be a vector, got shape {p.shape}")
@@ -189,39 +211,32 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
         raise BudgetError(f"enumeration visits {classes} composition classes, budget is {budget}", needed=classes)
     dtype = np.min_scalar_type(p.size - 1)  # uint8 up to 256 letters
     log2p = log2_safe(p)
-    firsts, sizes = [], []  # the typical classes' sorted letters and sizes
+    firsts, sizes, scores = [], [], []  # the typical classes' sorted letters, sizes and log2 p(u)
     for letters, count, score in _block_types(support.tolist(), n, log2p):
-        keep = np.abs(-score / n - h) <= eps + LOG_SLACK
+        keep = in_box(score, n, h, eps)
         firsts.append(letters[keep].astype(dtype))
         sizes.append(count[keep])
+        scores.append(score[keep])
     firsts, sizes = np.concatenate(firsts), np.concatenate(sizes)
     listed = int(sizes.sum())
     if listed > budget:
         raise BudgetError(f"enumeration lists {listed} typical sequences, budget is {budget}", needed=listed)
     sizes = sizes.astype(np.int64)
+    # Python's float power (libm pow), which numpy's vectorised power does not
+    # match bit for bit on every host
+    class_prob = np.array([2.0 ** x for x in np.concatenate(scores).tolist()])
     columns = _class_members(firsts, sizes)
     order = np.lexsort(columns[::-1])
-    members = columns.T[order]
-    log_prob = np.empty(listed)
-    for i in range(0, listed, CHUNK):  # a (CHUNK, n) table of log2 p at a time
-        log_prob[i:i + CHUNK] = log2p[members[i:i + CHUNK]].sum(axis=1)
-    prob = np.exp2(log_prob)
-    prob_lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
-    prob_hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
-    typical_prob = float(prob.sum())  # in lexicographic order
-    bounds = SetBounds(
-        upper_ok=listed <= 2.0 ** (n * (h + eps)) * (1 + LOG_SLACK),
-        lower_ok=listed >= (1 - eps) * 2.0 ** (n * (h - eps)) * (1 - LOG_SLACK),
-        lower_applicable=typical_prob >= 1 - eps,
-        member_prob_ok=bool(np.all(prob >= prob_lo) and np.all(prob <= prob_hi)),
-        typical_prob=typical_prob,
-    )
+    typical_prob = math.fsum((sizes * class_prob).tolist())
+    upper_ok, lower_ok, prob_ok = _bounds_ok(listed, class_prob, n, h, eps)
+    bounds = SetBounds(upper_ok, lower_ok, typical_prob >= 1 - eps, prob_ok, typical_prob)
     member_class = np.repeat(np.arange(len(firsts)), sizes)[order]
-    return TypicalSet(p, config, h, _frozen(members), bounds, _frozen(firsts), _frozen(member_class))
+    per_class = [_frozen(a) for a in (firsts, member_class, sizes, class_prob)]
+    return TypicalSet(p, config, h, _frozen(columns.T[order]), bounds, *per_class)
 
 
 def _subset_stats(seqs: dict, joint: np.ndarray) -> list:
-    """(empirical rate, entropy) for every nonempty margin of a joint pmf.
+    """(log2 probability, entropy) for every nonempty margin of a joint pmf.
 
     seqs maps axis -> index sequence; margins marginalize the other axes.
     """
@@ -232,7 +247,7 @@ def _subset_stats(seqs: dict, joint: np.ndarray) -> list:
         drop = tuple(d for d in range(ndim) if d not in axes)
         marg = joint.sum(axis=drop) if drop else joint
         idx = np.ravel_multi_index(tuple(np.asarray(seqs[d], dtype=np.intp) for d in axes), marg.shape)
-        out.append((empirical_rate(idx, marg.ravel()), entropy(marg)))
+        out.append((_log2_prob(idx, marg.ravel()), entropy(marg)))
     return out
 
 
@@ -247,7 +262,7 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     if len(lens) != 1 or lens.pop() != config.n:
         raise ValueError("all sequences must have length config.n")
     stats = _subset_stats(dict(enumerate(seq_list)), joint)
-    return all(abs(rate - h) <= config.eps + LOG_SLACK for rate, h in stats)
+    return all(in_box(log2_sum, config.n, h, config.eps) for log2_sum, h in stats)
 
 
 class CondProbResult(NamedTuple):
@@ -336,10 +351,9 @@ def conditional_typical_prob(
     joint = p_u[:, None] * t
     p_v = joint.sum(axis=0)
     h_u, h_v, h_uv = entropy(p_u), entropy(p_v), entropy(joint)
-    eps = config.eps + LOG_SLACK
+    eps = config.eps
 
-    rate_u = empirical_rate(u, p_u)
-    if abs(rate_u - h_u) > eps:
+    if not in_box(_log2_prob(u, p_u), n, h_u, eps):
         return CondProbResult(prob=0.0, exact=True)
 
     lut_v = log2_safe(p_v)  # per V symbol
@@ -348,7 +362,7 @@ def conditional_typical_prob(
         total = 0.0
         for count, score in _conditional_types(u, t, joint, lut_v):
             lt, lv, luv = score.T
-            ok = (np.abs(-lv / n - h_v) <= eps) & (np.abs(-luv / n - h_uv) <= eps)
+            ok = in_box(lv, n, h_v, eps) & in_box(luv, n, h_uv, eps)
             if ok.any():
                 total += float((count[ok] * np.exp2(lt[ok])).sum())
         return CondProbResult(prob=min(total, 1.0), exact=True)
@@ -365,25 +379,9 @@ def conditional_typical_prob(
         for i in range(n):
             v[:, i] = np.searchsorted(cdf[i], draws[:, i], side="right")
         np.minimum(v, kv - 1, out=v)  # guard against cdf tails just under 1.0
-        rv = -lut_v[v].sum(axis=1) / n
-        ruv = -lut_uv[rows, v].sum(axis=1) / n
-        hits += int(((np.abs(rv - h_v) <= eps) & (np.abs(ruv - h_uv) <= eps)).sum())
+        ok = in_box(lut_v[v].sum(axis=1), n, h_v, eps) & in_box(lut_uv[rows, v].sum(axis=1), n, h_uv, eps)
+        hits += int(ok.sum())
     return CondProbResult(prob=hits / MC_SAMPLES, exact=False)
-
-
-def _member_probs(members: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """p(u) of every row u of an (N, n) member array, as 2^(-n * rate) with the
-    empirical rate of each row summed along the row, like `empirical_rate`."""
-    n = members.shape[1]
-    log2p = log2_safe(p)
-    exponent = np.empty(len(members))
-    for i in range(0, len(members), CHUNK):  # a (CHUNK, n) table of log2 p at a time
-        rate = -log2p[members[i:i + CHUNK]].sum(axis=1) / n
-        exponent[i:i + CHUNK] = -n * rate
-    # Python's float power (libm pow), which numpy's vectorised power does not
-    # match bit for bit on every host; once per distinct exponent
-    values, inverse = np.unique(exponent, return_inverse=True)
-    return np.array([2.0 ** x for x in values.tolist()])[inverse]
 
 
 @dataclass(frozen=True)
@@ -396,9 +394,10 @@ class BTypicalSet:
     unchanged. class_probs maps each composition of the typical set (the
     symbol counts of u, as a tuple), in the order of base_set's classes, to
     the CondProbResult computed on the class's first member in lexicographic
-    order. members is a read-only
-    (N, n) index array of the kept sequences, in lexicographic order, and
-    cond_probs the (N,) float array of their class probabilities.
+    order, and class_kept says which of those classes are kept. members is a
+    read-only (N, n) index array of the kept sequences, in lexicographic
+    order, member_class the class in base_set of each, and cond_probs the
+    (N,) float array of their class probabilities.
     """
 
     input_pmf: np.ndarray
@@ -408,6 +407,8 @@ class BTypicalSet:
     cond_probs: np.ndarray = field(repr=False)
     base_set: TypicalSet = field(repr=False)
     class_probs: dict = field(repr=False)
+    class_kept: np.ndarray = field(repr=False)
+    member_class: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -423,8 +424,8 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
 
     The transition is checked first, so a bad one fails even when the typical
     set is empty. The test probability is computed once per composition
-    class, on the class's first member in lexicographic order, and shared by
-    every other member of the class.
+    class, on the class's first member in lexicographic order, and whether to
+    keep the class is decided once on it, for every member of the class.
     """
     p_u = check_pmf(input_pmf)
     transition = _check_transition(transition, p_u.size)
@@ -433,16 +434,20 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
         tuple(np.bincount(u, minlength=p_u.size).tolist()): conditional_typical_prob(u, p_u, transition, config)
         for u in base.class_firsts
     }
-    probs = np.array([res.prob for res in class_probs.values()])[base.member_class]
-    keep = probs >= 1.0 - config.eps - LOG_SLACK
+    class_cp = np.array([res.prob for res in class_probs.values()])
+    class_kept = class_cp >= 1.0 - config.eps - LOG_SLACK
+    keep = class_kept[base.member_class]
+    member_class = base.member_class[keep]
     return BTypicalSet(
         input_pmf=p_u,
         config=config,
         h_u=base.h,
         members=_frozen(base.members[keep]),
-        cond_probs=_frozen(probs[keep]),
+        cond_probs=_frozen(class_cp[member_class]),
         base_set=base,
         class_probs=class_probs,
+        class_kept=_frozen(class_kept),
+        member_class=_frozen(member_class),
     )
 
 
@@ -454,38 +459,29 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
     for n large enough; `large_n_proxy` (joint typical mass >= 1 - eps^2, the
     quantity the proofs actually need) gates those two checks.
 
-    The joint typical mass weighs every typical u by its class's conditional
-    probability from b_set.class_probs (type-class invariant, computed on the
-    class's first member), so rejected members are not tested again.
+    Every figure is a sum or a check over the composition classes of
+    b_set.base_set, never over members: a class's members share its size,
+    its p(u) and its conditional probability from b_set.class_probs, so
+    rejected members are not tested again.
     """
     cfg = b_set.config
     n, eps, h = cfg.n, cfg.eps, b_set.h_u
-    p_u = b_set.input_pmf
-    lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
-    hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
-    member_probs = _member_probs(b_set.members, p_u)
-    p1_ok = bool(np.all(member_probs >= lo) and np.all(member_probs <= hi))
-    b_mass = float(member_probs.sum())
+    base, kept = b_set.base_set, b_set.class_kept
+    mass = base.class_sizes * base.class_prob  # each class's share of the typical mass
+    count = int(base.class_sizes[kept].sum())
+    upper_ok, lower_ok, p1_ok = _bounds_ok(count, base.class_prob[kept], n, h, eps)
+    b_mass = math.fsum(mass[kept].tolist())
     p2_mass = 1.0 - b_mass
-
-    base = b_set.base_set
     class_cp = np.array([res.prob for res in b_set.class_probs.values()])
-    weighted = _member_probs(base.members, p_u) * class_cp[base.member_class]
-    # summed left to right, one member after another
-    joint_mass = float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
-    proxy = joint_mass >= 1.0 - eps**2
-
-    count = b_set.count
-    upper_ok = count <= 2.0 ** (n * (h + eps)) * (1 + LOG_SLACK)
-    lower_ok = count >= (1 - eps) * 2.0 ** (n * (h - eps)) * (1 - LOG_SLACK)
+    joint_mass = math.fsum((mass * class_cp).tolist())
     return {
         "p1_ok": p1_ok,
         "p2_mass": p2_mass,
         "p2_ok": bool(p2_mass <= eps + LOG_SLACK),
-        "p3_upper_ok": bool(upper_ok),
-        "p3_lower_ok": bool(lower_ok),
-        "large_n_proxy": bool(proxy),
-        "joint_typical_mass": float(joint_mass),
+        "p3_upper_ok": upper_ok,
+        "p3_lower_ok": lower_ok,
+        "large_n_proxy": joint_mass >= 1.0 - eps**2,
+        "joint_typical_mass": joint_mass,
         "b_mass": b_mass,
         "b_count": count,
     }

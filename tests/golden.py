@@ -29,8 +29,16 @@ an estimate of 100,000 draws seeded by its composition. `b-typ-4-bins-n7`
 `b-typ-m2-n4` (8-ASK) pin exact cases. `sim-8-bins` draws its outputs from
 10^6 sequences, so few of its 1,000 trials share an output, and
 `sim-8-bins-threads-2` repeats it at `--threads 2` under the same hash; both
-were pinned before the decoder scored each distinct output once. A change
-that alters one of these outputs on purpose updates its hash here.
+were pinned before the decoder scored each distinct output once. Six hashes
+were re-pinned when p(u) came to be computed once per composition class and
+the header probabilities summed over classes (math.fsum of size times p(u))
+instead of over members: `typ-dump-11-letters` and `typ-dump-n48`, whose
+`typical_prob` moved by 1.7e-16 and 5.6e-16, and `readme-b-typ`,
+`b-typ-11-letters`, `b-typ-monte-carlo` and `b-typ-m2-n4`, whose
+`joint_typical_mass` moved by at most 1.6e-15 (and `b_mass` and `p2_mass` of
+`b-typ-11-letters` by at most 1.1e-16); members, member lines, counts and
+booleans stayed byte-identical. A change that alters one of these outputs on
+purpose updates its hash here.
 """
 
 from __future__ import annotations

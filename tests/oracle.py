@@ -160,6 +160,32 @@ def b_typical_oracle(pmf, trans, n, eps):
     return out
 
 
+def member_probs_ok_oracle(members, pmf, n, eps):
+    """Whether every member's probability lies in [2^{-n(H+eps)}, 2^{-n(H-eps)}],
+    each bound widened by the relative slack SLACK."""
+    h = entropy_oracle(pmf)
+    lo = 2.0 ** (-n * (h + eps)) * (1 - SLACK)
+    hi = 2.0 ** (-n * (h - eps)) * (1 + SLACK)
+    return all(lo <= seq_prob(u, pmf) <= hi for u in members)
+
+
+def lemma1_oracle(pmf, trans, n, eps):
+    """The conditioned typical set's probability check, masses and count, one
+    member at a time: every typical u is weighed by its own probability and
+    its own conditional probability."""
+    members, _ = typical_set_oracle(pmf, n, eps)
+    cond = [cond_typical_prob_oracle(u, pmf, trans, eps) for u in members]
+    kept = [u for u, pr in zip(members, cond) if pr >= 1 - eps - SLACK]
+    b_mass = math.fsum(seq_prob(u, pmf) for u in kept)
+    return {
+        "p1_ok": member_probs_ok_oracle(kept, pmf, n, eps),
+        "b_mass": b_mass,
+        "p2_mass": 1.0 - b_mass,
+        "joint_typical_mass": math.fsum(seq_prob(u, pmf) * pr for u, pr in zip(members, cond)),
+        "b_count": len(kept),
+    }
+
+
 def bmd_unclipped_oracle(px, w, bit_matrix):
     """H(C) - sum_i H(C_i|Y) from the defining sums."""
     m1 = len(bit_matrix[0])

@@ -9,6 +9,7 @@ from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
 from paslab.channel import Dmc, gaussian_dmc, identity_dmc
 from paslab.errors import BudgetError, ConfigError
+from paslab.infomeasures import entropy_raw
 from paslab.signcode import (
     ExperimentConfig,
     ShapingLayer,
@@ -45,6 +46,24 @@ def test_sign_output_transition_entries():
 def test_sign_output_transition_rejects_mismatched_channel():
     with pytest.raises(ValueError):
         sign_output_transition(CST, identity_dmc([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "m,sigma,num_bins,pmf,n,eps",
+    [(1, 0.45, 2, (0.7, 0.3), 6, 0.1), (1, 0.6, 3, (0.7, 0.3), 6, 0.3), (2, 0.3, 2, (0.4, 0.3, 0.2, 0.1), 4, 0.2)],
+    ids=["4-ask-2-bins", "4-ask-3-bins", "8-ask-2-bins"],
+)
+def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pmf, n, eps):
+    # the decoder takes p(a, s, y) from sign_amplitude_joint; the table and
+    # every entropy summed from it equal those of p(a) t((s, y) | a), bit for bit
+    cst = make_ask(m)
+    dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=num_bins)
+    layer = build_shaping_layer(cst, dmc, pmf, n, eps)
+    dec = SmdDecoder(layer, draw_sign_codebook(layer.size, 1, n - 1, seed=0), dmc)
+    want = (layer.amplitude_pmf[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
+    np.testing.assert_array_equal(dec.t, want)
+    axes = {"a": (1, 2), "s": (0, 2), "y": (0, 1), "as": (2,), "ay": (1,), "sy": (0,), "asy": ()}
+    assert dec.h == {name: entropy_raw(want.sum(axis=ax) if ax else want) for name, ax in axes.items()}
 
 
 def test_build_layer_members_match_direct_enumeration():

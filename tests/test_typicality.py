@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -29,8 +30,9 @@ from paslab.typicality import (
 from oracle import (
     b_typical_oracle,
     cond_typical_prob_oracle,
-    entropy_oracle,
     jointly_typical_oracle,
+    lemma1_oracle,
+    member_probs_ok_oracle,
     seq_prob,
     seq_rate,
     typical_count_by_composition,
@@ -96,13 +98,18 @@ def test_typical_set_binary_n4():
         ((0.3, 0.7), 7, 0.25),
         ((0.2, 0.3, 0.5), 4, 0.2),
         ((0.5, 0.25, 0.25), 5, 0.15),
+        # rates 1 and 2 are inside the box only through its slack, and their
+        # p(u) outside the slackened probability bounds
+        ((0.5, 0.25, 0.25), 2, 0.5 - 0.9e-12),
     ],
 )
 def test_enumerate_typical_matches_oracle(pmf, n, eps):
     members, mass = typical_set_oracle(pmf, n, eps)
     ts = enumerate_typical(pmf, TypConfig(n=n, eps=eps))
     assert _rows(ts.members) == members
+    # the class sums against the oracle's member-by-member sum and check
     assert ts.bounds.typical_prob == pytest.approx(mass, abs=1e-12)
+    assert ts.bounds.member_prob_ok == member_probs_ok_oracle(members, pmf, n, eps)
     count, mass2 = typical_count_by_composition(pmf, n, eps)
     assert ts.count == count
     assert ts.bounds.typical_prob == pytest.approx(mass2, abs=1e-10)
@@ -222,13 +229,12 @@ def test_class_enumeration_matches_brute_force(case):
     # members of k4-n9, so its member probabilities are summed exactly
     probs = [seq_prob(u, pmf) for u in members]
     assert abs(ts.bounds.typical_prob - math.fsum(probs)) <= 1e-15
-    h = entropy_oracle(pmf)
-    lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
-    hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
-    assert ts.bounds.member_prob_ok == all(lo <= q <= hi for q in probs)
-    # every member is a reordering of its class's first member
+    assert ts.bounds.member_prob_ok == member_probs_ok_oracle(members, pmf, n, eps)
+    # every member is a reordering of its class's first member, and shares its p(u)
     np.testing.assert_array_equal(ts.class_firsts[ts.member_class], np.sort(ts.members, axis=1))
     _assert_member_array(ts.class_firsts, n)
+    np.testing.assert_array_equal(ts.class_sizes, np.bincount(ts.member_class, minlength=len(ts.class_firsts)))
+    np.testing.assert_allclose(ts.class_prob[ts.member_class], probs, rtol=1e-13, atol=0)
 
 
 def test_jointly_typical_matches_oracle():
@@ -471,6 +477,17 @@ def test_b_typical_matches_oracle():
     assert bt.exact
     for (u, pr), cp in zip(orc, bt.cond_probs):
         assert cp == pytest.approx(pr, abs=1e-12)
+    # the report's class sums and checks against member-by-member ones; in the
+    # second case the rejected classes' p(u) lie outside the probability
+    # bounds and the kept ones' inside, so p1_ok reads the kept classes only
+    cases = [(p, t, 6, 0.25), ((0.5, 0.25, 0.25), [[1, 0], [0.25, 0.75], [0.25, 0.75]], 2, 0.5 - 0.9e-12)]
+    for pmf, trans, n, eps in cases:
+        rep = lemma1_report(enumerate_b_typical(pmf, trans, TypConfig(n=n, eps=eps)))
+        want = lemma1_oracle(pmf, trans, n, eps)
+        for key in ("b_mass", "p2_mass", "joint_typical_mass"):
+            assert abs(rep[key] - want[key]) <= 1e-12
+        assert rep["p1_ok"] and want["p1_ok"]
+        assert rep["b_count"] == want["b_count"]
 
 
 def test_b_typical_can_be_empty():
@@ -599,6 +616,16 @@ def test_lemma1_report_reuses_class_results(monkeypatch):
         for u in bt.base_set.members
     )
     assert abs(rep["joint_typical_mass"] - want) <= 1e-15
+
+
+def test_lemma1_report_reads_no_member_array():
+    bt = enumerate_b_typical((0.4, 0.6), [[0.7, 0.3], [0.3, 0.7]], TypConfig(n=8, eps=0.25))
+    assert 0 < bt.count < bt.base_set.count  # kept and rejected classes
+    no_rows = {"members": np.zeros((0, 8), dtype=np.uint8), "member_class": np.zeros(0, dtype=np.int64)}
+    bare = dataclasses.replace(
+        bt, **no_rows, cond_probs=np.zeros(0), base_set=dataclasses.replace(bt.base_set, **no_rows)
+    )
+    assert lemma1_report(bare) == lemma1_report(bt)
 
 
 @settings(deadline=None, max_examples=25)
