@@ -2,6 +2,15 @@
 carry redundancy (plus an optional gamma * n information-sign budget), and
 decoding is a joint-typicality search.
 
+Each decoder is a list of weak-typicality boxes, margins of one pmf table
+whose last axis is the output y, and one builder (`_BoxTest`) turns a table
+and its list into the test:
+- symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s, y);
+- bit-metric (`bmd`): {s}, {y}, {s, y} and, for each amplitude bit level j,
+  {b_j} and {b_j, y} under p(b_1, ..., b_m, s, y), which is p(a, s, y) with
+  its amplitude axis relabelled by the amplitude bits. Its `triple_mask`
+  applies the symbol-metric list, to count pairwise-only acceptances.
+
 Seed discipline: the codebook draws from SeedSequence([seed, 0]). Trial t
 draws exactly what numpy's default_rng(SeedSequence([seed, 1, t])) gives
 through .integers(M_a), .integers(M_s) and .random(n), but `streams.draw`
@@ -11,17 +20,19 @@ integers and 53-bit doubles; tests/test_streams.py fails if a numpy release
 changes any of them. A trial's acceptances depend only on its output, so
 each distinct output of a drawn chunk is scored once, against every
 candidate, in blocks of about BLOCK_CELLS (output, candidate) cells, and
-`--threads` maps over the blocks of a chunk that holds more than one. Since
-every trial keeps its own stream and the counts are integer sums, results do
-not depend on the chunk or block size or on the thread count.
+`--threads` maps over the blocks of a chunk that holds more than one, on no
+more threads than the process has usable CPUs. Since every trial keeps its
+own stream and the counts are integer sums, results do not depend on the
+chunk or block size or on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -209,7 +220,8 @@ class DecodeResult(NamedTuple):
 
 
 class _Candidates:
-    """Precomputed per-candidate index matrices, candidate c = m_a * M_s + m_s."""
+    """Every candidate's letters, position-major: column c of the (n, C)
+    arrays a_pos and s_pos is candidate c = m_a * M_s + m_s."""
 
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook):
         m_a_count, m_s_count = layer.size, codebook.num_sign_messages
@@ -218,20 +230,15 @@ class _Candidates:
                 f"{m_a_count} x {m_s_count} candidate pairs exceed the decode budget",
                 needed=m_a_count * m_s_count,
             )
-        n = layer.n
-        self.m_a_count, self.m_s_count, self.n = m_a_count, m_s_count, n
-        amp = layer.amplitude_seqs.astype(np.intp)  # (M_a, n)
-        self.a_idx = np.repeat(amp, m_s_count, axis=0)
-        info = np.broadcast_to(codebook.info_bits, (m_a_count, m_s_count, codebook.n1))
-        signs = np.concatenate([info, codebook.redundant_bits], axis=2)
-        self.s_idx = signs.reshape(m_a_count * m_s_count, n).astype(np.intp)
-        # position-major copies, (n, C), for the per-position gathers
-        self.a_pos = np.ascontiguousarray(self.a_idx.T)
-        self.s_pos = np.ascontiguousarray(self.s_idx.T)
+        self.m_a_count, self.m_s_count = m_a_count, m_s_count
+        self.a_pos = np.repeat(layer.amplitude_seqs.T.astype(np.intp), m_s_count, axis=1)
+        info = np.tile(codebook.info_bits.T, m_a_count)
+        redundant = codebook.redundant_bits.reshape(m_a_count * m_s_count, codebook.n2).T
+        self.s_pos = np.concatenate([info, redundant]).astype(np.intp)
 
     @property
     def count(self) -> int:
-        return self.a_idx.shape[0]
+        return self.a_pos.shape[1]
 
 
 def _outputs(y: np.ndarray) -> np.ndarray:
@@ -242,16 +249,35 @@ def _outputs(y: np.ndarray) -> np.ndarray:
 class _BoxTest:
     """The joint-typicality boxes of one decoder over every candidate.
 
-    The y-independent boxes are folded once into the static candidate mask.
-    The y box sums log p(y); every other box sums a log table over positions,
-    table[codes[i], y[i]], adding one position at a time.
+    joint is a pmf table whose last axis is the output y. Each box is the
+    margin of joint on a sorted tuple of its axes, and letters holds every
+    candidate's (n, C) letters on each axis but y. Every box sums its log
+    table over positions, adding one position at a time: a box without y
+    once per candidate, into the static candidate mask; the y box once per
+    output; every other box once per (output, candidate), as
+    table[codes[i], y[i]].
     """
 
-    def __init__(self, n, eps, log_y, h_y, static, terms):
-        self.n, self.eps = n, eps
-        self.log_y, self.h_y = log_y, h_y
-        self.static = static  # (C,) bool
-        self.terms = terms  # [(table (K, nout), codes (n, C), entropy)]
+    def __init__(self, joint: np.ndarray, boxes, letters, eps: float):
+        y_axis = joint.ndim - 1
+        self.n, self.eps = letters[0].shape[0], eps
+        self.static = np.ones(letters[0].shape[1], dtype=bool)  # (C,)
+        self.terms = []  # [(table (K, nout), codes (n, C), entropy)]
+        for axes in boxes:
+            drop = tuple(d for d in range(joint.ndim) if d not in axes)
+            marg = joint.sum(axis=drop) if drop else joint
+            log, h = log2_safe(marg), entropy_raw(marg)
+            if axes == (y_axis,):
+                self.log_y, self.h_y = log, h
+                continue
+            letter_axes = [d for d in axes if d != y_axis]
+            codes = letters[letter_axes[0]]
+            for d in letter_axes[1:]:  # the row-major index into the margin
+                codes = codes * joint.shape[d] + letters[d]
+            if y_axis in axes:
+                self.terms.append((log.reshape(-1, joint.shape[y_axis]), codes, h))
+            else:
+                self.static &= in_box(log.ravel()[codes].sum(axis=0), self.n, h, eps)
 
     def _y_box(self, y: np.ndarray) -> np.ndarray:
         return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
@@ -282,35 +308,25 @@ class _BoxTest:
         return ok
 
 
+# every nonempty subset of the axes (a, s, y) of p(a, s, y)
+_SMD_BOXES = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+
+
+def _joint_asy(layer: ShapingLayer, dmc: Dmc) -> np.ndarray:
+    """p(a, s, y) with uniform signs, copied C-contiguous: numpy sums the
+    margins of a transposed view in another order."""
+    p_sa = np.outer([0.5, 0.5], layer.amplitude_pmf)
+    return np.ascontiguousarray(sign_amplitude_joint(p_sa, dmc, layer.constellation).transpose(1, 0, 2))
+
+
 class SmdDecoder:
     """Accepts (m_a, m_s) iff the amplitude, sign and output sequences are
-    jointly typical as a triple (every subset box must hold)."""
+    jointly typical as a triple: the box of every subset of (a, s, y) holds."""
 
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
         self.layer, self.codebook, self.eps = layer, codebook, layer.eps
         self.cand = c = _Candidates(layer, codebook)
-        p_sa = np.outer([0.5, 0.5], layer.amplitude_pmf)  # uniform signs
-        # p(a, s, y), copied: numpy sums a transposed view's margins in another order
-        t = self.t = np.ascontiguousarray(sign_amplitude_joint(p_sa, dmc, layer.constellation).transpose(1, 0, 2))
-        self.h = {}
-        self.logt = {}
-        for name, axes in {
-            "a": (1, 2), "s": (0, 2), "y": (0, 1),
-            "as": (2,), "ay": (1,), "sy": (0,), "asy": (),
-        }.items():
-            marg = t.sum(axis=axes) if axes else t
-            self.h[name] = entropy_raw(marg)
-            self.logt[name] = log2_safe(marg)
-        h, logt, n, eps = self.h, self.logt, c.n, self.eps
-        static = in_box(logt["a"][c.a_idx].sum(axis=1), n, h["a"], eps)
-        static &= in_box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
-        static &= in_box(logt["as"][c.a_idx, c.s_idx].sum(axis=1), n, h["as"], eps)
-        terms = [
-            (logt["ay"], c.a_pos, h["ay"]),
-            (logt["sy"], c.s_pos, h["sy"]),
-            (logt["asy"].reshape(-1, dmc.nout), 2 * c.a_pos + c.s_pos, h["asy"]),
-        ]
-        self.test = _BoxTest(n, eps, logt["y"], h["y"], static, terms)
+        self.test = _BoxTest(_joint_asy(layer, dmc), _SMD_BOXES, (c.a_pos, c.s_pos), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(C,) acceptances for one (n,) output, (B, C) for a (B, n) block."""
@@ -323,37 +339,25 @@ class SmdDecoder:
 
 
 class BmdDecoder:
-    """Accepts (m_a, m_s) iff (s, y) and every (b_j, y) pair is jointly typical."""
+    """Accepts (m_a, m_s) iff (s, y) and every (b_j, y) pair is jointly
+    typical: the boxes of {s}, {y}, {s, y}, and of {b_j} and {b_j, y} for
+    every amplitude bit level j."""
 
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
         self.layer, self.codebook, self.eps = layer, codebook, layer.eps
-        # one candidate table and p(a, s, y); the symbol test also logs
-        # pairwise-only acceptances
-        self._smd = SmdDecoder(layer, codebook, dmc)
-        self.cand, self.h, self.logt = self._smd.cand, self._smd.h, self._smd.logt
-        t = self._smd.t
-        bits = layer.label_map.amplitude_bit_matrix
-        self.levels = []
-        for j in range(layer.constellation.m):
-            p_bjy = np.zeros((2, dmc.nout))
-            for ai in range(layer.constellation.num_amplitudes):
-                p_bjy[bits[ai, j]] += t[ai].sum(axis=0)
-            self.levels.append(
-                {
-                    "h_b": entropy_raw(p_bjy.sum(axis=1)),
-                    "h_by": entropy_raw(p_bjy),
-                    "log_b": log2_safe(p_bjy.sum(axis=1)),
-                    "log_by": log2_safe(p_bjy),
-                }
-            )
-        c, h, logt, n, eps = self.cand, self.h, self.logt, self.cand.n, self.eps
-        static = in_box(logt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
-        terms = [(logt["sy"], c.s_pos, h["sy"])]
-        for j, lv in enumerate(self.levels):
-            level = bits[:, j].astype(np.intp)
-            static &= in_box(lv["log_b"][level[c.a_idx]].sum(axis=1), n, lv["h_b"], eps)
-            terms.append((lv["log_by"], level[c.a_pos], lv["h_by"]))
-        self.test = _BoxTest(n, eps, logt["y"], h["y"], static, terms)
+        self.cand = c = _Candidates(layer, codebook)
+        t = _joint_asy(layer, dmc)
+        bits = layer.label_map.amplitude_bit_matrix  # (2^m, m)
+        m = bits.shape[1]
+        # p(b_1, ..., b_m, s, y): the amplitude axis relabelled by its bits
+        joint = np.zeros((2,) * m + t.shape[1:])
+        joint[tuple(bits.T)] = t
+        s, y = m, m + 1
+        boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
+        letters = [*bits.T.astype(np.intp)[:, c.a_pos], c.s_pos]
+        self.test = _BoxTest(joint, boxes, letters, self.eps)
+        # the symbol-level test, to log pairwise-only acceptances
+        self.triple = _BoxTest(t, _SMD_BOXES, (c.a_pos, c.s_pos), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(C,) acceptances for one (n,) output, (B, C) for a (B, n) block."""
@@ -362,7 +366,7 @@ class BmdDecoder:
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The symbol-level test on the candidates `rows`, to log
         pairwise-only acceptances."""
-        return self._smd.test.pairs(y, rows)
+        return self.triple.pairs(y, rows)
 
 
 def _make_decoder(kind: str, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
@@ -450,23 +454,7 @@ class TrialStats:
     bmd_pairwise_only: int = 0  # accepted bit-level candidates with atypical triple
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "errors_total": self.errors_total,
-            "errors_kind1": self.errors_kind1,
-            "errors_kind2": self.errors_kind2,
-            "both": self.both,
-            "rate_achieved": self.rate_achieved,
-            "n": self.n,
-            "eps": self.eps,
-            "gamma": self.gamma,
-            "gamma_realized": self.gamma_realized,
-            "n1": self.n1,
-            "m_a_count": self.m_a_count,
-            "seed": self.seed,
-            "decoder": self.decoder,
-            "bmd_pairwise_only": self.bmd_pairwise_only,
-        }
+        return asdict(self)
 
 
 def _draw_trials(config, cand, trials: range):
@@ -518,6 +506,13 @@ def _score_block(decoder, log_pairwise, y, counts, sent):
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     """Monte Carlo decode-error experiment over the random sign code."""
     layer = build_shaping_layer(
@@ -536,7 +531,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     decoder = _make_decoder(config.decoder, layer, codebook, config.dmc)
     cand = decoder.cand
     # candidate -> transmitted point index per position
-    point_idx = config.constellation.sign_amplitude_index[cand.s_idx, cand.a_idx]
+    point_idx = np.ascontiguousarray(config.constellation.sign_amplitude_index[cand.s_pos, cand.a_pos].T)
     cdf_rows = np.cumsum(config.dmc.w, axis=1)
     log_pairwise = config.decoder == "bmd"
 
@@ -544,7 +539,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     chunk = max(1, DRAW_CHUNK // size) * size  # whole blocks
     score = partial(_score_block, decoder, log_pairwise)
     parts = []
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    # a pool may start a thread for each block it maps: no wider than the CPUs
+    width = min(threads, _usable_cpus())
+    with ThreadPoolExecutor(max_workers=width) if threads > 1 else nullcontext() as pool:
         for start in range(0, config.trials, chunk):
             sent, u = _draw_trials(config, cand, range(start, min(start + chunk, config.trials)))
             y = _channel_outputs(cdf_rows, point_idx[sent], u)

@@ -29,7 +29,11 @@ an estimate of 100,000 draws seeded by its composition. `b-typ-4-bins-n7`
 `b-typ-m2-n4` (8-ASK) pin exact cases. `sim-8-bins` draws its outputs from
 10^6 sequences, so few of its 1,000 trials share an output, and
 `sim-8-bins-threads-2` repeats it at `--threads 2` under the same hash; both
-were pinned before the decoder scored each distinct output once. Six hashes
+were pinned before the decoder scored each distinct output once.
+`sim-bmd-8-ask` is the first bit-level run with two amplitude bit levels
+(8-ASK, 64 amplitude messages; 799 errors, 491 kind 1, 325 kind 2, 17 both,
+118 pairwise-only acceptances); it was pinned before both decoders came to
+be built as box lists over one joint table. Six hashes
 were re-pinned when p(u) came to be computed once per composition class and
 the header probabilities summed over classes (math.fsum of size times p(u))
 instead of over members: `typ-dump-11-letters` and `typ-dump-n48`, whose

@@ -3,7 +3,8 @@
 typical set, a `typ-dump` at n = 48 listed by composition class, a bmd `sim` with pairwise-only acceptances, a linear-codebook
 `sim`, the README `sim` line at `--threads 3`, a Monte Carlo `b-typ` at
 budget 100, an exact 4-bin `b-typ`, an exact 8-ASK `b-typ`, and an 8-bin
-`sim` whose outputs seldom repeat with its `--threads 2` twin) matches the
+`sim` whose outputs seldom repeat with its `--threads 2` twin, and an 8-ASK
+bmd `sim`) matches the
 sha256 pinned in golden.json."""
 
 import pytest

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from paslab import signcode
 from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
-from paslab.channel import Dmc, gaussian_dmc, identity_dmc
+from paslab.channel import Dmc, bit_channel, gaussian_dmc, identity_dmc
 from paslab.errors import BudgetError, ConfigError
 from paslab.infomeasures import entropy_raw
 from paslab.signcode import (
@@ -24,9 +26,10 @@ from paslab.signcode import (
     BmdDecoder,
     SmdDecoder,
 )
-from paslab.typicality import LOG_SLACK, TypConfig, enumerate_b_typical
+from paslab.typicality import LOG_SLACK, TypConfig, enumerate_b_typical, is_jointly_typical
 
 CST = make_ask(1)
+M2 = make_ask(2)
 NOISY = gaussian_dmc(np.asarray(CST.points, float), sigma=0.45, num_bins=2)
 
 
@@ -54,16 +57,21 @@ def test_sign_output_transition_rejects_mismatched_channel():
     ids=["4-ask-2-bins", "4-ask-3-bins", "8-ask-2-bins"],
 )
 def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pmf, n, eps):
-    # the decoder takes p(a, s, y) from sign_amplitude_joint; the table and
-    # every entropy summed from it equal those of p(a) t((s, y) | a), bit for bit
+    # the decoders take p(a, s, y) from sign_amplitude_joint; the table and
+    # the entropies of the y boxes summed from it equal those of
+    # p(a) t((s, y) | a), bit for bit
     cst = make_ask(m)
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=num_bins)
     layer = build_shaping_layer(cst, dmc, pmf, n, eps)
-    dec = SmdDecoder(layer, draw_sign_codebook(layer.size, 1, n - 1, seed=0), dmc)
+    codebook = draw_sign_codebook(layer.size, 1, n - 1, seed=0)
     want = (layer.amplitude_pmf[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
-    np.testing.assert_array_equal(dec.t, want)
-    axes = {"a": (1, 2), "s": (0, 2), "y": (0, 1), "as": (2,), "ay": (1,), "sy": (0,), "asy": ()}
-    assert dec.h == {name: entropy_raw(want.sum(axis=ax) if ax else want) for name, ax in axes.items()}
+    joint = signcode._joint_asy(layer, dmc)
+    np.testing.assert_array_equal(joint, want)
+    assert joint.flags.c_contiguous  # the margins of every box sum as want's do
+    # y, then (a, y), (s, y) and (a, s, y)
+    entropies = [entropy_raw(want.sum(axis=ax) if ax else want) for ax in ((0, 1), (1,), (0,), ())]
+    for test in (SmdDecoder(layer, codebook, dmc).test, BmdDecoder(layer, codebook, dmc).triple):
+        assert [test.h_y] + [h for _, _, h in test.terms] == entropies
 
 
 def test_build_layer_members_match_direct_enumeration():
@@ -208,7 +216,7 @@ def test_triple_mask_on_rows_matches_full_symbol_test():
     smd = SmdDecoder(layer, codebook, cfg.dmc)
     bmd = BmdDecoder(layer, codebook, cfg.dmc)
     cand = smd.cand
-    points = CST.sign_amplitude_index[cand.s_idx, cand.a_idx]  # (candidates, n)
+    points = CST.sign_amplitude_index[cand.s_pos, cand.a_pos].T  # (candidates, n)
     rng = np.random.default_rng(0)
     pairwise_only = 0
     for k in rng.integers(cand.count, size=50):
@@ -219,6 +227,53 @@ def test_triple_mask_on_rows_matches_full_symbol_test():
         np.testing.assert_array_equal(bmd.triple_mask(y, rows), full[rows])
         pairwise_only += int((~full[rows]).sum())
     assert pairwise_only > 0
+
+
+# the golden sim-bmd-8-ask run: 8-ASK, so two amplitude bit levels
+BMD_8_ASK = dict(
+    constellation=M2,
+    dmc=gaussian_dmc(np.asarray(M2.points, float), sigma=0.5, num_bins=6),
+    amplitude_pmf=(0.4, 0.3, 0.2, 0.1), eps=0.4, n=4, gamma=0.25, decoder="bmd", trials=1000, seed=0,
+)
+
+
+@pytest.mark.parametrize("kind", ["smd", "bmd"])
+@pytest.mark.parametrize("case", [PAIRWISE, BMD_8_ASK], ids=["m1", "m2"])
+def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
+    # smd: (a, s, y) jointly typical under p(a, s, y); bmd: (s, y) jointly
+    # typical under p(s, y) and every (b_j, y) under p(b_j, y). The pmfs come
+    # from the sign-output transition and the bit channels
+    cfg = ExperimentConfig(**case)
+    layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
+    codebook = draw_sign_codebook(layer.size, cfg.n1, cfg.n - cfg.n1, seed=4)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, cfg.dmc)
+    p_asy, p_by = _reference_tables(layer, cfg.dmc)
+    bits = layer.label_map.amplitude_bit_matrix
+    typ = TypConfig(n=cfg.n, eps=cfg.eps)
+    rng = np.random.default_rng(0)
+    pairs = 300
+    m_a = rng.integers(layer.size, size=pairs)
+    m_s = rng.integers(codebook.num_sign_messages, size=pairs)
+    # each output sent from its own candidate, or from another half the time
+    sent_a = np.where(np.arange(pairs) % 2, m_a, rng.integers(layer.size, size=pairs))
+    points = cfg.constellation.sign_amplitude_index
+    y = np.array([
+        [rng.choice(cfg.dmc.nout, p=cfg.dmc.w[points[sb, ab]]) for sb, ab in zip(
+            codebook.sign_bits(i, j), layer.amplitude_seqs[k])]
+        for i, j, k in zip(m_a, m_s, sent_a)
+    ])
+    got = dec.accept_mask(y)[np.arange(pairs), m_a * codebook.num_sign_messages + m_s]
+    want = []
+    for i, j, y_seq in zip(m_a, m_s, y):
+        a, s = layer.amplitude_seqs[i], codebook.sign_bits(i, j)
+        if kind == "smd":
+            want.append(is_jointly_typical((a, s, y_seq), p_asy, typ))
+        else:
+            want.append(is_jointly_typical((s, y_seq), p_asy.sum(axis=0), typ) and all(
+                is_jointly_typical((bits[a, level], y_seq), p, typ) for level, p in enumerate(p_by)
+            ))
+    np.testing.assert_array_equal(got, want)
+    assert 0 < got.sum() < pairs
 
 
 @pytest.mark.parametrize(
@@ -270,27 +325,55 @@ def _box(total, n, h, eps):
     return np.abs(-total / n - h) <= eps + LOG_SLACK
 
 
-def _reference_mask(dec, y):
-    """One trial's mask as a (candidates, n) gather summed along positions,
-    every box evaluated on its own."""
-    c, h, lt, n, eps = dec.cand, dec.h, dec.logt, dec.cand.n, dec.eps
-    if not _box(lt["y"][y].sum(), n, h["y"], eps):
-        return np.zeros(c.count, dtype=bool)
-    yb = y[None, :]
-    ok = _box(lt["s"][c.s_idx].sum(axis=1), n, h["s"], eps)
-    ok &= _box(lt["sy"][c.s_idx, yb].sum(axis=1), n, h["sy"], eps)
-    if isinstance(dec, SmdDecoder):
-        ok &= _box(lt["a"][c.a_idx].sum(axis=1), n, h["a"], eps)
-        ok &= _box(lt["as"][c.a_idx, c.s_idx].sum(axis=1), n, h["as"], eps)
-        ok &= _box(lt["ay"][c.a_idx, yb].sum(axis=1), n, h["ay"], eps)
-        ok &= _box(lt["asy"][c.a_idx, c.s_idx, yb].sum(axis=1), n, h["asy"], eps)
-        return ok
-    bits = dec.layer.label_map.amplitude_bit_matrix
-    for j, lv in enumerate(dec.levels):
-        b = bits[:, j][c.a_idx]
-        ok &= _box(lv["log_b"][b].sum(axis=1), n, lv["h_b"], eps)
-        ok &= _box(lv["log_by"][b, yb].sum(axis=1), n, lv["h_by"], eps)
+def _reference_tables(layer, dmc):
+    """p(a, s, y) from the sign-output transition, and p(b_j, y) of each
+    amplitude bit level from its bit channel: built apart from the decoders."""
+    cst = layer.constellation
+    p_asy = (layer.amplitude_pmf[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
+    p_x = np.zeros(cst.size)
+    p_x[cst.sign_amplitude_index] = 0.5 * layer.amplitude_pmf
+    p_by = []
+    for level in range(1, cst.m + 1):  # level 0 is the sign bit
+        prior, trans = bit_channel(dmc, layer.label_map, p_x, level)
+        p_by.append(prior[:, None] * trans)
+    return p_asy, p_by
+
+
+def _all_boxes(joint, letters, n, eps):
+    """Whether every nonempty subset of the axes of joint is typical, for
+    each row of the letter arrays (one per axis; (R, n) or a broadcast (1, n))."""
+    ok = True
+    for k in range(1, joint.ndim + 1):
+        for axes in itertools.combinations(range(joint.ndim), k):
+            marg = joint.sum(axis=tuple(d for d in range(joint.ndim) if d not in axes))
+            with np.errstate(divide="ignore"):
+                log = np.log2(marg)
+            h = -(marg[marg > 0] * log[marg > 0]).sum()
+            ok = ok & _box(log[tuple(letters[d] for d in axes)].sum(axis=1), n, h, eps)
     return ok
+
+
+def _reference(dec, dmc):
+    """One output's (candidates,) acceptances by every box on its own, from
+    tables built apart from the decoder and each candidate's letters read
+    from the codebook."""
+    layer, codebook, n, eps = dec.layer, dec.codebook, dec.layer.n, dec.eps
+    p_asy, p_by = _reference_tables(layer, dmc)
+    m_a, m_s = np.divmod(np.arange(layer.size * codebook.num_sign_messages), codebook.num_sign_messages)
+    a = layer.amplitude_seqs[m_a].astype(np.intp)
+    s = np.array([codebook.sign_bits(i, j) for i, j in zip(m_a, m_s)], dtype=np.intp)
+    bits = layer.label_map.amplitude_bit_matrix
+
+    def mask(y):
+        y = np.asarray(y, dtype=np.intp)[None, :]
+        if isinstance(dec, SmdDecoder):
+            return _all_boxes(p_asy, (a, s, y), n, eps)
+        ok = _all_boxes(p_asy.sum(axis=0), (s, y), n, eps)
+        for j, p in enumerate(p_by):
+            ok = ok & _all_boxes(p, (bits[:, j][a], y), n, eps)
+        return ok
+
+    return mask
 
 
 def _per_trial_reference(cfg):
@@ -303,9 +386,10 @@ def _per_trial_reference(cfg):
         amplitude_bits=amp_bits,
     )
     dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(layer, codebook, cfg.dmc)
-    smd = SmdDecoder(layer, codebook, cfg.dmc)
+    reference = _reference(dec, cfg.dmc)
+    triple = _reference(SmdDecoder(layer, codebook, cfg.dmc), cfg.dmc)
     cand = dec.cand
-    points = cfg.constellation.sign_amplitude_index[cand.s_idx, cand.a_idx]
+    points = cfg.constellation.sign_amplitude_index[cand.s_pos, cand.a_pos].T
     cdf_rows = np.cumsum(cfg.dmc.w, axis=1)
     outputs, masks = [], []
     counts = dict.fromkeys(("err", "k1", "k2", "both", "pairwise_only"), 0)
@@ -317,7 +401,7 @@ def _per_trial_reference(cfg):
         u = rng.random(cfg.n)
         y = (cdf_rows[points[k]] < u[:, None]).sum(axis=1)
         np.minimum(y, cfg.dmc.nout - 1, out=y)
-        mask = _reference_mask(dec, y)
+        mask = reference(y)
         kind1 = not mask[k]
         kind2 = bool(mask.sum() - int(mask[k]) > 0)
         counts["err"] += int(kind1 or kind2)
@@ -325,13 +409,12 @@ def _per_trial_reference(cfg):
         counts["k2"] += int(kind2)
         counts["both"] += int(kind1 and kind2)
         if cfg.decoder == "bmd":
-            counts["pairwise_only"] += int((~_reference_mask(smd, y)[mask]).sum())
+            counts["pairwise_only"] += int((~triple(y)[mask]).sum())
         outputs.append(y)
         masks.append(mask)
     return dec, np.array(outputs), np.array(masks), counts
 
 
-M2 = make_ask(2)
 BLOCK_CASES = {
     f"m{cst.m}-{kind}-{mode}": dict(
         constellation=cst,
@@ -362,9 +445,11 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     assert (distinct > 0.9 * cfg.trials) if case == "wide-output" else (distinct < cfg.trials)
     # runs of a tail letter, which the y box rejects, among the drawn outputs
     tails = np.repeat([[0], [cfg.dmc.nout - 1]], cfg.n, axis=1)
-    assert not _box(dec.logt["y"][tails].sum(axis=1), cfg.n, dec.h["y"], cfg.eps).any()
+    p_y = _reference_tables(dec.layer, cfg.dmc)[0].sum(axis=(0, 1))
+    assert not _all_boxes(p_y, (tails,), cfg.n, cfg.eps).any()
     y = np.concatenate([y[:100], tails, y[100:]])
-    masks = np.concatenate([masks[:100], [_reference_mask(dec, row) for row in tails], masks[100:]])
+    reference = _reference(dec, cfg.dmc)
+    masks = np.concatenate([masks[:100], [reference(row) for row in tails], masks[100:]])
     block = dec.accept_mask(y)
     assert block.shape == (cfg.trials + 2, dec.cand.count)
     np.testing.assert_array_equal(block, masks)
@@ -429,11 +514,12 @@ def test_block_mask_applies_y_independent_boxes(kind):
     dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, blind)
     assert not dec.test.static.all()
     y = np.random.default_rng(0).integers(blind.nout, size=(200, 6))
-    masks = np.array([_reference_mask(dec, row) for row in y])
+    reference = _reference(dec, blind)
+    masks = np.array([reference(row) for row in y])
     np.testing.assert_array_equal(dec.accept_mask(y), masks)
     assert masks.any()
-    smd = SmdDecoder(layer, codebook, blind)
-    full = np.array([_reference_mask(smd, row) for row in y[:20]])
+    triple = _reference(SmdDecoder(layer, codebook, blind), blind)
+    full = np.array([triple(row) for row in y[:20]])
     b, c = np.nonzero(np.ones_like(full))  # every (output, candidate) pair
     np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])
     np.testing.assert_array_equal(dec.triple_mask(y[0], c[: full.shape[1]]), full[0])
@@ -484,6 +570,40 @@ def test_experiment_threads_share_blocks_identically(case, monkeypatch):
     monkeypatch.setattr(signcode, "BLOCK_CELLS", 1000)  # 10 and 29 blocks
     runs = [run_experiment(cfg, threads=t) for t in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_thread_pool_width_is_capped_at_usable_cpus(monkeypatch):
+    # a pool of 10**6 workers could start one thread per block; a stand-in
+    # pool records its width and maps in the calling thread
+    widths, maps = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            maps.append(fn)
+            return map(fn, *iterables)
+
+    cfg = ExperimentConfig(**{**PAIRWISE, "trials": 200})
+    monkeypatch.setattr(signcode, "BLOCK_CELLS", 1000)  # 29 blocks
+    want = run_experiment(cfg)
+    monkeypatch.setattr(signcode, "ThreadPoolExecutor", RecordingPool)
+    started = threading.active_count()
+    assert run_experiment(cfg, threads=10**6) == want
+    assert threading.active_count() == started
+    assert widths == [signcode._usable_cpus()] and 1 <= widths[0] <= os.cpu_count()
+    assert maps  # threads > 1 uses the pool, whatever its width
+    widths.clear()
+    monkeypatch.setattr(signcode, "_usable_cpus", lambda: 1)
+    assert run_experiment(cfg, threads=2) == want
+    assert widths == [1]
 
 
 def test_experiment_seed_changes_draws():
