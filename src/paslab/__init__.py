@@ -1,139 +1,8 @@
 """Shaped-amplitude coding toolbox: rate solvers, typicality enumeration and
-a random sign-coding decode experiment for quantized-AWGN ASK channels."""
+a random sign-coding decode experiment for quantized-AWGN ASK channels.
 
-from .alphabets import (
-    AskConstellation,
-    LabelMap,
-    bit_to_sign,
-    brgc_label,
-    compose_point,
-    make_ask,
-    sign_to_bit,
-    split_point,
-)
-from .airsolver import (
-    AirPoint,
-    air_sweep,
-    find_basic_point,
-    gamma_split,
-    mb_family,
-    mirror_pmf,
-    optimize_capacity,
-    shaping_gap,
-    theorem_feasibility,
-    uniform_rate,
-)
-from .channel import (
-    AwgnSpec,
-    Dmc,
-    bit_channel,
-    gaussian_dmc,
-    identity_dmc,
-)
-from .errors import BudgetError, ConfigError, ConvergenceError, PaslabError
-from .infomeasures import (
-    GmiResult,
-    bmd_cost,
-    bmd_rate_unclipped,
-    conditional_level_entropy,
-    entropy,
-    equivocation,
-    gmi,
-    lm_rate,
-    mi_inequality_chain,
-    mutual_information,
-    product_bit_metric,
-    r_bmd,
-    sign_amplitude_joint,
-)
-from .signcode import (
-    DecodeResult,
-    ExperimentConfig,
-    ShapingLayer,
-    SignCodebook,
-    TrialStats,
-    bmd_decode,
-    build_shaping_layer,
-    draw_sign_codebook,
-    run_experiment,
-    sign_output_transition,
-    smd_decode,
-)
-from .typicality import (
-    BTypicalSet,
-    TypConfig,
-    TypicalSet,
-    conditional_typical_prob,
-    empirical_rate,
-    enumerate_b_typical,
-    enumerate_typical,
-    is_jointly_typical,
-    is_typical,
-    lemma1_report,
-)
+The package is used through its modules (`paslab.cli`, `paslab.signcode`,
+...); it re-exports nothing.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AirPoint",
-    "AskConstellation",
-    "AwgnSpec",
-    "BTypicalSet",
-    "BudgetError",
-    "ConfigError",
-    "ConvergenceError",
-    "DecodeResult",
-    "Dmc",
-    "ExperimentConfig",
-    "GmiResult",
-    "LabelMap",
-    "PaslabError",
-    "ShapingLayer",
-    "SignCodebook",
-    "TrialStats",
-    "TypConfig",
-    "TypicalSet",
-    "air_sweep",
-    "bit_channel",
-    "bit_to_sign",
-    "bmd_cost",
-    "bmd_decode",
-    "bmd_rate_unclipped",
-    "brgc_label",
-    "build_shaping_layer",
-    "compose_point",
-    "conditional_level_entropy",
-    "conditional_typical_prob",
-    "draw_sign_codebook",
-    "empirical_rate",
-    "entropy",
-    "enumerate_b_typical",
-    "enumerate_typical",
-    "equivocation",
-    "find_basic_point",
-    "gamma_split",
-    "gaussian_dmc",
-    "gmi",
-    "identity_dmc",
-    "is_jointly_typical",
-    "is_typical",
-    "lemma1_report",
-    "lm_rate",
-    "make_ask",
-    "mb_family",
-    "mi_inequality_chain",
-    "mirror_pmf",
-    "mutual_information",
-    "optimize_capacity",
-    "product_bit_metric",
-    "r_bmd",
-    "run_experiment",
-    "shaping_gap",
-    "sign_amplitude_joint",
-    "sign_output_transition",
-    "sign_to_bit",
-    "smd_decode",
-    "split_point",
-    "theorem_feasibility",
-    "uniform_rate",
-]

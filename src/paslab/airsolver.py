@@ -47,24 +47,10 @@ class AirPoint:
     r_bmd_star: float
 
 
-def mb_family(constellation: AskConstellation, lam: float) -> np.ndarray:
-    """Maxwell-Boltzmann amplitude pmf p(a) proportional to exp(-lam * a^2)."""
-    a = np.asarray(constellation.amplitudes, dtype=float)
-    w = np.exp(-lam * a**2 - np.max(-lam * a**2))
-    return w / w.sum()
-
-
 def mirror_pmf(p_a) -> np.ndarray:
     """Symmetric symbol pmf p(x) = p(|x|)/2 over the ascending point grid."""
     p = np.asarray(p_a, dtype=float)
     return np.concatenate([p[::-1], p]) / 2.0
-
-
-def fold_pmf(p_x) -> np.ndarray:
-    """Amplitude marginal of a symbol pmf over the ascending point grid."""
-    p = np.asarray(p_x, dtype=float)
-    half = p.size // 2
-    return p[half:] + p[:half][::-1]
 
 
 def _power(snr_db: float) -> float:

@@ -55,41 +55,12 @@ class AskConstellation:
         k = np.arange(self.num_amplitudes)
         return np.stack([self.num_amplitudes - 1 - k, self.num_amplitudes + k])
 
-    def amplitude_index(self, a: int) -> int:
-        if a % 2 == 0 or not 0 < a < self.size:
-            raise ValueError(f"{a} is not an amplitude of {self.size}-ASK")
-        return (a - 1) // 2
-
 
 def make_ask(m: int) -> AskConstellation:
     """Build the 2^(m+1)-ASK constellation; m = 0 is plain BPSK."""
     if not 0 <= m <= MAX_M:
         raise ValueError(f"m must be in [0, {MAX_M}], got {m}")
     return AskConstellation(m)
-
-
-def split_point(x: int) -> tuple[int, int]:
-    """Factor a grid point into (sign, amplitude)."""
-    if x == 0 or x % 2 == 0:
-        raise ValueError(f"{x} is not an odd grid point")
-    return (1 if x > 0 else -1), abs(x)
-
-
-def compose_point(s: int, a: int) -> int:
-    """Inverse of split_point."""
-    if s not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {s}")
-    if a <= 0 or a % 2 == 0:
-        raise ValueError(f"amplitude must be a positive odd integer, got {a}")
-    return s * a
-
-
-def sign_to_bit(s: int) -> int:
-    return {-1: 0, 1: 1}[s]
-
-
-def bit_to_sign(b: int) -> int:
-    return {0: -1, 1: 1}[b]
 
 
 @dataclass(frozen=True)
@@ -113,36 +84,10 @@ class LabelMap:
         """(M, m+1) array of labels, row order = ascending points."""
         return np.array(self.bits, dtype=np.int8)
 
-    def label_of(self, x: int) -> tuple[int, tuple[int, ...]]:
-        """Return (sign, amplitude bit tuple) for a grid point."""
-        row = self.bits[self.constellation.point_index(x)]
-        return bit_to_sign(row[0]), row[1:]
-
-    def point_of(self, s: int, b: tuple[int, ...]) -> int:
-        return compose_point(s, self.amplitude_of_bits(b))
-
-    def amplitude_of_bits(self, b) -> int:
-        """Amplitude addressed by an m-bit tuple (the f(.) map of the bit layer)."""
-        key = tuple(int(v) for v in b)
-        try:
-            return self._bits_to_amp[key]
-        except KeyError:
-            raise ValueError(f"{b} is not an m-bit amplitude address") from None
-
-    def bits_of_amplitude(self, a: int) -> tuple[int, ...]:
-        i = self.constellation.point_index(a)  # positive points carry sign bit 1
-        return self.bits[i][1:]
-
     @property
     def amplitude_bit_matrix(self) -> np.ndarray:
-        """(2^m, m) array, row k = bits of amplitudes[k]."""
-        amps = self.constellation.amplitudes
-        return np.array([self.bits_of_amplitude(a) for a in amps], dtype=np.int8)
-
-    @property
-    def _bits_to_amp(self) -> dict:
-        amps = self.constellation.amplitudes
-        return {self.bits_of_amplitude(a): a for a in amps}
+        """(2^m, m) array, row k = bits of amplitudes[k] (the bits of +a)."""
+        return self.bit_matrix[self.constellation.sign_amplitude_index[1], 1:]
 
 
 def brgc_label(constellation: AskConstellation) -> LabelMap:

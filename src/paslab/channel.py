@@ -32,7 +32,6 @@ class Dmc:
     """Finite-input finite-output channel as a row-stochastic matrix."""
 
     w: np.ndarray  # (nin, nout), rows sum to 1
-    input_points: tuple = ()
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -48,8 +47,6 @@ class Dmc:
         w = w / rows[:, None]  # remove residual float drift
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        if self.input_points and len(self.input_points) != w.shape[0]:
-            raise ValueError("input_points length must match nin")
 
     @property
     def nin(self) -> int:
@@ -62,8 +59,7 @@ class Dmc:
 
 def identity_dmc(points) -> Dmc:
     """Noiseless channel: output index reveals the input exactly."""
-    k = len(points)
-    return Dmc(w=np.eye(k), input_points=tuple(points))
+    return Dmc(w=np.eye(len(points)))
 
 
 def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = 6.0) -> Dmc:
@@ -106,7 +102,7 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = 6.0) 
     w = np.diff(cdf, axis=1)
     np.maximum(w, 0.0, out=w)
     w /= w.sum(axis=1, keepdims=True)
-    return Dmc(w=w, input_points=tuple(points))
+    return Dmc(w=w)
 
 
 def bit_channel(dmc: Dmc, label_map: LabelMap, input_pmf, level: int):

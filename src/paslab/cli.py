@@ -224,7 +224,7 @@ def _build_channel(v: dict, constellation, p_a: np.ndarray):
         if v["w"] is not None:
             if v["w"].shape[:1] != (constellation.size,):
                 raise ConfigError(f"explicit channel needs {constellation.size} rows, got {v['w'].shape}")
-            return Dmc(w=v["w"], input_points=constellation.points)
+            return Dmc(w=v["w"])
         sigma = v["sigma"]
         if sigma is None:
             power = float(mirror_pmf(p_a) @ np.asarray(constellation.points, dtype=float) ** 2)

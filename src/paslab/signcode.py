@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,11 +129,8 @@ class SignCodebook:
 
     n: int
     n1: int
-    mode: str  # "iid" | "linear"
-    seed: int
     info_bits: np.ndarray  # (M_s, n1)
     redundant_bits: np.ndarray  # (M_a, M_s, n2)
-    generator: np.ndarray = None  # linear mode only
 
     @property
     def n2(self) -> int:
@@ -143,12 +139,6 @@ class SignCodebook:
     @property
     def num_sign_messages(self) -> int:
         return self.info_bits.shape[0]
-
-    def sign_bits(self, m_a: int, m_s: int) -> np.ndarray:
-        return np.concatenate([self.info_bits[m_s], self.redundant_bits[m_a, m_s]])
-
-    def sign_sequence(self, m_a: int, m_s: int) -> np.ndarray:
-        return 2 * self.sign_bits(m_a, m_s).astype(int) - 1
 
 
 def _bit_rows(count: int, width: int) -> np.ndarray:
@@ -187,7 +177,6 @@ def draw_sign_codebook(
     info = _bit_rows(m_s_count, n1)
     if mode == "iid":
         red = rng.integers(0, 2, size=(m_a_count, m_s_count, n2), dtype=np.int8)
-        gen = None
     else:
         if amplitude_bits is None:
             raise ValueError("linear mode needs the per-message amplitude bit strings")
@@ -201,9 +190,7 @@ def draw_sign_codebook(
                 [amp, np.broadcast_to(info[ms], (m_a_count, n1))], axis=1
             )
             red[:, ms, :] = (msg @ gen) % 2
-    return SignCodebook(
-        n=n1 + n2, n1=n1, mode=mode, seed=seed, info_bits=info, redundant_bits=red, generator=gen
-    )
+    return SignCodebook(n=n1 + n2, n1=n1, info_bits=info, redundant_bits=red)
 
 
 def layer_amplitude_bits(layer: ShapingLayer) -> np.ndarray:
@@ -212,19 +199,18 @@ def layer_amplitude_bits(layer: ShapingLayer) -> np.ndarray:
     return amp_bits[layer.amplitude_seqs].reshape(layer.size, -1)
 
 
-class DecodeResult(NamedTuple):
-    status: str  # "ok" | "none" | "multiple"
-    m_a: int | None
-    m_s: int | None
-    num_accepted: int
-
-
 class _Candidates:
     """Every candidate's letters, position-major: column c of the (n, C)
     arrays a_pos and s_pos is candidate c = m_a * M_s + m_s."""
 
     def __init__(self, layer: ShapingLayer, codebook: SignCodebook):
         m_a_count, m_s_count = layer.size, codebook.num_sign_messages
+        want = (m_a_count, m_s_count, layer.n - codebook.n1)
+        if codebook.redundant_bits.shape != want:
+            raise ValueError(
+                f"codebook redundant signs of shape {codebook.redundant_bits.shape} do not fit "
+                f"a layer of {m_a_count} amplitude sequences of length {layer.n}: want {want}"
+            )
         if m_a_count * m_s_count > DECODE_BUDGET:
             raise BudgetError(
                 f"{m_a_count} x {m_s_count} candidate pairs exceed the decode budget",
@@ -239,11 +225,6 @@ class _Candidates:
     @property
     def count(self) -> int:
         return self.a_pos.shape[1]
-
-
-def _outputs(y: np.ndarray) -> np.ndarray:
-    """y as a (B, n) index block, from one (n,) output or a (B, n) block."""
-    return np.atleast_2d(np.asarray(y, dtype=np.intp))
 
 
 class _BoxTest:
@@ -283,22 +264,18 @@ class _BoxTest:
         return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
 
     def accept(self, y: np.ndarray) -> np.ndarray:
-        """(C,) acceptances of every candidate for one (n,) output, (B, C)
-        for a (B, n) block of outputs."""
-        block = _outputs(y)
-        ok = self.static[:, None] & self._y_box(block)  # (C, B): row gathers are the fast ones
+        """(B, C) acceptances of every candidate for a (B, n) block of outputs."""
+        ok = self.static[:, None] & self._y_box(y)  # (C, B): row gathers are the fast ones
         for table, codes, h in self.terms:
-            total = np.take(table[:, block[:, 0]], codes[0], axis=0)
+            total = np.take(table[:, y[:, 0]], codes[0], axis=0)
             for i in range(1, self.n):
-                total += np.take(table[:, block[:, i]], codes[i], axis=0)
+                total += np.take(table[:, y[:, i]], codes[i], axis=0)
             ok &= in_box(total, self.n, h, self.eps)
-        return ok.T if np.ndim(y) == 2 else ok[:, 0]
+        return ok.T
 
-    def pairs(self, y: np.ndarray, rows) -> np.ndarray:
-        """(P,) acceptances of candidate rows[p] for output y (n,), or for
-        y[p] of a (P, n) block, summed in the same order as `accept`."""
-        rows = np.asarray(rows, dtype=np.intp)
-        y = np.broadcast_to(_outputs(y), (rows.size, self.n))
+    def pairs(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(P,) acceptances of candidate rows[p] for output y[p] of a (P, n)
+        block, summed in the same order as `accept`."""
         ok = self.static[rows] & self._y_box(y)
         for table, codes, h in self.terms:
             total = table[codes[0, rows], y[:, 0]]
@@ -329,12 +306,11 @@ class SmdDecoder:
         self.test = _BoxTest(_joint_asy(layer, dmc), _SMD_BOXES, (c.a_pos, c.s_pos), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        """(C,) acceptances for one (n,) output, (B, C) for a (B, n) block."""
+        """(B, C) acceptances for a (B, n) block of outputs."""
         return self.test.accept(y)
 
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The same test on the candidates `rows` only; a (len(rows), n) y
-        gives each row its own output."""
+        """The same test on candidate rows[p] for output y[p] only."""
         return self.test.pairs(y, rows)
 
 
@@ -360,36 +336,17 @@ class BmdDecoder:
         self.triple = _BoxTest(t, _SMD_BOXES, (c.a_pos, c.s_pos), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        """(C,) acceptances for one (n,) output, (B, C) for a (B, n) block."""
+        """(B, C) acceptances for a (B, n) block of outputs."""
         return self.test.accept(y)
 
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The symbol-level test on the candidates `rows`, to log
+        """The symbol-level test on candidate rows[p] for output y[p], to log
         pairwise-only acceptances."""
         return self.triple.pairs(y, rows)
 
 
 def _make_decoder(kind: str, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
     return (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, dmc)
-
-
-def decode(decoder, y_seq) -> DecodeResult:
-    """Unique-acceptance rule shared by both decoders."""
-    mask = decoder.accept_mask(np.asarray(y_seq, dtype=np.intp))
-    hits = np.flatnonzero(mask)
-    if hits.size == 1:
-        c = int(hits[0])
-        ms_count = decoder.cand.m_s_count
-        return DecodeResult("ok", c // ms_count, c % ms_count, 1)
-    return DecodeResult("none" if hits.size == 0 else "multiple", None, None, int(hits.size))
-
-
-def smd_decode(y_seq, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc) -> DecodeResult:
-    return decode(SmdDecoder(layer, codebook, dmc), y_seq)
-
-
-def bmd_decode(y_seq, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc) -> DecodeResult:
-    return decode(BmdDecoder(layer, codebook, dmc), y_seq)
 
 
 @dataclass(frozen=True)
@@ -423,6 +380,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.typ_budget is not None and self.typ_budget < 1:
             raise ConfigError(f"typ_budget must be positive, got {self.typ_budget}")
+        if self.n1 == self.n:
+            raise ConfigError(
+                f"gamma {self.gamma} at n={self.n} rounds to n1={self.n1} information signs, "
+                f"leaving no redundant sign; lower gamma or raise n"
+            )
 
     @property
     def n1(self) -> int:

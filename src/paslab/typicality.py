@@ -400,7 +400,6 @@ class BTypicalSet:
     (N,) float array of their class probabilities.
     """
 
-    input_pmf: np.ndarray
     config: TypConfig
     h_u: float
     members: np.ndarray = field(repr=False)
@@ -439,7 +438,6 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
     keep = class_kept[base.member_class]
     member_class = base.member_class[keep]
     return BTypicalSet(
-        input_pmf=p_u,
         config=config,
         h_u=base.h,
         members=_frozen(base.members[keep]),

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paslab.alphabets import (
-    AskConstellation,
-    bit_to_sign,
-    brgc_label,
-    compose_point,
-    make_ask,
-    sign_to_bit,
-    split_point,
-)
+from paslab.alphabets import brgc_label, make_ask
 
 
 def test_make_ask_sizes():
@@ -34,7 +26,6 @@ def test_point_and_amplitude_index():
     for i, x in enumerate(cst.points):
         assert cst.point_index(x) == i
     for i, a in enumerate(cst.amplitudes):
-        assert cst.amplitude_index(a) == i
         for row, s in enumerate((-1, 1)):
             assert cst.sign_amplitude_index[row, i] == cst.point_index(s * a)
     assert cst.sign_amplitude_index.shape == (2, cst.num_amplitudes)
@@ -42,21 +33,26 @@ def test_point_and_amplitude_index():
         cst.point_index(0)
 
 
+def _assert_sign_amplitude_map(cst):
+    # row 0 of the (s, a) -> point map is s = -1, row 1 is s = +1, and
+    # together they name every point once
+    pts = np.asarray(cst.points)[cst.sign_amplitude_index]
+    amps = np.asarray(cst.amplitudes)
+    np.testing.assert_array_equal(pts, [-amps, amps])
+    assert sorted(cst.sign_amplitude_index.ravel()) == list(range(cst.size))
+
+
 def test_split_compose_roundtrip():
-    cst = make_ask(3)
-    for x in cst.points:
-        s, a = split_point(x)
-        assert s in (-1, 1) and a in cst.amplitudes
-        assert compose_point(s, a) == x
-        assert s * a == x
+    _assert_sign_amplitude_map(make_ask(3))
 
 
 def test_sign_bit_convention():
-    # sign bit 0 <-> -1, 1 <-> +1
-    assert sign_to_bit(-1) == 0
-    assert sign_to_bit(1) == 1
-    assert bit_to_sign(0) == -1
-    assert bit_to_sign(1) == 1
+    # sign bit 0 <-> -1, 1 <-> +1: the map's row is the label's sign bit
+    for m in (0, 1, 2):
+        label = brgc_label(make_ask(m))
+        idx = label.constellation.sign_amplitude_index
+        np.testing.assert_array_equal(label.bit_matrix[idx, 0], [[0] * 2**m, [1] * 2**m])
+        assert (np.asarray(label.constellation.points)[idx[0]] < 0).all()
 
 
 def test_brgc_adjacent_labels_differ_in_one_bit():
@@ -90,31 +86,30 @@ def test_brgc_8ask_full_table():
     for x, bits in expect.items():
         i = label.constellation.point_index(x)
         assert tuple(label.bit_matrix[i]) == bits
-        sign, amp_bits = label.label_of(x)
-        assert sign == bit_to_sign(bits[0])
-        assert amp_bits == bits[1:]
-        assert label.point_of(sign, amp_bits) == x
 
 
 def test_brgc_amplitude_bits_sign_invariant():
     # amplitude bits must not depend on the sign, so the amplitude decoder
-    # can work per level
+    # can work per level; the sign bit is 1 exactly on the positive points
     for m in (1, 2, 3):
         label = brgc_label(make_ask(m))
-        for x in label.constellation.points:
-            sign, amp_bits = label.label_of(x)
-            if x > 0:
-                assert amp_bits == label.label_of(-x)[1]
-            assert sign == (1 if x > 0 else -1)
+        bm = label.bit_matrix
+        np.testing.assert_array_equal(bm[:, 1:], bm[::-1, 1:])
+        np.testing.assert_array_equal(bm[:, 0], np.asarray(label.constellation.points) > 0)
 
 
 def test_amplitude_bits_roundtrip():
+    # row k holds the amplitude bits of +a_k and of -a_k, and the rows are
+    # distinct, so the bits address each amplitude
     for m in (1, 2, 3):
         label = brgc_label(make_ask(m))
-        for ai, a in enumerate(label.constellation.amplitudes):
-            bits = label.bits_of_amplitude(a)
-            assert label.amplitude_of_bits(bits) == a
-            assert tuple(label.amplitude_bit_matrix[ai]) == bits
+        cst = label.constellation
+        amp_bits = label.amplitude_bit_matrix
+        assert amp_bits.shape == (cst.num_amplitudes, m) and amp_bits.dtype == np.int8
+        for k, a in enumerate(cst.amplitudes):
+            for x in (a, -a):
+                np.testing.assert_array_equal(amp_bits[k], label.bit_matrix[cst.point_index(x), 1:])
+        assert len({tuple(r) for r in amp_bits}) == cst.num_amplitudes
 
 
 def test_frozen():
@@ -131,9 +126,6 @@ def test_points_symmetric(m):
     assert np.all(np.diff(pts) == 2)
 
 
-@given(st.integers(min_value=0, max_value=4), st.data())
-def test_split_compose_random(m, data):
-    cst = make_ask(m)
-    x = data.draw(st.sampled_from(cst.points))
-    s, a = split_point(x)
-    assert compose_point(s, a) == x
+@given(st.integers(min_value=0, max_value=4))
+def test_split_compose_random(m):
+    _assert_sign_amplitude_map(make_ask(m))

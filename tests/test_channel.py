@@ -36,7 +36,6 @@ def test_dmc_renormalizes_drift():
 def test_identity_dmc():
     d = identity_dmc((-1, 1))
     assert np.array_equal(d.w, np.eye(2))
-    assert d.input_points == (-1, 1)
 
 
 def test_gaussian_dmc_shapes_and_tails():

@@ -197,6 +197,15 @@ def test_sim_trials_zero_exit_code(tmp_path, capsys):
     assert "trials must be >= 1" in err
 
 
+def test_sim_gamma_rounding_to_n_exit_code(capsys):
+    # gamma 0.6 is below 1, but at n 1 it rounds to n1 = 1: no redundant sign
+    argv = ["sim", "--sigma", "0.45", "--n", "1", "--gamma", "0.6", "--eps", "0.5",
+            "--num-bins", "2", "--trials", "20"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    assert "gamma 0.6 at n=1 rounds to n1=1" in err
+
+
 def test_out_flag_writes_file(sim_config, tmp_path, capsys):
     target = tmp_path / "result.json"
     rc, out, _ = run_cli(

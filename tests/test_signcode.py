@@ -15,14 +15,11 @@ from paslab.infomeasures import entropy_raw
 from paslab.signcode import (
     ExperimentConfig,
     ShapingLayer,
-    bmd_decode,
     build_shaping_layer,
-    decode,
     draw_sign_codebook,
     layer_amplitude_bits,
     run_experiment,
     sign_output_transition,
-    smd_decode,
     BmdDecoder,
     SmdDecoder,
 )
@@ -115,12 +112,17 @@ def test_codebook_info_bits_enumeration():
 
 
 def test_codebook_sign_sequence_mapping():
-    cb = draw_sign_codebook(3, 1, 2, seed=4)
-    bits = cb.sign_bits(2, 1)
-    seq = cb.sign_sequence(2, 1)
-    assert bits.shape == (3,)
-    np.testing.assert_array_equal(seq, 2 * bits.astype(int) - 1)
-    assert set(np.unique(seq)) <= {-1, 1}
+    # candidate c = m_a * M_s + m_s sends the information bits of m_s, then
+    # the redundant bits of (m_a, m_s)
+    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
+    cb = draw_sign_codebook(layer.size, 2, 4, seed=4)
+    cand = signcode._Candidates(layer, cb)
+    assert cand.s_pos.shape == (6, layer.size * 4)
+    for m_a, m_s in ((0, 0), (2, 1), (layer.size - 1, 3)):
+        c = m_a * cb.num_sign_messages + m_s
+        np.testing.assert_array_equal(cand.s_pos[:2, c], cb.info_bits[m_s])
+        np.testing.assert_array_equal(cand.s_pos[2:, c], cb.redundant_bits[m_a, m_s])
+        np.testing.assert_array_equal(cand.a_pos[:, c], layer.amplitude_seqs[m_a])
 
 
 def test_codebook_budget_error():
@@ -144,7 +146,6 @@ def test_linear_codebook_is_linear():
     # message bits (amp ++ info) add over GF(2): (11,1) = (01,0) + (10,1) + (00,0)
     np.testing.assert_array_equal(red[3, 1], red[1, 0] ^ red[2, 1] ^ red[0, 0])
     np.testing.assert_array_equal(red[0, 0], (np.zeros(5, dtype=np.int8)))
-    assert cb.generator.shape == (3, 5)
 
 
 def test_layer_amplitude_bits_roundtrip():
@@ -163,42 +164,53 @@ def _noiseless_setup():
     return dmc, layer, codebook
 
 
+def _sign_bits(codebook, m_a, m_s):
+    """Sign bits of the message pairs (m_a, m_s), read from the codebook:
+    the information bits, then the redundant bits."""
+    return np.concatenate([codebook.info_bits[m_s], codebook.redundant_bits[m_a, m_s]], axis=-1)
+
+
 @pytest.mark.parametrize("kind", ["smd", "bmd"])
 def test_decode_noiseless_recovers_message(kind):
+    # the identity channel hands over each sent point, and only the sent
+    # candidate passes the boxes
     dmc, layer, codebook = _noiseless_setup()
     dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, dmc)
-    lookup = {x: i for i, x in enumerate(CST.points)}
-    amps = np.asarray(CST.amplitudes)
-    for m_a in (0, layer.size // 2, layer.size - 1):
-        for m_s in (0, 3):
-            a_seq = np.asarray(layer.amplitude_seqs[m_a])
-            x = amps[a_seq] * codebook.sign_sequence(m_a, m_s)
-            y = np.array([lookup[v] for v in x])
-            res = decode(dec, y)
-            assert res == ("ok", m_a, m_s, 1)
-
-
-def test_decode_wrappers_agree_with_decoder_objects():
-    dmc, layer, codebook = _noiseless_setup()
-    lookup = {x: i for i, x in enumerate(CST.points)}
-    a_seq = np.asarray(layer.amplitude_seqs[1])
-    x = np.asarray(CST.amplitudes)[a_seq] * codebook.sign_sequence(1, 2)
-    y = np.array([lookup[v] for v in x])
-    assert smd_decode(y, layer, codebook, dmc).status == "ok"
-    assert bmd_decode(y, layer, codebook, dmc).status == "ok"
+    m_a = np.repeat([0, layer.size // 2, layer.size - 1], 2)
+    m_s = np.tile([0, 3], 3)
+    x = np.asarray(CST.amplitudes)[layer.amplitude_seqs[m_a]] * (2 * _sign_bits(codebook, m_a, m_s) - 1)
+    y = np.searchsorted(CST.points, x)
+    mask = dec.accept_mask(y)
+    want = np.zeros_like(mask)
+    want[np.arange(len(y)), m_a * codebook.num_sign_messages + m_s] = True
+    np.testing.assert_array_equal(mask, want)
 
 
 def test_decode_multiple_on_uninformative_channel():
     # output independent of input: every typical (a, s) pair passes its boxes,
-    # so the unique-acceptance rule reports an ambiguity
+    # so no output singles out one candidate
     flat = Dmc(np.full((4, 4), 0.25))
     layer = build_shaping_layer(CST, flat, (0.5, 0.5), 4, 0.1)
     codebook = draw_sign_codebook(layer.size, 2, 2, seed=1)
     dec = SmdDecoder(layer, codebook, flat)
-    res = decode(dec, np.array([0, 1, 2, 3]))
-    assert res.status == "multiple"
-    assert res.num_accepted == layer.size * codebook.num_sign_messages
-    assert res.m_a is None and res.m_s is None
+    mask = dec.accept_mask(np.array([[0, 1, 2, 3], [3, 3, 0, 0]]))
+    assert mask.shape == (2, layer.size * codebook.num_sign_messages)
+    assert mask.all()
+
+
+@pytest.mark.parametrize(
+    "m_a_count,n2",
+    [(16, 4), (1, 4), (15, 3), (15, 5)],
+    ids=["m_a-16", "m_a-1", "n2-3", "n2-5"],
+)
+@pytest.mark.parametrize("decoder", [SmdDecoder, BmdDecoder], ids=["smd", "bmd"])
+def test_decoder_rejects_codebook_of_another_layer(decoder, m_a_count, n2):
+    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
+    assert (layer.size, layer.n) == (15, 6)
+    codebook = draw_sign_codebook(m_a_count, 2, n2, seed=0)
+    shapes = rf"shape \({m_a_count}, 4, {n2}\).*want \(15, 4, 4\)"
+    with pytest.raises(ValueError, match=shapes):
+        decoder(layer, codebook, NOISY)
 
 
 # noisy enough that bit-level decoding accepts candidates whose triple fails
@@ -220,11 +232,12 @@ def test_triple_mask_on_rows_matches_full_symbol_test():
     rng = np.random.default_rng(0)
     pairwise_only = 0
     for k in rng.integers(cand.count, size=50):
-        y = np.array([rng.choice(cfg.dmc.nout, p=cfg.dmc.w[x]) for x in points[k]])
-        full = smd.accept_mask(y)
-        rows = np.flatnonzero(bmd.accept_mask(y))
-        np.testing.assert_array_equal(smd.triple_mask(y, rows), full[rows])
-        np.testing.assert_array_equal(bmd.triple_mask(y, rows), full[rows])
+        y = np.array([[rng.choice(cfg.dmc.nout, p=cfg.dmc.w[x]) for x in points[k]]])
+        full = smd.accept_mask(y)[0]
+        rows = np.flatnonzero(bmd.accept_mask(y)[0])
+        ys = np.repeat(y, rows.size, axis=0)
+        np.testing.assert_array_equal(smd.triple_mask(ys, rows), full[rows])
+        np.testing.assert_array_equal(bmd.triple_mask(ys, rows), full[rows])
         pairwise_only += int((~full[rows]).sum())
     assert pairwise_only > 0
 
@@ -259,13 +272,13 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     points = cfg.constellation.sign_amplitude_index
     y = np.array([
         [rng.choice(cfg.dmc.nout, p=cfg.dmc.w[points[sb, ab]]) for sb, ab in zip(
-            codebook.sign_bits(i, j), layer.amplitude_seqs[k])]
+            _sign_bits(codebook, i, j), layer.amplitude_seqs[k])]
         for i, j, k in zip(m_a, m_s, sent_a)
     ])
     got = dec.accept_mask(y)[np.arange(pairs), m_a * codebook.num_sign_messages + m_s]
     want = []
     for i, j, y_seq in zip(m_a, m_s, y):
-        a, s = layer.amplitude_seqs[i], codebook.sign_bits(i, j)
+        a, s = layer.amplitude_seqs[i], _sign_bits(codebook, i, j)
         if kind == "smd":
             want.append(is_jointly_typical((a, s, y_seq), p_asy, typ))
         else:
@@ -361,7 +374,7 @@ def _reference(dec, dmc):
     p_asy, p_by = _reference_tables(layer, dmc)
     m_a, m_s = np.divmod(np.arange(layer.size * codebook.num_sign_messages), codebook.num_sign_messages)
     a = layer.amplitude_seqs[m_a].astype(np.intp)
-    s = np.array([codebook.sign_bits(i, j) for i, j in zip(m_a, m_s)], dtype=np.intp)
+    s = _sign_bits(codebook, m_a, m_s).astype(np.intp)
     bits = layer.label_map.amplitude_bit_matrix
 
     def mask(y):
@@ -453,7 +466,7 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     block = dec.accept_mask(y)
     assert block.shape == (cfg.trials + 2, dec.cand.count)
     np.testing.assert_array_equal(block, masks)
-    np.testing.assert_array_equal(np.array([dec.accept_mask(row) for row in y]), masks)
+    np.testing.assert_array_equal(np.array([dec.accept_mask(row[None])[0] for row in y]), masks)
     assert masks.any()
     if case == "bmd-pairwise-only":
         assert counts["pairwise_only"] > 500
@@ -522,7 +535,6 @@ def test_block_mask_applies_y_independent_boxes(kind):
     full = np.array([triple(row) for row in y[:20]])
     b, c = np.nonzero(np.ones_like(full))  # every (output, candidate) pair
     np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])
-    np.testing.assert_array_equal(dec.triple_mask(y[0], c[: full.shape[1]]), full[0])
 
 
 def test_experiment_noiseless_is_error_free():
@@ -634,6 +646,7 @@ def test_experiment_config_validation():
     ExperimentConfig(**good)
     for bad in (
         {"gamma": 1.0},
+        {"gamma": 0.92},  # below 1, but n1 = round(0.92 * 6) = 6 leaves no redundant sign
         {"gamma": -0.1},
         {"decoder": "ml"},
         {"trials": 0},
@@ -648,6 +661,9 @@ def test_experiment_config_validation():
             ExperimentConfig(**{**good, **bad})
     with pytest.raises(ConfigError, match="typ_budget must be positive, got 0"):
         ExperimentConfig(**good, typ_budget=0)
+    with pytest.raises(ConfigError, match="gamma 0.92 at n=6 rounds to n1=6"):
+        ExperimentConfig(**{**good, "gamma": 0.92})
+    assert ExperimentConfig(**{**good, "gamma": 0.9}).n1 == 5
 
 
 def test_monte_carlo_layer_does_not_depend_on_the_experiment_seed():
