@@ -42,12 +42,6 @@ class AskConstellation:
     def num_amplitudes(self) -> int:
         return 2**self.m
 
-    def point_index(self, x: int) -> int:
-        M = self.size
-        if x % 2 == 0 or not -M < x < M:
-            raise ValueError(f"{x} is not a point of {M}-ASK")
-        return (x + M - 1) // 2
-
     @property
     def sign_amplitude_index(self) -> np.ndarray:
         """(2, 2^m) point indices of s * a: row 0 is s = -1, row 1 is s = +1,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .alphabets import make_ask
 from .airsolver import (
+    _power,
     air_sweep,
     find_basic_point,
     gamma_split,
@@ -198,9 +199,18 @@ def _config_errors(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an OSError from writing path as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -228,7 +238,7 @@ def _build_channel(v: dict, constellation, p_a: np.ndarray):
         sigma = v["sigma"]
         if sigma is None:
             power = float(mirror_pmf(p_a) @ np.asarray(constellation.points, dtype=float) ** 2)
-            sigma = float(np.sqrt(power / 10.0 ** (v["snr_db"] / 10.0)))
+            sigma = float(np.sqrt(power / _power(v["snr_db"])))
         return gaussian_dmc(constellation.points, sigma, v["num_bins"], v["clip_sigmas"])
 
 
@@ -383,7 +393,7 @@ def cmd_sim(args, cfg: dict, v: dict) -> None:
     if args.csv:
         row = {**summary, "kind1": summary["errors_kind1"], "kind2": summary["errors_kind2"]}
         fresh = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
-        with open(args.csv, "a", encoding="utf-8") as f:
+        with _writing(args.csv), open(args.csv, "a", encoding="utf-8") as f:
             if fresh:
                 f.write(",".join(SIM_CSV_COLUMNS) + "\n")
             f.write(",".join(f"{row[c]}" for c in SIM_CSV_COLUMNS) + "\n")

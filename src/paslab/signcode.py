@@ -11,7 +11,7 @@ and its list into the test:
   its amplitude axis relabelled by the amplitude bits. Its `triple_mask`
   applies the symbol-metric list, to count pairwise-only acceptances.
 
-Seed discipline: the codebook draws from SeedSequence([seed, 0]). Trial t
+Seed discipline: the sign code draws from SeedSequence([seed, 0]). Trial t
 draws exactly what numpy's default_rng(SeedSequence([seed, 1, t])) gives
 through .integers(M_a), .integers(M_s) and .random(n), but `streams.draw`
 computes them for DRAW_CHUNK trials at once. It relies on numpy's
@@ -123,108 +123,56 @@ def build_shaping_layer(
 
 
 @dataclass(frozen=True)
-class SignCodebook:
-    """Sign sequences per message pair: n1 enumerated information signs
-    followed by n2 drawn redundant signs (sign bit 0 <-> -1, 1 <-> +1)."""
+class SignCode:
+    """The random sign code over a shaping layer, as every candidate's letters.
 
-    n: int
+    Column c of the (n, C) intp arrays is candidate c = m_a * M_s + m_s, with
+    M_s = 2^n1: its amplitudes are layer member m_a, and its sign bits (0 <->
+    -1, 1 <-> +1) are the n1 bits of m_s, MSB first, then the n - n1
+    redundant signs drawn for the pair.
+    """
+
+    layer: ShapingLayer
     n1: int
-    info_bits: np.ndarray  # (M_s, n1)
-    redundant_bits: np.ndarray  # (M_a, M_s, n2)
-
-    @property
-    def n2(self) -> int:
-        return self.n - self.n1
-
-    @property
-    def num_sign_messages(self) -> int:
-        return self.info_bits.shape[0]
+    amplitudes: np.ndarray = field(repr=False)  # (n, C)
+    signs: np.ndarray = field(repr=False)  # (n, C)
 
 
-def _bit_rows(count: int, width: int) -> np.ndarray:
-    """Rows 0..count-1 as width-bit vectors, MSB first."""
-    idx = np.arange(count, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.int8) if width else np.zeros(
-        (count, 0), dtype=np.int8
-    )
-
-
-def draw_sign_codebook(
-    m_a_count: int,
-    n1: int,
-    n2: int,
-    mode: str = "iid",
-    seed: int = 0,
-    amplitude_bits=None,
-) -> SignCodebook:
-    """Draw the random sign layer for all (m_a, m_s) message pairs.
+def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 0) -> SignCode:
+    """Draw the redundant signs of every (m_a, m_s) message pair.
 
     iid mode draws each redundant sign fair-coin; linear mode applies a fixed
-    random GF(2) map to (amplitude bits ++ information-sign bits), which needs
-    the per-message amplitude-bit strings.
+    random GF(2) map to (amplitude bits of m_a ++ information bits of m_s).
     """
     if mode not in ("iid", "linear"):
         raise ValueError(f"mode must be 'iid' or 'linear', got {mode}")
-    if n1 < 0 or n2 < 0:
-        raise ValueError("n1 and n2 must be non-negative")
-    m_s_count = 2**n1
+    if not 0 <= n1 <= layer.n:
+        raise ValueError(f"n1 must be in [0, {layer.n}], got {n1}")
+    m_a_count, m_s_count, n2 = layer.size, 2**n1, layer.n - n1
     if m_a_count * m_s_count > DECODE_BUDGET:
         raise BudgetError(
             f"{m_a_count} x {m_s_count} candidate pairs exceed the decode budget",
             needed=m_a_count * m_s_count,
         )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    info = _bit_rows(m_s_count, n1)
+    info = (np.arange(m_s_count)[:, None] >> np.arange(n1 - 1, -1, -1)) & 1  # (M_s, n1)
     if mode == "iid":
-        red = rng.integers(0, 2, size=(m_a_count, m_s_count, n2), dtype=np.int8)
+        redundant = rng.integers(0, 2, size=(m_a_count, m_s_count, n2), dtype=np.int8)
     else:
-        if amplitude_bits is None:
-            raise ValueError("linear mode needs the per-message amplitude bit strings")
-        amp = np.asarray(amplitude_bits, dtype=np.int8)
-        if amp.ndim != 2 or amp.shape[0] != m_a_count:
-            raise ValueError("amplitude_bits must be (M_a, m*n)")
-        gen = rng.integers(0, 2, size=(amp.shape[1] + n1, n2), dtype=np.int8)
-        red = np.empty((m_a_count, m_s_count, n2), dtype=np.int8)
-        for ms in range(m_s_count):
-            msg = np.concatenate(
-                [amp, np.broadcast_to(info[ms], (m_a_count, n1))], axis=1
-            )
-            red[:, ms, :] = (msg @ gen) % 2
-    return SignCodebook(n=n1 + n2, n1=n1, info_bits=info, redundant_bits=red)
-
-
-def layer_amplitude_bits(layer: ShapingLayer) -> np.ndarray:
-    """(M_a, m*n) amplitude-bit strings of the layer members, for linear codebooks."""
-    amp_bits = layer.label_map.amplitude_bit_matrix  # (2^m, m)
-    return amp_bits[layer.amplitude_seqs].reshape(layer.size, -1)
-
-
-class _Candidates:
-    """Every candidate's letters, position-major: column c of the (n, C)
-    arrays a_pos and s_pos is candidate c = m_a * M_s + m_s."""
-
-    def __init__(self, layer: ShapingLayer, codebook: SignCodebook):
-        m_a_count, m_s_count = layer.size, codebook.num_sign_messages
-        want = (m_a_count, m_s_count, layer.n - codebook.n1)
-        if codebook.redundant_bits.shape != want:
-            raise ValueError(
-                f"codebook redundant signs of shape {codebook.redundant_bits.shape} do not fit "
-                f"a layer of {m_a_count} amplitude sequences of length {layer.n}: want {want}"
-            )
-        if m_a_count * m_s_count > DECODE_BUDGET:
-            raise BudgetError(
-                f"{m_a_count} x {m_s_count} candidate pairs exceed the decode budget",
-                needed=m_a_count * m_s_count,
-            )
-        self.m_a_count, self.m_s_count = m_a_count, m_s_count
-        self.a_pos = np.repeat(layer.amplitude_seqs.T.astype(np.intp), m_s_count, axis=1)
-        info = np.tile(codebook.info_bits.T, m_a_count)
-        redundant = codebook.redundant_bits.reshape(m_a_count * m_s_count, codebook.n2).T
-        self.s_pos = np.concatenate([info, redundant]).astype(np.intp)
-
-    @property
-    def count(self) -> int:
-        return self.a_pos.shape[1]
+        amp = layer.label_map.amplitude_bit_matrix[layer.amplitude_seqs].reshape(m_a_count, -1)
+        k = amp.shape[1]
+        gen = rng.integers(0, 2, size=(k + n1, n2), dtype=np.int8)
+        # (amplitude bits of m_a ++ information bits of m_s) @ gen over GF(2)
+        redundant = ((amp @ gen[:k].astype(np.intp))[:, None] + info @ gen[k:]) % 2
+    signs = np.empty((layer.n, m_a_count * m_s_count), dtype=np.intp)
+    signs[:n1] = np.tile(info.T, m_a_count)
+    signs[n1:] = redundant.reshape(-1, n2).T
+    return SignCode(
+        layer=layer,
+        n1=n1,
+        amplitudes=np.repeat(layer.amplitude_seqs.T.astype(np.intp), m_s_count, axis=1),
+        signs=signs,
+    )
 
 
 class _BoxTest:
@@ -300,10 +248,9 @@ class SmdDecoder:
     """Accepts (m_a, m_s) iff the amplitude, sign and output sequences are
     jointly typical as a triple: the box of every subset of (a, s, y) holds."""
 
-    def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
-        self.layer, self.codebook, self.eps = layer, codebook, layer.eps
-        self.cand = c = _Candidates(layer, codebook)
-        self.test = _BoxTest(_joint_asy(layer, dmc), _SMD_BOXES, (c.a_pos, c.s_pos), self.eps)
+    def __init__(self, code: SignCode, dmc: Dmc):
+        self.code, self.eps = code, code.layer.eps
+        self.test = _BoxTest(_joint_asy(code.layer, dmc), _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -319,21 +266,20 @@ class BmdDecoder:
     typical: the boxes of {s}, {y}, {s, y}, and of {b_j} and {b_j, y} for
     every amplitude bit level j."""
 
-    def __init__(self, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
-        self.layer, self.codebook, self.eps = layer, codebook, layer.eps
-        self.cand = c = _Candidates(layer, codebook)
-        t = _joint_asy(layer, dmc)
-        bits = layer.label_map.amplitude_bit_matrix  # (2^m, m)
+    def __init__(self, code: SignCode, dmc: Dmc):
+        self.code, self.eps = code, code.layer.eps
+        t = _joint_asy(code.layer, dmc)
+        bits = code.layer.label_map.amplitude_bit_matrix  # (2^m, m)
         m = bits.shape[1]
         # p(b_1, ..., b_m, s, y): the amplitude axis relabelled by its bits
         joint = np.zeros((2,) * m + t.shape[1:])
         joint[tuple(bits.T)] = t
         s, y = m, m + 1
         boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
-        letters = [*bits.T.astype(np.intp)[:, c.a_pos], c.s_pos]
+        letters = [*bits.T.astype(np.intp)[:, code.amplitudes], code.signs]
         self.test = _BoxTest(joint, boxes, letters, self.eps)
         # the symbol-level test, to log pairwise-only acceptances
-        self.triple = _BoxTest(t, _SMD_BOXES, (c.a_pos, c.s_pos), self.eps)
+        self.triple = _BoxTest(t, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -343,10 +289,6 @@ class BmdDecoder:
         """The symbol-level test on candidate rows[p] for output y[p], to log
         pairwise-only acceptances."""
         return self.triple.pairs(y, rows)
-
-
-def _make_decoder(kind: str, layer: ShapingLayer, codebook: SignCodebook, dmc: Dmc):
-    return (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, dmc)
 
 
 @dataclass(frozen=True)
@@ -419,12 +361,6 @@ class TrialStats:
         return asdict(self)
 
 
-def _draw_trials(config, cand, trials: range):
-    """Sent candidate and channel uniforms of each trial, from the trial's own stream."""
-    ints, u = streams.draw(config.seed, trials, (cand.m_a_count, cand.m_s_count), config.n)
-    return ints[:, 0] * cand.m_s_count + ints[:, 1], u
-
-
 def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Output letter per entry of x: the number of its cdf row's entries below u,
     capped at the last letter (a cdf row is non-decreasing, so a sorted search)."""
@@ -485,19 +421,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
         config.eps,
         DEFAULT_BUDGET if config.typ_budget is None else config.typ_budget,
     )
-    n1, n2 = config.n1, config.n - config.n1
-    amp_bits = layer_amplitude_bits(layer) if config.codebook_mode == "linear" else None
-    codebook = draw_sign_codebook(
-        layer.size, n1, n2, mode=config.codebook_mode, seed=config.seed, amplitude_bits=amp_bits
-    )
-    decoder = _make_decoder(config.decoder, layer, codebook, config.dmc)
-    cand = decoder.cand
+    n1, m_s_count = config.n1, 2**config.n1
+    code = draw_sign_code(layer, n1, config.codebook_mode, config.seed)
+    decoder = (SmdDecoder if config.decoder == "smd" else BmdDecoder)(code, config.dmc)
     # candidate -> transmitted point index per position
-    point_idx = np.ascontiguousarray(config.constellation.sign_amplitude_index[cand.s_pos, cand.a_pos].T)
+    point_idx = np.ascontiguousarray(config.constellation.sign_amplitude_index[code.signs, code.amplitudes].T)
     cdf_rows = np.cumsum(config.dmc.w, axis=1)
     log_pairwise = config.decoder == "bmd"
 
-    size = max(1, BLOCK_CELLS // cand.count)
+    size = max(1, BLOCK_CELLS // len(point_idx))
     chunk = max(1, DRAW_CHUNK // size) * size  # whole blocks
     score = partial(_score_block, decoder, log_pairwise)
     parts = []
@@ -505,7 +437,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     width = min(threads, _usable_cpus())
     with ThreadPoolExecutor(max_workers=width) if threads > 1 else nullcontext() as pool:
         for start in range(0, config.trials, chunk):
-            sent, u = _draw_trials(config, cand, range(start, min(start + chunk, config.trials)))
+            # each trial's sent message pair and channel uniforms, from its own stream
+            trials = range(start, min(start + chunk, config.trials))
+            ints, u = streams.draw(config.seed, trials, (layer.size, m_s_count), config.n)
+            sent = ints[:, 0] * m_s_count + ints[:, 1]
             y = _channel_outputs(cdf_rows, point_idx[sent], u)
             rows, order, bounds = _distinct_outputs(y, config.dmc.nout)
             sent = sent[order]

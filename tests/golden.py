@@ -33,7 +33,11 @@ were pinned before the decoder scored each distinct output once.
 `sim-bmd-8-ask` is the first bit-level run with two amplitude bit levels
 (8-ASK, 64 amplitude messages; 799 errors, 491 kind 1, 325 kind 2, 17 both,
 118 pairwise-only acceptances); it was pinned before both decoders came to
-be built as box lists over one joint table. Six hashes
+be built as box lists over one joint table. `sim-bmd-8-ask-linear` is the
+same run on a linear code (866 errors, 482 kind 1, 398 kind 2, 14 both, 107
+pairwise-only acceptances), the only case whose GF(2) generator maps more
+than one amplitude bit per position; it was pinned before the sign code
+came to be drawn straight into the candidates' letters. Six hashes
 were re-pinned when p(u) came to be computed once per composition class and
 the header probabilities summed over classes (math.fsum of size times p(u))
 instead of over members: `typ-dump-11-letters` and `typ-dump-n48`, whose

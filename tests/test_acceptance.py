@@ -329,7 +329,7 @@ def test_08_gray_label_table():
     bm = label.bit_matrix
     ok = True
     for x, a, s, amp_bits in TABLE_8ASK:
-        i = label.constellation.point_index(x)
+        i = label.constellation.points.index(x)
         ok &= abs(x) == a and tuple(bm[i]) == ((1 if s > 0 else 0),) + amp_bits
     ok &= len({tuple(row) for row in bm}) == 8  # each label names one point
     _report(8, "8-ASK reference labeling", bool(ok), "all 8 columns reproduced exactly")

@@ -280,6 +280,36 @@ def test_gamma_split_rejects_unusable_snr(monkeypatch, capsys, snr):
     assert "no finite positive power budget" in err
 
 
+@pytest.mark.parametrize("snr_db", [4000, -4000, 1e308])
+@pytest.mark.parametrize("command", ["sim", "b-typ"])
+def test_unusable_snr_db_is_a_config_error(monkeypatch, tmp_path, capsys, command, snr_db):
+    _forbid(monkeypatch, "paslab.cli.gaussian_dmc", "a channel was built for an unusable snr")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snr_db": snr_db, "n": 4, "eps": 0.1, "num_bins": 2}))
+    rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert f"snr {float(snr_db)} dB gives no finite positive power budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["typ-dump", "--n", "3", "--out"], "."),
+        (["gamma-split", "--snr-db", "2", "--out"], "."),
+        (["typ-dump", "--n", "3", "--out"], "missing/x"),
+        (["sim", "--sigma", "0.45", "--n", "6", "--trials", "10", "--num-bins", "2", "--csv"], "."),
+    ],
+    ids=["typ-dump-out-dir", "gamma-split-out-dir", "out-in-missing-dir", "sim-csv-dir"],
+)
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv, target):
+    path = str(tmp_path / target)
+    rc, out, err = run_cli([*argv, path], capsys)
+    assert rc == 2
+    assert f"config error: cannot write {path}: " in err
+    assert "Traceback" not in err
+
+
 def test_air_sweep_reports_unusable_snr_inline(monkeypatch, capsys):
     _forbid(monkeypatch, "paslab.airsolver.gaussian_dmc", "a channel was built for an unusable snr")
     rc, out, err = run_cli(["air-sweep", "--snr-start", "4000", "--snr-stop", "4000"], capsys)

@@ -211,7 +211,7 @@ def test_sign_amplitude_joint_shape_and_mass():
     assert t.shape == (2, 4, d.nout)
     assert t.sum() == pytest.approx(1.0, abs=1e-12)
     # row 0 must be the negative sign: mass of (s=-1, a) forced through -a
-    xi, k = cst.point_index(-3), cst.amplitudes.index(3)
+    xi, k = cst.points.index(-3), cst.amplitudes.index(3)
     assert t[0, k] == pytest.approx(p_sa[0, k] * d.w[xi], abs=1e-15)
 
 

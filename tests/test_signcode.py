@@ -16,8 +16,7 @@ from paslab.signcode import (
     ExperimentConfig,
     ShapingLayer,
     build_shaping_layer,
-    draw_sign_codebook,
-    layer_amplitude_bits,
+    draw_sign_code,
     run_experiment,
     sign_output_transition,
     BmdDecoder,
@@ -35,11 +34,11 @@ def test_sign_output_transition_entries():
     assert t.shape == (2, 2 * NOISY.nout)
     np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
     # amplitude 1: sign bit 0 -> point -1, sign bit 1 -> point +1
-    i_neg1 = CST.point_index(-1)
-    i_pos1 = CST.point_index(1)
+    i_neg1 = CST.points.index(-1)
+    i_pos1 = CST.points.index(1)
     np.testing.assert_allclose(t[0, : NOISY.nout], 0.5 * NOISY.w[i_neg1])
     np.testing.assert_allclose(t[0, NOISY.nout :], 0.5 * NOISY.w[i_pos1])
-    i_neg3 = CST.point_index(-3)
+    i_neg3 = CST.points.index(-3)
     np.testing.assert_allclose(t[1, : NOISY.nout], 0.5 * NOISY.w[i_neg3])
 
 
@@ -60,14 +59,14 @@ def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pm
     cst = make_ask(m)
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=num_bins)
     layer = build_shaping_layer(cst, dmc, pmf, n, eps)
-    codebook = draw_sign_codebook(layer.size, 1, n - 1, seed=0)
+    code = draw_sign_code(layer, 1)
     want = (layer.amplitude_pmf[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
     joint = signcode._joint_asy(layer, dmc)
     np.testing.assert_array_equal(joint, want)
     assert joint.flags.c_contiguous  # the margins of every box sum as want's do
     # y, then (a, y), (s, y) and (a, s, y)
     entropies = [entropy_raw(want.sum(axis=ax) if ax else want) for ax in ((0, 1), (1,), (0,), ())]
-    for test in (SmdDecoder(layer, codebook, dmc).test, BmdDecoder(layer, codebook, dmc).triple):
+    for test in (SmdDecoder(code, dmc).test, BmdDecoder(code, dmc).triple):
         assert [test.h_y] + [h for _, _, h in test.terms] == entropies
 
 
@@ -94,95 +93,119 @@ def test_build_layer_validates_inputs():
         build_shaping_layer(CST, NOISY, (0.2, 0.3, 0.5), 6, 0.1)
 
 
+def _every_sequence_layer(n, eps=0.2):
+    """A layer of every 4-ASK amplitude sequence of length n, typical or not."""
+    return ShapingLayer(
+        constellation=CST, label_map=brgc_label(CST), amplitude_pmf=np.array([0.7, 0.3]), n=n, eps=eps,
+        amplitude_seqs=np.array(list(itertools.product(range(2), repeat=n)), dtype=np.uint8),
+    )
+
+
 def test_codebook_shapes_and_determinism():
-    cb = draw_sign_codebook(5, 3, 4, seed=9)
-    assert cb.n == 7 and cb.n1 == 3 and cb.n2 == 4
-    assert cb.info_bits.shape == (8, 3)
-    assert cb.redundant_bits.shape == (5, 8, 4)
-    assert set(np.unique(cb.redundant_bits)) <= {0, 1}
-    cb2 = draw_sign_codebook(5, 3, 4, seed=9)
-    np.testing.assert_array_equal(cb.redundant_bits, cb2.redundant_bits)
-    cb3 = draw_sign_codebook(5, 3, 4, seed=10)
-    assert not np.array_equal(cb.redundant_bits, cb3.redundant_bits)
+    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
+    code = draw_sign_code(layer, 3, seed=9)
+    assert code.layer is layer and code.n1 == 3
+    for letters in (code.amplitudes, code.signs):
+        assert letters.shape == (6, layer.size * 8)
+        assert letters.dtype == np.intp and letters.flags.c_contiguous
+    assert set(np.unique(code.signs)) <= {0, 1}
+    np.testing.assert_array_equal(code.signs, draw_sign_code(layer, 3, seed=9).signs)
+    assert not np.array_equal(code.signs, draw_sign_code(layer, 3, seed=10).signs)
 
 
 def test_codebook_info_bits_enumeration():
-    cb = draw_sign_codebook(2, 2, 1, seed=0)
-    np.testing.assert_array_equal(cb.info_bits, [[0, 0], [0, 1], [1, 0], [1, 1]])
-
-
-def test_codebook_sign_sequence_mapping():
-    # candidate c = m_a * M_s + m_s sends the information bits of m_s, then
-    # the redundant bits of (m_a, m_s)
+    # the information signs of m_s are its bits, MSB first, under every m_a
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
-    cb = draw_sign_codebook(layer.size, 2, 4, seed=4)
-    cand = signcode._Candidates(layer, cb)
-    assert cand.s_pos.shape == (6, layer.size * 4)
-    for m_a, m_s in ((0, 0), (2, 1), (layer.size - 1, 3)):
-        c = m_a * cb.num_sign_messages + m_s
-        np.testing.assert_array_equal(cand.s_pos[:2, c], cb.info_bits[m_s])
-        np.testing.assert_array_equal(cand.s_pos[2:, c], cb.redundant_bits[m_a, m_s])
-        np.testing.assert_array_equal(cand.a_pos[:, c], layer.amplitude_seqs[m_a])
+    code = draw_sign_code(layer, 2)
+    info = code.signs[:2].T.reshape(layer.size, 4, 2)
+    np.testing.assert_array_equal(info, np.broadcast_to([[0, 0], [0, 1], [1, 0], [1, 1]], info.shape))
+
+
+@pytest.mark.parametrize("mode", ["iid", "linear"])
+def test_sign_code_matches_an_independent_draw(mode):
+    # candidate c = m_a * M_s + m_s sends layer member m_a with the bits of
+    # m_s, MSB first, and then its redundant signs. iid draws them as one
+    # (M_a, M_s, n2) array; linear draws one (m * n + n1, n2) generator and
+    # maps (amplitude bits of m_a ++ information bits of m_s) through it
+    dmc = gaussian_dmc(np.asarray(M2.points, float), sigma=0.5, num_bins=6)
+    layer = build_shaping_layer(M2, dmc, (0.4, 0.3, 0.2, 0.1), 4, 0.4)
+    n1, seed = 2, 4
+    n2 = layer.n - n1
+    code = draw_sign_code(layer, n1, mode, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    if mode == "iid":
+        drawn = rng.integers(0, 2, size=(layer.size, 2**n1, n2), dtype=np.int8).tolist()
+    else:
+        gen = rng.integers(0, 2, size=(M2.m * layer.n + n1, n2), dtype=np.int8).T.tolist()
+    bits = layer.label_map.amplitude_bit_matrix.tolist()
+    columns = iter(zip(code.amplitudes.T.tolist(), code.signs.T.tolist()))
+    for m_a, seq in enumerate(layer.amplitude_seqs.tolist()):
+        for m_s in range(2**n1):
+            info = [int(bit) for bit in format(m_s, f"0{n1}b")]
+            if mode == "iid":
+                redundant = drawn[m_a][m_s]
+            else:
+                msg = [bit for a in seq for bit in bits[a]] + info
+                redundant = [sum(x * g for x, g in zip(msg, row)) % 2 for row in gen]
+            assert next(columns) == (seq, info + redundant)
+    assert next(columns, None) is None
 
 
 def test_codebook_budget_error():
-    with pytest.raises(BudgetError):
-        draw_sign_codebook(2000, 10, 2)
+    # 2^11 amplitude sequences x 2^10 sign messages exceed the decode budget
+    with pytest.raises(BudgetError, match="2048 x 1024 candidate pairs"):
+        draw_sign_code(_every_sequence_layer(11), 10)
 
 
 def test_codebook_rejects_bad_args():
-    with pytest.raises(ValueError):
-        draw_sign_codebook(4, -1, 2)
-    with pytest.raises(ValueError):
-        draw_sign_codebook(4, 1, 2, mode="polar")
-    with pytest.raises(ValueError):
-        draw_sign_codebook(4, 1, 2, mode="linear")  # missing amplitude bits
+    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
+    for n1 in (-1, 7):
+        with pytest.raises(ValueError, match=rf"n1 must be in \[0, 6\], got {n1}"):
+            draw_sign_code(layer, n1)
+    with pytest.raises(ValueError, match="mode must be"):
+        draw_sign_code(layer, 1, mode="polar")
 
 
 def test_linear_codebook_is_linear():
-    amp_bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int8)
-    cb = draw_sign_codebook(4, 1, 5, mode="linear", seed=2, amplitude_bits=amp_bits)
-    red = cb.redundant_bits
-    # message bits (amp ++ info) add over GF(2): (11,1) = (01,0) + (10,1) + (00,0)
-    np.testing.assert_array_equal(red[3, 1], red[1, 0] ^ red[2, 1] ^ red[0, 0])
-    np.testing.assert_array_equal(red[0, 0], (np.zeros(5, dtype=np.int8)))
-
-
-def test_layer_amplitude_bits_roundtrip():
-    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
-    rows = layer_amplitude_bits(layer)
-    assert rows.shape == (layer.size, CST.m * 6)
-    bits = layer.label_map.amplitude_bit_matrix
-    for row, seq in zip(rows, layer.amplitude_seqs):
-        np.testing.assert_array_equal(row, [bits[a, 0] for a in seq])
+    # every amplitude sequence of n = 6, so the messages (amplitude bits ++
+    # the information bit) are all of GF(2)^7, and the redundant signs must
+    # be one GF(2) map of them: the images of the unit messages, summed
+    layer = _every_sequence_layer(6)
+    code = draw_sign_code(layer, 1, mode="linear", seed=2)
+    amp = layer.label_map.amplitude_bit_matrix[layer.amplitude_seqs].reshape(layer.size, -1)
+    msg = np.concatenate([np.repeat(amp, 2, axis=0), code.signs[:1].T], axis=1)
+    redundant = code.signs[1:].T
+    assert len({tuple(row) for row in msg.tolist()}) == 2**7
+    units = [int(np.flatnonzero((msg == unit).all(axis=1))[0]) for unit in np.eye(7, dtype=np.intp)]
+    np.testing.assert_array_equal(msg @ redundant[units] % 2, redundant)
+    assert redundant.any()
 
 
 def _noiseless_setup():
     dmc = identity_dmc(CST.points)
     layer = build_shaping_layer(CST, dmc, (0.5, 0.5), 4, 0.1)
-    codebook = draw_sign_codebook(layer.size, 2, 2, seed=1)
-    return dmc, layer, codebook
+    return dmc, draw_sign_code(layer, 2, seed=1)
 
 
-def _sign_bits(codebook, m_a, m_s):
-    """Sign bits of the message pairs (m_a, m_s), read from the codebook:
-    the information bits, then the redundant bits."""
-    return np.concatenate([codebook.info_bits[m_s], codebook.redundant_bits[m_a, m_s]], axis=-1)
+def _sign_bits(code, m_a, m_s):
+    """Sign bits of the message pairs (m_a, m_s), read from the code's table."""
+    return code.signs[:, m_a * 2**code.n1 + m_s].T
 
 
 @pytest.mark.parametrize("kind", ["smd", "bmd"])
 def test_decode_noiseless_recovers_message(kind):
     # the identity channel hands over each sent point, and only the sent
     # candidate passes the boxes
-    dmc, layer, codebook = _noiseless_setup()
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, dmc)
+    dmc, code = _noiseless_setup()
+    layer = code.layer
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code, dmc)
     m_a = np.repeat([0, layer.size // 2, layer.size - 1], 2)
     m_s = np.tile([0, 3], 3)
-    x = np.asarray(CST.amplitudes)[layer.amplitude_seqs[m_a]] * (2 * _sign_bits(codebook, m_a, m_s) - 1)
+    x = np.asarray(CST.amplitudes)[layer.amplitude_seqs[m_a]] * (2 * _sign_bits(code, m_a, m_s) - 1)
     y = np.searchsorted(CST.points, x)
     mask = dec.accept_mask(y)
     want = np.zeros_like(mask)
-    want[np.arange(len(y)), m_a * codebook.num_sign_messages + m_s] = True
+    want[np.arange(len(y)), m_a * 4 + m_s] = True
     np.testing.assert_array_equal(mask, want)
 
 
@@ -191,26 +214,10 @@ def test_decode_multiple_on_uninformative_channel():
     # so no output singles out one candidate
     flat = Dmc(np.full((4, 4), 0.25))
     layer = build_shaping_layer(CST, flat, (0.5, 0.5), 4, 0.1)
-    codebook = draw_sign_codebook(layer.size, 2, 2, seed=1)
-    dec = SmdDecoder(layer, codebook, flat)
+    dec = SmdDecoder(draw_sign_code(layer, 2, seed=1), flat)
     mask = dec.accept_mask(np.array([[0, 1, 2, 3], [3, 3, 0, 0]]))
-    assert mask.shape == (2, layer.size * codebook.num_sign_messages)
+    assert mask.shape == (2, layer.size * 4)
     assert mask.all()
-
-
-@pytest.mark.parametrize(
-    "m_a_count,n2",
-    [(16, 4), (1, 4), (15, 3), (15, 5)],
-    ids=["m_a-16", "m_a-1", "n2-3", "n2-5"],
-)
-@pytest.mark.parametrize("decoder", [SmdDecoder, BmdDecoder], ids=["smd", "bmd"])
-def test_decoder_rejects_codebook_of_another_layer(decoder, m_a_count, n2):
-    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
-    assert (layer.size, layer.n) == (15, 6)
-    codebook = draw_sign_codebook(m_a_count, 2, n2, seed=0)
-    shapes = rf"shape \({m_a_count}, 4, {n2}\).*want \(15, 4, 4\)"
-    with pytest.raises(ValueError, match=shapes):
-        decoder(layer, codebook, NOISY)
 
 
 # noisy enough that bit-level decoding accepts candidates whose triple fails
@@ -224,14 +231,13 @@ PAIRWISE = dict(
 def test_triple_mask_on_rows_matches_full_symbol_test():
     cfg = ExperimentConfig(**PAIRWISE)
     layer = build_shaping_layer(CST, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
-    codebook = draw_sign_codebook(layer.size, cfg.n1, cfg.n - cfg.n1, seed=2)
-    smd = SmdDecoder(layer, codebook, cfg.dmc)
-    bmd = BmdDecoder(layer, codebook, cfg.dmc)
-    cand = smd.cand
-    points = CST.sign_amplitude_index[cand.s_pos, cand.a_pos].T  # (candidates, n)
+    code = draw_sign_code(layer, cfg.n1, seed=2)
+    smd = SmdDecoder(code, cfg.dmc)
+    bmd = BmdDecoder(code, cfg.dmc)
+    points = CST.sign_amplitude_index[code.signs, code.amplitudes].T  # (candidates, n)
     rng = np.random.default_rng(0)
     pairwise_only = 0
-    for k in rng.integers(cand.count, size=50):
+    for k in rng.integers(len(points), size=50):
         y = np.array([[rng.choice(cfg.dmc.nout, p=cfg.dmc.w[x]) for x in points[k]]])
         full = smd.accept_mask(y)[0]
         rows = np.flatnonzero(bmd.accept_mask(y)[0])
@@ -258,27 +264,27 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     # from the sign-output transition and the bit channels
     cfg = ExperimentConfig(**case)
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
-    codebook = draw_sign_codebook(layer.size, cfg.n1, cfg.n - cfg.n1, seed=4)
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, cfg.dmc)
+    code = draw_sign_code(layer, cfg.n1, seed=4)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code, cfg.dmc)
     p_asy, p_by = _reference_tables(layer, cfg.dmc)
     bits = layer.label_map.amplitude_bit_matrix
     typ = TypConfig(n=cfg.n, eps=cfg.eps)
     rng = np.random.default_rng(0)
     pairs = 300
     m_a = rng.integers(layer.size, size=pairs)
-    m_s = rng.integers(codebook.num_sign_messages, size=pairs)
+    m_s = rng.integers(2**cfg.n1, size=pairs)
     # each output sent from its own candidate, or from another half the time
     sent_a = np.where(np.arange(pairs) % 2, m_a, rng.integers(layer.size, size=pairs))
     points = cfg.constellation.sign_amplitude_index
     y = np.array([
         [rng.choice(cfg.dmc.nout, p=cfg.dmc.w[points[sb, ab]]) for sb, ab in zip(
-            _sign_bits(codebook, i, j), layer.amplitude_seqs[k])]
+            _sign_bits(code, i, j), layer.amplitude_seqs[k])]
         for i, j, k in zip(m_a, m_s, sent_a)
     ])
-    got = dec.accept_mask(y)[np.arange(pairs), m_a * codebook.num_sign_messages + m_s]
+    got = dec.accept_mask(y)[np.arange(pairs), m_a * 2**cfg.n1 + m_s]
     want = []
     for i, j, y_seq in zip(m_a, m_s, y):
-        a, s = layer.amplitude_seqs[i], _sign_bits(codebook, i, j)
+        a, s = layer.amplitude_seqs[i], _sign_bits(code, i, j)
         if kind == "smd":
             want.append(is_jointly_typical((a, s, y_seq), p_asy, typ))
         else:
@@ -368,13 +374,13 @@ def _all_boxes(joint, letters, n, eps):
 
 def _reference(dec, dmc):
     """One output's (candidates,) acceptances by every box on its own, from
-    tables built apart from the decoder and each candidate's letters read
-    from the codebook."""
-    layer, codebook, n, eps = dec.layer, dec.codebook, dec.layer.n, dec.eps
+    tables built apart from the decoder, each candidate's amplitudes read
+    from the layer and its signs from the code."""
+    code, n, eps = dec.code, dec.code.layer.n, dec.eps
+    layer = code.layer
     p_asy, p_by = _reference_tables(layer, dmc)
-    m_a, m_s = np.divmod(np.arange(layer.size * codebook.num_sign_messages), codebook.num_sign_messages)
-    a = layer.amplitude_seqs[m_a].astype(np.intp)
-    s = _sign_bits(codebook, m_a, m_s).astype(np.intp)
+    a = np.repeat(layer.amplitude_seqs.astype(np.intp), 2**code.n1, axis=0)
+    s = code.signs.T
     bits = layer.label_map.amplitude_bit_matrix
 
     def mask(y):
@@ -393,24 +399,19 @@ def _per_trial_reference(cfg):
     """The experiment scored one trial at a time; returns the decoder, the
     (trials, n) outputs, the stacked masks and the error counts."""
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
-    amp_bits = layer_amplitude_bits(layer) if cfg.codebook_mode == "linear" else None
-    codebook = draw_sign_codebook(
-        layer.size, cfg.n1, cfg.n - cfg.n1, mode=cfg.codebook_mode, seed=cfg.seed,
-        amplitude_bits=amp_bits,
-    )
-    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(layer, codebook, cfg.dmc)
+    code = draw_sign_code(layer, cfg.n1, cfg.codebook_mode, cfg.seed)
+    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(code, cfg.dmc)
     reference = _reference(dec, cfg.dmc)
-    triple = _reference(SmdDecoder(layer, codebook, cfg.dmc), cfg.dmc)
-    cand = dec.cand
-    points = cfg.constellation.sign_amplitude_index[cand.s_pos, cand.a_pos].T
+    triple = _reference(SmdDecoder(code, cfg.dmc), cfg.dmc)
+    points = cfg.constellation.sign_amplitude_index[code.signs, code.amplitudes].T
     cdf_rows = np.cumsum(cfg.dmc.w, axis=1)
     outputs, masks = [], []
     counts = dict.fromkeys(("err", "k1", "k2", "both", "pairwise_only"), 0)
     for t in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, t]))
-        m_a = int(rng.integers(cand.m_a_count))
-        m_s = int(rng.integers(cand.m_s_count))
-        k = m_a * cand.m_s_count + m_s
+        m_a = int(rng.integers(layer.size))
+        m_s = int(rng.integers(2**cfg.n1))
+        k = m_a * 2**cfg.n1 + m_s
         u = rng.random(cfg.n)
         y = (cdf_rows[points[k]] < u[:, None]).sum(axis=1)
         np.minimum(y, cfg.dmc.nout - 1, out=y)
@@ -458,19 +459,19 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     assert (distinct > 0.9 * cfg.trials) if case == "wide-output" else (distinct < cfg.trials)
     # runs of a tail letter, which the y box rejects, among the drawn outputs
     tails = np.repeat([[0], [cfg.dmc.nout - 1]], cfg.n, axis=1)
-    p_y = _reference_tables(dec.layer, cfg.dmc)[0].sum(axis=(0, 1))
+    p_y = _reference_tables(dec.code.layer, cfg.dmc)[0].sum(axis=(0, 1))
     assert not _all_boxes(p_y, (tails,), cfg.n, cfg.eps).any()
     y = np.concatenate([y[:100], tails, y[100:]])
     reference = _reference(dec, cfg.dmc)
     masks = np.concatenate([masks[:100], [reference(row) for row in tails], masks[100:]])
     block = dec.accept_mask(y)
-    assert block.shape == (cfg.trials + 2, dec.cand.count)
+    candidates = dec.code.signs.shape[1]
+    assert block.shape == (cfg.trials + 2, candidates)
     np.testing.assert_array_equal(block, masks)
     np.testing.assert_array_equal(np.array([dec.accept_mask(row[None])[0] for row in y]), masks)
     assert masks.any()
     if case == "bmd-pairwise-only":
         assert counts["pairwise_only"] > 500
-    candidates = dec.cand.count
     cells, row_sorts = [], [0]
     accept_mask, unique = type(dec).accept_mask, np.unique
 
@@ -519,19 +520,15 @@ def test_block_mask_applies_y_independent_boxes(kind):
     # some; the output ignores the input, so an atypical output can offset an
     # atypical amplitude sequence in the joint boxes
     blind = Dmc(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
-    layer = ShapingLayer(
-        constellation=CST, label_map=brgc_label(CST), amplitude_pmf=np.array([0.7, 0.3]),
-        n=6, eps=0.2, amplitude_seqs=np.array(list(itertools.product(range(2), repeat=6)), dtype=np.uint8),
-    )
-    codebook = draw_sign_codebook(layer.size, 1, 5, seed=3)
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codebook, blind)
+    code = draw_sign_code(_every_sequence_layer(6), 1, seed=3)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code, blind)
     assert not dec.test.static.all()
     y = np.random.default_rng(0).integers(blind.nout, size=(200, 6))
     reference = _reference(dec, blind)
     masks = np.array([reference(row) for row in y])
     np.testing.assert_array_equal(dec.accept_mask(y), masks)
     assert masks.any()
-    triple = _reference(SmdDecoder(layer, codebook, blind), blind)
+    triple = _reference(SmdDecoder(code, blind), blind)
     full = np.array([triple(row) for row in y[:20]])
     b, c = np.nonzero(np.ones_like(full))  # every (output, candidate) pair
     np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])
