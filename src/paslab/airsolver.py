@@ -20,7 +20,7 @@ from .alphabets import AskConstellation, brgc_label
 from .channel import AwgnSpec, Dmc, gaussian_dmc
 from .errors import ConvergenceError
 from .infomeasures import entropy, equivocation, mutual_information, r_bmd
-from .optim import bisect_until, golden_max
+from .optim import bisect_until, brent_max
 
 LN2 = math.log(2.0)
 NEWTON_ITER_PER_MASS = 25  # iteration cap per amplitude: each pin or release costs a few
@@ -151,9 +151,10 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
     """Solve max I(X;Y) over symmetric inputs at the given SNR.
 
     The outer scale search covers every way of trading constellation spread
-    against amplitude shaping inside the power budget; coarse presampling
-    guards the golden-section refine against flat brackets. At scale delta
-    the amplitudes must carry energy P / delta^2 on the unit grid.
+    against amplitude shaping inside the power budget: a 5-point geometric
+    presample picks the best scale, and a bounded Brent search between its
+    neighbours refines it. At scale delta the amplitudes must carry energy
+    P / delta^2 on the unit grid.
     """
     spec = spec or AwgnSpec()
     power = _power(snr_db)
@@ -172,12 +173,12 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
 
         d_lo = math.sqrt(power) / (constellation.size - 1)  # all mass on the outer amplitude
         d_hi = math.sqrt(power)  # all mass on the inner amplitude
-        grid = np.geomspace(d_lo, d_hi, 13)
+        grid = np.geomspace(d_lo, d_hi, 5)
         vals = [solve(d)[2] for d in grid]
         k = int(np.argmax(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        _, (w, p_a_star, cap) = golden_max(solve, lo, hi, xtol=3e-5 * d_hi, key=lambda r: r[2])
+        _, (w, p_a_star, cap) = brent_max(solve, lo, hi, xtol=3e-6 * d_hi, key=lambda r: r[2])
 
     h_a = entropy(p_a_star)
     gamma = min(max(cap - h_a, 0.0), math.nextafter(1.0, 0.0))

@@ -1,8 +1,11 @@
 """Tiny 1-D search routines with explicit stopping rules.
 
 Hand-rolled rather than scipy.optimize: bisect_until stops on function value
-(|f| <= ftol), golden_max returns the best point it probed, and importing
-scipy.optimize would add about 0.3 s to the start of every command.
+(|f| <= ftol); golden_max and brent_max (Brent's fmin: golden section plus
+parabolic steps) return the best point they probed, ranked by a key, so a
+caller whose f returns more than the objective gets it back without a second
+call; and importing scipy.optimize would add about 0.3 s to the start of
+every command.
 """
 
 from __future__ import annotations
@@ -11,6 +14,13 @@ import math
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+SQRT_EPS = math.sqrt(2.0**-52)  # relative x tolerance of Brent's fmin
+
+
+def _better(key, best, y, x):
+    """Keep the better of best = (key, x, y), or None, and (key(y), x, y);
+    ties in key go to the larger x."""
+    return (key(y), x, y) if best is None or (key(y), x) > best[:2] else best
 
 
 def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None):
@@ -22,14 +32,10 @@ def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None
     back what f computed there without calling it again.
     """
     key = key or (lambda y: y)
-
-    def better(best, y, x):  # best is (key, x, y); ties in key go to the larger x
-        return (key(y), x, y) if (key(y), x) > best[:2] else best
-
     h = b - a
     c, d = a + INVPHI2 * h, a + INVPHI * h
     yc, yd = f(c), f(d)
-    best = better((key(yc), c, yc), yd, d)
+    best = _better(key, (key(yc), c, yc), yd, d)
     it = 0
     while h > xtol and it < max_iter:
         if key(yc) >= key(yd):
@@ -42,8 +48,78 @@ def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None
             h = b - a
             d = a + INVPHI * h
             yd = f(d)
-        best = better(better(best, yc, c), yd, d)
+        best = _better(key, _better(key, best, yc, c), yd, d)
         it += 1
+    return best[1], best[2]
+
+
+def brent_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None):
+    """Bounded Brent maximization of f on [a, b] (Brent 1973, fmin).
+
+    Golden-section steps, replaced by the vertex of the parabola through the
+    three best points whenever that vertex lies inside the bracket and the
+    step is less than half the step before last. Stops, as fmin does, once
+    the best point x lies within 2 tol of both bracket ends, with
+    tol = sqrt(eps) |x| + xtol / 3. The key must be real-valued: the
+    parabola is fitted to key(f(x)). Returns (x_best, f(x_best)) over all
+    probed points, as golden_max does.
+    """
+    key = key or (lambda y: y)
+    best = None
+
+    def probe(u):
+        # fmin minimizes g = -key(f); of f's results only the best is kept
+        # alive, so a caller's large results do not pile up across steps
+        nonlocal best
+        y = f(u)
+        best = _better(key, best, y, u)
+        return -key(y)
+
+    x = w = v = a + INVPHI2 * (b - a)
+    gx = gw = gv = probe(x)
+    d = e = 0.0
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        tol = SQRT_EPS * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (gx - gv)
+            q = (x - v) * (gx - gw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # the vertex must lie inside (a, b) and the step must shrink
+            parabolic = abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if (x + d) - a < tol2 or b - (x + d) < tol2:
+                d = tol if x < mid else -tol
+        else:
+            e = (b if x < mid else a) - x
+            d = INVPHI2 * e
+        u = x + (d if abs(d) >= tol else tol if d > 0 else -tol)
+        gu = probe(u)
+        if gu <= gx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
     return best[1], best[2]
 
 

@@ -51,6 +51,7 @@ from .typicality import (
 )
 
 DECODE_BUDGET = 1_000_000
+SIGN_CODE_MODES = ("iid", "linear")  # how the redundant signs are drawn; see draw_sign_code
 # (output, candidate) cells scored at once; bounds a block's working set, since
 # the candidate count can reach DECODE_BUDGET
 BLOCK_CELLS = 1 << 18
@@ -144,7 +145,7 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
     iid mode draws each redundant sign fair-coin; linear mode applies a fixed
     random GF(2) map to (amplitude bits of m_a ++ information bits of m_s).
     """
-    if mode not in ("iid", "linear"):
+    if mode not in SIGN_CODE_MODES:
         raise ValueError(f"mode must be 'iid' or 'linear', got {mode}")
     if not 0 <= n1 <= layer.n:
         raise ValueError(f"n1 must be in [0, {layer.n}], got {n1}")
@@ -310,7 +311,7 @@ class ExperimentConfig:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.decoder not in ("smd", "bmd"):
             raise ConfigError(f"decoder must be 'smd' or 'bmd', got {self.decoder}")
-        if self.codebook_mode not in ("iid", "linear"):
+        if self.codebook_mode not in SIGN_CODE_MODES:
             raise ConfigError(f"codebook_mode must be 'iid' or 'linear', got {self.codebook_mode}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import paslab.airsolver
 from paslab.alphabets import brgc_label, make_ask
 from paslab.airsolver import (
     AirPoint,
+    _channel,
+    _max_mi_at_energy,
+    _power,
     air_sweep,
     find_basic_point,
     gamma_split,
@@ -18,6 +22,7 @@ from paslab.airsolver import (
 from paslab.channel import AwgnSpec, gaussian_dmc
 from paslab.errors import ConvergenceError
 from paslab.infomeasures import entropy, mutual_information
+from paslab.optim import golden_max
 
 from oracle import capacity_grid_oracle, mb_weights_oracle
 
@@ -91,6 +96,46 @@ BA_REFERENCE = [
 def test_capacity_matches_parent_reference(m, snr, ref):
     cap = optimize_capacity(make_ask(m), snr, FAST).capacity
     assert ref - 1e-9 <= cap <= ref + 2e-9
+
+
+def _dense_reference_capacity(m, snr, spec):
+    """Capacity from a 49-point scale presample and a golden-section refine
+    between the best point's neighbours, at the solver's energy solve."""
+    cst = make_ask(m)
+    power = _power(snr)
+    points = np.asarray(cst.points, dtype=float)
+    e = np.asarray(cst.amplitudes, dtype=float) ** 2
+
+    def mi(delta):
+        return _max_mi_at_energy(_channel(points, delta, spec), e, power / delta**2)[1]
+
+    d_hi = math.sqrt(power)
+    grid = np.geomspace(d_hi / (cst.size - 1), d_hi, 49)
+    k = int(np.argmax([mi(d) for d in grid]))
+    return golden_max(mi, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], xtol=3e-6 * d_hi)[1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_capacity_misses_no_maximum_of_a_dense_search(m):
+    # the 5-point presample must find the same peak as a 49-point one
+    for snr in (-4.0, 2.0, 8.0, 14.0, 20.0, 24.0):
+        cap = optimize_capacity(make_ask(m), snr, FAST).capacity
+        assert cap >= _dense_reference_capacity(m, snr, FAST) - 1e-11, snr
+
+
+@pytest.mark.parametrize("m, snr", [(1, 2.0), (1, 9.74), (2, 14.0)], ids=["m1-2", "m1-9.74", "m2-14"])
+def test_rates_points_build_few_channels(monkeypatch, m, snr):
+    # the benchmark's rates operating points at the default quantizer; the
+    # count includes uniform_rate's one build
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return gaussian_dmc(*args, **kwargs)
+
+    monkeypatch.setattr(paslab.airsolver, "gaussian_dmc", counting)
+    optimize_capacity(make_ask(m), snr)
+    assert 0 < len(builds) <= 20
 
 
 def test_capacity_monotone_in_snr():
