@@ -23,7 +23,7 @@ from .infomeasures import entropy, equivocation, mutual_information, r_bmd
 from .optim import bisect_until, brent_max
 
 LN2 = math.log(2.0)
-NEWTON_ITER_PER_MASS = 25  # iteration cap per amplitude: each pin or release costs a few
+NEWTON_ITER_PER_MASS = 50  # iteration cap per amplitude: each pin or release costs a few; 64-ASK needs up to 32
 NEWTON_TOL = 1e-15  # squared Newton decrement (nats): twice the gain left on the face
 RELEASE_TOL = 1e-12  # gain per unit mass (nats) a pinned amplitude needs to be released
 RELEASE_MASS = 1e-12  # a released mass restarts here; the residual term restores feasibility

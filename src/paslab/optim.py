@@ -2,10 +2,10 @@
 
 Hand-rolled rather than scipy.optimize: bisect_until stops on function value
 (|f| <= ftol); golden_max and brent_max (Brent's fmin: golden section plus
-parabolic steps) return the best point they probed, ranked by a key, so a
-caller whose f returns more than the objective gets it back without a second
-call; and importing scipy.optimize would add about 0.3 s to the start of
-every command.
+parabolic steps) return the best point they probed, and brent_max ranks it by
+a key, so a caller whose f returns more than the objective gets that back
+without a second call; and importing scipy.optimize would add about 0.3 s to
+the start of every command.
 """
 
 from __future__ import annotations
@@ -17,28 +17,19 @@ INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 SQRT_EPS = math.sqrt(2.0**-52)  # relative x tolerance of Brent's fmin
 
 
-def _better(key, best, y, x):
-    """Keep the better of best = (key, x, y), or None, and (key(y), x, y);
-    ties in key go to the larger x."""
-    return (key(y), x, y) if best is None or (key(y), x) > best[:2] else best
-
-
-def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None):
+def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200):
     """Golden-section maximization of a unimodal f on [a, b].
 
-    Returns (x_best, f(x_best)) over all probed points, ranked by key(f(x))
-    (f(x) itself by default), so a non-unimodal f still yields the best
-    sample seen, and a caller whose f returns more than the objective gets
-    back what f computed there without calling it again.
+    Returns (x_best, f(x_best)) over all probed points, ties going to the
+    larger x, so a non-unimodal f still yields the best sample seen.
     """
-    key = key or (lambda y: y)
     h = b - a
     c, d = a + INVPHI2 * h, a + INVPHI * h
     yc, yd = f(c), f(d)
-    best = _better(key, (key(yc), c, yc), yd, d)
+    best = max((yc, c), (yd, d))
     it = 0
     while h > xtol and it < max_iter:
-        if key(yc) >= key(yd):
+        if yc >= yd:
             b, d, yd = d, c, yc
             h = b - a
             c = a + INVPHI2 * h
@@ -48,12 +39,12 @@ def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None
             h = b - a
             d = a + INVPHI * h
             yd = f(d)
-        best = _better(key, _better(key, best, yc, c), yd, d)
+        best = max(best, (yc, c), (yd, d))
         it += 1
-    return best[1], best[2]
+    return best[1], best[0]
 
 
-def brent_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None):
+def brent_max(f, a: float, b: float, xtol: float, key=None):
     """Bounded Brent maximization of f on [a, b] (Brent 1973, fmin).
 
     Golden-section steps, replaced by the vertex of the parabola through the
@@ -62,7 +53,9 @@ def brent_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None)
     the best point x lies within 2 tol of both bracket ends, with
     tol = sqrt(eps) |x| + xtol / 3. The key must be real-valued: the
     parabola is fitted to key(f(x)). Returns (x_best, f(x_best)) over all
-    probed points, as golden_max does.
+    probed points, ranked by key(f(x)) (f(x) itself by default) with ties
+    going to the larger x, so a caller whose f returns more than the
+    objective gets back what f computed there without calling it again.
     """
     key = key or (lambda y: y)
     best = None
@@ -72,13 +65,15 @@ def brent_max(f, a: float, b: float, xtol: float, max_iter: int = 200, key=None)
         # alive, so a caller's large results do not pile up across steps
         nonlocal best
         y = f(u)
-        best = _better(key, best, y, u)
-        return -key(y)
+        k = key(y)
+        if best is None or (k, u) > best[:2]:
+            best = (k, u, y)
+        return -k
 
     x = w = v = a + INVPHI2 * (b - a)
     gx = gw = gv = probe(x)
     d = e = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):  # a guard only: fmin's rule stops far sooner
         mid = 0.5 * (a + b)
         tol = SQRT_EPS * abs(x) + xtol / 3.0
         tol2 = 2.0 * tol

@@ -52,6 +52,7 @@ from .typicality import (
 
 DECODE_BUDGET = 1_000_000
 SIGN_CODE_MODES = ("iid", "linear")  # how the redundant signs are drawn; see draw_sign_code
+_MODE_NAMES = " or ".join(map(repr, SIGN_CODE_MODES))  # "'iid' or 'linear'", for error messages
 # (output, candidate) cells scored at once; bounds a block's working set, since
 # the candidate count can reach DECODE_BUDGET
 BLOCK_CELLS = 1 << 18
@@ -146,7 +147,7 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
     random GF(2) map to (amplitude bits of m_a ++ information bits of m_s).
     """
     if mode not in SIGN_CODE_MODES:
-        raise ValueError(f"mode must be 'iid' or 'linear', got {mode}")
+        raise ValueError(f"mode must be {_MODE_NAMES}, got {mode}")
     if not 0 <= n1 <= layer.n:
         raise ValueError(f"n1 must be in [0, {layer.n}], got {n1}")
     m_a_count, m_s_count, n2 = layer.size, 2**n1, layer.n - n1
@@ -312,7 +313,7 @@ class ExperimentConfig:
         if self.decoder not in ("smd", "bmd"):
             raise ConfigError(f"decoder must be 'smd' or 'bmd', got {self.decoder}")
         if self.codebook_mode not in SIGN_CODE_MODES:
-            raise ConfigError(f"codebook_mode must be 'iid' or 'linear', got {self.codebook_mode}")
+            raise ConfigError(f"codebook_mode must be {_MODE_NAMES}, got {self.codebook_mode}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.n < 1:

@@ -22,7 +22,7 @@ from paslab.airsolver import (
 from paslab.channel import AwgnSpec, gaussian_dmc
 from paslab.errors import ConvergenceError
 from paslab.infomeasures import entropy, mutual_information
-from paslab.optim import golden_max
+from paslab.optim import brent_max, golden_max
 
 from oracle import capacity_grid_oracle, mb_weights_oracle
 
@@ -98,9 +98,9 @@ def test_capacity_matches_parent_reference(m, snr, ref):
     assert ref - 1e-9 <= cap <= ref + 2e-9
 
 
-def _dense_reference_capacity(m, snr, spec):
-    """Capacity from a 49-point scale presample and a golden-section refine
-    between the best point's neighbours, at the solver's energy solve."""
+def _dense_scale_curve(m, snr, spec):
+    """The solver's energy solve over a 49-point geometric grid of scales:
+    returns the grid, I(X;Y) at each scale, and the solve itself."""
     cst = make_ask(m)
     power = _power(snr)
     points = np.asarray(cst.points, dtype=float)
@@ -111,8 +111,15 @@ def _dense_reference_capacity(m, snr, spec):
 
     d_hi = math.sqrt(power)
     grid = np.geomspace(d_hi / (cst.size - 1), d_hi, 49)
-    k = int(np.argmax([mi(d) for d in grid]))
-    return golden_max(mi, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], xtol=3e-6 * d_hi)[1]
+    return grid, np.array([mi(d) for d in grid]), mi
+
+
+def _dense_reference_capacity(m, snr, spec):
+    """Capacity from a 49-point scale presample and a golden-section refine
+    between the best point's neighbours, at the solver's energy solve."""
+    grid, vals, mi = _dense_scale_curve(m, snr, spec)
+    k = int(np.argmax(vals))
+    return golden_max(mi, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], xtol=3e-6 * grid[-1])[1]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -121,6 +128,49 @@ def test_capacity_misses_no_maximum_of_a_dense_search(m):
     for snr in (-4.0, 2.0, 8.0, 14.0, 20.0, 24.0):
         cap = optimize_capacity(make_ask(m), snr, FAST).capacity
         assert cap >= _dense_reference_capacity(m, snr, FAST) - 1e-11, snr
+
+
+@pytest.mark.parametrize("m, snr", [(4, 6.0), (5, 6.0), (6, 2.0)], ids=["32-ask", "64-ask", "128-ask"])
+def test_presample_brackets_the_peak_of_a_multimodal_scale_curve(monkeypatch, m, snr):
+    # at low SNR, I(X;Y) against the scale has several local maxima for 32- to
+    # 128-ASK; the 5-point presample's bracket must hold the best point of a
+    # 49-point grid, of which its own 5 points are a subset
+    grid, vals, _ = _dense_scale_curve(m, snr, FAST)
+    interior = vals[1:-1]
+    assert np.sum((interior > vals[:-2]) & (interior >= vals[2:])) >= 2
+    brackets = []
+
+    def recording(f, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return brent_max(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(paslab.airsolver, "brent_max", recording)
+    cap = optimize_capacity(make_ask(m), snr, FAST).capacity
+    [(lo, hi)] = brackets
+    assert lo < grid[np.argmax(vals)] < hi
+    assert cap >= vals.max() - 1e-11
+
+
+@pytest.mark.parametrize("snr", [10.0, 12.0])
+def test_energy_solve_converges_where_it_needs_32_iterations_per_mass(snr):
+    # 64-ASK at the scale 0.106 sqrt(P), a point of the 49-point grid: the
+    # solve pins and releases masses for 31-32 iterations per amplitude
+    cst = make_ask(5)
+    power = _power(snr)
+    d_hi = math.sqrt(power)
+    delta = np.geomspace(d_hi / (cst.size - 1), d_hi, 49)[22]
+    e = np.asarray(cst.amplitudes, dtype=float) ** 2
+    p, mi = _max_mi_at_energy(_channel(np.asarray(cst.points, dtype=float), delta, FAST), e, power / delta**2)
+    assert p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert p @ e == pytest.approx(power / delta**2, rel=1e-12)
+    assert 0.0 < mi < 6.0
+
+
+def test_64_ask_capacity_where_the_refine_probes_a_slow_energy_solve():
+    # at the default quantizer the refine probes 64-ASK at 10 dB near
+    # 0.106 sqrt(P); the reference is the 13-point golden-section solver's
+    cap = optimize_capacity(make_ask(5), 10.0).capacity
+    assert cap >= 1.7296940037484596 - 1e-11
 
 
 @pytest.mark.parametrize("m, snr", [(1, 2.0), (1, 9.74), (2, 14.0)], ids=["m1-2", "m1-9.74", "m2-14"])
