@@ -7,6 +7,10 @@ scale delta. At each scale the amplitudes on the unit grid must carry energy
 E = P/delta^2, so one Newton solve with the two equality rows sum(p) = 1 and
 sum(p a^2) = E maximises I(X;Y) over the 2^m amplitude masses, and no power
 multiplier is searched for. For 4-ASK the two rows pin p outright.
+
+optimize_capacity returns the optimum alone. air_sweep, their only reader,
+adds air-sweep's two comparison columns: mi_uniform from uniform_rate, and
+r_bmd_star, R_BMD at (p_A*, delta*).
 """
 
 from __future__ import annotations
@@ -36,15 +40,13 @@ SNR_XTOL_DB = 1e-3
 
 @dataclass(frozen=True)
 class AirPoint:
-    """One solved operating point of the rate curves."""
+    """The capacity-achieving input at one SNR."""
 
-    snr_db: float
     capacity: float
     p_a_star: np.ndarray  # optimal amplitude pmf, ascending amplitudes
     h_a: float
     gamma: float  # capacity - h_a, clamped to [0, 1)
-    mi_uniform: float
-    r_bmd_star: float
+    scale: float  # delta*: the points sit at delta* times the odd integers
 
 
 def mirror_pmf(p_a) -> np.ndarray:
@@ -162,34 +164,27 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
 
     if constellation.size == 2:
         p_a_star = np.array([1.0])
-        w = _channel(points, math.sqrt(power), spec)
-        cap = mutual_information(mirror_pmf(p_a_star), w)
+        scale = math.sqrt(power)
+        cap = mutual_information(mirror_pmf(p_a_star), _channel(points, scale, spec))
     else:
         e = np.asarray(constellation.amplitudes, dtype=float) ** 2
 
         def solve(delta: float):
-            w = _channel(points, delta, spec)
-            return (w, *_max_mi_at_energy(w, e, power / delta**2))
+            return _max_mi_at_energy(_channel(points, delta, spec), e, power / delta**2)
 
         d_lo = math.sqrt(power) / (constellation.size - 1)  # all mass on the outer amplitude
         d_hi = math.sqrt(power)  # all mass on the inner amplitude
         grid = np.geomspace(d_lo, d_hi, 5)
-        vals = [solve(d)[2] for d in grid]
+        vals = [solve(d)[1] for d in grid]
         k = int(np.argmax(vals))
         lo = grid[max(0, k - 1)]
         hi = grid[min(len(grid) - 1, k + 1)]
-        _, (w, p_a_star, cap) = brent_max(solve, lo, hi, xtol=3e-6 * d_hi, key=lambda r: r[2])
+        scale, (p_a_star, cap) = brent_max(solve, lo, hi, xtol=3e-6 * d_hi, key=lambda r: r[1])
 
     h_a = entropy(p_a_star)
     gamma = min(max(cap - h_a, 0.0), math.nextafter(1.0, 0.0))
     return AirPoint(
-        snr_db=float(snr_db),
-        capacity=float(cap),
-        p_a_star=p_a_star,
-        h_a=float(h_a),
-        gamma=float(gamma),
-        mi_uniform=uniform_rate(constellation, snr_db, spec),
-        r_bmd_star=float(r_bmd(mirror_pmf(p_a_star), w, brgc_label(constellation))),
+        capacity=float(cap), p_a_star=p_a_star, h_a=float(h_a), gamma=float(gamma), scale=float(scale)
     )
 
 
@@ -236,7 +231,7 @@ def gamma_split(constellation: AskConstellation, snr_db: float, spec: AwgnSpec |
         )
     if gamma >= 1.0:
         raise ValueError(f"sign rate gamma = {gamma:.4g} is infeasible (needs gamma < 1)")
-    return float(pt.h_a), float(max(gamma, 0.0))
+    return pt.h_a, pt.gamma
 
 
 def shaping_gap(
@@ -287,9 +282,19 @@ def theorem_feasibility(p_a, gamma: float, dmc: Dmc, label_map) -> dict:
 
 
 def air_sweep(constellation: AskConstellation, snr_grid, spec: AwgnSpec | None = None):
-    """optimize_capacity over a grid; yields (snr_db, AirPoint | exception)."""
+    """Rate curves over a grid: yields (snr_db, row | exception) per point,
+    row being (capacity, H(A*), gamma, mi_uniform, r_bmd_star). R_BMD runs on
+    the optimum's channel rebuilt from the winning probe's inputs, so on the
+    same channel bit for bit.
+    """
+    spec = spec or AwgnSpec()
+    points = np.asarray(constellation.points, dtype=float)
+    label = brgc_label(constellation)
     for snr in snr_grid:
         try:
-            yield snr, optimize_capacity(constellation, snr, spec)
+            pt = optimize_capacity(constellation, snr, spec)
+            r_b = r_bmd(mirror_pmf(pt.p_a_star), _channel(points, pt.scale, spec), label)
+            row = (pt.capacity, pt.h_a, pt.gamma, uniform_rate(constellation, snr, spec), r_b)
         except (ValueError, ConvergenceError) as exc:
-            yield snr, exc
+            row = exc
+        yield snr, row

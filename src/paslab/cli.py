@@ -291,15 +291,12 @@ def cmd_air_sweep(args, cfg: dict, v: dict) -> None:
     spec = _awgn_spec(v)
     lines = [f"# config: {json.dumps(cfg, sort_keys=True)}"]
     lines.append("snr_db,capacity,h_a,gamma,mi_uniform,r_bmd_star")
-    for snr, point in air_sweep(cst, grid, spec):
-        if isinstance(point, Exception):
-            print(f"air-sweep: snr {snr:g} dB failed: {point}", file=sys.stderr)
+    for snr, row in air_sweep(cst, grid, spec):
+        if isinstance(row, Exception):
+            print(f"air-sweep: snr {snr:g} dB failed: {row}", file=sys.stderr)
             lines.append(f"{snr:.10g},nan,nan,nan,nan,nan")
             continue
-        lines.append(
-            f"{snr:.10g},{point.capacity:.12g},{point.h_a:.12g},"
-            f"{point.gamma:.12g},{point.mi_uniform:.12g},{point.r_bmd_star:.12g}"
-        )
+        lines.append(f"{snr:.10g}," + ",".join(f"{x:.12g}" for x in row))
     _emit("\n".join(lines) + "\n", args.out)
 
 

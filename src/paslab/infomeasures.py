@@ -13,7 +13,7 @@ import numpy as np
 
 from .alphabets import AskConstellation, LabelMap
 from .channel import Dmc, bit_channel
-from .optim import golden_max
+from .optim import brent_max
 
 PMF_TOL = 1e-12
 S_RANGE = (0.0, 16.0)
@@ -136,19 +136,21 @@ def _check_metric(joint: np.ndarray, metric: np.ndarray):
 
 
 def _generalized_rate(joint, metric, s, cost=None) -> float:
-    """E[log2(q^s r / sum_x' p(x') q^s r)] over the support of p(x,y)."""
-    px = joint.sum(axis=1)
-    num = s * log2_safe(metric)
-    if cost is not None:
-        num = num + log2_safe(cost)[:, None]
-    qs = metric**s if s != 0 else np.ones_like(metric)
-    weights = px if cost is None else px * cost
-    den = weights @ qs  # per-output normalizer
-    mask = joint > 0
-    with np.errstate(divide="ignore"):
-        log2_den = np.log2(den)
-    vals = (num - log2_den[None, :])[mask]
-    return float((joint[mask] * vals).sum())
+    """E[log2(q^s r / sum_x' p(x') q^s r)] over the support of p(x,y).
+
+    Works with log2 q^s throughout and takes the normalizer as a max-shifted
+    log-sum-exp over x, so a q^s that would underflow (q near 1e-87 at s 4)
+    cannot leave a zero denominator. q^0 is 1, zero metric cells included.
+    """
+    log_qs = s * log2_safe(metric) if s != 0 else np.zeros_like(metric)
+    log_r = np.zeros(joint.shape[0]) if cost is None else log2_safe(cost)
+    terms = log_qs + (log2_safe(joint.sum(axis=1)) + log_r)[:, None]
+    peak = terms.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0  # an output no input reaches: the sum is 0
+    with np.errstate(divide="ignore", under="ignore"):  # terms far below the peak add nothing
+        log2_den = peak + np.log2(np.exp2(terms - peak).sum(axis=0))
+    x, y = np.nonzero(joint > 0)
+    return float((joint[x, y] * (log_qs[x, y] + log_r[x] - log2_den[y])).sum())
 
 
 class GmiResult(NamedTuple):
@@ -159,8 +161,10 @@ class GmiResult(NamedTuple):
 def gmi(input_pmf, chan, metric) -> GmiResult:
     """Generalized mutual information, maximized over the metric exponent s.
 
-    Golden-section search on s in [0, 16] after a coarse bracket scan; s = 1 is
-    probed explicitly and wins ties. The value is clipped below at zero.
+    The generalized rate is concave in s (s E[log q] minus a log-sum-exp of
+    functions affine in s), so one bounded Brent search on s in [0, 16]
+    finds its maximum; s = 1 is probed explicitly and wins ties. The value is
+    clipped below at zero.
     """
     joint = joint_from_input(input_pmf, chan)
     q = np.asarray(metric, dtype=float)
@@ -169,17 +173,10 @@ def gmi(input_pmf, chan, metric) -> GmiResult:
     def f(s):
         return _generalized_rate(joint, q, s)
 
-    grid = np.linspace(S_RANGE[0], S_RANGE[1], 33)
-    vals = [f(s) for s in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    s_g, v_g = golden_max(f, lo, hi, S_XTOL)
+    s_star, value = brent_max(f, S_RANGE[0], S_RANGE[1], S_XTOL)
     v_one = f(1.0)
-    if v_one >= v_g:
+    if v_one >= value:
         s_star, value = 1.0, v_one
-    else:
-        s_star, value = s_g, v_g
     return GmiResult(value=max(0.0, value), s_star=float(s_star))
 
 

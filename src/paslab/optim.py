@@ -1,9 +1,9 @@
 """Tiny 1-D search routines with explicit stopping rules.
 
 Hand-rolled rather than scipy.optimize: bisect_until stops on function value
-(|f| <= ftol); golden_max and brent_max (Brent's fmin: golden section plus
-parabolic steps) return the best point they probed, and brent_max ranks it by
-a key, so a caller whose f returns more than the objective gets that back
+(|f| <= ftol); brent_max (Brent's fmin: golden section plus parabolic steps)
+is the one maximiser, and it returns the best point it probed, ranked by a
+key, so a caller whose f returns more than the objective gets that back
 without a second call; and importing scipy.optimize would add about 0.3 s to
 the start of every command.
 """
@@ -12,36 +12,8 @@ from __future__ import annotations
 
 import math
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 SQRT_EPS = math.sqrt(2.0**-52)  # relative x tolerance of Brent's fmin
-
-
-def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200):
-    """Golden-section maximization of a unimodal f on [a, b].
-
-    Returns (x_best, f(x_best)) over all probed points, ties going to the
-    larger x, so a non-unimodal f still yields the best sample seen.
-    """
-    h = b - a
-    c, d = a + INVPHI2 * h, a + INVPHI * h
-    yc, yd = f(c), f(d)
-    best = max((yc, c), (yd, d))
-    it = 0
-    while h > xtol and it < max_iter:
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + INVPHI * h
-            yd = f(d)
-        best = max(best, (yc, c), (yd, d))
-        it += 1
-    return best[1], best[0]
 
 
 def brent_max(f, a: float, b: float, xtol: float, key=None):

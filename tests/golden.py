@@ -1,6 +1,6 @@
-"""Pinned stdout of `typ-dump`, `b-typ` and `sim`: the cases in golden.json,
-each a command line, an optional JSON config and the sha256 of the command's
-full stdout.
+"""Pinned stdout of `typ-dump`, `b-typ`, `sim` and `air-sweep`: the cases in
+golden.json, each a command line, an optional JSON config and the sha256 of
+the command's full stdout.
 
     python tests/golden.py [SCRIPT]
 
@@ -37,7 +37,13 @@ be built as box lists over one joint table. `sim-bmd-8-ask-linear` is the
 same run on a linear code (866 errors, 482 kind 1, 398 kind 2, 14 both, 107
 pairwise-only acceptances), the only case whose GF(2) generator maps more
 than one amplitude bit per position; it was pinned before the sign code
-came to be drawn straight into the candidates' letters. Six hashes
+came to be drawn straight into the candidates' letters. The two `air-sweep`
+cases pin the solver's CSV at 300 bins: 4-ASK at an SNR list around the
+basic point, and 8-ASK at 2, 8 and 14 dB. They were pinned while
+optimize_capacity still computed mi_uniform and r_bmd_star itself, before
+air_sweep came to compute them; the `.12g` columns absorb last-ulp BLAS
+differences between machines, which is why no `gamma-split` full-repr JSON
+is pinned here. Six hashes
 were re-pinned when p(u) came to be computed once per composition class and
 the header probabilities summed over classes (math.fsum of size times p(u))
 instead of over members: `typ-dump-11-letters` and `typ-dump-n48`, whose

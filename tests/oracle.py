@@ -252,3 +252,34 @@ def mb_weights_oracle(amplitudes, lam):
     raw = [math.exp(-lam * a * a) for a in amplitudes]
     z = sum(raw)
     return [r / z for r in raw]
+
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def golden_max(f, a: float, b: float, xtol: float, max_iter: int = 200):
+    """Golden-section maximization of a unimodal f on [a, b].
+
+    Returns (x_best, f(x_best)) over all probed points, ties going to the
+    larger x, so a non-unimodal f still yields the best sample seen.
+    """
+    h = b - a
+    c, d = a + INVPHI2 * h, a + INVPHI * h
+    yc, yd = f(c), f(d)
+    best = max((yc, c), (yd, d))
+    it = 0
+    while h > xtol and it < max_iter:
+        if yc >= yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + INVPHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + INVPHI * h
+            yd = f(d)
+        best = max(best, (yc, c), (yd, d))
+        it += 1
+    return best[1], best[0]

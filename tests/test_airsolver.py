@@ -6,7 +6,6 @@ import pytest
 import paslab.airsolver
 from paslab.alphabets import brgc_label, make_ask
 from paslab.airsolver import (
-    AirPoint,
     _channel,
     _max_mi_at_energy,
     _power,
@@ -21,10 +20,10 @@ from paslab.airsolver import (
 )
 from paslab.channel import AwgnSpec, gaussian_dmc
 from paslab.errors import ConvergenceError
-from paslab.infomeasures import entropy, mutual_information
-from paslab.optim import brent_max, golden_max
+from paslab.infomeasures import entropy, mutual_information, r_bmd
+from paslab.optim import brent_max
 
-from oracle import capacity_grid_oracle, mb_weights_oracle
+from oracle import capacity_grid_oracle, golden_max, mb_weights_oracle
 
 # coarse quantizer keeps these tests quick; accuracy tests live in acceptance
 FAST = AwgnSpec(num_bins=300)
@@ -175,17 +174,28 @@ def test_64_ask_capacity_where_the_refine_probes_a_slow_energy_solve():
 
 @pytest.mark.parametrize("m, snr", [(1, 2.0), (1, 9.74), (2, 14.0)], ids=["m1-2", "m1-9.74", "m2-14"])
 def test_rates_points_build_few_channels(monkeypatch, m, snr):
-    # the benchmark's rates operating points at the default quantizer; the
-    # count includes uniform_rate's one build
-    builds = []
+    # the benchmark's rates operating points at the default quantizer: every
+    # build is a probe of the scale search, and the split reads no rate that
+    # only air-sweep prints
+    builds, rates = [], []
 
     def counting(*args, **kwargs):
         builds.append(args)
         return gaussian_dmc(*args, **kwargs)
 
+    def spy(name, f):
+        def recording(*args, **kwargs):
+            rates.append(name)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(paslab.airsolver, name, recording)
+
     monkeypatch.setattr(paslab.airsolver, "gaussian_dmc", counting)
-    optimize_capacity(make_ask(m), snr)
-    assert 0 < len(builds) <= 20
+    spy("uniform_rate", uniform_rate)
+    spy("r_bmd", r_bmd)
+    gamma_split(make_ask(m), snr)
+    assert 0 < len(builds) <= 19
+    assert rates == []
 
 
 def test_capacity_monotone_in_snr():
@@ -207,7 +217,6 @@ def test_airpoint_split_consistency():
     assert 0.0 <= pt.gamma < 1.0
     # 6 dB sits above the basic point, so the split is exact
     assert pt.capacity == pytest.approx(pt.h_a + pt.gamma, abs=1e-9)
-    assert pt.r_bmd_star <= pt.capacity + 1e-9
 
 
 def test_m0_special_case():
@@ -274,12 +283,19 @@ def test_theorem_feasibility_fields():
 def test_air_sweep_reports_failures_inline():
     cst = make_ask(1)
     out = list(air_sweep(cst, [3.0, float("nan")], FAST))
-    assert isinstance(out[0][1], AirPoint)
+    pt = optimize_capacity(cst, 3.0, FAST)
+    cap, h_a, gamma, mi_u, r_b = out[0][1]
+    assert (cap, h_a, gamma) == (pt.capacity, pt.h_a, pt.gamma)
+    assert mi_u == uniform_rate(cst, 3.0, FAST)
+    # R_BMD at the optimum, on the channel of the optimum's scale
+    w = gaussian_dmc(np.asarray(cst.points, dtype=float) * pt.scale, 1.0, FAST.num_bins, FAST.clip_sigmas)
+    assert r_b == r_bmd(mirror_pmf(pt.p_a_star), w, brgc_label(cst))
+    assert r_b <= cap + 1e-9
     assert isinstance(out[1][1], Exception)
 
 
 def test_air_sweep_deterministic():
     cst = make_ask(1)
-    a = [(s, p.capacity) for s, p in air_sweep(cst, [1.0, 2.0], FAST)]
-    b = [(s, p.capacity) for s, p in air_sweep(cst, [1.0, 2.0], FAST)]
+    a = list(air_sweep(cst, [1.0, 2.0], FAST))
+    b = list(air_sweep(cst, [1.0, 2.0], FAST))
     assert a == b

@@ -4,8 +4,8 @@ typical set, a `typ-dump` at n = 48 listed by composition class, a bmd `sim` wit
 `sim`, the README `sim` line at `--threads 3`, a Monte Carlo `b-typ` at
 budget 100, an exact 4-bin `b-typ`, an exact 8-ASK `b-typ`, and an 8-bin
 `sim` whose outputs seldom repeat with its `--threads 2` twin, and an 8-ASK
-bmd `sim` on an iid and on a linear code) matches the
-sha256 pinned in golden.json."""
+bmd `sim` on an iid and on a linear code, and two `air-sweep` CSVs at 300
+bins) matches the sha256 pinned in golden.json."""
 
 import pytest
 

@@ -120,6 +120,13 @@ def test_lm_rate_equals_unclipped_bmd():
             got = lm_rate(p, d, metric, s=1.0, cost=cost)
             want = bmd_rate_unclipped(p, d, label)
             assert got == pytest.approx(want, abs=1e-9)
+    # 8-ASK on 2000 bins: the product metric falls to 1.8e-87 on the support
+    cst = make_ask(2)
+    label = brgc_label(cst)
+    d = gaussian_dmc(cst.points, 1.0, 2000)
+    p = np.full(8, 0.125)
+    got = lm_rate(p, d, product_bit_metric(p, d, label), s=1.0, cost=bmd_cost(p, label))
+    assert got == pytest.approx(bmd_rate_unclipped(p, d, label), abs=1e-9)
 
 
 def test_gmi_matched_metric_recovers_mi():
@@ -153,6 +160,22 @@ def test_gmi_never_exceeds_mi():
         p = rng.dirichlet(np.ones(nin))
         metric = rng.random((nin, d.nout)) + 0.01
         assert gmi(p, d, metric).value <= mutual_information(p, d) + 1e-9
+
+
+@pytest.mark.parametrize("sigma, num_bins", [(1.0, 2000), (0.8, 64)])
+def test_gmi_finite_where_the_metric_underflows_at_large_s(sigma, num_bins):
+    # 8-ASK with the product bit metric: q^s of its smallest values (1e-87,
+    # 1e-104) underflows to 0 for s above about 4, which a linear-domain
+    # normalizer turns into an infinite rate
+    cst = make_ask(2)
+    label = brgc_label(cst)
+    d = gaussian_dmc(cst.points, sigma, num_bins)
+    p = np.full(8, 0.125)
+    metric = product_bit_metric(p, d, label)
+    with np.errstate(all="raise"):
+        res = gmi(p, d, metric)
+    assert math.isfinite(res.value)
+    assert r_bmd(p, d, label) - 1e-9 <= res.value <= mutual_information(p, d) + 1e-9
 
 
 def test_gmi_rejects_zero_metric_on_support():

@@ -2,8 +2,12 @@ import math
 
 import pytest
 
-from paslab.optim import bisect_until, brent_max, golden_max
+from paslab.optim import bisect_until, brent_max
 
+from oracle import golden_max
+
+# the library's one maximiser, and the golden-section reference that backs
+# the solver's dense-search tests and the call-count comparison below
 MAXIMIZERS = [golden_max, brent_max]
 IDS = ["golden", "brent"]
 
