@@ -35,6 +35,8 @@ FEAS_TOL = 1e-13  # relative constraint residual a solved face may keep
 HESS_SHIFT = 1e-13  # relative diagonal shift of the KKT Hessian block
 R_FLOOR = 1e-300  # output mass floor: a pinned row alone on a bin sees a huge gain, not log(0)
 BASIC_POINT_FTOL = 1e-4
+BASIC_POINT_BRACKET_DB = (-4.0, 6.0)
+SHAPING_GAP_BRACKET_DB = (-15.0, 35.0)
 SNR_XTOL_DB = 1e-3
 
 
@@ -199,15 +201,12 @@ def uniform_rate(constellation: AskConstellation, snr_db: float, spec: AwgnSpec 
     return mutual_information(p, w)
 
 
-def find_basic_point(
-    constellation: AskConstellation,
-    spec: AwgnSpec | None = None,
-    bracket_db: tuple[float, float] = (-4.0, 6.0),
-) -> tuple[float, float]:
+def find_basic_point(constellation: AskConstellation, spec: AwgnSpec | None = None) -> tuple[float, float]:
     """SNR (dB) and rate where the capacity-achieving H(A) equals capacity.
 
-    Bisects H(A*) - C on snr_db until within 1e-4 bit; raises ValueError when
-    the bracket shows no crossing (e.g. 2-ASK, where H(A) is identically 0).
+    Bisects H(A*) - C on snr_db over BASIC_POINT_BRACKET_DB until within
+    1e-4 bit; raises ValueError when the bracket shows no crossing (e.g.
+    2-ASK, where H(A) is identically 0).
     """
     cache: dict[float, AirPoint] = {}
 
@@ -216,7 +215,7 @@ def find_basic_point(
         cache[snr] = pt
         return pt.h_a - pt.capacity
 
-    snr = bisect_until(f, bracket_db[0], bracket_db[1], ftol=BASIC_POINT_FTOL)
+    snr = bisect_until(f, *BASIC_POINT_BRACKET_DB, ftol=BASIC_POINT_FTOL)
     pt = cache.get(snr) or optimize_capacity(constellation, snr, spec)
     return float(snr), float(pt.capacity)
 
@@ -234,13 +233,9 @@ def gamma_split(constellation: AskConstellation, snr_db: float, spec: AwgnSpec |
     return pt.h_a, pt.gamma
 
 
-def shaping_gap(
-    constellation: AskConstellation,
-    target_rate: float,
-    spec: AwgnSpec | None = None,
-    bracket_db: tuple[float, float] = (-15.0, 35.0),
-) -> float:
-    """SNR penalty (dB) of the uniform input against capacity at target_rate."""
+def shaping_gap(constellation: AskConstellation, target_rate: float, spec: AwgnSpec | None = None) -> float:
+    """SNR penalty (dB) of the uniform input against capacity at target_rate,
+    each SNR found by bisection over SHAPING_GAP_BRACKET_DB."""
     max_rate = constellation.m + 1
     if not 0.0 < target_rate < max_rate - 1e-3:
         raise ValueError(f"target rate must sit inside (0, {max_rate}), got {target_rate}")
@@ -251,12 +246,12 @@ def shaping_gap(
     def f_cap(snr):
         return optimize_capacity(constellation, snr, spec).capacity - target_rate
 
-    snr_unif = bisect_until(f_unif, bracket_db[0], bracket_db[1], ftol=0.0, xtol=SNR_XTOL_DB)
-    snr_cap = bisect_until(f_cap, bracket_db[0], bracket_db[1], ftol=0.0, xtol=SNR_XTOL_DB)
+    snr_unif = bisect_until(f_unif, *SHAPING_GAP_BRACKET_DB, ftol=0.0, xtol=SNR_XTOL_DB)
+    snr_cap = bisect_until(f_cap, *SHAPING_GAP_BRACKET_DB, ftol=0.0, xtol=SNR_XTOL_DB)
     return float(snr_unif - snr_cap)
 
 
-def theorem_feasibility(p_a, gamma: float, dmc: Dmc, label_map) -> dict:
+def theorem_feasibility(p_a, gamma: float, dmc: Dmc, labels: np.ndarray) -> dict:
     """Check H(A) + gamma against the symbol-metric and bit-metric rate limits."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
@@ -264,7 +259,7 @@ def theorem_feasibility(p_a, gamma: float, dmc: Dmc, label_map) -> dict:
     p_x = mirror_pmf(p_a)
     h_a = entropy(p_a)
     mi = mutual_information(p_x, dmc)
-    r_b = r_bmd(p_x, dmc, label_map)
+    r_b = r_bmd(p_x, dmc, labels)
     target = h_a + gamma
     out = {
         "h_a": float(h_a),
@@ -289,11 +284,11 @@ def air_sweep(constellation: AskConstellation, snr_grid, spec: AwgnSpec | None =
     """
     spec = spec or AwgnSpec()
     points = np.asarray(constellation.points, dtype=float)
-    label = brgc_label(constellation)
+    labels = brgc_label(constellation)
     for snr in snr_grid:
         try:
             pt = optimize_capacity(constellation, snr, spec)
-            r_b = r_bmd(mirror_pmf(pt.p_a_star), _channel(points, pt.scale, spec), label)
+            r_b = r_bmd(mirror_pmf(pt.p_a_star), _channel(points, pt.scale, spec), labels)
             row = (pt.capacity, pt.h_a, pt.gamma, uniform_rate(constellation, snr, spec), r_b)
         except (ValueError, ConvergenceError) as exc:
             row = exc

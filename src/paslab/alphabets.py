@@ -2,8 +2,9 @@
 
 An M-ASK constellation (M = 2^(m+1)) uses the odd integer grid
 {-M+1, ..., -1, +1, ..., M-1}. Every point factors as x = s * a with
-sign s in {-1, +1} and amplitude a in {1, 3, ..., M-1}. Labels carry one
-sign bit (convention: 0 <-> -1, 1 <-> +1) and m amplitude bits.
+sign s in {-1, +1} and amplitude a in {1, 3, ..., M-1}. The labels are one
+read-only (M, m+1) bit table, a row per point: one sign bit (convention:
+0 <-> -1, 1 <-> +1) and m amplitude bits.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_M = 6  # 128-ASK; larger grids are outside desk scale
-
-
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
 
 
 @dataclass(frozen=True)
@@ -57,43 +54,16 @@ def make_ask(m: int) -> AskConstellation:
     return AskConstellation(m)
 
 
-@dataclass(frozen=True)
-class LabelMap:
-    """Per-point binary labels: bit 0 is the sign bit, bits 1..m address the amplitude.
-
-    `bits[i]` is the label of `constellation.points[i]`. The amplitude bits of x
-    and -x agree, so the label splits into an independent sign level and a shared
-    amplitude address.
-    """
-
-    constellation: AskConstellation
-    bits: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return self.constellation.m
-
-    @property
-    def bit_matrix(self) -> np.ndarray:
-        """(M, m+1) array of labels, row order = ascending points."""
-        return np.array(self.bits, dtype=np.int8)
-
-    @property
-    def amplitude_bit_matrix(self) -> np.ndarray:
-        """(2^m, m) array, row k = bits of amplitudes[k] (the bits of +a)."""
-        return self.bit_matrix[self.constellation.sign_amplitude_index[1], 1:]
-
-
-def brgc_label(constellation: AskConstellation) -> LabelMap:
-    """Binary reflected Gray labeling over the ascending point grid.
+def brgc_label(constellation: AskConstellation) -> np.ndarray:
+    """Binary reflected Gray labeling over the ascending point grid, as the
+    read-only (M, m+1) int8 table whose row i labels points[i].
 
     Point i gets the (m+1)-bit Gray codeword of i, most significant bit first.
-    The reflection property makes the leading bit the sign bit and leaves the
-    trailing m bits mirror-symmetric, i.e. equal for x and -x.
+    The reflection makes column 0 the sign bit and leaves columns 1..m equal
+    for x and -x, so rows M/2 onward, columns 1 onward, are the amplitude
+    bits of ascending amplitudes.
     """
-    M = constellation.size
-    width = constellation.m + 1
-    bits = tuple(
-        tuple((_gray(i) >> (width - 1 - j)) & 1 for j in range(width)) for i in range(M)
-    )
-    return LabelMap(constellation, bits)
+    i = np.arange(constellation.size)
+    labels = (((i ^ (i >> 1))[:, None] >> np.arange(constellation.m, -1, -1)) & 1).astype(np.int8)
+    labels.flags.writeable = False
+    return labels

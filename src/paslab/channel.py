@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import LabelMap
 from .erfc import half_erfc
 
 ROW_TOL = 1e-12
@@ -62,7 +61,7 @@ def identity_dmc(points) -> Dmc:
     return Dmc(w=np.eye(len(points)))
 
 
-def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = 6.0) -> Dmc:
+def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = AwgnSpec.clip_sigmas) -> Dmc:
     """Quantize y = x + N(0, sigma^2) onto a uniform bin grid plus two tails.
 
     Each row is the cdf F at every edge, differenced: the lower tail bin is
@@ -105,8 +104,9 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = 6.0) 
     return Dmc(w=w)
 
 
-def bit_channel(dmc: Dmc, label_map: LabelMap, input_pmf, level: int):
-    """Marginalize a symbol channel onto one label level.
+def bit_channel(dmc: Dmc, labels: np.ndarray, input_pmf, level: int):
+    """Marginalize a symbol channel onto one label level, a column of the
+    (nin, m+1) label table (`alphabets.brgc_label`).
 
     Level 0 is the sign bit, levels 1..m are amplitude bits. Returns
     (prior over {0,1}, 2 x nout transition matrix p(y | c_level)); the
@@ -115,12 +115,11 @@ def bit_channel(dmc: Dmc, label_map: LabelMap, input_pmf, level: int):
     p = np.asarray(input_pmf, dtype=float)
     if p.shape != (dmc.nin,):
         raise ValueError("input_pmf must have one entry per channel input")
-    bits = label_map.bit_matrix
-    if dmc.nin != bits.shape[0]:
-        raise ValueError("label map and channel sizes disagree")
-    if not 0 <= level < bits.shape[1]:
-        raise ValueError(f"level must be in [0, {bits.shape[1] - 1}], got {level}")
-    col = bits[:, level]
+    if dmc.nin != labels.shape[0]:
+        raise ValueError("label table and channel sizes disagree")
+    if not 0 <= level < labels.shape[1]:
+        raise ValueError(f"level must be in [0, {labels.shape[1] - 1}], got {level}")
+    col = labels[:, level]
     prior = np.array([p[col == 0].sum(), p[col == 1].sum()])
     trans = np.zeros((2, dmc.nout))
     for b in (0, 1):

@@ -89,8 +89,8 @@ class Option:
 _FLAG_TYPES = {_int: int, _float: float}  # argparse type of a flag, by reader
 
 _M = Option("m", _int, 1, flag=True)
-_NUM_BINS = Option("num_bins", _int, 2000, flag=True)
-_CLIP_SIGMAS = Option("clip_sigmas", _float, 6.0)
+_NUM_BINS = Option("num_bins", _int, AwgnSpec.num_bins, flag=True)
+_CLIP_SIGMAS = Option("clip_sigmas", _float, AwgnSpec.clip_sigmas)
 # sim and b-typ open their tables with the constellation, the amplitude pmf and
 # the four channel sources, and close them with the quantizer of the channel
 _CHANNEL = (
@@ -358,11 +358,10 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
         tc = TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"])
         b = enumerate_b_typical(pmf, trans, tc)
     report = lemma1_report(b)
-    header = {"config": cfg, "h_u": b.h_u, "count": b.count, "exact": b.exact}
+    header = {"config": cfg, "h_u": b.base_set.h, "count": b.count, "exact": b.exact}
     header.update(report)
     # members of one type class share their probability: format each kept class's once
-    probs = [res.prob for res in b.class_probs.values()]
-    labels = {k: f" {probs[k]:.10g}\n" for k in np.flatnonzero(b.class_kept).tolist()}
+    labels = {k: f" {b.class_probs[k].prob:.10g}\n" for k in np.flatnonzero(b.class_kept).tolist()}
     lines = _member_text(b.members, len(pmf)).splitlines()
     body = "".join(line + labels[k] for line, k in zip(lines, b.member_class.tolist()))
     _emit(json.dumps(header, sort_keys=True) + "\n" + body, args.out)

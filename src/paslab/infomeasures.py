@@ -2,7 +2,8 @@
 
 All logs are base 2, 0*log(0) terms are dropped, and expectations skip
 zero-probability (x, y) cells. Channel arguments accept either a Dmc or a
-bare row-stochastic matrix.
+bare matrix; `joint_from_input` checks a bare one as a channel for the input
+it meets. Labels are the (M, m+1) bit table of `alphabets.brgc_label`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabets import AskConstellation, LabelMap
-from .channel import Dmc, bit_channel
+from .alphabets import AskConstellation
+from .channel import ROW_TOL, Dmc, bit_channel
 from .optim import brent_max
 
 PMF_TOL = 1e-12
@@ -27,12 +28,12 @@ def as_channel_matrix(chan) -> np.ndarray:
     return w
 
 
-def check_pmf(p, tol: float = PMF_TOL) -> np.ndarray:
+def check_pmf(p) -> np.ndarray:
     """Validate and return a probability vector (any shape, summed over all cells)."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0):
         raise ValueError("pmf entries must be non-negative")
-    if not abs(arr.sum() - 1.0) <= tol:  # a NaN sum fails too
+    if not abs(arr.sum() - 1.0) <= PMF_TOL:  # a NaN sum fails too
         raise ValueError(f"pmf sums to {arr.sum()!r}, not 1")
     return arr
 
@@ -54,11 +55,21 @@ def entropy(p) -> float:
 
 
 def joint_from_input(input_pmf, chan) -> np.ndarray:
-    """p(x, y) = p(x) w(y|x) as an (nin, nout) table."""
+    """p(x, y) = p(x) w(y|x) as an (nin, nout) table.
+
+    w must be a channel where p meets it: finite and non-negative, and each
+    row of an input with positive mass summing to 1 within ROW_TOL. A row of
+    an input with no mass may sum to anything, zero included, as the row
+    `bit_channel` leaves for a bit value of prior 0 does.
+    """
     w = as_channel_matrix(chan)
     p = check_pmf(input_pmf)
     if p.shape != (w.shape[0],):
         raise ValueError("input pmf length must match channel input count")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0)):
+        raise ValueError("channel transition probabilities must be finite and non-negative")
+    if np.any((p > 0) & (np.abs(w.sum(axis=1) - 1.0) > ROW_TOL)):
+        raise ValueError("each channel row of an input with positive mass must sum to 1")
     return p[:, None] * w
 
 
@@ -76,51 +87,47 @@ def equivocation(input_pmf, chan) -> float:
     return entropy_raw(j) - entropy_raw(j.sum(axis=0))
 
 
-def conditional_level_entropy(input_pmf, chan, label_map: LabelMap, level: int) -> float:
+def conditional_level_entropy(input_pmf, chan, labels: np.ndarray, level: int) -> float:
     """H(C_level | Y) for one label level (0 = sign bit, 1..m = amplitude bits)."""
     w = as_channel_matrix(chan)
     dmc = chan if isinstance(chan, Dmc) else Dmc(w=w)
-    prior, trans = bit_channel(dmc, label_map, check_pmf(input_pmf), level)
+    prior, trans = bit_channel(dmc, labels, check_pmf(input_pmf), level)
     j = prior[:, None] * trans
     return entropy_raw(j) - entropy_raw(j.sum(axis=0))
 
 
-def bmd_rate_unclipped(input_pmf, chan, label_map: LabelMap) -> float:
+def bmd_rate_unclipped(input_pmf, chan, labels: np.ndarray) -> float:
     """H(C) - sum_i H(C_i|Y); may be negative for bad channels."""
     p = check_pmf(input_pmf)
-    levels = label_map.m + 1
     h_c = entropy_raw(p)  # labels are a bijection onto inputs
-    cond = sum(conditional_level_entropy(p, chan, label_map, i) for i in range(levels))
+    cond = sum(conditional_level_entropy(p, chan, labels, i) for i in range(labels.shape[1]))
     return h_c - cond
 
 
-def r_bmd(input_pmf, chan, label_map: LabelMap) -> float:
+def r_bmd(input_pmf, chan, labels: np.ndarray) -> float:
     """Binary-level decoding rate, clipped at zero."""
-    return max(0.0, bmd_rate_unclipped(input_pmf, chan, label_map))
+    return max(0.0, bmd_rate_unclipped(input_pmf, chan, labels))
 
 
-def product_bit_metric(input_pmf, chan, label_map: LabelMap) -> np.ndarray:
+def product_bit_metric(input_pmf, chan, labels: np.ndarray) -> np.ndarray:
     """Symbol metric q(x,y) = prod_i p(y | c_i(x)) built from the bit subchannels."""
     w = as_channel_matrix(chan)
     dmc = chan if isinstance(chan, Dmc) else Dmc(w=w)
     p = check_pmf(input_pmf)
-    bits = label_map.bit_matrix
     q = np.ones_like(w)
-    for level in range(bits.shape[1]):
-        _, trans = bit_channel(dmc, label_map, p, level)
-        q *= trans[bits[:, level]]
+    for level in range(labels.shape[1]):
+        _, trans = bit_channel(dmc, labels, p, level)
+        q *= trans[labels[:, level]]
     return q
 
 
-def bmd_cost(input_pmf, label_map: LabelMap) -> np.ndarray:
+def bmd_cost(input_pmf, labels: np.ndarray) -> np.ndarray:
     """Decoding cost r(x) = prod_i p(c_i(x)) / p(x); needs full input support."""
     p = check_pmf(input_pmf)
     if np.any(p == 0):
         raise ValueError("bmd_cost needs a full-support input pmf")
-    bits = label_map.bit_matrix
     r = np.ones_like(p)
-    for level in range(bits.shape[1]):
-        col = bits[:, level]
+    for col in labels.T:
         prior = np.array([p[col == 0].sum(), p[col == 1].sum()])
         r *= prior[col]
     return r / p

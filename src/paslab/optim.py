@@ -14,6 +14,7 @@ import math
 
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 SQRT_EPS = math.sqrt(2.0**-52)  # relative x tolerance of Brent's fmin
+BISECT_MAX_ITER = 200  # a guard on the halvings; ftol and xtol are the stopping rules
 
 
 def brent_max(f, a: float, b: float, xtol: float, key=None):
@@ -90,7 +91,7 @@ def brent_max(f, a: float, b: float, xtol: float, key=None):
     return best[1], best[2]
 
 
-def bisect_until(f, lo: float, hi: float, ftol: float, xtol: float = 0.0, max_iter: int = 200):
+def bisect_until(f, lo: float, hi: float, ftol: float, xtol: float = 0.0):
     """Find a root of monotone-crossing f on [lo, hi] by bisection.
 
     Stops when |f(mid)| <= ftol or the bracket is narrower than xtol.
@@ -103,7 +104,7 @@ def bisect_until(f, lo: float, hi: float, ftol: float, xtol: float = 0.0, max_it
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.6g}, {fhi:.6g}")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) <= ftol or (hi - lo) <= xtol:

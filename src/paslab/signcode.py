@@ -4,12 +4,15 @@ decoding is a joint-typicality search.
 
 Each decoder is a list of weak-typicality boxes, margins of one pmf table
 whose last axis is the output y, and one builder (`_BoxTest`) turns a table
-and its list into the test:
+and its list into the test. Both decoders read p(a, s, y) from the shaping
+layer, which forms it once from the product p(a) t((s, y) | a) that its
+B-typical test is built on:
 - symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s, y);
 - bit-metric (`bmd`): {s}, {y}, {s, y} and, for each amplitude bit level j,
   {b_j} and {b_j, y} under p(b_1, ..., b_m, s, y), which is p(a, s, y) with
-  its amplitude axis relabelled by the amplitude bits. Its `triple_mask`
-  applies the symbol-metric list, to count pairwise-only acceptances.
+  its amplitude axis relabelled by the Gray amplitude bits. Its
+  `triple_mask` applies the symbol-metric list, to count pairwise-only
+  acceptances.
 
 Seed discipline: the sign code draws from SeedSequence([seed, 0]). Trial t
 draws exactly what numpy's default_rng(SeedSequence([seed, 1, t])) gives
@@ -38,10 +41,10 @@ from functools import partial
 import numpy as np
 
 from . import streams
-from .alphabets import AskConstellation, LabelMap, brgc_label
+from .alphabets import AskConstellation, brgc_label
 from .channel import Dmc
 from .errors import BudgetError, ConfigError
-from .infomeasures import check_pmf, entropy_raw, log2_safe, sign_amplitude_joint
+from .infomeasures import check_pmf, entropy_raw, log2_safe
 from .typicality import (
     DEFAULT_BUDGET,
     BTypicalSet,
@@ -68,21 +71,27 @@ class ShapingLayer:
 
     amplitude_seqs is the read-only (M_a, n) array of the conditioned typical
     set's members (uint8 amplitude indices, in lexicographic order), so row
-    m_a is message m_a's amplitude sequence. Both decoders share it: the
-    bit-level one reads the members through the label bijection.
+    m_a is message m_a's amplitude sequence. joint is p(a, s, y), the
+    (2^m, 2, nout) table p(a) t((s, y) | a) of the set's test with uniform
+    signs. Both decoders read the two: the bit-level one reads the members
+    and the table's amplitude axis through the Gray amplitude bits.
     """
 
     constellation: AskConstellation
-    label_map: LabelMap
-    amplitude_pmf: np.ndarray
     n: int
     eps: float
     amplitude_seqs: np.ndarray = field(repr=False)
+    joint: np.ndarray = field(repr=False)
     b_set: BTypicalSet = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.amplitude_seqs)
+
+    @property
+    def amplitude_bits(self) -> np.ndarray:
+        """(2^m, m) Gray amplitude bits, row k those of amplitudes[k]."""
+        return brgc_label(self.constellation)[self.constellation.num_amplitudes :, 1:]
 
 
 def sign_output_transition(constellation: AskConstellation, dmc: Dmc) -> np.ndarray:
@@ -113,14 +122,10 @@ def build_shaping_layer(
             f"no amplitude sequence survives the conditioned typicality test "
             f"(n={n}, eps={eps}); widen eps or change n"
         )
+    joint = (p_a[:, None] * trans).reshape(constellation.num_amplitudes, 2, dmc.nout)
+    joint.flags.writeable = False
     return ShapingLayer(
-        constellation=constellation,
-        label_map=brgc_label(constellation),
-        amplitude_pmf=p_a,
-        n=n,
-        eps=eps,
-        amplitude_seqs=b_set.members,
-        b_set=b_set,
+        constellation=constellation, n=n, eps=eps, amplitude_seqs=b_set.members, joint=joint, b_set=b_set
     )
 
 
@@ -161,7 +166,7 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
     if mode == "iid":
         redundant = rng.integers(0, 2, size=(m_a_count, m_s_count, n2), dtype=np.int8)
     else:
-        amp = layer.label_map.amplitude_bit_matrix[layer.amplitude_seqs].reshape(m_a_count, -1)
+        amp = layer.amplitude_bits[layer.amplitude_seqs].reshape(m_a_count, -1)
         k = amp.shape[1]
         gen = rng.integers(0, 2, size=(k + n1, n2), dtype=np.int8)
         # (amplitude bits of m_a ++ information bits of m_s) @ gen over GF(2)
@@ -239,20 +244,13 @@ class _BoxTest:
 _SMD_BOXES = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
-def _joint_asy(layer: ShapingLayer, dmc: Dmc) -> np.ndarray:
-    """p(a, s, y) with uniform signs, copied C-contiguous: numpy sums the
-    margins of a transposed view in another order."""
-    p_sa = np.outer([0.5, 0.5], layer.amplitude_pmf)
-    return np.ascontiguousarray(sign_amplitude_joint(p_sa, dmc, layer.constellation).transpose(1, 0, 2))
-
-
 class SmdDecoder:
     """Accepts (m_a, m_s) iff the amplitude, sign and output sequences are
     jointly typical as a triple: the box of every subset of (a, s, y) holds."""
 
-    def __init__(self, code: SignCode, dmc: Dmc):
+    def __init__(self, code: SignCode):
         self.code, self.eps = code, code.layer.eps
-        self.test = _BoxTest(_joint_asy(code.layer, dmc), _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
+        self.test = _BoxTest(code.layer.joint, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -268,10 +266,10 @@ class BmdDecoder:
     typical: the boxes of {s}, {y}, {s, y}, and of {b_j} and {b_j, y} for
     every amplitude bit level j."""
 
-    def __init__(self, code: SignCode, dmc: Dmc):
+    def __init__(self, code: SignCode):
         self.code, self.eps = code, code.layer.eps
-        t = _joint_asy(code.layer, dmc)
-        bits = code.layer.label_map.amplitude_bit_matrix  # (2^m, m)
+        t = code.layer.joint
+        bits = code.layer.amplitude_bits  # (2^m, m)
         m = bits.shape[1]
         # p(b_1, ..., b_m, s, y): the amplitude axis relabelled by its bits
         joint = np.zeros((2,) * m + t.shape[1:])
@@ -425,7 +423,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     )
     n1, m_s_count = config.n1, 2**config.n1
     code = draw_sign_code(layer, n1, config.codebook_mode, config.seed)
-    decoder = (SmdDecoder if config.decoder == "smd" else BmdDecoder)(code, config.dmc)
+    decoder = (SmdDecoder if config.decoder == "smd" else BmdDecoder)(code)
     # candidate -> transmitted point index per position
     point_idx = np.ascontiguousarray(config.constellation.sign_amplitude_index[code.signs, code.amplitudes].T)
     cdf_rows = np.cumsum(config.dmc.w, axis=1)

@@ -391,21 +391,18 @@ class BTypicalSet:
 
     Pr{(u, V) jointly typical | u} depends on u only through its composition:
     permuting u permutes the positions of V and leaves every empirical rate
-    unchanged. class_probs maps each composition of the typical set (the
-    symbol counts of u, as a tuple), in the order of base_set's classes, to
-    the CondProbResult computed on the class's first member in lexicographic
-    order, and class_kept says which of those classes are kept. members is a
-    read-only (N, n) index array of the kept sequences, in lexicographic
-    order, member_class the class in base_set of each, and cond_probs the
-    (N,) float array of their class probabilities.
+    unchanged. So there is one result per composition class of base_set, the
+    typical set of U (which holds the config and H(U)): class_probs is the
+    tuple of CondProbResult computed on each class's first member, in
+    base_set's class order, and class_kept says which classes are kept.
+    members is a read-only (N, n) index array of the kept sequences, in
+    lexicographic order, and member_class the class in base_set of each, so
+    member i's probability is class_probs[member_class[i]].
     """
 
-    config: TypConfig
-    h_u: float
     members: np.ndarray = field(repr=False)
-    cond_probs: np.ndarray = field(repr=False)
     base_set: TypicalSet = field(repr=False)
-    class_probs: dict = field(repr=False)
+    class_probs: tuple = field(repr=False)
     class_kept: np.ndarray = field(repr=False)
     member_class: np.ndarray = field(repr=False)
 
@@ -415,7 +412,7 @@ class BTypicalSet:
 
     @property
     def exact(self) -> bool:
-        return all(res.exact for res in self.class_probs.values())
+        return all(res.exact for res in self.class_probs)
 
 
 def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet:
@@ -429,23 +426,15 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
     p_u = check_pmf(input_pmf)
     transition = _check_transition(transition, p_u.size)
     base = enumerate_typical(p_u, config)
-    class_probs = {
-        tuple(np.bincount(u, minlength=p_u.size).tolist()): conditional_typical_prob(u, p_u, transition, config)
-        for u in base.class_firsts
-    }
-    class_cp = np.array([res.prob for res in class_probs.values()])
-    class_kept = class_cp >= 1.0 - config.eps - LOG_SLACK
+    class_probs = tuple(conditional_typical_prob(u, p_u, transition, config) for u in base.class_firsts)
+    class_kept = np.array([res.prob for res in class_probs]) >= 1.0 - config.eps - LOG_SLACK
     keep = class_kept[base.member_class]
-    member_class = base.member_class[keep]
     return BTypicalSet(
-        config=config,
-        h_u=base.h,
         members=_frozen(base.members[keep]),
-        cond_probs=_frozen(class_cp[member_class]),
         base_set=base,
         class_probs=class_probs,
         class_kept=_frozen(class_kept),
-        member_class=_frozen(member_class),
+        member_class=_frozen(base.member_class[keep]),
     )
 
 
@@ -462,15 +451,14 @@ def lemma1_report(b_set: BTypicalSet) -> dict:
     its p(u) and its conditional probability from b_set.class_probs, so
     rejected members are not tested again.
     """
-    cfg = b_set.config
-    n, eps, h = cfg.n, cfg.eps, b_set.h_u
     base, kept = b_set.base_set, b_set.class_kept
+    n, eps, h = base.config.n, base.config.eps, base.h
     mass = base.class_sizes * base.class_prob  # each class's share of the typical mass
     count = int(base.class_sizes[kept].sum())
     upper_ok, lower_ok, p1_ok = _bounds_ok(count, base.class_prob[kept], n, h, eps)
     b_mass = math.fsum(mass[kept].tolist())
     p2_mass = 1.0 - b_mass
-    class_cp = np.array([res.prob for res in b_set.class_probs.values()])
+    class_cp = np.array([res.prob for res in b_set.class_probs])
     joint_mass = math.fsum((mass * class_cp).tolist())
     return {
         "p1_ok": p1_ok,

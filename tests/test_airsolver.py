@@ -261,8 +261,8 @@ def test_shaping_gap_positive_and_bounded():
 def test_theorem_feasibility_fields():
     cst = make_ask(1)
     d = gaussian_dmc(cst.points, sigma=0.6, num_bins=40)
-    label = brgc_label(cst)
-    out = theorem_feasibility(np.array([0.6, 0.4]), 0.3, d, label)
+    labels = brgc_label(cst)
+    out = theorem_feasibility(np.array([0.6, 0.4]), 0.3, d, labels)
     assert set(out) >= {
         "h_a",
         "gamma",
@@ -277,7 +277,7 @@ def test_theorem_feasibility_fields():
     assert out["rate"] == pytest.approx(out["h_a"] + 0.3, abs=1e-12)
     assert out["smd_ok"] == (out["smd_slack"] >= 0)
     with pytest.raises(ValueError):
-        theorem_feasibility(np.array([0.6, 0.4]), 1.0, d, label)
+        theorem_feasibility(np.array([0.6, 0.4]), 1.0, d, labels)
 
 
 def test_air_sweep_reports_failures_inline():

@@ -45,30 +45,40 @@ def test_split_compose_roundtrip():
 def test_sign_bit_convention():
     # sign bit 0 <-> -1, 1 <-> +1: the map's row is the label's sign bit
     for m in (0, 1, 2):
-        label = brgc_label(make_ask(m))
-        idx = label.constellation.sign_amplitude_index
-        np.testing.assert_array_equal(label.bit_matrix[idx, 0], [[0] * 2**m, [1] * 2**m])
-        assert (np.asarray(label.constellation.points)[idx[0]] < 0).all()
+        cst = make_ask(m)
+        idx = cst.sign_amplitude_index
+        np.testing.assert_array_equal(brgc_label(cst)[idx, 0], [[0] * 2**m, [1] * 2**m])
+        assert (np.asarray(cst.points)[idx[0]] < 0).all()
+
+
+def test_brgc_label_is_a_read_only_int8_table():
+    for m in range(0, 7):
+        labels = brgc_label(make_ask(m))
+        assert isinstance(labels, np.ndarray)
+        assert labels.dtype == np.int8 and labels.shape == (2 ** (m + 1), m + 1)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0, 0] = 1
 
 
 def test_brgc_adjacent_labels_differ_in_one_bit():
     for m in (1, 2, 3):
-        label = brgc_label(make_ask(m))
-        bm = label.bit_matrix
+        bm = brgc_label(make_ask(m))
         for i in range(len(bm) - 1):
             assert int(np.sum(bm[i] != bm[i + 1])) == 1
 
 
 def test_brgc_labels_distinct():
     for m in (0, 1, 2, 4):
-        label = brgc_label(make_ask(m))
-        rows = {tuple(r) for r in label.bit_matrix}
-        assert len(rows) == label.constellation.size
+        cst = make_ask(m)
+        rows = {tuple(r) for r in brgc_label(cst).tolist()}
+        assert len(rows) == cst.size
 
 
 def test_brgc_8ask_full_table():
     # the 8-ASK reference labeling, spelled out point by point
-    label = brgc_label(make_ask(2))
+    cst = make_ask(2)
+    labels = brgc_label(cst)
     expect = {
         -7: (0, 0, 0),
         -5: (0, 0, 1),
@@ -80,32 +90,32 @@ def test_brgc_8ask_full_table():
         7: (1, 0, 0),
     }
     for x, bits in expect.items():
-        i = label.constellation.points.index(x)
-        assert tuple(label.bit_matrix[i]) == bits
+        assert tuple(labels[cst.points.index(x)].tolist()) == bits
 
 
 def test_brgc_amplitude_bits_sign_invariant():
     # amplitude bits must not depend on the sign, so the amplitude decoder
     # can work per level; the sign bit is 1 exactly on the positive points
     for m in (1, 2, 3):
-        label = brgc_label(make_ask(m))
-        bm = label.bit_matrix
+        cst = make_ask(m)
+        bm = brgc_label(cst)
         np.testing.assert_array_equal(bm[:, 1:], bm[::-1, 1:])
-        np.testing.assert_array_equal(bm[:, 0], np.asarray(label.constellation.points) > 0)
+        np.testing.assert_array_equal(bm[:, 0], np.asarray(cst.points) > 0)
 
 
 def test_amplitude_bits_roundtrip():
-    # row k holds the amplitude bits of +a_k and of -a_k, and the rows are
-    # distinct, so the bits address each amplitude
+    # rows M/2 onward, columns 1 onward, are the bits of +a_k; the rows of x
+    # and -x agree there, and the rows are distinct, so the bits address
+    # each amplitude
     for m in (1, 2, 3):
-        label = brgc_label(make_ask(m))
-        cst = label.constellation
-        amp_bits = label.amplitude_bit_matrix
+        cst = make_ask(m)
+        labels = brgc_label(cst)
+        amp_bits = labels[cst.num_amplitudes :, 1:]
         assert amp_bits.shape == (cst.num_amplitudes, m) and amp_bits.dtype == np.int8
         for k, a in enumerate(cst.amplitudes):
             for x in (a, -a):
-                np.testing.assert_array_equal(amp_bits[k], label.bit_matrix[cst.points.index(x), 1:])
-        assert len({tuple(r) for r in amp_bits}) == cst.num_amplitudes
+                np.testing.assert_array_equal(amp_bits[k], labels[cst.points.index(x), 1:])
+        assert len({tuple(r) for r in amp_bits.tolist()}) == cst.num_amplitudes
 
 
 def test_frozen():

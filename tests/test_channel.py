@@ -106,29 +106,29 @@ def test_refinement_ladder_monotone():
 
 def test_bit_channel_prior():
     cst = make_ask(1)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     d = gaussian_dmc(cst.points, sigma=0.8, num_bins=16)
     p_x = np.array([0.1, 0.4, 0.4, 0.1])
     # level 1 is the first amplitude bit: 1 on |x|=1, 0 on |x|=3
-    prior, trans = bit_channel(d, label, p_x, level=1)
+    prior, trans = bit_channel(d, labels, p_x, level=1)
     assert prior == pytest.approx([0.2, 0.8], abs=1e-12)
     assert np.allclose(trans.sum(axis=1), 1.0)
 
 
 def test_bit_channel_matches_direct_mi():
     cst = make_ask(2)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     d = gaussian_dmc(cst.points, sigma=1.1, num_bins=30)
     rng = np.random.default_rng(3)
     p_x = rng.dirichlet(np.ones(8))
     for level in range(3):
-        prior, trans = bit_channel(d, label, p_x, level)
+        prior, trans = bit_channel(d, labels, p_x, level)
         got = mutual_information(prior, trans)
         # oracle: lump x-rows by bit value
         joint = (p_x[:, None] * d.w)
         rows = [np.zeros(d.nout), np.zeros(d.nout)]
         for i in range(8):
-            rows[label.bit_matrix[i, level]] += joint[i]
+            rows[labels[i, level]] += joint[i]
         pb = np.array([rows[0].sum(), rows[1].sum()])
         wb = np.array([rows[0] / pb[0], rows[1] / pb[1]])
         want = mi_oracle(pb.tolist(), wb.tolist())

@@ -71,6 +71,29 @@ def test_mi_and_equivocation_match_oracle():
         )
 
 
+@pytest.mark.parametrize(
+    "w", [[[0.5, 0.6], [0.5, 0.5]], [[1.5, -0.5], [0.5, 0.5]]], ids=["row-sum-1.1", "negative-entry"]
+)
+def test_rates_reject_a_bare_matrix_that_is_not_a_channel(w):
+    # unchecked, a uniform input read I(X;Y) = -0.072 and -0.311 bit, and
+    # H(X|Y) = 1.047 and 1.311 bit, above H(X) = 1 bit
+    for rate in (mutual_information, equivocation):
+        with pytest.raises(ValueError, match="channel"):
+            rate([0.5, 0.5], w)
+
+
+def test_a_bare_matrix_is_checked_on_the_input_support():
+    # a zero row, which bit_channel leaves for a bit value of prior 0, is
+    # legal while its input has no mass; a non-finite entry never is
+    w = np.array([[0.3, 0.7], [0.0, 0.0]])
+    assert mutual_information([1.0, 0.0], w) == 0.0
+    assert equivocation([1.0, 0.0], w) == 0.0
+    with pytest.raises(ValueError, match="must sum to 1"):
+        mutual_information([0.5, 0.5], w)
+    with pytest.raises(ValueError, match="finite"):
+        mutual_information([1.0, 0.0], [[0.3, 0.7], [np.nan, 1.0]])
+
+
 def test_mi_identity_channel_is_input_entropy():
     p = np.array([0.2, 0.3, 0.5])
     d = identity_dmc((0, 1, 2))
@@ -81,28 +104,28 @@ def test_mi_identity_channel_is_input_entropy():
 def test_bmd_rate_matches_oracle():
     rng = np.random.default_rng(2)
     cst = make_ask(2)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     for _ in range(10):
         d = random_dmc(rng, 8, rng.integers(3, 8))
         p = rng.dirichlet(np.ones(8))
-        want = bmd_unclipped_oracle(p.tolist(), d.w.tolist(), label.bit_matrix.tolist())
-        assert bmd_rate_unclipped(p, d, label) == pytest.approx(want, abs=1e-10)
-        assert r_bmd(p, d, label) == pytest.approx(max(0.0, want), abs=1e-10)
+        want = bmd_unclipped_oracle(p.tolist(), d.w.tolist(), labels.tolist())
+        assert bmd_rate_unclipped(p, d, labels) == pytest.approx(want, abs=1e-10)
+        assert r_bmd(p, d, labels) == pytest.approx(max(0.0, want), abs=1e-10)
 
 
 def test_r_bmd_clips_negative():
     # near-useless channel with a labeling whose bit levels are strongly
     # dependent: unclipped value goes negative, public value clips at 0
     cst = make_ask(1)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     # identical rows: y says nothing, so H(C_i|Y) = H(C_i) = 1 per level while
     # the dependent input keeps H(C) below 2
     w = np.tile([0.25, 0.25, 0.25, 0.25], (4, 1))
     p = np.array([0.45, 0.05, 0.45, 0.05])
-    unclipped = bmd_rate_unclipped(p, w, label)
+    unclipped = bmd_rate_unclipped(p, w, labels)
     assert unclipped == pytest.approx(entropy(p) - 2.0, abs=1e-12)
     assert unclipped < 0
-    assert r_bmd(p, w, label) == 0.0
+    assert r_bmd(p, w, labels) == 0.0
 
 
 def test_lm_rate_equals_unclipped_bmd():
@@ -111,22 +134,22 @@ def test_lm_rate_equals_unclipped_bmd():
     rng = np.random.default_rng(3)
     for m in (1, 2):
         cst = make_ask(m)
-        label = brgc_label(cst)
+        labels = brgc_label(cst)
         for _ in range(10):
             d = random_dmc(rng, cst.size, rng.integers(3, 9))
             p = rng.dirichlet(np.ones(cst.size))
-            metric = product_bit_metric(p, d, label)
-            cost = bmd_cost(p, label)
+            metric = product_bit_metric(p, d, labels)
+            cost = bmd_cost(p, labels)
             got = lm_rate(p, d, metric, s=1.0, cost=cost)
-            want = bmd_rate_unclipped(p, d, label)
+            want = bmd_rate_unclipped(p, d, labels)
             assert got == pytest.approx(want, abs=1e-9)
     # 8-ASK on 2000 bins: the product metric falls to 1.8e-87 on the support
     cst = make_ask(2)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     d = gaussian_dmc(cst.points, 1.0, 2000)
     p = np.full(8, 0.125)
-    got = lm_rate(p, d, product_bit_metric(p, d, label), s=1.0, cost=bmd_cost(p, label))
-    assert got == pytest.approx(bmd_rate_unclipped(p, d, label), abs=1e-9)
+    got = lm_rate(p, d, product_bit_metric(p, d, labels), s=1.0, cost=bmd_cost(p, labels))
+    assert got == pytest.approx(bmd_rate_unclipped(p, d, labels), abs=1e-9)
 
 
 def test_gmi_matched_metric_recovers_mi():
@@ -168,14 +191,14 @@ def test_gmi_finite_where_the_metric_underflows_at_large_s(sigma, num_bins):
     # 1e-104) underflows to 0 for s above about 4, which a linear-domain
     # normalizer turns into an infinite rate
     cst = make_ask(2)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     d = gaussian_dmc(cst.points, sigma, num_bins)
     p = np.full(8, 0.125)
-    metric = product_bit_metric(p, d, label)
+    metric = product_bit_metric(p, d, labels)
     with np.errstate(all="raise"):
         res = gmi(p, d, metric)
     assert math.isfinite(res.value)
-    assert r_bmd(p, d, label) - 1e-9 <= res.value <= mutual_information(p, d) + 1e-9
+    assert r_bmd(p, d, labels) - 1e-9 <= res.value <= mutual_information(p, d) + 1e-9
 
 
 def test_gmi_rejects_zero_metric_on_support():
@@ -190,10 +213,10 @@ def test_independent_levels_sum_rule():
     # input) the bit-metric rate at s=1 equals the sum of level informations
     rng = np.random.default_rng(7)
     cst = make_ask(2)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     from paslab.channel import bit_channel
 
-    bits = label.bit_matrix
+    bits = labels
     for trial in range(8):
         d = random_dmc(rng, 8, 6)
         if trial < 3:
@@ -204,12 +227,12 @@ def test_independent_levels_sum_rule():
             p = np.ones(8)
             for level in range(3):
                 p *= np.where(bits[:, level] == 1, biases[level], 1 - biases[level])
-        metric = product_bit_metric(p, d, label)
-        cost = bmd_cost(p, label)
+        metric = product_bit_metric(p, d, labels)
+        cost = bmd_cost(p, labels)
         got = lm_rate(p, d, metric, s=1.0, cost=cost)
         total = 0.0
         for level in range(3):
-            prior, trans = bit_channel(d, label, p, level)
+            prior, trans = bit_channel(d, labels, p, level)
             total += mutual_information(prior, trans)
         assert got == pytest.approx(total, abs=1e-6)
 
@@ -217,11 +240,11 @@ def test_independent_levels_sum_rule():
 def test_conditional_level_entropy_consistency():
     rng = np.random.default_rng(8)
     cst = make_ask(1)
-    label = brgc_label(cst)
+    labels = brgc_label(cst)
     d = random_dmc(rng, 4, 5)
     p = rng.dirichlet(np.ones(4))
-    total = sum(conditional_level_entropy(p, d, label, lv) for lv in range(2))
-    want = entropy(p) - bmd_rate_unclipped(p, d, label)
+    total = sum(conditional_level_entropy(p, d, labels, lv) for lv in range(2))
+    want = entropy(p) - bmd_rate_unclipped(p, d, labels)
     assert total == pytest.approx(want, abs=1e-10)
 
 

@@ -11,7 +11,7 @@ from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
 from paslab.channel import Dmc, bit_channel, gaussian_dmc, identity_dmc
 from paslab.errors import BudgetError, ConfigError
-from paslab.infomeasures import entropy_raw
+from paslab.infomeasures import entropy_raw, sign_amplitude_joint
 from paslab.signcode import (
     ExperimentConfig,
     ShapingLayer,
@@ -53,20 +53,24 @@ def test_sign_output_transition_rejects_mismatched_channel():
     ids=["4-ask-2-bins", "4-ask-3-bins", "8-ask-2-bins"],
 )
 def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pmf, n, eps):
-    # the decoders take p(a, s, y) from sign_amplitude_joint; the table and
-    # the entropies of the y boxes summed from it equal those of
+    # the decoders read p(a, s, y) from the layer; the table and the
+    # entropies of the y boxes summed from it equal those of
     # p(a) t((s, y) | a), bit for bit
     cst = make_ask(m)
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=num_bins)
     layer = build_shaping_layer(cst, dmc, pmf, n, eps)
     code = draw_sign_code(layer, 1)
-    want = (layer.amplitude_pmf[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
-    joint = signcode._joint_asy(layer, dmc)
+    want = (np.asarray(pmf)[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
+    joint = layer.joint
     np.testing.assert_array_equal(joint, want)
     assert joint.flags.c_contiguous  # the margins of every box sum as want's do
+    assert not joint.flags.writeable
+    # the same p(s, a, y) that sign_amplitude_joint builds from p(s, a) = p(a) / 2
+    p_sa = np.outer([0.5, 0.5], pmf)
+    np.testing.assert_array_equal(joint, sign_amplitude_joint(p_sa, dmc, cst).transpose(1, 0, 2))
     # y, then (a, y), (s, y) and (a, s, y)
     entropies = [entropy_raw(want.sum(axis=ax) if ax else want) for ax in ((0, 1), (1,), (0,), ())]
-    for test in (SmdDecoder(code, dmc).test, BmdDecoder(code, dmc).triple):
+    for test in (SmdDecoder(code).test, BmdDecoder(code).triple):
         assert [test.h_y] + [h for _, _, h in test.terms] == entropies
 
 
@@ -93,11 +97,14 @@ def test_build_layer_validates_inputs():
         build_shaping_layer(CST, NOISY, (0.2, 0.3, 0.5), 6, 0.1)
 
 
-def _every_sequence_layer(n, eps=0.2):
-    """A layer of every 4-ASK amplitude sequence of length n, typical or not."""
+def _every_sequence_layer(n, dmc=NOISY, eps=0.2):
+    """A layer of every 4-ASK amplitude sequence of length n, typical or not,
+    with the p(a, s, y) of p(a) = (0.7, 0.3) over the channel dmc."""
+    joint = np.array([0.7, 0.3])[:, None] * sign_output_transition(CST, dmc)
     return ShapingLayer(
-        constellation=CST, label_map=brgc_label(CST), amplitude_pmf=np.array([0.7, 0.3]), n=n, eps=eps,
+        constellation=CST, n=n, eps=eps,
         amplitude_seqs=np.array(list(itertools.product(range(2), repeat=n)), dtype=np.uint8),
+        joint=joint.reshape(2, 2, dmc.nout),
     )
 
 
@@ -137,7 +144,7 @@ def test_sign_code_matches_an_independent_draw(mode):
         drawn = rng.integers(0, 2, size=(layer.size, 2**n1, n2), dtype=np.int8).tolist()
     else:
         gen = rng.integers(0, 2, size=(M2.m * layer.n + n1, n2), dtype=np.int8).T.tolist()
-    bits = layer.label_map.amplitude_bit_matrix.tolist()
+    bits = brgc_label(M2)[M2.num_amplitudes :, 1:].tolist()
     columns = iter(zip(code.amplitudes.T.tolist(), code.signs.T.tolist()))
     for m_a, seq in enumerate(layer.amplitude_seqs.tolist()):
         for m_s in range(2**n1):
@@ -172,7 +179,7 @@ def test_linear_codebook_is_linear():
     # be one GF(2) map of them: the images of the unit messages, summed
     layer = _every_sequence_layer(6)
     code = draw_sign_code(layer, 1, mode="linear", seed=2)
-    amp = layer.label_map.amplitude_bit_matrix[layer.amplitude_seqs].reshape(layer.size, -1)
+    amp = brgc_label(CST)[CST.num_amplitudes :, 1:][layer.amplitude_seqs].reshape(layer.size, -1)
     msg = np.concatenate([np.repeat(amp, 2, axis=0), code.signs[:1].T], axis=1)
     redundant = code.signs[1:].T
     assert len({tuple(row) for row in msg.tolist()}) == 2**7
@@ -198,7 +205,7 @@ def test_decode_noiseless_recovers_message(kind):
     # candidate passes the boxes
     dmc, code = _noiseless_setup()
     layer = code.layer
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code, dmc)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
     m_a = np.repeat([0, layer.size // 2, layer.size - 1], 2)
     m_s = np.tile([0, 3], 3)
     x = np.asarray(CST.amplitudes)[layer.amplitude_seqs[m_a]] * (2 * _sign_bits(code, m_a, m_s) - 1)
@@ -214,7 +221,7 @@ def test_decode_multiple_on_uninformative_channel():
     # so no output singles out one candidate
     flat = Dmc(np.full((4, 4), 0.25))
     layer = build_shaping_layer(CST, flat, (0.5, 0.5), 4, 0.1)
-    dec = SmdDecoder(draw_sign_code(layer, 2, seed=1), flat)
+    dec = SmdDecoder(draw_sign_code(layer, 2, seed=1))
     mask = dec.accept_mask(np.array([[0, 1, 2, 3], [3, 3, 0, 0]]))
     assert mask.shape == (2, layer.size * 4)
     assert mask.all()
@@ -232,8 +239,8 @@ def test_triple_mask_on_rows_matches_full_symbol_test():
     cfg = ExperimentConfig(**PAIRWISE)
     layer = build_shaping_layer(CST, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
     code = draw_sign_code(layer, cfg.n1, seed=2)
-    smd = SmdDecoder(code, cfg.dmc)
-    bmd = BmdDecoder(code, cfg.dmc)
+    smd = SmdDecoder(code)
+    bmd = BmdDecoder(code)
     points = CST.sign_amplitude_index[code.signs, code.amplitudes].T  # (candidates, n)
     rng = np.random.default_rng(0)
     pairwise_only = 0
@@ -265,9 +272,9 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     cfg = ExperimentConfig(**case)
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
     code = draw_sign_code(layer, cfg.n1, seed=4)
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code, cfg.dmc)
-    p_asy, p_by = _reference_tables(layer, cfg.dmc)
-    bits = layer.label_map.amplitude_bit_matrix
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
+    p_asy, p_by = _reference_tables(layer, cfg.dmc, cfg.amplitude_pmf)
+    bits = brgc_label(cfg.constellation)[cfg.constellation.num_amplitudes :, 1:]
     typ = TypConfig(n=cfg.n, eps=cfg.eps)
     rng = np.random.default_rng(0)
     pairs = 300
@@ -344,16 +351,18 @@ def _box(total, n, h, eps):
     return np.abs(-total / n - h) <= eps + LOG_SLACK
 
 
-def _reference_tables(layer, dmc):
+def _reference_tables(layer, dmc, p_a):
     """p(a, s, y) from the sign-output transition, and p(b_j, y) of each
-    amplitude bit level from its bit channel: built apart from the decoders."""
+    amplitude bit level from its bit channel, for the amplitude pmf p_a:
+    built apart from the layer and the decoders."""
     cst = layer.constellation
-    p_asy = (layer.amplitude_pmf[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
+    p_a = np.asarray(p_a, dtype=float)
+    p_asy = (p_a[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
     p_x = np.zeros(cst.size)
-    p_x[cst.sign_amplitude_index] = 0.5 * layer.amplitude_pmf
+    p_x[cst.sign_amplitude_index] = 0.5 * p_a
     p_by = []
     for level in range(1, cst.m + 1):  # level 0 is the sign bit
-        prior, trans = bit_channel(dmc, layer.label_map, p_x, level)
+        prior, trans = bit_channel(dmc, brgc_label(cst), p_x, level)
         p_by.append(prior[:, None] * trans)
     return p_asy, p_by
 
@@ -372,16 +381,17 @@ def _all_boxes(joint, letters, n, eps):
     return ok
 
 
-def _reference(dec, dmc):
+def _reference(dec, dmc, p_a):
     """One output's (candidates,) acceptances by every box on its own, from
     tables built apart from the decoder, each candidate's amplitudes read
     from the layer and its signs from the code."""
     code, n, eps = dec.code, dec.code.layer.n, dec.eps
     layer = code.layer
-    p_asy, p_by = _reference_tables(layer, dmc)
+    p_asy, p_by = _reference_tables(layer, dmc, p_a)
     a = np.repeat(layer.amplitude_seqs.astype(np.intp), 2**code.n1, axis=0)
     s = code.signs.T
-    bits = layer.label_map.amplitude_bit_matrix
+    cst = layer.constellation
+    bits = brgc_label(cst)[cst.num_amplitudes :, 1:]
 
     def mask(y):
         y = np.asarray(y, dtype=np.intp)[None, :]
@@ -400,9 +410,9 @@ def _per_trial_reference(cfg):
     (trials, n) outputs, the stacked masks and the error counts."""
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
     code = draw_sign_code(layer, cfg.n1, cfg.codebook_mode, cfg.seed)
-    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(code, cfg.dmc)
-    reference = _reference(dec, cfg.dmc)
-    triple = _reference(SmdDecoder(code, cfg.dmc), cfg.dmc)
+    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(code)
+    reference = _reference(dec, cfg.dmc, cfg.amplitude_pmf)
+    triple = _reference(SmdDecoder(code), cfg.dmc, cfg.amplitude_pmf)
     points = cfg.constellation.sign_amplitude_index[code.signs, code.amplitudes].T
     cdf_rows = np.cumsum(cfg.dmc.w, axis=1)
     outputs, masks = [], []
@@ -459,10 +469,10 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     assert (distinct > 0.9 * cfg.trials) if case == "wide-output" else (distinct < cfg.trials)
     # runs of a tail letter, which the y box rejects, among the drawn outputs
     tails = np.repeat([[0], [cfg.dmc.nout - 1]], cfg.n, axis=1)
-    p_y = _reference_tables(dec.code.layer, cfg.dmc)[0].sum(axis=(0, 1))
+    p_y = _reference_tables(dec.code.layer, cfg.dmc, cfg.amplitude_pmf)[0].sum(axis=(0, 1))
     assert not _all_boxes(p_y, (tails,), cfg.n, cfg.eps).any()
     y = np.concatenate([y[:100], tails, y[100:]])
-    reference = _reference(dec, cfg.dmc)
+    reference = _reference(dec, cfg.dmc, cfg.amplitude_pmf)
     masks = np.concatenate([masks[:100], [reference(row) for row in tails], masks[100:]])
     block = dec.accept_mask(y)
     candidates = dec.code.signs.shape[1]
@@ -520,15 +530,15 @@ def test_block_mask_applies_y_independent_boxes(kind):
     # some; the output ignores the input, so an atypical output can offset an
     # atypical amplitude sequence in the joint boxes
     blind = Dmc(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
-    code = draw_sign_code(_every_sequence_layer(6), 1, seed=3)
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code, blind)
+    code = draw_sign_code(_every_sequence_layer(6, blind), 1, seed=3)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
     assert not dec.test.static.all()
     y = np.random.default_rng(0).integers(blind.nout, size=(200, 6))
-    reference = _reference(dec, blind)
+    reference = _reference(dec, blind, (0.7, 0.3))
     masks = np.array([reference(row) for row in y])
     np.testing.assert_array_equal(dec.accept_mask(y), masks)
     assert masks.any()
-    triple = _reference(SmdDecoder(code, blind), blind)
+    triple = _reference(SmdDecoder(code), blind, (0.7, 0.3))
     full = np.array([triple(row) for row in y[:20]])
     b, c = np.nonzero(np.ones_like(full))  # every (output, candidate) pair
     np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])
@@ -671,7 +681,7 @@ def test_monte_carlo_layer_does_not_depend_on_the_experiment_seed():
         n=6, gamma=0.25, decoder="smd", trials=10, typ_budget=100,
     )
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1, budget=100)
-    assert not any(res.exact for res in layer.b_set.class_probs.values())
+    assert not any(res.exact for res in layer.b_set.class_probs)
     sizes = {run_experiment(ExperimentConfig(seed=seed, **base)).m_a_count for seed in (0, 1, 9)}
     assert sizes == {layer.size}
 

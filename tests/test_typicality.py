@@ -138,8 +138,10 @@ def test_member_arrays():
     for s in (ts, bt, bt.base_set):
         _assert_member_array(s.members, 5)
         assert s.count == len(s.members)
-    assert bt.cond_probs.dtype == np.float64 and bt.cond_probs.shape == (bt.count,)
-    assert not bt.cond_probs.flags.writeable
+    # one result per class of the typical set, and each member's class
+    assert isinstance(bt.class_probs, tuple) and len(bt.class_probs) == len(bt.base_set.class_firsts)
+    assert bt.member_class.shape == (bt.count,) and not bt.member_class.flags.writeable
+    assert all(bt.class_kept[bt.member_class])
 
 
 def test_empty_sets_have_zero_rows():
@@ -148,7 +150,7 @@ def test_empty_sets_have_zero_rows():
     assert ts.members.shape == (0, 1) and ts.count == 0
     _assert_member_array(ts.members, 1)
     bt = enumerate_b_typical((0.3, 0.7), [[0.95, 0.05], [0.05, 0.95]], TypConfig(n=6, eps=0.25))
-    assert bt.members.shape == (0, 6) and bt.cond_probs.shape == (0,)
+    assert bt.members.shape == (0, 6) and bt.member_class.shape == (0,)
     _assert_member_array(bt.members, 6)
     assert lemma1_report(bt)["b_count"] == 0
 
@@ -475,7 +477,7 @@ def test_b_typical_matches_oracle():
     assert _rows(bt.members) == [u for u, _ in orc]
     assert bt.count == 56
     assert bt.exact
-    for (u, pr), cp in zip(orc, bt.cond_probs):
+    for (u, pr), cp in zip(orc, _member_probs(bt), strict=True):
         assert cp == pytest.approx(pr, abs=1e-12)
     # the report's class sums and checks against member-by-member ones; in the
     # second case the rejected classes' p(u) lie outside the probability
@@ -540,6 +542,11 @@ def _composition(u, k):
     return tuple(np.bincount(u, minlength=k).tolist())
 
 
+def _member_probs(bt):
+    """Each kept member's conditional probability, class_probs[member_class]."""
+    return [bt.class_probs[k].prob for k in bt.member_class.tolist()]
+
+
 ASK8 = make_ask(2)
 ASK8_TRANSITION = sign_output_transition(
     ASK8, gaussian_dmc(np.asarray(ASK8.points, float), sigma=0.3, num_bins=2)
@@ -562,7 +569,7 @@ def test_b_typical_class_cache_matches_per_member_loop(pmf, transition, n, eps):
     assert bt.exact and bt.count > 0
     assert _rows(bt.members) == [tuple(u.tolist()) for u, _ in want]
     assert len(bt.class_probs) < bt.base_set.count  # some class has several members
-    for (_, pr), cp in zip(want, bt.cond_probs):
+    for (_, pr), cp in zip(want, _member_probs(bt), strict=True):
         assert abs(cp - pr) <= 1e-15
 
 
@@ -573,22 +580,25 @@ def test_b_typical_mc_shares_one_estimate_per_class():
     trans = [[0.4, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.4]]
     cfg = TypConfig(n=6, eps=0.3, budget=64)
     bt = enumerate_b_typical(pmf, trans, cfg)
-    assert not any(res.exact for res in bt.class_probs.values())
+    assert not any(res.exact for res in bt.class_probs)
     assert bt.count > len({_composition(u, 2) for u in bt.members})
-    first = {}
-    for u in bt.base_set.members:
+    # the classes of base_set, by composition: one result each, in class order
+    base = bt.base_set
+    first, last = {}, {}
+    for u in base.members:
         first.setdefault(_composition(u, 2), u)
-    assert set(bt.class_probs) == set(first)
-    last = {_composition(u, 2): u for u in bt.base_set.members}
-    for key, u in first.items():
+        last[_composition(u, 2)] = u
+    classes = [_composition(u, 2) for u in base.class_firsts]
+    assert len(bt.class_probs) == len(classes) and set(classes) == set(first)
+    for k, key in enumerate(classes):
         # the estimate is a function of the class: its first and last members agree
-        assert bt.class_probs[key] == conditional_typical_prob(u, pmf, trans, cfg)
-        assert bt.class_probs[key] == conditional_typical_prob(last[key], pmf, trans, cfg)
-    for u, cp in zip(bt.members, bt.cond_probs):
-        assert cp == bt.class_probs[_composition(u, 2)].prob
+        assert bt.class_probs[k] == conditional_typical_prob(first[key], pmf, trans, cfg)
+        assert bt.class_probs[k] == conditional_typical_prob(last[key], pmf, trans, cfg)
+    for u, k in zip(bt.members, bt.member_class.tolist(), strict=True):
+        assert _composition(u, 2) == classes[k]  # so class_probs[member_class] is u's class's
     again = enumerate_b_typical(pmf, trans, cfg)
     np.testing.assert_array_equal(again.members, bt.members)
-    np.testing.assert_array_equal(again.cond_probs, bt.cond_probs)
+    np.testing.assert_array_equal(again.member_class, bt.member_class)
     assert again.class_probs == bt.class_probs
 
 
@@ -622,9 +632,7 @@ def test_lemma1_report_reads_no_member_array():
     bt = enumerate_b_typical((0.4, 0.6), [[0.7, 0.3], [0.3, 0.7]], TypConfig(n=8, eps=0.25))
     assert 0 < bt.count < bt.base_set.count  # kept and rejected classes
     no_rows = {"members": np.zeros((0, 8), dtype=np.uint8), "member_class": np.zeros(0, dtype=np.int64)}
-    bare = dataclasses.replace(
-        bt, **no_rows, cond_probs=np.zeros(0), base_set=dataclasses.replace(bt.base_set, **no_rows)
-    )
+    bare = dataclasses.replace(bt, **no_rows, base_set=dataclasses.replace(bt.base_set, **no_rows))
     assert lemma1_report(bare) == lemma1_report(bt)
 
 
@@ -654,5 +662,5 @@ def test_b_typical_probs_meet_threshold(p0, cross, eps):
     pmf = (p0, 1.0 - p0)
     t = [[1 - cross, cross], [cross, 1 - cross]]
     bt = enumerate_b_typical(pmf, t, TypConfig(n=5, eps=eps))
-    for cp in bt.cond_probs:
+    for cp in _member_probs(bt):
         assert cp >= 1 - eps - 1e-9
