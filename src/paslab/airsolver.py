@@ -117,7 +117,10 @@ def _max_mi_at_energy(w, e, energy):
         # coincide (few bins, or SNR extremes); I is flat along their
         # difference, and the long step it gets runs into the boundary
         hess += HESS_SHIFT * np.diag(np.diag(hess))
-        kkt = np.block([[hess, a[:, idx].T], [a[:, idx], np.zeros((2, 2))]])
+        kkt = np.zeros((idx.size + 2,) * 2)  # filled in place: np.block costs 7x
+        kkt[:-2, :-2] = hess
+        kkt[:-2, -2:] = a[:, idx].T
+        kkt[-2:, :-2] = a[:, idx]
         res = b - a @ p
         try:
             sol = np.linalg.solve(kkt, np.concatenate([-c[idx], res]))

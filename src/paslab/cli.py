@@ -4,7 +4,8 @@ Every command reads an optional JSON config (--config) merged with flag
 overrides, echoes the effective config into its output header, and writes to
 stdout or --out. Outputs are deterministic given the config, including across
 --threads settings. Exit codes: 0 success, 2 config error, 3 budget error,
-4 convergence error.
+4 convergence error. Each call builds the parser of the invoked subcommand
+only; `paslab --help` lists every subcommand.
 """
 
 from __future__ import annotations
@@ -408,10 +409,16 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone with its full
+    options. The one-command parser's usage line still lists every command,
+    so its messages read as the full tree's."""
     ap = argparse.ArgumentParser(prog="paslab", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in COMMANDS.items():
+    names = list(COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
@@ -419,15 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
             if opt.flag:
                 flag = "--" + opt.key.replace("_", "-")
                 p.add_argument(flag, dest=opt.key, type=_FLAG_TYPES.get(opt.read), choices=opt.choices)
+        if name == "sim":
+            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--csv", help="append a summary row to this CSV file")
         p.set_defaults(func=func)
-    sim = sub.choices["sim"]
-    sim.add_argument("--threads", type=int, default=1)
-    sim.add_argument("--csv", help="append a summary row to this CSV file")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading command name needs its own parser only; anything else (help,
+    # a bad or missing command) gets the full tree and its messages
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.func(args, *_load_config(args))
     except ConfigError as exc:

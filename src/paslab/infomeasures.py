@@ -204,16 +204,17 @@ def sign_amplitude_joint(p_sa, chan, constellation: AskConstellation) -> np.ndar
     """Arrange p(s, a, y) as a (2, 2^m, nout) tensor from a sign x amplitude pmf.
 
     Row 0 of p_sa is the -1 sign, row 1 the +1 sign, columns follow ascending
-    amplitudes.
+    amplitudes. It is p(x, y) of the input p_sa scattered onto the points,
+    so `joint_from_input` checks the channel.
     """
-    w = as_channel_matrix(chan)
     p = check_pmf(p_sa)
     na = constellation.num_amplitudes
     if p.shape != (2, na):
         raise ValueError(f"p_sa must be 2 x {na} for this constellation")
-    if w.shape[0] != constellation.size:
-        raise ValueError("channel input count must match the constellation size")
-    return p[:, :, None] * w[constellation.sign_amplitude_index]
+    index = constellation.sign_amplitude_index
+    p_x = np.zeros(constellation.size)
+    p_x[index] = p
+    return joint_from_input(p_x, chan)[index]
 
 
 def mi_inequality_chain(p_sa, chan, constellation: AskConstellation) -> dict:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -363,12 +362,24 @@ class TrialStats:
 
 def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Output letter per entry of x: the number of its cdf row's entries below u,
-    capped at the last letter (a cdf row is non-decreasing, so a sorted search)."""
-    y = np.empty(x.shape, dtype=np.intp)
-    for point in np.unique(x):
-        at = x == point
-        y[at] = np.searchsorted(cdf_rows[point], u[at], side="left")
-    return np.minimum(y, cdf_rows.shape[1] - 1)
+    capped at the last letter.
+
+    A row is non-decreasing, so one branchless binary search runs over every
+    entry's own row at once. It searches the entries before the last letter,
+    whose count is the cap, and tests entry < u as searchsorted(side="left")
+    does, so it finds the same letters."""
+    nout = cdf_rows.shape[1]
+    flat = cdf_rows.ravel()
+    start = x * nout
+    pos = start.copy()  # the count sought lies in [pos - start, pos - start + span]
+    span = nout - 1
+    while span > 1:
+        half = span >> 1
+        pos += half * (flat[pos + (half - 1)] < u)
+        span -= half
+    if span:
+        pos += flat[pos] < u
+    return pos - start
 
 
 def _distinct_outputs(y: np.ndarray, nout: int):
@@ -433,9 +444,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
     chunk = max(1, DRAW_CHUNK // size) * size  # whole blocks
     score = partial(_score_block, decoder, log_pairwise)
     parts = []
-    # a pool may start a thread for each block it maps: no wider than the CPUs
-    width = min(threads, _usable_cpus())
-    with ThreadPoolExecutor(max_workers=width) if threads > 1 else nullcontext() as pool:
+    pooling = nullcontext()
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imports logging: only where used
+
+        # a pool may start a thread for each block it maps: no wider than the CPUs
+        pooling = ThreadPoolExecutor(max_workers=min(threads, _usable_cpus()))
+    with pooling as pool:
         for start in range(0, config.trials, chunk):
             # each trial's sent message pair and channel uniforms, from its own stream
             trials = range(start, min(start + chunk, config.trials))

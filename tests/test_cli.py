@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paslab.cli import OPTIONS, SIM_CSV_COLUMNS, _bool, _float, _int, main
+from paslab import cli
+from paslab.cli import COMMANDS, OPTIONS, SIM_CSV_COLUMNS, _bool, _float, _int, build_parser, main
 from paslab.errors import ConvergenceError
 from paslab.typicality import TypConfig, enumerate_typical
 
@@ -580,6 +584,114 @@ def test_air_sweep_num_bins_one_exit_code(monkeypatch, capsys):
     rc, out, err = run_cli(["air-sweep", "--num-bins", "1"], capsys)
     assert rc == 2 and out == ""
     assert "num_bins must be >= 2" in err
+
+
+# ------------------------------------------------------------------ parser
+# main builds the parser of the invoked subcommand alone; help, a missing or
+# unknown command and anything else get the full tree
+
+
+def _exit(call, capsys):
+    """(exit code, stdout, stderr) of a call that ends in argparse's SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    cap = capsys.readouterr()
+    return exc.value.code, cap.out, cap.err
+
+
+def _flags(command):
+    flags = ["--config", "--out"] + ["--" + o.key.replace("_", "-") for o in OPTIONS[command] if o.flag]
+    return flags + (["--threads", "--csv"] if command == "sim" else [])
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    rc, out, err = _exit(lambda: main(["--help"]), capsys)
+    assert rc == 0 and err == ""
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ") and not line[4].isspace()]
+    assert listed == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_subcommand_help_shows_its_flags(capsys, command):
+    rc, out, _ = _exit(lambda: main([command, "--help"]), capsys)
+    assert rc == 0
+    assert out.startswith(f"usage: paslab {command} [-h]")
+    assert all(flag in out for flag in _flags(command))
+    others = {flag for name in COMMANDS for flag in _flags(name)} - set(_flags(command))
+    assert not [flag for flag in others if flag + " " in out]
+
+
+def test_unknown_command_lists_every_choice(capsys):
+    rc, out, err = _exit(lambda: main(["bogus"]), capsys)
+    assert rc == 2 and out == ""
+    assert "invalid choice: 'bogus'" in err
+    choices = err.split("invalid choice: 'bogus'", 1)[1]
+    assert all(f"'{name}'" in choices for name in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["-x", "sim"],
+        ["--snr-db", "2", "gamma-split"],
+        ["gamma-split", "--threads", "2"],
+        ["gamma-split", "extra"],
+        ["sim", "--decoder", "foo"],
+        ["typ-dump", "--n"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_match_the_full_tree(capsys, argv):
+    # the full tree's message, byte for byte, and exit code 2
+    want = _exit(lambda: build_parser().parse_args(argv), capsys)
+    got = _exit(lambda: main(argv), capsys)
+    assert got == want and got[0] == 2
+
+
+def test_option_of_another_command_is_unrecognized(capsys):
+    rc, out, err = _exit(lambda: main(["gamma-split", "--threads", "2"]), capsys)
+    assert rc == 2 and out == ""
+    assert err.endswith("paslab: error: unrecognized arguments: --threads 2\n")
+    assert "{" + ",".join(COMMANDS) + "}" in err  # the usage line still lists every command
+
+
+def test_long_option_abbreviation_parses(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gamma_split", lambda cst, snr_db, spec: (0.5, snr_db))
+    rc, out, _ = run_cli(["gamma-split", "--snr", "2"], capsys)
+    assert rc == 0 and json.loads(out)["gamma"] == 2.0
+
+
+def test_main_builds_only_the_invoked_parser(monkeypatch, capsys):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "gamma_split", lambda cst, snr_db, spec: (0.5, snr_db))
+    assert run_cli(["gamma-split", "--snr-db", "2"], capsys)[0] == 0
+    _exit(lambda: main(["--help"]), capsys)
+    assert built == ["gamma-split", None]
+    for command in COMMANDS:
+        parser = build_parser(command)
+        assert parser.parse_args([command]).command == command
+        for other in set(COMMANDS) - {command}:
+            assert _exit(lambda: parser.parse_args([other]), capsys)[0] == 2
+    assert [build_parser().parse_args([c]).command for c in COMMANDS] == list(COMMANDS)
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # concurrent.futures (and the logging it imports) loads only for --threads > 1
+    code = "import sys, paslab.cli; print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- config fuzz

@@ -261,6 +261,21 @@ def test_sign_amplitude_joint_shape_and_mass():
     assert t[0, k] == pytest.approx(p_sa[0, k] * d.w[xi], abs=1e-15)
 
 
+def test_sign_amplitude_rates_check_a_bare_matrix_as_a_channel():
+    # unchecked, row 0 = [0.5, 0.6] read I(X;Y) = -0.035 bit and H(X|Y) =
+    # 2.047 bit, above H(X) = 2 bit, for the uniform p(s, a)
+    cst = make_ask(1)
+    w = np.full((4, 2), 0.5)
+    w[0] = [0.5, 0.6]
+    for rate in (sign_amplitude_joint, mi_inequality_chain):
+        with pytest.raises(ValueError, match="channel"):
+            rate(np.full((2, 2), 0.25), w, cst)
+    # as in joint_from_input, a row of a point with no mass may sum to anything
+    w[0] = 0.0
+    p_sa = np.array([[0.5, 0.0], [0.25, 0.25]])  # point 0 is s = -1, a = 3
+    assert mi_inequality_chain(p_sa, w, cst)["mi_xy"] == 0.0
+
+
 def test_mi_inequality_chain_random():
     rng = np.random.default_rng(10)
     cst = make_ask(1)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import os
@@ -461,6 +462,38 @@ BLOCK_CASES["wide-output"] = {
 }
 
 
+def _outputs_by_point(cdf_rows, x, u):
+    """The channel outputs by one searchsorted per transmitted point."""
+    y = np.empty(x.shape, dtype=np.intp)
+    for point in np.unique(x):
+        at = x == point
+        y[at] = np.searchsorted(cdf_rows[point], u[at], side="left")
+    return np.minimum(y, cdf_rows.shape[1] - 1)
+
+
+@pytest.mark.parametrize("nout", [1, 2, 3, 4, 2002])
+def test_channel_outputs_match_a_per_point_search(nout):
+    rng = np.random.default_rng(nout)
+    w = rng.dirichlet(np.ones(nout), size=5)
+    w[1, 1::2] = 0.0  # zero-width bins: repeated cdf values
+    w[2] = 0.0
+    w[2, nout // 2] = 1.0  # one bin holds all: zeros, then ones
+    w[3, 1:] = 0.0  # all mass in the first letter
+    w /= w.sum(axis=1, keepdims=True)
+    cdf_rows = np.cumsum(w, axis=1)
+    x = rng.integers(0, 5, size=(400, 6))
+    u = rng.random(x.shape)
+    # u exactly on an entry of its own row, on 0, and on 1 (at or above the
+    # row's last entry, which float sums may leave below 1)
+    on = rng.random(x.shape) < 0.5
+    u[on] = cdf_rows[x[on], rng.integers(0, nout, size=on.sum())]
+    u[:, 0], u[:, 1] = 0.0, 1.0
+    assert np.isin(u, cdf_rows).mean() > 0.4
+    y = signcode._channel_outputs(cdf_rows, x, u)
+    np.testing.assert_array_equal(y, _outputs_by_point(cdf_rows, x, u))
+    assert y.shape == x.shape and y.min() >= 0 and y.max() <= nout - 1
+
+
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     cfg = ExperimentConfig(**BLOCK_CASES[case])
@@ -495,7 +528,7 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
         return unique(ar, *args, **kwargs)
 
     pool_maps = [0]
-    pool_map = signcode.ThreadPoolExecutor.map
+    pool_map = concurrent.futures.ThreadPoolExecutor.map
 
     def counted_pool_map(self, *args, **kwargs):
         pool_maps[0] += 1
@@ -503,7 +536,7 @@ def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
 
     monkeypatch.setattr(type(dec), "accept_mask", counted_mask)
     monkeypatch.setattr(np, "unique", counted_unique)
-    monkeypatch.setattr(signcode.ThreadPoolExecutor, "map", counted_pool_map)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "map", counted_pool_map)
     # default blocks; 7 distinct outputs a block; fewer cells than
     # candidates, so one distinct output a block. Every trial fits in one
     # drawn chunk, and each distinct output is scored once
@@ -613,7 +646,7 @@ def test_thread_pool_width_is_capped_at_usable_cpus(monkeypatch):
     cfg = ExperimentConfig(**{**PAIRWISE, "trials": 200})
     monkeypatch.setattr(signcode, "BLOCK_CELLS", 1000)  # 29 blocks
     want = run_experiment(cfg)
-    monkeypatch.setattr(signcode, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     started = threading.active_count()
     assert run_experiment(cfg, threads=10**6) == want
     assert threading.active_count() == started
