@@ -1,4 +1,4 @@
-"""Discrete memoryless channels, AWGN bin quantization and bit-level subchannels."""
+"""Discrete memoryless channels and AWGN bin quantization."""
 
 from __future__ import annotations
 
@@ -101,28 +101,5 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = AwgnS
     w = np.diff(cdf, axis=1)
     np.maximum(w, 0.0, out=w)
     w /= w.sum(axis=1, keepdims=True)
-    return Dmc(w=w)
+    return Dmc(w)
 
-
-def bit_channel(dmc: Dmc, labels: np.ndarray, input_pmf, level: int):
-    """Marginalize a symbol channel onto one label level, a column of the
-    (nin, m+1) label table (`alphabets.brgc_label`).
-
-    Level 0 is the sign bit, levels 1..m are amplitude bits. Returns
-    (prior over {0,1}, 2 x nout transition matrix p(y | c_level)); the
-    transition row for a bit value of prior zero is left as zeros.
-    """
-    p = np.asarray(input_pmf, dtype=float)
-    if p.shape != (dmc.nin,):
-        raise ValueError("input_pmf must have one entry per channel input")
-    if dmc.nin != labels.shape[0]:
-        raise ValueError("label table and channel sizes disagree")
-    if not 0 <= level < labels.shape[1]:
-        raise ValueError(f"level must be in [0, {labels.shape[1] - 1}], got {level}")
-    col = labels[:, level]
-    prior = np.array([p[col == 0].sum(), p[col == 1].sum()])
-    trans = np.zeros((2, dmc.nout))
-    for b in (0, 1):
-        if prior[b] > 0:
-            trans[b] = (p[col == b] @ dmc.w[col == b]) / prior[b]
-    return prior, trans

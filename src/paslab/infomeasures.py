@@ -3,7 +3,9 @@
 All logs are base 2, 0*log(0) terms are dropped, and expectations skip
 zero-probability (x, y) cells. Channel arguments accept either a Dmc or a
 bare matrix; `joint_from_input` checks a bare one as a channel for the input
-it meets. Labels are the (M, m+1) bit table of `alphabets.brgc_label`.
+it meets, and every rate starts from the joint it returns. Labels are the
+(M, m+1) bit table of `alphabets.brgc_label`: each bit-level quantity is a
+margin of the joint `label_joint` indexes by those bits.
 """
 
 from __future__ import annotations
@@ -13,19 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabets import AskConstellation
-from .channel import ROW_TOL, Dmc, bit_channel
+from .channel import ROW_TOL, Dmc
 from .optim import brent_max
 
 PMF_TOL = 1e-12
 S_RANGE = (0.0, 16.0)
 S_XTOL = 1e-6
-
-
-def as_channel_matrix(chan) -> np.ndarray:
-    w = chan.w if isinstance(chan, Dmc) else np.asarray(chan, dtype=float)
-    if w.ndim != 2:
-        raise ValueError("channel must be a 2-D row-stochastic matrix")
-    return w
 
 
 def check_pmf(p) -> np.ndarray:
@@ -59,10 +54,11 @@ def joint_from_input(input_pmf, chan) -> np.ndarray:
 
     w must be a channel where p meets it: finite and non-negative, and each
     row of an input with positive mass summing to 1 within ROW_TOL. A row of
-    an input with no mass may sum to anything, zero included, as the row
-    `bit_channel` leaves for a bit value of prior 0 does.
+    an input with no mass may sum to anything, zero included.
     """
-    w = as_channel_matrix(chan)
+    w = chan.w if isinstance(chan, Dmc) else np.asarray(chan, dtype=float)
+    if w.ndim != 2:
+        raise ValueError("channel must be a 2-D row-stochastic matrix")
     p = check_pmf(input_pmf)
     if p.shape != (w.shape[0],):
         raise ValueError("input pmf length must match channel input count")
@@ -87,21 +83,38 @@ def equivocation(input_pmf, chan) -> float:
     return entropy_raw(j) - entropy_raw(j.sum(axis=0))
 
 
-def conditional_level_entropy(input_pmf, chan, labels: np.ndarray, level: int) -> float:
-    """H(C_level | Y) for one label level (0 = sign bit, 1..m = amplitude bits)."""
-    w = as_channel_matrix(chan)
-    dmc = chan if isinstance(chan, Dmc) else Dmc(w=w)
-    prior, trans = bit_channel(dmc, labels, check_pmf(input_pmf), level)
-    j = prior[:, None] * trans
-    return entropy_raw(j) - entropy_raw(j.sum(axis=0))
+def label_joint(joint: np.ndarray, labels) -> np.ndarray:
+    """A joint table with axis 0 replaced by its labels' bits.
+
+    labels is a (K, L) 0/1 table that maps the K rows of axis 0 one-to-one
+    onto L-bit words, as `alphabets.brgc_label` and
+    `ShapingLayer.amplitude_bits` do. Returns the (2,)*L + joint.shape[1:]
+    table whose cell (c_1, ..., c_L, ...) is joint[k, ...] for the row k
+    labelled c.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[0] != joint.shape[0]:
+        raise ValueError("the label table needs one row per entry of the joint's axis 0")
+    out = np.zeros((2,) * labels.shape[1] + joint.shape[1:])
+    out[tuple(labels.T)] = joint
+    return out
+
+
+def _level_margins(joint: np.ndarray, labels: np.ndarray) -> list:
+    """p(c_i, ...) of every label level i: the margins of `label_joint`."""
+    labelled = label_joint(joint, labels)
+    levels = range(labels.shape[1])
+    return [labelled.sum(axis=tuple(d for d in levels if d != i)) for i in levels]
 
 
 def bmd_rate_unclipped(input_pmf, chan, labels: np.ndarray) -> float:
-    """H(C) - sum_i H(C_i|Y); may be negative for bad channels."""
-    p = check_pmf(input_pmf)
-    h_c = entropy_raw(p)  # labels are a bijection onto inputs
-    cond = sum(conditional_level_entropy(p, chan, labels, i) for i in range(labels.shape[1]))
-    return h_c - cond
+    """H(C) - sum_i H(C_i|Y), with H(C_i|Y) = H(C_i, Y) - H(Y); may be
+    negative for bad channels."""
+    joint = joint_from_input(input_pmf, chan)
+    h_y = entropy_raw(joint.sum(axis=0))
+    h_c = entropy_raw(check_pmf(input_pmf))  # labels are a bijection onto inputs
+    margins = _level_margins(joint, labels)
+    return h_c - sum(entropy_raw(cy) - h_y for cy in margins)
 
 
 def r_bmd(input_pmf, chan, labels: np.ndarray) -> float:
@@ -110,14 +123,13 @@ def r_bmd(input_pmf, chan, labels: np.ndarray) -> float:
 
 
 def product_bit_metric(input_pmf, chan, labels: np.ndarray) -> np.ndarray:
-    """Symbol metric q(x,y) = prod_i p(y | c_i(x)) built from the bit subchannels."""
-    w = as_channel_matrix(chan)
-    dmc = chan if isinstance(chan, Dmc) else Dmc(w=w)
-    p = check_pmf(input_pmf)
-    q = np.ones_like(w)
-    for level in range(labels.shape[1]):
-        _, trans = bit_channel(dmc, labels, p, level)
-        q *= trans[labels[:, level]]
+    """Symbol metric q(x,y) = prod_i p(y | c_i(x)); the row p(y | c_i) of a
+    bit value of prior zero is left at zero."""
+    joint = joint_from_input(input_pmf, chan)
+    q = np.ones_like(joint)
+    for col, cy in zip(labels.T, _level_margins(joint, labels)):
+        prior = cy.sum(axis=1, keepdims=True)
+        q *= np.divide(cy, prior, out=np.zeros_like(cy), where=prior > 0)[col]
     return q
 
 
@@ -127,8 +139,7 @@ def bmd_cost(input_pmf, labels: np.ndarray) -> np.ndarray:
     if np.any(p == 0):
         raise ValueError("bmd_cost needs a full-support input pmf")
     r = np.ones_like(p)
-    for col in labels.T:
-        prior = np.array([p[col == 0].sum(), p[col == 1].sum()])
+    for col, prior in zip(labels.T, _level_margins(p, labels)):
         r *= prior[col]
     return r / p
 

@@ -9,10 +9,10 @@ layer, which forms it once from the product p(a) t((s, y) | a) that its
 B-typical test is built on:
 - symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s, y);
 - bit-metric (`bmd`): {s}, {y}, {s, y} and, for each amplitude bit level j,
-  {b_j} and {b_j, y} under p(b_1, ..., b_m, s, y), which is p(a, s, y) with
-  its amplitude axis relabelled by the Gray amplitude bits. Its
-  `triple_mask` applies the symbol-metric list, to count pairwise-only
-  acceptances.
+  {b_j} and {b_j, y} under p(b_1, ..., b_m, s, y), which
+  `infomeasures.label_joint` makes of p(a, s, y) and the Gray amplitude
+  bits. Its `triple_mask` applies the symbol-metric list, to count
+  pairwise-only acceptances.
 
 Seed discipline: the sign code draws from SeedSequence([seed, 0]). Trial t
 draws exactly what numpy's default_rng(SeedSequence([seed, 1, t])) gives
@@ -43,7 +43,7 @@ from . import streams
 from .alphabets import AskConstellation, brgc_label
 from .channel import Dmc
 from .errors import BudgetError, ConfigError
-from .infomeasures import check_pmf, entropy_raw, log2_safe
+from .infomeasures import check_pmf, entropy_raw, label_joint, log2_safe
 from .typicality import (
     DEFAULT_BUDGET,
     BTypicalSet,
@@ -73,7 +73,8 @@ class ShapingLayer:
     m_a is message m_a's amplitude sequence. joint is p(a, s, y), the
     (2^m, 2, nout) table p(a) t((s, y) | a) of the set's test with uniform
     signs. Both decoders read the two: the bit-level one reads the members
-    and the table's amplitude axis through the Gray amplitude bits.
+    through the Gray amplitude bits, and the table as
+    `label_joint(joint, amplitude_bits)`.
     """
 
     constellation: AskConstellation
@@ -270,13 +271,11 @@ class BmdDecoder:
         t = code.layer.joint
         bits = code.layer.amplitude_bits  # (2^m, m)
         m = bits.shape[1]
-        # p(b_1, ..., b_m, s, y): the amplitude axis relabelled by its bits
-        joint = np.zeros((2,) * m + t.shape[1:])
-        joint[tuple(bits.T)] = t
         s, y = m, m + 1
         boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
         letters = [*bits.T.astype(np.intp)[:, code.amplitudes], code.signs]
-        self.test = _BoxTest(joint, boxes, letters, self.eps)
+        # p(b_1, ..., b_m, s, y)
+        self.test = _BoxTest(label_joint(t, bits), boxes, letters, self.eps)
         # the symbol-level test, to log pairwise-only acceptances
         self.triple = _BoxTest(t, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
 

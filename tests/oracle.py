@@ -186,6 +186,24 @@ def lemma1_oracle(pmf, trans, n, eps):
     }
 
 
+def bit_joint_oracle(px, w, bit_matrix, level):
+    """p(c_level, y) as two lists, by adding p(x) w(y|x) into row c_level(x)."""
+    ny = len(w[0])
+    joint = [[0.0] * ny for _ in range(2)]
+    for x, p in enumerate(px):
+        for y in range(ny):
+            joint[bit_matrix[x][level]][y] += p * w[x][y]
+    return joint
+
+
+def table_mi_oracle(joint):
+    """I between the row and the column index of a joint pmf table."""
+    rows = [sum(row) for row in joint]
+    cols = [sum(col) for col in zip(*joint)]
+    cells = [v for row in joint for v in row]
+    return entropy_oracle(rows) + entropy_oracle(cols) - entropy_oracle(cells)
+
+
 def bmd_unclipped_oracle(px, w, bit_matrix):
     """H(C) - sum_i H(C_i|Y) from the defining sums."""
     m1 = len(bit_matrix[0])
@@ -193,11 +211,7 @@ def bmd_unclipped_oracle(px, w, bit_matrix):
     total = h_c
     ny = len(w[0])
     for lvl in range(m1):
-        # joint p(c_lvl, y)
-        joint = [[0.0] * ny for _ in range(2)]
-        for x, p in enumerate(px):
-            for y in range(ny):
-                joint[bit_matrix[x][lvl]][y] += p * w[x][y]
+        joint = bit_joint_oracle(px, w, bit_matrix, lvl)
         py = [joint[0][y] + joint[1][y] for y in range(ny)]
         h_cy = 0.0
         for b in range(2):

@@ -19,7 +19,7 @@ from paslab.airsolver import (
     theorem_feasibility,
 )
 from paslab.alphabets import brgc_label, make_ask
-from paslab.channel import Dmc, bit_channel, gaussian_dmc, identity_dmc
+from paslab.channel import Dmc, gaussian_dmc, identity_dmc
 from paslab.infomeasures import (
     bmd_cost,
     bmd_rate_unclipped,
@@ -43,7 +43,9 @@ from paslab.typicality import (
 
 from oracle import (
     b_typical_oracle,
+    bit_joint_oracle,
     jointly_typical_oracle,
+    table_mi_oracle,
     typical_count_by_composition,
 )
 
@@ -113,7 +115,7 @@ def test_04_algebraic_rate_identities():
         bits = labels
         p_ind = np.prod(np.where(bits == 1, qbits, 1.0 - qbits), axis=1)
         per_level = sum(
-            mutual_information(*bit_channel(chan, labels, p_ind, lvl))
+            table_mi_oracle(bit_joint_oracle(p_ind.tolist(), chan.w.tolist(), labels.tolist(), lvl))
             for lvl in range(labels.shape[1])
         )
         worst_lvl = max(worst_lvl, abs(bmd_rate_unclipped(p_ind, chan, labels) - per_level))

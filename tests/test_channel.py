@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paslab.alphabets import make_ask
-from paslab.channel import Dmc, bit_channel, gaussian_dmc, identity_dmc
-from paslab.alphabets import brgc_label
-from paslab.infomeasures import mutual_information
+from paslab.alphabets import brgc_label, make_ask
+from paslab.channel import Dmc, gaussian_dmc, identity_dmc
+from paslab.infomeasures import joint_from_input, label_joint, mutual_information
 
-from oracle import mi_oracle
+from oracle import bit_joint_oracle, table_mi_oracle
 
 
 def test_dmc_row_validation():
@@ -104,34 +103,30 @@ def test_refinement_ladder_monotone():
         last = mi
 
 
-def test_bit_channel_prior():
+def test_label_joint_level_prior():
     cst = make_ask(1)
     labels = brgc_label(cst)
     d = gaussian_dmc(cst.points, sigma=0.8, num_bins=16)
     p_x = np.array([0.1, 0.4, 0.4, 0.1])
     # level 1 is the first amplitude bit: 1 on |x|=1, 0 on |x|=3
-    prior, trans = bit_channel(d, labels, p_x, level=1)
-    assert prior == pytest.approx([0.2, 0.8], abs=1e-12)
-    assert np.allclose(trans.sum(axis=1), 1.0)
+    c1y = label_joint(joint_from_input(p_x, d), labels).sum(axis=0)
+    want = np.array(bit_joint_oracle(p_x.tolist(), d.w.tolist(), labels.tolist(), 1))
+    assert np.allclose(c1y, want, rtol=0, atol=1e-15)
+    assert c1y.sum(axis=1) == pytest.approx([0.2, 0.8], abs=1e-12)
 
 
-def test_bit_channel_matches_direct_mi():
+def test_label_joint_margins_match_direct_mi():
     cst = make_ask(2)
     labels = brgc_label(cst)
     d = gaussian_dmc(cst.points, sigma=1.1, num_bins=30)
     rng = np.random.default_rng(3)
     p_x = rng.dirichlet(np.ones(8))
+    labelled = label_joint(joint_from_input(p_x, d), labels)
     for level in range(3):
-        prior, trans = bit_channel(d, labels, p_x, level)
-        got = mutual_information(prior, trans)
+        cy = labelled.sum(axis=tuple(k for k in range(3) if k != level))
+        got = mutual_information(cy.sum(axis=1), cy / cy.sum(axis=1, keepdims=True))
         # oracle: lump x-rows by bit value
-        joint = (p_x[:, None] * d.w)
-        rows = [np.zeros(d.nout), np.zeros(d.nout)]
-        for i in range(8):
-            rows[labels[i, level]] += joint[i]
-        pb = np.array([rows[0].sum(), rows[1].sum()])
-        wb = np.array([rows[0] / pb[0], rows[1] / pb[1]])
-        want = mi_oracle(pb.tolist(), wb.tolist())
+        want = table_mi_oracle(bit_joint_oracle(p_x.tolist(), d.w.tolist(), labels.tolist(), level))
         assert got == pytest.approx(want, abs=1e-10)
 
 

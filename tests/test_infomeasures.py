@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from paslab.channel import Dmc, gaussian_dmc, identity_dmc
 from paslab.infomeasures import (
     bmd_cost,
     bmd_rate_unclipped,
-    conditional_level_entropy,
     entropy,
     equivocation,
     gmi,
@@ -22,17 +22,24 @@ from paslab.infomeasures import (
 )
 
 from oracle import (
+    bit_joint_oracle,
     bmd_unclipped_oracle,
     entropy_oracle,
     equivocation_oracle,
     gmi_grid_oracle,
     mi_oracle,
+    table_mi_oracle,
 )
 
 
 def random_dmc(rng, nin, nout):
     w = rng.dirichlet(np.ones(nout), size=nin)
     return Dmc(w=w)
+
+
+def _bit_rates(labels):
+    """The rates of a bit labelling, as functions of (input pmf, channel)."""
+    return [partial(rate, labels=labels) for rate in (r_bmd, bmd_rate_unclipped, product_bit_metric)]
 
 
 def test_entropy_closed_forms():
@@ -77,21 +84,46 @@ def test_mi_and_equivocation_match_oracle():
 def test_rates_reject_a_bare_matrix_that_is_not_a_channel(w):
     # unchecked, a uniform input read I(X;Y) = -0.072 and -0.311 bit, and
     # H(X|Y) = 1.047 and 1.311 bit, above H(X) = 1 bit
-    for rate in (mutual_information, equivocation):
+    for rate in (mutual_information, equivocation, *_bit_rates(brgc_label(make_ask(0)))):
         with pytest.raises(ValueError, match="channel"):
             rate([0.5, 0.5], w)
 
 
 def test_a_bare_matrix_is_checked_on_the_input_support():
-    # a zero row, which bit_channel leaves for a bit value of prior 0, is
-    # legal while its input has no mass; a non-finite entry never is
-    w = np.array([[0.3, 0.7], [0.0, 0.0]])
-    assert mutual_information([1.0, 0.0], w) == 0.0
-    assert equivocation([1.0, 0.0], w) == 0.0
-    with pytest.raises(ValueError, match="must sum to 1"):
-        mutual_information([0.5, 0.5], w)
-    with pytest.raises(ValueError, match="finite"):
-        mutual_information([1.0, 0.0], [[0.3, 0.7], [np.nan, 1.0]])
+    # a zero row is legal while its input has no mass, for the bit-level
+    # rates as for I(X;Y); a non-finite entry never is
+    w2 = np.array([[0.3, 0.7], [0.0, 0.0]])
+    w4 = np.full((4, 2), 0.5)
+    w4[0] = 0.0
+    cases = [  # (p, w, m, the product bit metric)
+        ([1.0, 0.0], w2, 0, w2),
+        ([0.0, 1 / 3, 1 / 3, 1 / 3], w4, 1, np.full((4, 2), 0.25)),
+    ]
+    for p, w, m, metric in cases:
+        labels = brgc_label(make_ask(m))
+        assert mutual_information(p, w) == 0.0
+        assert r_bmd(p, w, labels) == 0.0
+        want = bmd_unclipped_oracle(p, w.tolist(), labels.tolist())
+        assert bmd_rate_unclipped(p, w, labels) == pytest.approx(want, abs=1e-12)
+        assert product_bit_metric(p, w, labels) == pytest.approx(metric, abs=1e-15)
+    assert equivocation([1.0, 0.0], w2) == 0.0
+    for rate in (mutual_information, equivocation, *_bit_rates(brgc_label(make_ask(0)))):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            rate([0.5, 0.5], w2)
+        with pytest.raises(ValueError, match="finite"):
+            rate([1.0, 0.0], [[0.3, 0.7], [np.nan, 1.0]])
+
+
+def test_bit_rates_reject_a_label_table_of_another_size():
+    # 4-ASK inputs under the 8-ASK table: bmd_cost raised an IndexError
+    # ("boolean index did not match") before it read its bit priors through
+    # label_joint
+    p = np.full(4, 0.25)
+    d = gaussian_dmc(make_ask(1).points, 1.0, 8)
+    labels = brgc_label(make_ask(2))
+    for rate in (partial(bmd_cost, labels=labels), *(partial(f, chan=d) for f in _bit_rates(labels))):
+        with pytest.raises(ValueError, match="label table"):
+            rate(p)
 
 
 def test_mi_identity_channel_is_input_entropy():
@@ -103,14 +135,15 @@ def test_mi_identity_channel_is_input_entropy():
 
 def test_bmd_rate_matches_oracle():
     rng = np.random.default_rng(2)
-    cst = make_ask(2)
-    labels = brgc_label(cst)
-    for _ in range(10):
-        d = random_dmc(rng, 8, rng.integers(3, 8))
-        p = rng.dirichlet(np.ones(8))
-        want = bmd_unclipped_oracle(p.tolist(), d.w.tolist(), labels.tolist())
-        assert bmd_rate_unclipped(p, d, labels) == pytest.approx(want, abs=1e-10)
-        assert r_bmd(p, d, labels) == pytest.approx(max(0.0, want), abs=1e-10)
+    for m in (1, 2):
+        cst = make_ask(m)
+        labels = brgc_label(cst)
+        for _ in range(10):
+            d = random_dmc(rng, cst.size, rng.integers(3, 8))
+            p = rng.dirichlet(np.ones(cst.size))
+            want = bmd_unclipped_oracle(p.tolist(), d.w.tolist(), labels.tolist())
+            assert bmd_rate_unclipped(p, d, labels) == pytest.approx(want, abs=1e-10)
+            assert r_bmd(p, d, labels) == pytest.approx(max(0.0, want), abs=1e-10)
 
 
 def test_r_bmd_clips_negative():
@@ -214,8 +247,6 @@ def test_independent_levels_sum_rule():
     rng = np.random.default_rng(7)
     cst = make_ask(2)
     labels = brgc_label(cst)
-    from paslab.channel import bit_channel
-
     bits = labels
     for trial in range(8):
         d = random_dmc(rng, 8, 6)
@@ -230,22 +261,11 @@ def test_independent_levels_sum_rule():
         metric = product_bit_metric(p, d, labels)
         cost = bmd_cost(p, labels)
         got = lm_rate(p, d, metric, s=1.0, cost=cost)
-        total = 0.0
-        for level in range(3):
-            prior, trans = bit_channel(d, labels, p, level)
-            total += mutual_information(prior, trans)
+        total = sum(
+            table_mi_oracle(bit_joint_oracle(p.tolist(), d.w.tolist(), labels.tolist(), level))
+            for level in range(3)
+        )
         assert got == pytest.approx(total, abs=1e-6)
-
-
-def test_conditional_level_entropy_consistency():
-    rng = np.random.default_rng(8)
-    cst = make_ask(1)
-    labels = brgc_label(cst)
-    d = random_dmc(rng, 4, 5)
-    p = rng.dirichlet(np.ones(4))
-    total = sum(conditional_level_entropy(p, d, labels, lv) for lv in range(2))
-    want = entropy(p) - bmd_rate_unclipped(p, d, labels)
-    assert total == pytest.approx(want, abs=1e-10)
 
 
 def test_sign_amplitude_joint_shape_and_mass():

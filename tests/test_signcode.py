@@ -10,7 +10,7 @@ import pytest
 from paslab import signcode
 from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
-from paslab.channel import Dmc, bit_channel, gaussian_dmc, identity_dmc
+from paslab.channel import Dmc, gaussian_dmc, identity_dmc
 from paslab.errors import BudgetError, ConfigError
 from paslab.infomeasures import entropy_raw, sign_amplitude_joint
 from paslab.signcode import (
@@ -24,6 +24,8 @@ from paslab.signcode import (
     SmdDecoder,
 )
 from paslab.typicality import LOG_SLACK, TypConfig, enumerate_b_typical, is_jointly_typical
+
+from oracle import bit_joint_oracle
 
 CST = make_ask(1)
 M2 = make_ask(2)
@@ -354,7 +356,7 @@ def _box(total, n, h, eps):
 
 def _reference_tables(layer, dmc, p_a):
     """p(a, s, y) from the sign-output transition, and p(b_j, y) of each
-    amplitude bit level from its bit channel, for the amplitude pmf p_a:
+    amplitude bit level from the oracle's sums, for the amplitude pmf p_a:
     built apart from the layer and the decoders."""
     cst = layer.constellation
     p_a = np.asarray(p_a, dtype=float)
@@ -363,8 +365,7 @@ def _reference_tables(layer, dmc, p_a):
     p_x[cst.sign_amplitude_index] = 0.5 * p_a
     p_by = []
     for level in range(1, cst.m + 1):  # level 0 is the sign bit
-        prior, trans = bit_channel(dmc, brgc_label(cst), p_x, level)
-        p_by.append(prior[:, None] * trans)
+        p_by.append(np.array(bit_joint_oracle(p_x.tolist(), dmc.w.tolist(), brgc_label(cst).tolist(), level)))
     return p_asy, p_by
 
 
