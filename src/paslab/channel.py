@@ -1,4 +1,6 @@
-"""Discrete memoryless channels and AWGN bin quantization."""
+"""Discrete memoryless channels, AWGN bin quantization, and the one sampler
+of a channel's outputs (`sample_outputs`), which both the sign-coding
+experiment and the Monte Carlo conditional typicality estimate draw with."""
 
 from __future__ import annotations
 
@@ -103,3 +105,26 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = AwgnS
     w /= w.sum(axis=1, keepdims=True)
     return Dmc(w)
 
+
+def sample_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Output letter per entry of x for the uniform draw at the same place of
+    u: the number of entries of row x of cdf_rows (a channel's rows, each
+    cumulatively summed) below u, capped at the last letter.
+
+    An entry equal to u is not counted, as searchsorted(side="left") counts,
+    so letter k takes the draws in (cdf[k - 1], cdf[k]]; a draw lands on an
+    entry exactly with probability 0. A row is non-decreasing, so one
+    branchless binary search runs over every entry's own row at once. It
+    searches the entries before the last letter, whose count is the cap."""
+    nout = cdf_rows.shape[1]
+    flat = cdf_rows.ravel()
+    start = x * nout
+    pos = start.copy()  # the count sought lies in [pos - start, pos - start + span]
+    span = nout - 1
+    while span > 1:
+        half = span >> 1
+        pos += half * (flat[half - 1 :][pos] < u)  # entry pos + half - 1, without an offset array
+        span -= half
+    if span:
+        pos += flat[pos] < u
+    return pos - start

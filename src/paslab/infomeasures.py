@@ -29,7 +29,7 @@ def check_pmf(p) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("pmf entries must be non-negative")
     if not abs(arr.sum() - 1.0) <= PMF_TOL:  # a NaN sum fails too
-        raise ValueError(f"pmf sums to {arr.sum()!r}, not 1")
+        raise ValueError(f"pmf sums to {float(arr.sum())}, not 1")
     return arr
 
 

@@ -3,8 +3,8 @@ carry redundancy (plus an optional gamma * n information-sign budget), and
 decoding is a joint-typicality search.
 
 Each decoder is a list of weak-typicality boxes, margins of one pmf table
-whose last axis is the output y, and one builder (`_BoxTest`) turns a table
-and its list into the test. Both decoders read p(a, s, y) from the shaping
+whose last axis is the output y, and `typicality.BoxTest` turns a table and
+its list into the test. Both decoders read p(a, s, y) from the shaping
 layer, which forms it once from the product p(a) t((s, y) | a) that its
 B-typical test is built on:
 - symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s, y);
@@ -20,7 +20,8 @@ through .integers(M_a), .integers(M_s) and .random(n), but `streams.draw`
 computes them for DRAW_CHUNK trials at once. It relies on numpy's
 SeedSequence mixing, PCG64 with the XSL-RR output, 32-bit Lemire bounded
 integers and 53-bit doubles; tests/test_streams.py fails if a numpy release
-changes any of them. A trial's acceptances depend only on its output, so
+changes any of them. `channel.sample_outputs` turns a trial's uniforms into
+its outputs. A trial's acceptances depend only on its output, so
 each distinct output of a drawn chunk is scored once, against every
 candidate, in blocks of about BLOCK_CELLS (output, candidate) cells, and
 `--threads` maps over the blocks of a chunk that holds more than one, on no
@@ -41,15 +42,15 @@ import numpy as np
 
 from . import streams
 from .alphabets import AskConstellation, brgc_label
-from .channel import Dmc
+from .channel import Dmc, sample_outputs
 from .errors import BudgetError, ConfigError
-from .infomeasures import check_pmf, entropy_raw, label_joint, log2_safe
+from .infomeasures import check_pmf, label_joint
 from .typicality import (
     DEFAULT_BUDGET,
+    BoxTest,
     BTypicalSet,
     TypConfig,
     enumerate_b_typical,
-    in_box,
 )
 
 DECODE_BUDGET = 1_000_000
@@ -182,64 +183,6 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
     )
 
 
-class _BoxTest:
-    """The joint-typicality boxes of one decoder over every candidate.
-
-    joint is a pmf table whose last axis is the output y. Each box is the
-    margin of joint on a sorted tuple of its axes, and letters holds every
-    candidate's (n, C) letters on each axis but y. Every box sums its log
-    table over positions, adding one position at a time: a box without y
-    once per candidate, into the static candidate mask; the y box once per
-    output; every other box once per (output, candidate), as
-    table[codes[i], y[i]].
-    """
-
-    def __init__(self, joint: np.ndarray, boxes, letters, eps: float):
-        y_axis = joint.ndim - 1
-        self.n, self.eps = letters[0].shape[0], eps
-        self.static = np.ones(letters[0].shape[1], dtype=bool)  # (C,)
-        self.terms = []  # [(table (K, nout), codes (n, C), entropy)]
-        for axes in boxes:
-            drop = tuple(d for d in range(joint.ndim) if d not in axes)
-            marg = joint.sum(axis=drop) if drop else joint
-            log, h = log2_safe(marg), entropy_raw(marg)
-            if axes == (y_axis,):
-                self.log_y, self.h_y = log, h
-                continue
-            letter_axes = [d for d in axes if d != y_axis]
-            codes = letters[letter_axes[0]]
-            for d in letter_axes[1:]:  # the row-major index into the margin
-                codes = codes * joint.shape[d] + letters[d]
-            if y_axis in axes:
-                self.terms.append((log.reshape(-1, joint.shape[y_axis]), codes, h))
-            else:
-                self.static &= in_box(log.ravel()[codes].sum(axis=0), self.n, h, eps)
-
-    def _y_box(self, y: np.ndarray) -> np.ndarray:
-        return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
-
-    def accept(self, y: np.ndarray) -> np.ndarray:
-        """(B, C) acceptances of every candidate for a (B, n) block of outputs."""
-        ok = self.static[:, None] & self._y_box(y)  # (C, B): row gathers are the fast ones
-        for table, codes, h in self.terms:
-            total = np.take(table[:, y[:, 0]], codes[0], axis=0)
-            for i in range(1, self.n):
-                total += np.take(table[:, y[:, i]], codes[i], axis=0)
-            ok &= in_box(total, self.n, h, self.eps)
-        return ok.T
-
-    def pairs(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """(P,) acceptances of candidate rows[p] for output y[p] of a (P, n)
-        block, summed in the same order as `accept`."""
-        ok = self.static[rows] & self._y_box(y)
-        for table, codes, h in self.terms:
-            total = table[codes[0, rows], y[:, 0]]
-            for i in range(1, self.n):
-                total += table[codes[i, rows], y[:, i]]
-            ok &= in_box(total, self.n, h, self.eps)
-        return ok
-
-
 # every nonempty subset of the axes (a, s, y) of p(a, s, y)
 _SMD_BOXES = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
@@ -250,7 +193,7 @@ class SmdDecoder:
 
     def __init__(self, code: SignCode):
         self.code, self.eps = code, code.layer.eps
-        self.test = _BoxTest(code.layer.joint, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
+        self.test = BoxTest(code.layer.joint, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -275,9 +218,9 @@ class BmdDecoder:
         boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
         letters = [*bits.T.astype(np.intp)[:, code.amplitudes], code.signs]
         # p(b_1, ..., b_m, s, y)
-        self.test = _BoxTest(label_joint(t, bits), boxes, letters, self.eps)
+        self.test = BoxTest(label_joint(t, bits), boxes, letters, self.eps)
         # the symbol-level test, to log pairwise-only acceptances
-        self.triple = _BoxTest(t, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
+        self.triple = BoxTest(t, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -359,28 +302,6 @@ class TrialStats:
         return asdict(self)
 
 
-def _channel_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Output letter per entry of x: the number of its cdf row's entries below u,
-    capped at the last letter.
-
-    A row is non-decreasing, so one branchless binary search runs over every
-    entry's own row at once. It searches the entries before the last letter,
-    whose count is the cap, and tests entry < u as searchsorted(side="left")
-    does, so it finds the same letters."""
-    nout = cdf_rows.shape[1]
-    flat = cdf_rows.ravel()
-    start = x * nout
-    pos = start.copy()  # the count sought lies in [pos - start, pos - start + span]
-    span = nout - 1
-    while span > 1:
-        half = span >> 1
-        pos += half * (flat[pos + (half - 1)] < u)
-        span -= half
-    if span:
-        pos += flat[pos] < u
-    return pos - start
-
-
 def _distinct_outputs(y: np.ndarray, nout: int):
     """The distinct rows of a (T, n) output block in lexicographic order, and
     the trial order that groups the trials by row: row r's trials are
@@ -455,7 +376,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
             trials = range(start, min(start + chunk, config.trials))
             ints, u = streams.draw(config.seed, trials, (layer.size, m_s_count), config.n)
             sent = ints[:, 0] * m_s_count + ints[:, 1]
-            y = _channel_outputs(cdf_rows, point_idx[sent], u)
+            y = sample_outputs(cdf_rows, point_idx[sent], u)
             rows, order, bounds = _distinct_outputs(y, config.dmc.nout)
             sent = sent[order]
             starts = range(0, len(rows), size)

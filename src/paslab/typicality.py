@@ -7,8 +7,11 @@ for alphabets of at most 256 letters, one member per row in lexicographic
 order; an empty set has shape (0, n). Every membership test, here and in
 the sign-coding decoders, is `in_box`: the empirical log-probability rate
 against entropy with a 1e-12 slack so boundary compositions do not flap with
-float noise. Cardinality/probability bounds that only hold for large n are
-reported with an applicability flag instead of being asserted.
+float noise. Every joint test is a `BoxTest`, a list of such boxes on the
+margins of one joint pmf: `is_jointly_typical`, the Monte Carlo estimate
+below and both sign-coding decoders. Cardinality/probability bounds that
+only hold for large n are reported with an applicability flag instead of
+being asserted.
 
 Both sides of typicality follow Csiszar and Korner's method of types, and
 neither scans a sequence grid. Typicality and p(u) are shared by every
@@ -19,8 +22,9 @@ only through its composition, and on an output v only through the
 conditional type of v given u (how many positions holding each input letter
 carry each output letter): its exact value is a sum over conditional types,
 each weighted by the number of output sequences it holds. It is exact while
-those types fit the budget and a Monte Carlo estimate above it; either way a
-function of u's type class alone.
+those types fit the budget and a Monte Carlo estimate above it, whose
+outputs `channel.sample_outputs` draws; either way a function of u's type
+class alone.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import ROW_TOL, sample_outputs
 from .errors import BudgetError
-from .infomeasures import check_pmf, entropy, log2_safe
+from .infomeasures import check_pmf, entropy, entropy_raw, log2_safe
 
 LOG_SLACK = 1e-12
 DEFAULT_BUDGET = 10_000_000
@@ -235,34 +240,86 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     return TypicalSet(p, config, h, _frozen(columns.T[order]), bounds, *per_class)
 
 
-def _subset_stats(seqs: dict, joint: np.ndarray) -> list:
-    """(log2 probability, entropy) for every nonempty margin of a joint pmf.
+class BoxTest:
+    """The joint-typicality boxes of one test over every candidate: each
+    sign-coding decoder, `is_jointly_typical` and the Monte Carlo estimate of
+    `conditional_typical_prob` are one box list each.
 
-    seqs maps axis -> index sequence; margins marginalize the other axes.
+    joint is a pmf table whose last axis is the output y. Each box is the
+    margin of joint on a sorted tuple of its axes, and letters holds every
+    candidate's (n, C) letters on each axis but y. Every box sums its log
+    table over positions, adding one position at a time: a box without y
+    once per candidate, into the static candidate mask; the y box once per
+    output; every other box once per (output, candidate), as
+    table[codes[i], y[i]].
     """
-    ndim = joint.ndim
-    out = []
-    for mask in range(1, 2**ndim):
-        axes = [d for d in range(ndim) if mask & (1 << d)]
-        drop = tuple(d for d in range(ndim) if d not in axes)
-        marg = joint.sum(axis=drop) if drop else joint
-        idx = np.ravel_multi_index(tuple(np.asarray(seqs[d], dtype=np.intp) for d in axes), marg.shape)
-        out.append((_log2_prob(idx, marg.ravel()), entropy(marg)))
-    return out
+
+    def __init__(self, joint: np.ndarray, boxes, letters, eps: float):
+        y_axis = joint.ndim - 1
+        self.n, self.eps = letters[0].shape[0], eps
+        self.static = np.ones(letters[0].shape[1], dtype=bool)  # (C,)
+        self.terms = []  # [(table (K, nout), codes (n, C), entropy)]
+        for axes in boxes:
+            drop = tuple(d for d in range(joint.ndim) if d not in axes)
+            marg = joint.sum(axis=drop) if drop else joint
+            log, h = log2_safe(marg), entropy_raw(marg)
+            if axes == (y_axis,):
+                self.log_y, self.h_y = log, h
+                continue
+            letter_axes = [d for d in axes if d != y_axis]
+            codes = letters[letter_axes[0]]
+            for d in letter_axes[1:]:  # the row-major index into the margin
+                codes = codes * joint.shape[d] + letters[d]
+            if y_axis in axes:
+                self.terms.append((log.reshape(-1, joint.shape[y_axis]), codes, h))
+            else:
+                self.static &= in_box(log.ravel()[codes].sum(axis=0), self.n, h, eps)
+
+    def _y_box(self, y: np.ndarray) -> np.ndarray:
+        return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
+
+    def accept(self, y: np.ndarray) -> np.ndarray:
+        """(B, C) acceptances of every candidate for a (B, n) block of outputs."""
+        ok = self.static[:, None] & self._y_box(y)  # (C, B): row gathers are the fast ones
+        for table, codes, h in self.terms:
+            total = np.take(table[:, y[:, 0]], codes[0], axis=0)
+            for i in range(1, self.n):
+                total += np.take(table[:, y[:, i]], codes[i], axis=0)
+            ok &= in_box(total, self.n, h, self.eps)
+        return ok.T
+
+    def pairs(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(P,) acceptances of candidate rows[p] for output y[p] of a (P, n)
+        block, summed in the same order as `accept`."""
+        ok = self.static[rows] & self._y_box(y)
+        for table, codes, h in self.terms:
+            total = table[codes[0, rows], y[:, 0]]
+            for i in range(1, self.n):
+                total += table[codes[i, rows], y[:, i]]
+            ok &= in_box(total, self.n, h, self.eps)
+        return ok
 
 
 def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     """Joint typicality of k aligned sequences: every nonempty subset of
-    coordinates must satisfy its own rate/entropy box."""
+    coordinates must satisfy its own rate/entropy box.
+
+    The sequences are the one candidate of a BoxTest over every nonempty
+    subset of the joint's axes; the output is a unit axis appended to the
+    joint, whose box always holds, so every other box is a candidate box."""
     joint = check_pmf(joint_pmf)
-    seq_list = [np.asarray(s, dtype=np.intp) for s in seqs]
-    if len(seq_list) != joint.ndim:
-        raise ValueError(f"need {joint.ndim} sequences for this joint pmf")
-    lens = {s.size for s in seq_list}
-    if len(lens) != 1 or lens.pop() != config.n:
+    letters = [np.asarray(s, dtype=np.intp).reshape(-1, 1) for s in seqs]
+    k = joint.ndim
+    if len(letters) != k:
+        raise ValueError(f"need {k} sequences for this joint pmf")
+    if any(len(s) != config.n for s in letters):
         raise ValueError("all sequences must have length config.n")
-    stats = _subset_stats(dict(enumerate(seq_list)), joint)
-    return all(in_box(log2_sum, config.n, h, config.eps) for log2_sum, h in stats)
+    for d, s in enumerate(letters):
+        if s.min() < 0 or s.max() >= joint.shape[d]:
+            raise ValueError(f"letters of sequence {d} must lie in [0, {joint.shape[d]})")
+    boxes = [tuple(d for d in range(k) if mask >> d & 1) for mask in range(1, 2**k)] + [(k,)]
+    test = BoxTest(joint[..., None], boxes, letters, config.eps)
+    return bool(test.accept(np.zeros((1, config.n), dtype=np.intp))[0, 0])
 
 
 class CondProbResult(NamedTuple):
@@ -275,7 +332,7 @@ def _check_transition(transition, size: int) -> np.ndarray:
     t = np.asarray(transition, dtype=float)
     # NaN fails the sign test and an infinity the row sums
     shape_ok = t.ndim == 2 and t.shape[0] == size
-    if not (shape_ok and np.all(t >= 0) and np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-9)):
+    if not (shape_ok and np.all(t >= 0) and np.all(np.abs(t.sum(axis=1) - 1.0) <= ROW_TOL)):
         raise ValueError(f"transition must be {size} rows of finite non-negative entries, each summing to 1")
     return t
 
@@ -338,8 +395,9 @@ def conditional_typical_prob(
     _type_count) the result is exact: a sum over the types that pass the V
     and (U, V) rate boxes, each weighted by its multinomial count times the
     probability t(v|u) its sequences share. Above the budget it is a Monte
-    Carlo estimate of MC_SAMPLES draws, seeded by the composition of u and
-    drawn over u sorted. Either way the result is a function of u's type
+    Carlo estimate of MC_SAMPLES draws, seeded by the composition of u,
+    drawn over u sorted by `channel.sample_outputs` and scored by the
+    BoxTest of the same two boxes, with u its one candidate. Either way the result is a function of u's type
     class: every permutation of u gives the same value, bit for bit.
     """
     p_u = check_pmf(input_pmf)
@@ -347,20 +405,16 @@ def conditional_typical_prob(
     u = np.asarray(u_seq, dtype=np.intp)
     if u.size != config.n:
         raise ValueError("u_seq must have length config.n")
-    n, kv = config.n, t.shape[1]
-    joint = p_u[:, None] * t
-    p_v = joint.sum(axis=0)
-    h_u, h_v, h_uv = entropy(p_u), entropy(p_v), entropy(joint)
-    eps = config.eps
-
-    if not in_box(_log2_prob(u, p_u), n, h_u, eps):
+    n, eps = config.n, config.eps
+    if not in_box(_log2_prob(u, p_u), n, entropy(p_u), eps):
         return CondProbResult(prob=0.0, exact=True)
-
-    lut_v = log2_safe(p_v)  # per V symbol
+    joint = p_u[:, None] * t  # p(u, v), of checked factors: not checked again
 
     if _type_count(u, t) <= config.budget:
+        p_v = joint.sum(axis=0)
+        h_v, h_uv = entropy_raw(p_v), entropy_raw(joint)
         total = 0.0
-        for count, score in _conditional_types(u, t, joint, lut_v):
+        for count, score in _conditional_types(u, t, joint, log2_safe(p_v)):
             lt, lv, luv = score.T
             ok = in_box(lv, n, h_v, eps) & in_box(luv, n, h_uv, eps)
             if ok.any():
@@ -369,18 +423,12 @@ def conditional_typical_prob(
 
     rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=p_u.size).tolist()))
     u = np.sort(u)
-    lut_uv = log2_safe(joint)[u]  # (n, kv): row i scores position i
-    cdf = np.cumsum(t[u], axis=1)  # (n, kv)
+    test = BoxTest(joint, ((1,), (0, 1)), [u[:, None]], eps)  # the one candidate u
+    cdf, inputs = np.cumsum(t, axis=1), np.broadcast_to(u, (CHUNK, n))
     hits = 0
-    rows = np.arange(n)
     for start in range(0, MC_SAMPLES, CHUNK):
         draws = rng.random((min(CHUNK, MC_SAMPLES - start), n))
-        v = np.empty(draws.shape, dtype=np.intp)
-        for i in range(n):
-            v[:, i] = np.searchsorted(cdf[i], draws[:, i], side="right")
-        np.minimum(v, kv - 1, out=v)  # guard against cdf tails just under 1.0
-        ok = in_box(lut_v[v].sum(axis=1), n, h_v, eps) & in_box(lut_uv[rows, v].sum(axis=1), n, h_uv, eps)
-        hits += int(ok.sum())
+        hits += int(test.accept(sample_outputs(cdf, inputs[: len(draws)], draws)).sum())
     return CondProbResult(prob=hits / MC_SAMPLES, exact=False)
 
 

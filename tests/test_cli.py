@@ -344,7 +344,7 @@ def test_air_sweep_rejects_unusable_grid(monkeypatch, capsys, argv):
     "overrides, argv, message",
     [
         ({"amplitude_pmf": [1.2, -0.2]}, [], "non-negative"),
-        ({"amplitude_pmf": [0.5, 0.6]}, [], "not 1"),
+        ({"amplitude_pmf": [0.5, 0.6]}, [], "pmf sums to 1.1, not 1"),
         ({"codebook_mode": "bogus"}, [], "codebook_mode"),
         ({}, ["--threads", "0"], "threads must be >= 1"),
         ({}, ["--threads", "-3"], "threads must be >= 1"),
@@ -449,9 +449,10 @@ BAD_TRANSITION = [[1.5, -0.5], [0.5, 0.5]]  # rows sum to 1
         ([[float("nan"), 0.5], [0.5, 0.5]], 4),
         ([[float("inf"), 0.5], [0.5, 0.5]], 4),
         ([[0.6, 0.3], [0.5, 0.5]], 4),
+        ([[0.7, 0.3000000001], [0.5, 0.5]], 4),  # 1e-10 over, past the channels' ROW_TOL
         ([[0.6, 0.4]], 4),
     ],
-    ids=["negative-empty-set", "negative", "nan", "inf", "row-sum", "shape"],
+    ids=["negative-empty-set", "negative", "nan", "inf", "row-sum", "row-sum-1e-10", "shape"],
 )
 def test_b_typ_rejects_bad_transition_up_front(monkeypatch, tmp_path, capsys, transition, n):
     _forbid(monkeypatch, "paslab.typicality.enumerate_typical", "the enumeration started on a bad transition")

@@ -10,7 +10,7 @@ import pytest
 from paslab import signcode
 from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
-from paslab.channel import Dmc, gaussian_dmc, identity_dmc
+from paslab.channel import Dmc, gaussian_dmc, identity_dmc, sample_outputs
 from paslab.errors import BudgetError, ConfigError
 from paslab.infomeasures import entropy_raw, sign_amplitude_joint
 from paslab.signcode import (
@@ -23,9 +23,9 @@ from paslab.signcode import (
     BmdDecoder,
     SmdDecoder,
 )
-from paslab.typicality import LOG_SLACK, TypConfig, enumerate_b_typical, is_jointly_typical
+from paslab.typicality import LOG_SLACK, TypConfig, enumerate_b_typical
 
-from oracle import bit_joint_oracle
+from oracle import bit_joint_oracle, jointly_typical_oracle
 
 CST = make_ask(1)
 M2 = make_ask(2)
@@ -271,14 +271,19 @@ BMD_8_ASK = dict(
 def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     # smd: (a, s, y) jointly typical under p(a, s, y); bmd: (s, y) jointly
     # typical under p(s, y) and every (b_j, y) under p(b_j, y). The pmfs come
-    # from the sign-output transition and the bit channels
+    # from the sign-output transition and the bit channels, and the oracle
+    # checks their boxes
     cfg = ExperimentConfig(**case)
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
     code = draw_sign_code(layer, cfg.n1, seed=4)
     dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
     p_asy, p_by = _reference_tables(layer, cfg.dmc, cfg.amplitude_pmf)
     bits = brgc_label(cfg.constellation)[cfg.constellation.num_amplitudes :, 1:]
-    typ = TypConfig(n=cfg.n, eps=cfg.eps)
+
+    def typical(seqs, table):
+        cells = {idx: float(table[idx]) for idx in np.ndindex(table.shape)}
+        return jointly_typical_oracle([np.asarray(q).tolist() for q in seqs], cells, table.shape, cfg.eps)
+
     rng = np.random.default_rng(0)
     pairs = 300
     m_a = rng.integers(layer.size, size=pairs)
@@ -296,10 +301,10 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     for i, j, y_seq in zip(m_a, m_s, y):
         a, s = layer.amplitude_seqs[i], _sign_bits(code, i, j)
         if kind == "smd":
-            want.append(is_jointly_typical((a, s, y_seq), p_asy, typ))
+            want.append(typical((a, s, y_seq), p_asy))
         else:
-            want.append(is_jointly_typical((s, y_seq), p_asy.sum(axis=0), typ) and all(
-                is_jointly_typical((bits[a, level], y_seq), p, typ) for level, p in enumerate(p_by)
+            want.append(typical((s, y_seq), p_asy.sum(axis=0)) and all(
+                typical((bits[a, level], y_seq), p) for level, p in enumerate(p_by)
             ))
     np.testing.assert_array_equal(got, want)
     assert 0 < got.sum() < pairs
@@ -490,7 +495,7 @@ def test_channel_outputs_match_a_per_point_search(nout):
     u[on] = cdf_rows[x[on], rng.integers(0, nout, size=on.sum())]
     u[:, 0], u[:, 1] = 0.0, 1.0
     assert np.isin(u, cdf_rows).mean() > 0.4
-    y = signcode._channel_outputs(cdf_rows, x, u)
+    y = sample_outputs(cdf_rows, x, u)
     np.testing.assert_array_equal(y, _outputs_by_point(cdf_rows, x, u))
     assert y.shape == x.shape and y.min() >= 0 and y.max() <= nout - 1
 

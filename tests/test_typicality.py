@@ -270,6 +270,10 @@ def test_jointly_typical_validates_shapes():
         is_jointly_typical(((0, 1, 0),), joint, cfg)
     with pytest.raises(ValueError):
         is_jointly_typical(((0, 1, 0), (0, 1)), joint, cfg)
+    with pytest.raises(ValueError, match="letters of sequence 1"):
+        is_jointly_typical(((0, 1, 0), (0, 2, 0)), joint, cfg)
+    with pytest.raises(ValueError, match="letters of sequence 0"):
+        is_jointly_typical(((0, -1, 0), (0, 1, 0)), joint, cfg)
 
 
 def test_conditional_prob_exact_matches_oracle():
@@ -350,6 +354,16 @@ def test_conditional_prob_validates_transition():
         enumerate_b_typical((0.3, 0.7), [[1.5, -0.5], [0.5, 0.5]], TypConfig(n=1, eps=0.1))
     with pytest.raises(ValueError):
         conditional_typical_prob((0, 1, 0), (0.5, 0.5), BSC01, cfg)
+
+
+def test_conditional_prob_takes_inputs_at_their_tolerance():
+    # a pmf and transition rows each 9e-13 over 1, within the checks' 1e-12:
+    # their product p(u, v) sums about 1.8e-12 over 1 and is not checked again
+    pmf = (0.5, 0.5 + 9e-13)
+    transition = [[0.7, 0.3 + 9e-13], [0.5, 0.5 + 9e-13]]
+    for budget in (typicality.DEFAULT_BUDGET, 8):  # exact, then Monte Carlo
+        res = conditional_typical_prob((0, 1, 0, 1), pmf, transition, TypConfig(n=4, eps=0.3, budget=budget))
+        assert 0 < res.prob <= 1 and res.exact == (budget == typicality.DEFAULT_BUDGET)
 
 
 def _grid_prob(u, pmf, transition, config):
