@@ -1,30 +1,28 @@
 """Weak typicality at desk scale: typical sets, joint tests, and the
 conditioned subset whose members stay jointly typical with high probability.
 
-A single sequence is any sequence of alphabet indices. An enumerated set
-holds its members as one C-contiguous (N, n) array of letter indices, uint8
-for alphabets of at most 256 letters, one member per row in lexicographic
-order; an empty set has shape (0, n). Every membership test, here and in
-the sign-coding decoders, is `in_box`: the empirical log-probability rate
-against entropy with a 1e-12 slack so boundary compositions do not flap with
-float noise. Every joint test is a `BoxTest`, a list of such boxes on the
-margins of one joint pmf: `is_jointly_typical`, the Monte Carlo estimate
-below and both sign-coding decoders. Cardinality/probability bounds that
-only hold for large n are reported with an applicability flag instead of
-being asserted.
+A single sequence is any sequence of letter indices, integers in [0, k).
+An enumerated set holds its members as one C-contiguous (N, n) array of
+letter indices, uint8 for alphabets of at most 256 letters, one member per
+row in lexicographic order; an empty set has shape (0, n). Every membership
+test, here and in the sign-coding decoders, is `in_box`: the empirical
+log-probability rate against entropy with a 1e-12 slack so boundary
+compositions do not flap with float noise. Every joint test is a `BoxTest`,
+a list of such boxes on the margins of one joint pmf: `is_jointly_typical`,
+`conditional_typical_prob` and both sign-coding decoders. Cardinality and
+probability bounds that only hold for large n are reported with an
+applicability flag instead of being asserted.
 
 Both sides of typicality follow Csiszar and Korner's method of types, and
 neither scans a sequence grid. Typicality and p(u) are shared by every
 sequence of a composition class, so a set is listed, and its masses and
-probability checks summed and checked, one class at a time. The probability
-that the channel output stays jointly typical with an input u depends on u
-only through its composition, and on an output v only through the
-conditional type of v given u (how many positions holding each input letter
-carry each output letter): its exact value is a sum over conditional types,
-each weighted by the number of output sequences it holds. It is exact while
-those types fit the budget and a Monte Carlo estimate above it, whose
-outputs `channel.sample_outputs` draws; either way a function of u's type
-class alone.
+probability checks summed and checked, one class at a time. A BoxTest sees
+an output only through its conditional type given the input (how many
+positions holding each input letter carry each output letter), so its pass
+probability is a sum over conditional types, each weighted by the outputs
+it holds (`_type_prob`). `conditional_typical_prob` takes that sum while the
+types fit the budget, and above it counts the outputs that
+`channel.sample_outputs` draws; either way a function of u's type class.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ LOG_SLACK = 1e-12
 DEFAULT_BUDGET = 10_000_000
 MC_SAMPLES = 100_000
 CHUNK = 1 << 16
+_MC_BLOCK = 1 << 14  # Monte Carlo outputs drawn and scored at once
 
 
 @dataclass(frozen=True)
@@ -65,17 +64,23 @@ class TypConfig:
             raise ValueError(f"budget must be positive, got {self.budget}")
 
 
-def _log2_prob(seq, pmf) -> float:
-    """log2 p(seq) under an iid pmf; -inf when a symbol has probability 0."""
-    idx = np.asarray(seq, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("sequence must be non-empty")
-    return float(log2_safe(np.asarray(pmf, dtype=float))[idx].sum())
+def _letters(seq, k: int, name: str = "the sequence") -> np.ndarray:
+    """seq as intp indices; ValueError unless it is one or more integers in [0, k)."""
+    a = np.asarray(seq)
+    whole = a.dtype.kind in "biu" or (a.dtype.kind == "f" and np.all(a == np.trunc(a)))  # NaN is not
+    if not (whole and a.size and np.all((a >= 0) & (a < k))):
+        raise ValueError(f"letters of {name} must be one or more integers in [0, {k})")
+    return a.astype(np.intp)
+
+
+def _log2_prob(letters: np.ndarray, pmf) -> float:
+    """log2 p(letters) under an iid pmf; -inf when a symbol has probability 0."""
+    return float(log2_safe(np.asarray(pmf, dtype=float))[letters].sum())
 
 
 def empirical_rate(seq, pmf) -> float:
     """-(1/n) log2 p(seq) under an iid pmf; inf when a symbol has probability 0."""
-    return -_log2_prob(seq, pmf) / np.size(seq)
+    return -_log2_prob(_letters(seq, np.size(pmf)), pmf) / np.size(seq)
 
 
 def in_box(log2_sum, n: int, h: float, eps: float):
@@ -87,7 +92,7 @@ def in_box(log2_sum, n: int, h: float, eps: float):
 
 def is_typical(seq, pmf, config: TypConfig) -> bool:
     """Weak typicality of one sequence against the entropy of pmf."""
-    return bool(in_box(_log2_prob(seq, pmf), np.size(seq), entropy(pmf), config.eps))
+    return bool(in_box(_log2_prob(_letters(seq, np.size(pmf)), pmf), np.size(seq), entropy(pmf), config.eps))
 
 
 class SetBounds(NamedTuple):
@@ -242,8 +247,8 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
 
 class BoxTest:
     """The joint-typicality boxes of one test over every candidate: each
-    sign-coding decoder, `is_jointly_typical` and the Monte Carlo estimate of
-    `conditional_typical_prob` are one box list each.
+    sign-coding decoder, `is_jointly_typical` and `conditional_typical_prob`
+    are one box list each.
 
     joint is a pmf table whose last axis is the output y. Each box is the
     margin of joint on a sorted tuple of its axes, and letters holds every
@@ -308,15 +313,12 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     subset of the joint's axes; the output is a unit axis appended to the
     joint, whose box always holds, so every other box is a candidate box."""
     joint = check_pmf(joint_pmf)
-    letters = [np.asarray(s, dtype=np.intp).reshape(-1, 1) for s in seqs]
-    k = joint.ndim
-    if len(letters) != k:
+    k, seqs = joint.ndim, tuple(seqs)
+    if len(seqs) != k:
         raise ValueError(f"need {k} sequences for this joint pmf")
+    letters = [_letters(s, joint.shape[d], f"sequence {d}").reshape(-1, 1) for d, s in enumerate(seqs)]
     if any(len(s) != config.n for s in letters):
         raise ValueError("all sequences must have length config.n")
-    for d, s in enumerate(letters):
-        if s.min() < 0 or s.max() >= joint.shape[d]:
-            raise ValueError(f"letters of sequence {d} must lie in [0, {joint.shape[d]})")
     boxes = [tuple(d for d in range(k) if mask >> d & 1) for mask in range(1, 2**k)] + [(k,)]
     test = BoxTest(joint[..., None], boxes, letters, config.eps)
     return bool(test.accept(np.zeros((1, config.n), dtype=np.intp))[0, 0])
@@ -337,13 +339,26 @@ def _check_transition(transition, size: int) -> np.ndarray:
     return t
 
 
-def _type_count(u: np.ndarray, t: np.ndarray) -> int:
-    """The number of conditional types of V given u that _conditional_types
-    visits: prod over input letters a of C(n_a + s_a - 1, s_a - 1), with n_a
-    the positions of u holding a and s_a the outputs with t(v|a) > 0."""
-    support = (t > 0).sum(axis=1).tolist()
-    counts = np.bincount(u, minlength=len(t)).tolist()
-    return math.prod(math.comb(m + s - 1, s - 1) for m, s in zip(counts, support))
+def _type_blocks(test: BoxTest, x: np.ndarray, t: np.ndarray, c: int = 0) -> list:
+    """Candidate c's blocks of the conditional types of outputs drawn by the
+    rows of t given inputs x: per letter a of x, the _block_types arguments
+    (the outputs a reaches, a's count, a (|Y|, K) score table). The columns
+    are log2 t(.|a), the test's y-box table and each y-box term's table at
+    c's code where x = a. Outputs with t(y|a) = 0 are left out of a's block:
+    their sequences have weight 0."""
+    counts = np.bincount(x, minlength=len(t))
+    letters = np.flatnonzero(counts)
+    at = np.argmax(x == letters[:, None], axis=1)  # a position holding each letter
+    log_t = log2_safe(t[letters])
+    terms = [table[codes[at, c]] for table, codes, _ in test.terms]
+    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *terms], axis=-1)  # (letters, |Y|, K)
+    reach = [np.flatnonzero(row > 0).tolist() for row in t[letters]]
+    return list(zip(reach, counts[letters].tolist(), scores))
+
+
+def _type_count(blocks) -> int:
+    """The conditional types in the blocks: prod of C(m + s - 1, s - 1), m a letter's count, s its outputs."""
+    return math.prod(math.comb(m + len(support) - 1, len(support) - 1) for support, m, _ in blocks)
 
 
 def _outer_types(blocks, count, score):
@@ -361,28 +376,24 @@ def _outer_types(blocks, count, score):
             yield from _outer_types(
                 blocks[1:],
                 (count[i:i + step, None] * b_count).ravel(),
-                (score[i:i + step, None] + b_score).reshape(-1, 3),
+                (score[i:i + step, None] + b_score).reshape(-1, score.shape[1]),
             )
 
 
-def _conditional_types(u, t, joint, lut_v):
-    """Iterate (count, score) arrays over the conditional types of V given u,
-    at most CHUNK types at a time.
-
-    A conditional type fixes, for every letter a of u, how many of the
-    positions holding a carry each output letter. Its count is the number of
-    output sequences with that type; the columns of its score are the log2
-    of prod t(v_i|u_i), of prod p_V(v_i) and of prod p(u_i, v_i), which every
-    sequence of the type shares. Outputs with t(v|a) = 0 are left out of a's
-    block: their sequences have weight 0.
-    """
-    scores = np.stack(np.broadcast_arrays(log2_safe(t), lut_v, log2_safe(joint)), axis=-1)  # (|U|, |V|, 3)
-    blocks = [
-        (np.flatnonzero(t[a] > 0).tolist(), m, scores[a])
-        for a, m in enumerate(np.bincount(u, minlength=len(t)).tolist())
-        if m
-    ]
-    return _outer_types(blocks, np.ones(1), np.zeros((1, 3)))
+def _type_prob(test: BoxTest, blocks, c: int = 0) -> float:
+    """Pr{candidate c of test passes} over _type_blocks' outputs: count *
+    2^(sum log2 t) summed over the types whose score columns pass every y
+    box at the test's own entropy; 0 if c fails a box without y."""
+    if not test.static[c]:
+        return 0.0
+    total = 0.0
+    for count, score in _outer_types(blocks, np.ones(1), np.zeros((1, len(test.terms) + 2))):
+        ok = in_box(score[:, 1], test.n, test.h_y, test.eps)
+        for j, (_, _, h) in enumerate(test.terms, 2):
+            ok &= in_box(score[:, j], test.n, h, test.eps)
+        if ok.any():
+            total += float((count[ok] * np.exp2(score[ok, 0])).sum())
+    return total
 
 
 def conditional_typical_prob(
@@ -391,43 +402,32 @@ def conditional_typical_prob(
     """Pr{(u, V) jointly typical | U = u} with V drawn per-symbol from the
     transition rows.
 
-    While the conditional types of V given u fit the budget (their count is
-    _type_count) the result is exact: a sum over the types that pass the V
-    and (U, V) rate boxes, each weighted by its multinomial count times the
-    probability t(v|u) its sequences share. Above the budget it is a Monte
-    Carlo estimate of MC_SAMPLES draws, seeded by the composition of u,
-    drawn over u sorted by `channel.sample_outputs` and scored by the
-    BoxTest of the same two boxes, with u its one candidate. Either way the result is a function of u's type
-    class: every permutation of u gives the same value, bit for bit.
+    Both branches evaluate one BoxTest, the V and (U, V) boxes over p(u, v)
+    with u sorted its one candidate. While the conditional types of V given
+    u fit the budget (_type_count) the result is exact, _type_prob over
+    them; above it, a Monte Carlo estimate of MC_SAMPLES draws, seeded by
+    the composition of u, drawn by `channel.sample_outputs` and counted by
+    the test's `accept`. Either way it is a function of u's type class:
+    every permutation of u gives the same value, bit for bit.
     """
     p_u = check_pmf(input_pmf)
     t = _check_transition(transition, p_u.size)
-    u = np.asarray(u_seq, dtype=np.intp)
+    u = _letters(u_seq, p_u.size, "u_seq")
     if u.size != config.n:
         raise ValueError("u_seq must have length config.n")
     n, eps = config.n, config.eps
     if not in_box(_log2_prob(u, p_u), n, entropy(p_u), eps):
         return CondProbResult(prob=0.0, exact=True)
-    joint = p_u[:, None] * t  # p(u, v), of checked factors: not checked again
-
-    if _type_count(u, t) <= config.budget:
-        p_v = joint.sum(axis=0)
-        h_v, h_uv = entropy_raw(p_v), entropy_raw(joint)
-        total = 0.0
-        for count, score in _conditional_types(u, t, joint, log2_safe(p_v)):
-            lt, lv, luv = score.T
-            ok = in_box(lv, n, h_v, eps) & in_box(luv, n, h_uv, eps)
-            if ok.any():
-                total += float((count[ok] * np.exp2(lt[ok])).sum())
-        return CondProbResult(prob=min(total, 1.0), exact=True)
-
-    rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=p_u.size).tolist()))
     u = np.sort(u)
-    test = BoxTest(joint, ((1,), (0, 1)), [u[:, None]], eps)  # the one candidate u
-    cdf, inputs = np.cumsum(t, axis=1), np.broadcast_to(u, (CHUNK, n))
+    test = BoxTest(p_u[:, None] * t, ((1,), (0, 1)), [u[:, None]], eps)  # p(u, v), of checked factors
+    blocks = _type_blocks(test, u, t)
+    if _type_count(blocks) <= config.budget:
+        return CondProbResult(prob=min(_type_prob(test, blocks), 1.0), exact=True)
+    rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=p_u.size).tolist()))
+    cdf, inputs = np.cumsum(t, axis=1), np.broadcast_to(u, (_MC_BLOCK, n))
     hits = 0
-    for start in range(0, MC_SAMPLES, CHUNK):
-        draws = rng.random((min(CHUNK, MC_SAMPLES - start), n))
+    for start in range(0, MC_SAMPLES, _MC_BLOCK):
+        draws = rng.random((min(_MC_BLOCK, MC_SAMPLES - start), n))
         hits += int(test.accept(sample_outputs(cdf, inputs[: len(draws)], draws)).sum())
     return CondProbResult(prob=hits / MC_SAMPLES, exact=False)
 

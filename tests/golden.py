@@ -26,7 +26,11 @@ pins the Monte Carlo path: at budget 100 every typical class has more
 conditional types (at least 462) than the budget allows, so each class gets
 an estimate of 100,000 draws seeded by its composition. `b-typ-4-bins-n7`
 (12^7 outputs, at most 117,975 conditional types per class) and
-`b-typ-m2-n4` (8-ASK) pin exact cases. `sim-8-bins` draws its outputs from
+`b-typ-m2-n4` (8-ASK) pin exact cases. `b-typ-zero-cells` is an exact case on
+an explicit transition whose three letters reach different output sets
+(each row has zero cells), so outputs leave some letters' blocks of
+conditional types by design, not by roundoff; it was pinned before the
+exact sum and the Monte Carlo estimate came to evaluate one BoxTest. `sim-8-bins` draws its outputs from
 10^6 sequences, so few of its 1,000 trials share an output, and
 `sim-8-bins-threads-2` repeats it at `--threads 2` under the same hash; both
 were pinned before the decoder scored each distinct output once.

@@ -2,7 +2,8 @@
 `sim` lines, an 11-letter `typ-dump` and `b-typ` in the comma format, an empty
 typical set, a `typ-dump` at n = 48 listed by composition class, a bmd `sim` with pairwise-only acceptances, a linear-codebook
 `sim`, the README `sim` line at `--threads 3`, a Monte Carlo `b-typ` at
-budget 100, an exact 4-bin `b-typ`, an exact 8-ASK `b-typ`, and an 8-bin
+budget 100, an exact 4-bin `b-typ`, an exact 8-ASK `b-typ`, an exact `b-typ`
+on a transition with zero cells, and an 8-bin
 `sim` whose outputs seldom repeat with its `--threads 2` twin, and an 8-ASK
 bmd `sim` on an iid and on a linear code, and two `air-sweep` CSVs at 300
 bins) matches the sha256 pinned in golden.json."""

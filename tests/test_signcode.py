@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from paslab import signcode
+from paslab import signcode, typicality
 from paslab.airsolver import theorem_feasibility
 from paslab.alphabets import brgc_label, make_ask
 from paslab.channel import Dmc, gaussian_dmc, identity_dmc, sample_outputs
@@ -308,6 +308,36 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
             ))
     np.testing.assert_array_equal(got, want)
     assert 0 < got.sum() < pairs
+
+
+# (constellation, sigma, bins, amplitude pmf, n, eps): 81 and 1,296 outputs
+ENGINE_CASES = {
+    "4-ask": (CST, 0.8, 3, (0.7, 0.3), 4, 0.5),
+    "8-ask": (M2, 0.5, 6, (0.4, 0.3, 0.2, 0.1), 4, 0.4),
+}
+
+
+@pytest.mark.parametrize("kind", ["smd", "bmd"])
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_type_engine_gives_each_candidates_pass_probability(case, kind):
+    # the conditional-type engine run on a decoder's own box list, with x a
+    # candidate's point indices and t the channel rows, is the probability
+    # that the candidate passes when it is sent: brute force over every y
+    cst, sigma, bins, pmf, n, eps = ENGINE_CASES[case]
+    dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=bins)
+    code = draw_sign_code(build_shaping_layer(cst, dmc, pmf, n, eps), 1, seed=3)
+    test = (SmdDecoder if kind == "smd" else BmdDecoder)(code).test
+    x = cst.sign_amplitude_index[code.signs, code.amplitudes].T  # (C, n)
+    y = np.array(list(itertools.product(range(dmc.nout), repeat=n)), dtype=np.intp)
+    weight = np.ones((len(y), len(x)))
+    for i in range(n):
+        weight *= dmc.w[x[:, i]][:, y[:, i]].T
+    want = (test.accept(y) * weight).sum(axis=0)
+    got = np.array([
+        typicality._type_prob(test, typicality._type_blocks(test, row, dmc.w, c), c) for c, row in enumerate(x)
+    ])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert len(set(got.tolist())) >= 4 and 0 < got.max() < 1  # candidates differ
 
 
 @pytest.mark.parametrize(

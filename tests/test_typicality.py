@@ -276,6 +276,27 @@ def test_jointly_typical_validates_shapes():
         is_jointly_typical(((0, -1, 0), (0, 1, 0)), joint, cfg)
 
 
+@pytest.mark.parametrize(
+    "seq", [(0, 1, 1, -1), (0.5, 1, 1, 0), (0, 1, 1, 2), (0, 1, 1, math.nan), ("0", "1", "1", "0")]
+)
+def test_single_sequences_take_letters_only(seq):
+    # -1 used to wrap round to the last letter, 0.5 to be truncated to 0 and 2
+    # to raise a bare IndexError; every single-sequence check now refuses them
+    cfg = TypConfig(n=4, eps=0.3)
+    calls = (
+        lambda: is_typical(seq, (0.3, 0.7), cfg),
+        lambda: empirical_rate(seq, (0.3, 0.7)),
+        lambda: conditional_typical_prob(seq, (0.5, 0.5), BSC01, cfg),
+        lambda: is_jointly_typical(((0, 1, 1, 0), seq), np.full((2, 2), 0.25), cfg),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"letters of .* must be one or more integers in \[0, 2\)"):
+            call()
+    # whole numbers of any dtype are letters
+    for whole in ((0.0, 1.0, 1.0, 1.0), np.array([0, 1, 1, 1], dtype=np.uint8), (False, True, True, True)):
+        assert is_typical(whole, (0.3, 0.7), cfg) == is_typical((0, 1, 1, 1), (0.3, 0.7), cfg)
+
+
 def test_conditional_prob_exact_matches_oracle():
     cfg = TypConfig(n=6, eps=0.3)
     p = (0.3, 0.7)
@@ -442,12 +463,29 @@ def test_type_engine_chunks_bound_memory_and_agree(monkeypatch, case):
     monkeypatch.setattr(typicality, "CHUNK", 5)  # below the blocks' sizes: every split runs
     got = [conditional_typical_prob(u, pmf, transition, cfg).prob for u in firsts]
     assert got == pytest.approx(want, abs=2e-15)
-    t = np.asarray(transition, dtype=float)
-    joint = np.asarray(pmf)[:, None] * t
-    lut_v = log2_safe(joint.sum(axis=0))
     for u in firsts:
-        sizes = [len(count) for count, _ in typicality._conditional_types(u, t, joint, lut_v)]
+        sizes = [len(count) for count, _ in _walk(u, pmf, transition, eps)[0]]
         assert max(sizes) <= 5 and sum(sizes) == _type_count(u, transition)
+
+
+def _walk(u, pmf, transition, eps):
+    """The (count, score) chunks the engine visits for the class of u: the
+    blocks of the BoxTest conditional_typical_prob builds, combined."""
+    t, u = np.asarray(transition, dtype=float), np.sort(u)
+    test = typicality.BoxTest(np.asarray(pmf)[:, None] * t, ((1,), (0, 1)), [u[:, None]], eps)
+    blocks = typicality._type_blocks(test, u, t)
+    assert [score.shape for _, _, score in blocks] == [(t.shape[1], 3)] * len(blocks)
+    return list(typicality._outer_types(blocks, np.ones(1), np.zeros((1, 3)))), typicality._type_count(blocks)
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_ENGINE_CASES))
+def test_type_engine_walks_the_types_it_counts(case):
+    # the count that picks exact over Monte Carlo and the types the engine
+    # visits follow one support rule, and both equal the closed form
+    pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+    for u in _class_firsts(pmf, TypConfig(n=n, eps=eps)):
+        chunks, count = _walk(u, pmf, transition, eps)
+        assert sum(len(c) for c, _ in chunks) == count == _type_count(u, transition)
 
 
 def test_type_engine_is_no_further_from_exact_than_grid():
