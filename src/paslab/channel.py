@@ -27,6 +27,12 @@ class AwgnSpec:
     num_bins: int = 2000
     clip_sigmas: float = 6.0
 
+    def __post_init__(self):
+        if self.num_bins < 2:
+            raise ValueError(f"num_bins must be >= 2, got {self.num_bins}")
+        if not (math.isfinite(self.clip_sigmas) and self.clip_sigmas >= 0):
+            raise ValueError(f"clip_sigmas must be finite and >= 0, got {self.clip_sigmas}")
+
 
 @dataclass(frozen=True)
 class Dmc:
@@ -73,8 +79,7 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = AwgnS
     edge i is minus the z of x at edge num_bins - i, so T is evaluated once
     per distinct |x| and read reversed for the negative point.
     """
-    if num_bins < 2:
-        raise ValueError(f"num_bins must be >= 2, got {num_bins}")
+    AwgnSpec(num_bins, clip_sigmas)  # the quantizer's one check
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"noise sigma must be positive and finite, got {sigma}")
     pts = np.asarray(points, dtype=float)

@@ -259,12 +259,8 @@ def _make_constellation(v: dict):
 
 
 def _awgn_spec(v: dict) -> AwgnSpec:
-    num_bins, clip_sigmas = v["num_bins"], v["clip_sigmas"]
-    if num_bins < 2:
-        raise ConfigError(f"num_bins must be >= 2, got {num_bins}")
-    if not (math.isfinite(clip_sigmas) and clip_sigmas >= 0):
-        raise ConfigError(f"clip_sigmas must be finite and >= 0, got {clip_sigmas}")
-    return AwgnSpec(num_bins=num_bins, clip_sigmas=clip_sigmas)
+    with _config_errors():
+        return AwgnSpec(num_bins=v["num_bins"], clip_sigmas=v["clip_sigmas"])
 
 
 def _emit_json(out: dict, out_path: str | None) -> None:

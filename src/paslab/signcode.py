@@ -2,17 +2,20 @@
 carry redundancy (plus an optional gamma * n information-sign budget), and
 decoding is a joint-typicality search.
 
-Each decoder is a list of weak-typicality boxes, margins of one pmf table
-whose last axis is the output y, and `typicality.BoxTest` turns a table and
-its list into the test. Both decoders read p(a, s, y) from the shaping
-layer, which forms it once from the product p(a) t((s, y) | a) that its
-B-typical test is built on:
-- symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s, y);
+A candidate is its channel inputs: the code is one (n, C) array of point
+indices, which the experiment samples outputs from and every decoder test
+scores. Each decoder is a list of weak-typicality boxes, margins of one pmf
+table whose last axis is the output y, and one label table of the letters
+each point puts on the other axes; `typicality.BoxTest` makes the test.
+Both read p(a, s, y) from the shaping layer, which forms it once from the
+product p(a) t((s, y) | a) that its B-typical test is built on:
+- symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s,
+  y), a point labelled by its (amplitude, sign);
 - bit-metric (`bmd`): {s}, {y}, {s, y} and, for each amplitude bit level j,
   {b_j} and {b_j, y} under p(b_1, ..., b_m, s, y), which
   `infomeasures.label_joint` makes of p(a, s, y) and the Gray amplitude
-  bits. Its `triple_mask` applies the symbol-metric list, to count
-  pairwise-only acceptances.
+  bits, a point labelled by its Gray label, sign bit last. Its `triple_mask`
+  applies the symbol-metric test, to count pairwise-only acceptances.
 
 Seed discipline: the sign code draws from SeedSequence([seed, 0]). Trial t
 draws exactly what numpy's default_rng(SeedSequence([seed, 1, t])) gives
@@ -73,9 +76,8 @@ class ShapingLayer:
     set's members (uint8 amplitude indices, in lexicographic order), so row
     m_a is message m_a's amplitude sequence. joint is p(a, s, y), the
     (2^m, 2, nout) table p(a) t((s, y) | a) of the set's test with uniform
-    signs. Both decoders read the two: the bit-level one reads the members
-    through the Gray amplitude bits, and the table as
-    `label_joint(joint, amplitude_bits)`.
+    signs. The sign code reads the members, and both decoders the table,
+    the bit-level one as `label_joint(joint, amplitude_bits)`.
     """
 
     constellation: AskConstellation
@@ -130,27 +132,16 @@ def build_shaping_layer(
     )
 
 
-@dataclass(frozen=True)
-class SignCode:
-    """The random sign code over a shaping layer, as every candidate's letters.
+def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 0) -> np.ndarray:
+    """The random sign code over a shaping layer, as every candidate's channel
+    inputs: the (n, C) intp point indices x = s * a.
 
-    Column c of the (n, C) intp arrays is candidate c = m_a * M_s + m_s, with
-    M_s = 2^n1: its amplitudes are layer member m_a, and its sign bits (0 <->
-    -1, 1 <-> +1) are the n1 bits of m_s, MSB first, then the n - n1
-    redundant signs drawn for the pair.
-    """
-
-    layer: ShapingLayer
-    n1: int
-    amplitudes: np.ndarray = field(repr=False)  # (n, C)
-    signs: np.ndarray = field(repr=False)  # (n, C)
-
-
-def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 0) -> SignCode:
-    """Draw the redundant signs of every (m_a, m_s) message pair.
-
-    iid mode draws each redundant sign fair-coin; linear mode applies a fixed
-    random GF(2) map to (amplitude bits of m_a ++ information bits of m_s).
+    Column c is candidate c = m_a * M_s + m_s, with M_s = 2^n1: its
+    amplitudes are layer member m_a, and its sign bits (0 <-> -1, 1 <-> +1)
+    are the n1 bits of m_s, MSB first, then the n - n1 redundant signs drawn
+    for the pair. iid mode draws each redundant sign fair-coin; linear mode
+    applies a fixed random GF(2) map to (amplitude bits of m_a ++
+    information bits of m_s).
     """
     if mode not in SIGN_CODE_MODES:
         raise ValueError(f"mode must be {_MODE_NAMES}, got {mode}")
@@ -172,28 +163,32 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
         gen = rng.integers(0, 2, size=(k + n1, n2), dtype=np.int8)
         # (amplitude bits of m_a ++ information bits of m_s) @ gen over GF(2)
         redundant = ((amp @ gen[:k].astype(np.intp))[:, None] + info @ gen[k:]) % 2
-    signs = np.empty((layer.n, m_a_count * m_s_count), dtype=np.intp)
+    signs = np.empty((layer.n, m_a_count * m_s_count), dtype=np.int8)
     signs[:n1] = np.tile(info.T, m_a_count)
     signs[n1:] = redundant.reshape(-1, n2).T
-    return SignCode(
-        layer=layer,
-        n1=n1,
-        amplitudes=np.repeat(layer.amplitude_seqs.T.astype(np.intp), m_s_count, axis=1),
-        signs=signs,
-    )
+    amplitudes = np.repeat(layer.amplitude_seqs.T, m_s_count, axis=1)
+    return layer.constellation.sign_amplitude_index[signs, amplitudes]
 
 
 # every nonempty subset of the axes (a, s, y) of p(a, s, y)
 _SMD_BOXES = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
+def _smd_test(layer: ShapingLayer, points: np.ndarray) -> BoxTest:
+    """The symbol-level test of the candidates' points: every box of p(a, s,
+    y), read through each point's (amplitude, sign), the inverse of
+    `sign_amplitude_index`."""
+    cst = layer.constellation
+    signs, amplitudes = np.divmod(np.argsort(cst.sign_amplitude_index, axis=None), cst.num_amplitudes)
+    return BoxTest(layer.joint, _SMD_BOXES, np.stack([amplitudes, signs], axis=1), points, layer.eps)
+
+
 class SmdDecoder:
     """Accepts (m_a, m_s) iff the amplitude, sign and output sequences are
     jointly typical as a triple: the box of every subset of (a, s, y) holds."""
 
-    def __init__(self, code: SignCode):
-        self.code, self.eps = code, code.layer.eps
-        self.test = BoxTest(code.layer.joint, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
+    def __init__(self, layer: ShapingLayer, points: np.ndarray):
+        self.test = _smd_test(layer, points)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -209,18 +204,17 @@ class BmdDecoder:
     typical: the boxes of {s}, {y}, {s, y}, and of {b_j} and {b_j, y} for
     every amplitude bit level j."""
 
-    def __init__(self, code: SignCode):
-        self.code, self.eps = code, code.layer.eps
-        t = code.layer.joint
-        bits = code.layer.amplitude_bits  # (2^m, m)
+    def __init__(self, layer: ShapingLayer, points: np.ndarray):
+        bits = layer.amplitude_bits  # (2^m, m)
         m = bits.shape[1]
         s, y = m, m + 1
         boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
-        letters = [*bits.T.astype(np.intp)[:, code.amplitudes], code.signs]
-        # p(b_1, ..., b_m, s, y)
-        self.test = BoxTest(label_joint(t, bits), boxes, letters, self.eps)
+        # p(b_1, ..., b_m, s, y) through each point's Gray label, sign bit
+        # last: the reflection gives x and -x the same amplitude bits
+        labels = np.roll(brgc_label(layer.constellation), -1, axis=1)
+        self.test = BoxTest(label_joint(layer.joint, bits), boxes, labels, points, layer.eps)
         # the symbol-level test, to log pairwise-only acceptances
-        self.triple = BoxTest(t, _SMD_BOXES, (code.amplitudes, code.signs), self.eps)
+        self.triple = _smd_test(layer, points)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances for a (B, n) block of outputs."""
@@ -353,14 +347,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
         DEFAULT_BUDGET if config.typ_budget is None else config.typ_budget,
     )
     n1, m_s_count = config.n1, 2**config.n1
-    code = draw_sign_code(layer, n1, config.codebook_mode, config.seed)
-    decoder = (SmdDecoder if config.decoder == "smd" else BmdDecoder)(code)
-    # candidate -> transmitted point index per position
-    point_idx = np.ascontiguousarray(config.constellation.sign_amplitude_index[code.signs, code.amplitudes].T)
+    points = draw_sign_code(layer, n1, config.codebook_mode, config.seed)
+    decoder = (SmdDecoder if config.decoder == "smd" else BmdDecoder)(layer, points)
     cdf_rows = np.cumsum(config.dmc.w, axis=1)
     log_pairwise = config.decoder == "bmd"
 
-    size = max(1, BLOCK_CELLS // len(point_idx))
+    size = max(1, BLOCK_CELLS // points.shape[1])
     chunk = max(1, DRAW_CHUNK // size) * size  # whole blocks
     score = partial(_score_block, decoder, log_pairwise)
     parts = []
@@ -376,7 +368,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> TrialStats:
             trials = range(start, min(start + chunk, config.trials))
             ints, u = streams.draw(config.seed, trials, (layer.size, m_s_count), config.n)
             sent = ints[:, 0] * m_s_count + ints[:, 1]
-            y = sample_outputs(cdf_rows, point_idx[sent], u)
+            y = sample_outputs(cdf_rows, points.T[sent], u)
             rows, order, bounds = _distinct_outputs(y, config.dmc.nout)
             sent = sent[order]
             starts = range(0, len(rows), size)

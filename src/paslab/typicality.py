@@ -250,20 +250,24 @@ class BoxTest:
     sign-coding decoder, `is_jointly_typical` and `conditional_typical_prob`
     are one box list each.
 
-    joint is a pmf table whose last axis is the output y. Each box is the
-    margin of joint on a sorted tuple of its axes, and letters holds every
-    candidate's (n, C) letters on each axis but y. Every box sums its log
-    table over positions, adding one position at a time: a box without y
-    once per candidate, into the static candidate mask; the y box once per
-    output; every other box once per (output, candidate), as
-    table[codes[i], y[i]].
+    joint is a pmf table whose last axis is the output y, and each box, the
+    y box (y,) among them, is the margin of joint on a sorted tuple of its
+    axes. x holds every candidate's (n, C) input letters in [0, K), and
+    labels the (K, joint.ndim - 1) letters that each input letter puts on
+    the axes but y, through which each box's log table is gathered once into
+    a (K,) or (K, nout) table. Every box sums its table over positions, one
+    position at a time: a box without y once per candidate, into the static
+    candidate mask; the y box once per output; every other box once per
+    (output, candidate), as table[x[i], y[i]].
     """
 
-    def __init__(self, joint: np.ndarray, boxes, letters, eps: float):
+    def __init__(self, joint: np.ndarray, boxes, labels: np.ndarray, x: np.ndarray, eps: float):
         y_axis = joint.ndim - 1
-        self.n, self.eps = letters[0].shape[0], eps
-        self.static = np.ones(letters[0].shape[1], dtype=bool)  # (C,)
-        self.terms = []  # [(table (K, nout), codes (n, C), entropy)]
+        if (y_axis,) not in boxes:
+            raise ValueError(f"the box list must hold the output box ({y_axis},)")
+        self.x, self.labels, self.n, self.eps = x, labels, x.shape[0], eps
+        self.static = np.ones(x.shape[1], dtype=bool)  # (C,)
+        self.terms = []  # [(table (K, nout), entropy)]
         for axes in boxes:
             drop = tuple(d for d in range(joint.ndim) if d not in axes)
             marg = joint.sum(axis=drop) if drop else joint
@@ -271,14 +275,11 @@ class BoxTest:
             if axes == (y_axis,):
                 self.log_y, self.h_y = log, h
                 continue
-            letter_axes = [d for d in axes if d != y_axis]
-            codes = letters[letter_axes[0]]
-            for d in letter_axes[1:]:  # the row-major index into the margin
-                codes = codes * joint.shape[d] + letters[d]
+            table = log[tuple(labels[:, d] for d in axes if d != y_axis)]
             if y_axis in axes:
-                self.terms.append((log.reshape(-1, joint.shape[y_axis]), codes, h))
+                self.terms.append((table, h))
             else:
-                self.static &= in_box(log.ravel()[codes].sum(axis=0), self.n, h, eps)
+                self.static &= in_box(table[x].sum(axis=0), self.n, h, eps)
 
     def _y_box(self, y: np.ndarray) -> np.ndarray:
         return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
@@ -286,10 +287,10 @@ class BoxTest:
     def accept(self, y: np.ndarray) -> np.ndarray:
         """(B, C) acceptances of every candidate for a (B, n) block of outputs."""
         ok = self.static[:, None] & self._y_box(y)  # (C, B): row gathers are the fast ones
-        for table, codes, h in self.terms:
-            total = np.take(table[:, y[:, 0]], codes[0], axis=0)
+        for table, h in self.terms:
+            total = np.take(table[:, y[:, 0]], self.x[0], axis=0)
             for i in range(1, self.n):
-                total += np.take(table[:, y[:, i]], codes[i], axis=0)
+                total += np.take(table[:, y[:, i]], self.x[i], axis=0)
             ok &= in_box(total, self.n, h, self.eps)
         return ok.T
 
@@ -297,10 +298,10 @@ class BoxTest:
         """(P,) acceptances of candidate rows[p] for output y[p] of a (P, n)
         block, summed in the same order as `accept`."""
         ok = self.static[rows] & self._y_box(y)
-        for table, codes, h in self.terms:
-            total = table[codes[0, rows], y[:, 0]]
+        for table, h in self.terms:
+            total = table[self.x[0, rows], y[:, 0]]
             for i in range(1, self.n):
-                total += table[codes[i, rows], y[:, i]]
+                total += table[self.x[i, rows], y[:, i]]
             ok &= in_box(total, self.n, h, self.eps)
         return ok
 
@@ -309,18 +310,20 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     """Joint typicality of k aligned sequences: every nonempty subset of
     coordinates must satisfy its own rate/entropy box.
 
-    The sequences are the one candidate of a BoxTest over every nonempty
-    subset of the joint's axes; the output is a unit axis appended to the
-    joint, whose box always holds, so every other box is a candidate box."""
+    The cells of the joint that the sequences pick are the one candidate of
+    a BoxTest over every nonempty subset of the joint's axes; the output is
+    a unit axis appended to the joint, whose box always holds."""
     joint = check_pmf(joint_pmf)
     k, seqs = joint.ndim, tuple(seqs)
     if len(seqs) != k:
         raise ValueError(f"need {k} sequences for this joint pmf")
-    letters = [_letters(s, joint.shape[d], f"sequence {d}").reshape(-1, 1) for d, s in enumerate(seqs)]
+    letters = [_letters(s, joint.shape[d], f"sequence {d}").reshape(-1) for d, s in enumerate(seqs)]
     if any(len(s) != config.n for s in letters):
         raise ValueError("all sequences must have length config.n")
     boxes = [tuple(d for d in range(k) if mask >> d & 1) for mask in range(1, 2**k)] + [(k,)]
-    test = BoxTest(joint[..., None], boxes, letters, config.eps)
+    labels = np.indices(joint.shape).reshape(k, -1).T
+    x = np.ravel_multi_index(letters, joint.shape)[:, None]
+    test = BoxTest(joint[..., None], boxes, labels, x, config.eps)
     return bool(test.accept(np.zeros((1, config.n), dtype=np.intp))[0, 0])
 
 
@@ -339,19 +342,18 @@ def _check_transition(transition, size: int) -> np.ndarray:
     return t
 
 
-def _type_blocks(test: BoxTest, x: np.ndarray, t: np.ndarray, c: int = 0) -> list:
+def _type_blocks(test: BoxTest, t: np.ndarray, c: int = 0) -> list:
     """Candidate c's blocks of the conditional types of outputs drawn by the
-    rows of t given inputs x: per letter a of x, the _block_types arguments
-    (the outputs a reaches, a's count, a (|Y|, K) score table). The columns
-    are log2 t(.|a), the test's y-box table and each y-box term's table at
-    c's code where x = a. Outputs with t(y|a) = 0 are left out of a's block:
-    their sequences have weight 0."""
-    counts = np.bincount(x, minlength=len(t))
+    rows of t given its inputs x = test.x[:, c]: per letter a of x, the
+    _block_types arguments (the outputs a reaches, a's count, a (|Y|, J)
+    score table). The J columns are log2 t(.|a), the test's y-box table and
+    each y-box term's table at a. Outputs with t(y|a) = 0 are left out of
+    a's block: their sequences have weight 0."""
+    counts = np.bincount(test.x[:, c], minlength=len(t))
     letters = np.flatnonzero(counts)
-    at = np.argmax(x == letters[:, None], axis=1)  # a position holding each letter
     log_t = log2_safe(t[letters])
-    terms = [table[codes[at, c]] for table, codes, _ in test.terms]
-    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *terms], axis=-1)  # (letters, |Y|, K)
+    terms = [table[letters] for table, _ in test.terms]
+    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *terms], axis=-1)  # (letters, |Y|, J)
     reach = [np.flatnonzero(row > 0).tolist() for row in t[letters]]
     return list(zip(reach, counts[letters].tolist(), scores))
 
@@ -389,7 +391,7 @@ def _type_prob(test: BoxTest, blocks, c: int = 0) -> float:
     total = 0.0
     for count, score in _outer_types(blocks, np.ones(1), np.zeros((1, len(test.terms) + 2))):
         ok = in_box(score[:, 1], test.n, test.h_y, test.eps)
-        for j, (_, _, h) in enumerate(test.terms, 2):
+        for j, (_, h) in enumerate(test.terms, 2):
             ok &= in_box(score[:, j], test.n, h, test.eps)
         if ok.any():
             total += float((count[ok] * np.exp2(score[ok, 0])).sum())
@@ -419,8 +421,9 @@ def conditional_typical_prob(
     if not in_box(_log2_prob(u, p_u), n, entropy(p_u), eps):
         return CondProbResult(prob=0.0, exact=True)
     u = np.sort(u)
-    test = BoxTest(p_u[:, None] * t, ((1,), (0, 1)), [u[:, None]], eps)  # p(u, v), of checked factors
-    blocks = _type_blocks(test, u, t)
+    # p(u, v), of checked factors; each letter of u is its own label
+    test = BoxTest(p_u[:, None] * t, ((1,), (0, 1)), np.arange(p_u.size)[:, None], u[:, None], eps)
+    blocks = _type_blocks(test, t)
     if _type_count(blocks) <= config.budget:
         return CondProbResult(prob=min(_type_prob(test, blocks), 1.0), exact=True)
     rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=p_u.size).tolist()))

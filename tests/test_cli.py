@@ -465,16 +465,33 @@ def test_b_typ_rejects_bad_transition_up_front(monkeypatch, tmp_path, capsys, tr
 
 @pytest.mark.parametrize("command", ["sim", "b-typ"])
 @pytest.mark.parametrize(
-    "channel",
-    [{"clip_sigmas": float("nan"), "sigma": 0.5}, {"w": [[0.5, float("nan")]] + [[0.5, 0.5]] * 3}],
+    "channel, message",
+    [
+        ({"clip_sigmas": float("nan"), "sigma": 0.5}, "clip_sigmas must be finite and >= 0, got nan"),
+        ({"w": [[0.5, float("nan")]] + [[0.5, 0.5]] * 3}, "channel transition probabilities must be finite"),
+    ],
     ids=["nan-clip-sigmas", "nan-w"],
 )
-def test_nan_channel_exits_with_channel_message(tmp_path, capsys, command, channel):
+def test_nan_channel_exits_with_channel_message(tmp_path, capsys, command, channel, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, **channel}))  # json writes a bare NaN
     rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert rc == 2 and out == ""
-    assert "channel transition probabilities must be finite" in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sim", "b-typ"])
+@pytest.mark.parametrize("clip_sigmas", [-100.0, -1.5])
+def test_negative_clip_sigmas_exits_2(tmp_path, capsys, command, clip_sigmas):
+    # a negative clip shrinks the bin grid inside the points: the quantizer
+    # check refuses it for the channel commands as for the rate commands
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"clip_sigmas": clip_sigmas}))
+    argv = [command, "--config", str(cfg), "--sigma", "0.45", "--n", "4", "--eps", "0.1", "--num-bins", "4"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    assert f"config error: clip_sigmas must be finite and >= 0, got {clip_sigmas}" in err
     assert "Traceback" not in err
 
 

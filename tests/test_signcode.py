@@ -62,7 +62,7 @@ def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pm
     cst = make_ask(m)
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=num_bins)
     layer = build_shaping_layer(cst, dmc, pmf, n, eps)
-    code = draw_sign_code(layer, 1)
+    points = draw_sign_code(layer, 1)
     want = (np.asarray(pmf)[:, None] * sign_output_transition(cst, dmc)).reshape(-1, 2, dmc.nout)
     joint = layer.joint
     np.testing.assert_array_equal(joint, want)
@@ -73,8 +73,8 @@ def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pm
     np.testing.assert_array_equal(joint, sign_amplitude_joint(p_sa, dmc, cst).transpose(1, 0, 2))
     # y, then (a, y), (s, y) and (a, s, y)
     entropies = [entropy_raw(want.sum(axis=ax) if ax else want) for ax in ((0, 1), (1,), (0,), ())]
-    for test in (SmdDecoder(code).test, BmdDecoder(code).triple):
-        assert [test.h_y] + [h for _, _, h in test.terms] == entropies
+    for test in (SmdDecoder(layer, points).test, BmdDecoder(layer, points).triple):
+        assert [test.h_y] + [h for _, h in test.terms] == entropies
 
 
 def test_build_layer_members_match_direct_enumeration():
@@ -111,23 +111,32 @@ def _every_sequence_layer(n, dmc=NOISY, eps=0.2):
     )
 
 
+def _amplitudes_and_signs(points, cst=CST):
+    """Each point index's amplitude index and sign bit (0 <-> -1, 1 <->
+    +1), from the grid alone: points at or above M/2 are positive."""
+    half = cst.num_amplitudes
+    signs = (points >= half).astype(np.intp)
+    return np.where(signs == 1, points - half, half - 1 - points), signs
+
+
 def test_codebook_shapes_and_determinism():
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
-    code = draw_sign_code(layer, 3, seed=9)
-    assert code.layer is layer and code.n1 == 3
-    for letters in (code.amplitudes, code.signs):
-        assert letters.shape == (6, layer.size * 8)
-        assert letters.dtype == np.intp and letters.flags.c_contiguous
-    assert set(np.unique(code.signs)) <= {0, 1}
-    np.testing.assert_array_equal(code.signs, draw_sign_code(layer, 3, seed=9).signs)
-    assert not np.array_equal(code.signs, draw_sign_code(layer, 3, seed=10).signs)
+    points = draw_sign_code(layer, 3, seed=9)
+    assert points.shape == (6, layer.size * 8)
+    assert points.dtype == np.intp and points.flags.c_contiguous
+    assert set(np.unique(points)) <= set(range(CST.size))
+    # candidate m_a * 8 + m_s sends member m_a, for each of the 2^3 sign messages
+    amplitudes, signs = _amplitudes_and_signs(points)
+    np.testing.assert_array_equal(amplitudes, np.repeat(layer.amplitude_seqs.T, 8, axis=1))
+    np.testing.assert_array_equal(points, draw_sign_code(layer, 3, seed=9))
+    assert not np.array_equal(signs, _amplitudes_and_signs(draw_sign_code(layer, 3, seed=10))[1])
 
 
 def test_codebook_info_bits_enumeration():
     # the information signs of m_s are its bits, MSB first, under every m_a
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
-    code = draw_sign_code(layer, 2)
-    info = code.signs[:2].T.reshape(layer.size, 4, 2)
+    signs = _amplitudes_and_signs(draw_sign_code(layer, 2))[1]
+    info = signs[:2].T.reshape(layer.size, 4, 2)
     np.testing.assert_array_equal(info, np.broadcast_to([[0, 0], [0, 1], [1, 0], [1, 1]], info.shape))
 
 
@@ -141,14 +150,14 @@ def test_sign_code_matches_an_independent_draw(mode):
     layer = build_shaping_layer(M2, dmc, (0.4, 0.3, 0.2, 0.1), 4, 0.4)
     n1, seed = 2, 4
     n2 = layer.n - n1
-    code = draw_sign_code(layer, n1, mode, seed)
+    amplitudes, signs = _amplitudes_and_signs(draw_sign_code(layer, n1, mode, seed), M2)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     if mode == "iid":
         drawn = rng.integers(0, 2, size=(layer.size, 2**n1, n2), dtype=np.int8).tolist()
     else:
         gen = rng.integers(0, 2, size=(M2.m * layer.n + n1, n2), dtype=np.int8).T.tolist()
     bits = brgc_label(M2)[M2.num_amplitudes :, 1:].tolist()
-    columns = iter(zip(code.amplitudes.T.tolist(), code.signs.T.tolist()))
+    columns = iter(zip(amplitudes.T.tolist(), signs.T.tolist()))
     for m_a, seq in enumerate(layer.amplitude_seqs.tolist()):
         for m_s in range(2**n1):
             info = [int(bit) for bit in format(m_s, f"0{n1}b")]
@@ -181,42 +190,66 @@ def test_linear_codebook_is_linear():
     # the information bit) are all of GF(2)^7, and the redundant signs must
     # be one GF(2) map of them: the images of the unit messages, summed
     layer = _every_sequence_layer(6)
-    code = draw_sign_code(layer, 1, mode="linear", seed=2)
+    signs = _amplitudes_and_signs(draw_sign_code(layer, 1, mode="linear", seed=2))[1]
     amp = brgc_label(CST)[CST.num_amplitudes :, 1:][layer.amplitude_seqs].reshape(layer.size, -1)
-    msg = np.concatenate([np.repeat(amp, 2, axis=0), code.signs[:1].T], axis=1)
-    redundant = code.signs[1:].T
+    msg = np.concatenate([np.repeat(amp, 2, axis=0), signs[:1].T], axis=1)
+    redundant = signs[1:].T
     assert len({tuple(row) for row in msg.tolist()}) == 2**7
     units = [int(np.flatnonzero((msg == unit).all(axis=1))[0]) for unit in np.eye(7, dtype=np.intp)]
     np.testing.assert_array_equal(msg @ redundant[units] % 2, redundant)
     assert redundant.any()
 
 
-def _noiseless_setup():
-    dmc = identity_dmc(CST.points)
-    layer = build_shaping_layer(CST, dmc, (0.5, 0.5), 4, 0.1)
-    return dmc, draw_sign_code(layer, 2, seed=1)
-
-
-def _sign_bits(code, m_a, m_s):
-    """Sign bits of the message pairs (m_a, m_s), read from the code's table."""
-    return code.signs[:, m_a * 2**code.n1 + m_s].T
+def _sign_bits(points, n1, m_a, m_s, cst=CST):
+    """Sign bits of the message pairs (m_a, m_s), read from the code's points."""
+    return _amplitudes_and_signs(points[:, m_a * 2**n1 + m_s].T, cst)[1]
 
 
 @pytest.mark.parametrize("kind", ["smd", "bmd"])
 def test_decode_noiseless_recovers_message(kind):
     # the identity channel hands over each sent point, and only the sent
     # candidate passes the boxes
-    dmc, code = _noiseless_setup()
-    layer = code.layer
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
+    layer = build_shaping_layer(CST, identity_dmc(CST.points), (0.5, 0.5), 4, 0.1)
+    points = draw_sign_code(layer, 2, seed=1)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points)
     m_a = np.repeat([0, layer.size // 2, layer.size - 1], 2)
     m_s = np.tile([0, 3], 3)
-    x = np.asarray(CST.amplitudes)[layer.amplitude_seqs[m_a]] * (2 * _sign_bits(code, m_a, m_s) - 1)
+    x = np.asarray(CST.amplitudes)[layer.amplitude_seqs[m_a]] * (2 * _sign_bits(points, 2, m_a, m_s) - 1)
     y = np.searchsorted(CST.points, x)
+    # the code's points are the sent words x = s * a
+    np.testing.assert_array_equal(y, points[:, m_a * 4 + m_s].T)
     mask = dec.accept_mask(y)
     want = np.zeros_like(mask)
     want[np.arange(len(y)), m_a * 4 + m_s] = True
     np.testing.assert_array_equal(mask, want)
+
+
+@pytest.mark.parametrize("cst", [CST, M2], ids=["4-ask", "8-ask"])
+def test_decoder_label_tables_match_the_alphabet(cst):
+    # smd labels each point by its (amplitude, sign); bmd by its Gray
+    # amplitude bits and then its sign bit, in the axis order of p(b_1, ...,
+    # b_m, s, y). Both tests read the code's points themselves
+    dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=0.5, num_bins=2)
+    pmf = np.full(cst.num_amplitudes, 1.0 / cst.num_amplitudes)
+    layer = build_shaping_layer(cst, dmc, pmf, 2, 0.5)
+    points = draw_sign_code(layer, 1)
+    half = cst.num_amplitudes
+    gray = brgc_label(cst)[half:, 1:]  # Gray bits of ascending amplitudes
+    smd, bmd = SmdDecoder(layer, points), BmdDecoder(layer, points)
+    for p in range(cst.size):
+        a, s = smd.test.labels[p]
+        assert cst.sign_amplitude_index[s, a] == p
+        amp, sign = _amplitudes_and_signs(np.array(p), cst)
+        assert bmd.test.labels[p].tolist() == [*gray[amp].tolist(), int(sign)]
+    np.testing.assert_array_equal(bmd.triple.labels, smd.test.labels)
+    assert smd.test.x is points
+
+
+def test_bmd_test_and_triple_read_one_point_array():
+    layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
+    points = draw_sign_code(layer, 2, seed=1)
+    dec = BmdDecoder(layer, points)
+    assert dec.test.x is points and dec.triple.x is points
 
 
 def test_decode_multiple_on_uninformative_channel():
@@ -224,7 +257,7 @@ def test_decode_multiple_on_uninformative_channel():
     # so no output singles out one candidate
     flat = Dmc(np.full((4, 4), 0.25))
     layer = build_shaping_layer(CST, flat, (0.5, 0.5), 4, 0.1)
-    dec = SmdDecoder(draw_sign_code(layer, 2, seed=1))
+    dec = SmdDecoder(layer, draw_sign_code(layer, 2, seed=1))
     mask = dec.accept_mask(np.array([[0, 1, 2, 3], [3, 3, 0, 0]]))
     assert mask.shape == (2, layer.size * 4)
     assert mask.all()
@@ -241,14 +274,13 @@ PAIRWISE = dict(
 def test_triple_mask_on_rows_matches_full_symbol_test():
     cfg = ExperimentConfig(**PAIRWISE)
     layer = build_shaping_layer(CST, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
-    code = draw_sign_code(layer, cfg.n1, seed=2)
-    smd = SmdDecoder(code)
-    bmd = BmdDecoder(code)
-    points = CST.sign_amplitude_index[code.signs, code.amplitudes].T  # (candidates, n)
+    points = draw_sign_code(layer, cfg.n1, seed=2)
+    smd = SmdDecoder(layer, points)
+    bmd = BmdDecoder(layer, points)
     rng = np.random.default_rng(0)
     pairwise_only = 0
-    for k in rng.integers(len(points), size=50):
-        y = np.array([[rng.choice(cfg.dmc.nout, p=cfg.dmc.w[x]) for x in points[k]]])
+    for k in rng.integers(points.shape[1], size=50):
+        y = np.array([[rng.choice(cfg.dmc.nout, p=cfg.dmc.w[x]) for x in points[:, k]]])
         full = smd.accept_mask(y)[0]
         rows = np.flatnonzero(bmd.accept_mask(y)[0])
         ys = np.repeat(y, rows.size, axis=0)
@@ -275,8 +307,8 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     # checks their boxes
     cfg = ExperimentConfig(**case)
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
-    code = draw_sign_code(layer, cfg.n1, seed=4)
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
+    codewords = draw_sign_code(layer, cfg.n1, seed=4)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, codewords)
     p_asy, p_by = _reference_tables(layer, cfg.dmc, cfg.amplitude_pmf)
     bits = brgc_label(cfg.constellation)[cfg.constellation.num_amplitudes :, 1:]
 
@@ -293,13 +325,13 @@ def test_accept_mask_is_joint_typicality_of_the_paper(case, kind):
     points = cfg.constellation.sign_amplitude_index
     y = np.array([
         [rng.choice(cfg.dmc.nout, p=cfg.dmc.w[points[sb, ab]]) for sb, ab in zip(
-            _sign_bits(code, i, j), layer.amplitude_seqs[k])]
+            _sign_bits(codewords, cfg.n1, i, j, cfg.constellation), layer.amplitude_seqs[k])]
         for i, j, k in zip(m_a, m_s, sent_a)
     ])
     got = dec.accept_mask(y)[np.arange(pairs), m_a * 2**cfg.n1 + m_s]
     want = []
     for i, j, y_seq in zip(m_a, m_s, y):
-        a, s = layer.amplitude_seqs[i], _sign_bits(code, i, j)
+        a, s = layer.amplitude_seqs[i], _sign_bits(codewords, cfg.n1, i, j, cfg.constellation)
         if kind == "smd":
             want.append(typical((a, s, y_seq), p_asy))
         else:
@@ -325,16 +357,17 @@ def test_type_engine_gives_each_candidates_pass_probability(case, kind):
     # that the candidate passes when it is sent: brute force over every y
     cst, sigma, bins, pmf, n, eps = ENGINE_CASES[case]
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=bins)
-    code = draw_sign_code(build_shaping_layer(cst, dmc, pmf, n, eps), 1, seed=3)
-    test = (SmdDecoder if kind == "smd" else BmdDecoder)(code).test
-    x = cst.sign_amplitude_index[code.signs, code.amplitudes].T  # (C, n)
+    layer = build_shaping_layer(cst, dmc, pmf, n, eps)
+    points = draw_sign_code(layer, 1, seed=3)
+    test = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points).test
+    x = points.T  # (C, n)
     y = np.array(list(itertools.product(range(dmc.nout), repeat=n)), dtype=np.intp)
     weight = np.ones((len(y), len(x)))
     for i in range(n):
         weight *= dmc.w[x[:, i]][:, y[:, i]].T
     want = (test.accept(y) * weight).sum(axis=0)
     got = np.array([
-        typicality._type_prob(test, typicality._type_blocks(test, row, dmc.w, c), c) for c, row in enumerate(x)
+        typicality._type_prob(test, typicality._type_blocks(test, dmc.w, c), c) for c in range(len(x))
     ])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     assert len(set(got.tolist())) >= 4 and 0 < got.max() < 1  # candidates differ
@@ -418,21 +451,20 @@ def _all_boxes(joint, letters, n, eps):
     return ok
 
 
-def _reference(dec, dmc, p_a):
-    """One output's (candidates,) acceptances by every box on its own, from
-    tables built apart from the decoder, each candidate's amplitudes read
-    from the layer and its signs from the code."""
-    code, n, eps = dec.code, dec.code.layer.n, dec.eps
-    layer = code.layer
+def _reference(kind, layer, points, dmc, p_a):
+    """One output's (candidates,) acceptances by every box of decoder kind on
+    its own, from tables built apart from the decoder, each candidate's
+    amplitudes read from the layer and its signs from the code's points."""
+    n, eps = layer.n, layer.eps
     p_asy, p_by = _reference_tables(layer, dmc, p_a)
-    a = np.repeat(layer.amplitude_seqs.astype(np.intp), 2**code.n1, axis=0)
-    s = code.signs.T
+    a = np.repeat(layer.amplitude_seqs.astype(np.intp), points.shape[1] // layer.size, axis=0)
     cst = layer.constellation
+    s = _amplitudes_and_signs(points.T, cst)[1]
     bits = brgc_label(cst)[cst.num_amplitudes :, 1:]
 
     def mask(y):
         y = np.asarray(y, dtype=np.intp)[None, :]
-        if isinstance(dec, SmdDecoder):
+        if kind == "smd":
             return _all_boxes(p_asy, (a, s, y), n, eps)
         ok = _all_boxes(p_asy.sum(axis=0), (s, y), n, eps)
         for j, p in enumerate(p_by):
@@ -443,14 +475,14 @@ def _reference(dec, dmc, p_a):
 
 
 def _per_trial_reference(cfg):
-    """The experiment scored one trial at a time; returns the decoder, the
-    (trials, n) outputs, the stacked masks and the error counts."""
+    """The experiment scored one trial at a time; returns the layer, the
+    code's points, the decoder, the (trials, n) outputs, the stacked masks
+    and the error counts."""
     layer = build_shaping_layer(cfg.constellation, cfg.dmc, cfg.amplitude_pmf, cfg.n, cfg.eps)
-    code = draw_sign_code(layer, cfg.n1, cfg.codebook_mode, cfg.seed)
-    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(code)
-    reference = _reference(dec, cfg.dmc, cfg.amplitude_pmf)
-    triple = _reference(SmdDecoder(code), cfg.dmc, cfg.amplitude_pmf)
-    points = cfg.constellation.sign_amplitude_index[code.signs, code.amplitudes].T
+    points = draw_sign_code(layer, cfg.n1, cfg.codebook_mode, cfg.seed)
+    dec = (SmdDecoder if cfg.decoder == "smd" else BmdDecoder)(layer, points)
+    reference = _reference(cfg.decoder, layer, points, cfg.dmc, cfg.amplitude_pmf)
+    triple = _reference("smd", layer, points, cfg.dmc, cfg.amplitude_pmf)
     cdf_rows = np.cumsum(cfg.dmc.w, axis=1)
     outputs, masks = [], []
     counts = dict.fromkeys(("err", "k1", "k2", "both", "pairwise_only"), 0)
@@ -460,7 +492,7 @@ def _per_trial_reference(cfg):
         m_s = int(rng.integers(2**cfg.n1))
         k = m_a * 2**cfg.n1 + m_s
         u = rng.random(cfg.n)
-        y = (cdf_rows[points[k]] < u[:, None]).sum(axis=1)
+        y = (cdf_rows[points[:, k]] < u[:, None]).sum(axis=1)
         np.minimum(y, cfg.dmc.nout - 1, out=y)
         mask = reference(y)
         kind1 = not mask[k]
@@ -473,7 +505,7 @@ def _per_trial_reference(cfg):
             counts["pairwise_only"] += int((~triple(y)[mask]).sum())
         outputs.append(y)
         masks.append(mask)
-    return dec, np.array(outputs), np.array(masks), counts
+    return layer, points, dec, np.array(outputs), np.array(masks), counts
 
 
 BLOCK_CASES = {
@@ -533,18 +565,18 @@ def test_channel_outputs_match_a_per_point_search(nout):
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_scoring_matches_per_trial_loop(case, monkeypatch):
     cfg = ExperimentConfig(**BLOCK_CASES[case])
-    dec, y, masks, counts = _per_trial_reference(cfg)
+    layer, points, dec, y, masks, counts = _per_trial_reference(cfg)
     distinct = len(np.unique(y, axis=0))
     assert (distinct > 0.9 * cfg.trials) if case == "wide-output" else (distinct < cfg.trials)
     # runs of a tail letter, which the y box rejects, among the drawn outputs
     tails = np.repeat([[0], [cfg.dmc.nout - 1]], cfg.n, axis=1)
-    p_y = _reference_tables(dec.code.layer, cfg.dmc, cfg.amplitude_pmf)[0].sum(axis=(0, 1))
+    p_y = _reference_tables(layer, cfg.dmc, cfg.amplitude_pmf)[0].sum(axis=(0, 1))
     assert not _all_boxes(p_y, (tails,), cfg.n, cfg.eps).any()
     y = np.concatenate([y[:100], tails, y[100:]])
-    reference = _reference(dec, cfg.dmc, cfg.amplitude_pmf)
+    reference = _reference(cfg.decoder, layer, points, cfg.dmc, cfg.amplitude_pmf)
     masks = np.concatenate([masks[:100], [reference(row) for row in tails], masks[100:]])
     block = dec.accept_mask(y)
-    candidates = dec.code.signs.shape[1]
+    candidates = points.shape[1]
     assert block.shape == (cfg.trials + 2, candidates)
     np.testing.assert_array_equal(block, masks)
     np.testing.assert_array_equal(np.array([dec.accept_mask(row[None])[0] for row in y]), masks)
@@ -599,15 +631,16 @@ def test_block_mask_applies_y_independent_boxes(kind):
     # some; the output ignores the input, so an atypical output can offset an
     # atypical amplitude sequence in the joint boxes
     blind = Dmc(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
-    code = draw_sign_code(_every_sequence_layer(6, blind), 1, seed=3)
-    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(code)
+    layer = _every_sequence_layer(6, blind)
+    points = draw_sign_code(layer, 1, seed=3)
+    dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points)
     assert not dec.test.static.all()
     y = np.random.default_rng(0).integers(blind.nout, size=(200, 6))
-    reference = _reference(dec, blind, (0.7, 0.3))
+    reference = _reference(kind, layer, points, blind, (0.7, 0.3))
     masks = np.array([reference(row) for row in y])
     np.testing.assert_array_equal(dec.accept_mask(y), masks)
     assert masks.any()
-    triple = _reference(SmdDecoder(code), blind, (0.7, 0.3))
+    triple = _reference("smd", layer, points, blind, (0.7, 0.3))
     full = np.array([triple(row) for row in y[:20]])
     b, c = np.nonzero(np.ones_like(full))  # every (output, candidate) pair
     np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])

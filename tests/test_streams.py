@@ -110,7 +110,7 @@ def test_negative_seed_is_a_config_error():
 def test_one_trial_blocks_draw_once_per_chunk(monkeypatch, chunk):
     cfg = ExperimentConfig(**EXPERIMENT)
     want = run_experiment(cfg)
-    outputs = _per_trial_reference(cfg)[1]
+    outputs = _per_trial_reference(cfg)[3]
     passes, scored = [], []
     draw, accept_mask = streams.draw, signcode.SmdDecoder.accept_mask
 

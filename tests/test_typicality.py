@@ -276,6 +276,34 @@ def test_jointly_typical_validates_shapes():
         is_jointly_typical(((0, -1, 0), (0, 1, 0)), joint, cfg)
 
 
+def test_jointly_typical_reads_three_unequal_axes_through_one_label_table():
+    # the sequences become one letter per cell of a (2, 3, 2) joint, and each
+    # box reads its own axes of that letter back through the label table
+    rng = np.random.default_rng(5)
+    joint = rng.dirichlet(np.ones(12)).reshape(2, 3, 2)
+    joint[1, 2, 0] = 0.0  # a dead cell: sequences through it fail
+    joint /= joint.sum()
+    cells = {idx: float(joint[idx]) for idx in np.ndindex(joint.shape)}
+    cfg = TypConfig(n=5, eps=0.4)
+    verdicts = []
+    for _ in range(300):
+        seqs = [rng.integers(k, size=5).tolist() for k in joint.shape]
+        verdicts.append(is_jointly_typical(seqs, joint, cfg))
+        assert verdicts[-1] == jointly_typical_oracle(seqs, cells, joint.shape, 0.4)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_box_test_needs_the_output_box():
+    # without the y box a test has nothing to score outputs with: the list is
+    # refused up front, not when the first block arrives
+    x = np.zeros((3, 1), dtype=np.intp)
+    labels = np.arange(2)[:, None]
+    with pytest.raises(ValueError, match=r"the box list must hold the output box \(1,\)"):
+        typicality.BoxTest(np.full((2, 2), 0.25), ((0,), (0, 1)), labels, x, 0.1)
+    test = typicality.BoxTest(np.full((2, 2), 0.25), ((0,), (1,), (0, 1)), labels, x, 0.1)
+    assert test.accept(np.zeros((4, 3), dtype=np.intp)).shape == (4, 1)
+
+
 @pytest.mark.parametrize(
     "seq", [(0, 1, 1, -1), (0.5, 1, 1, 0), (0, 1, 1, 2), (0, 1, 1, math.nan), ("0", "1", "1", "0")]
 )
@@ -472,8 +500,9 @@ def _walk(u, pmf, transition, eps):
     """The (count, score) chunks the engine visits for the class of u: the
     blocks of the BoxTest conditional_typical_prob builds, combined."""
     t, u = np.asarray(transition, dtype=float), np.sort(u)
-    test = typicality.BoxTest(np.asarray(pmf)[:, None] * t, ((1,), (0, 1)), [u[:, None]], eps)
-    blocks = typicality._type_blocks(test, u, t)
+    labels = np.arange(len(pmf))[:, None]  # each letter of u is its own label
+    test = typicality.BoxTest(np.asarray(pmf)[:, None] * t, ((1,), (0, 1)), labels, u[:, None], eps)
+    blocks = typicality._type_blocks(test, t)
     assert [score.shape for _, _, score in blocks] == [(t.shape[1], 3)] * len(blocks)
     return list(typicality._outer_types(blocks, np.ones(1), np.zeros((1, 3)))), typicality._type_count(blocks)
 
