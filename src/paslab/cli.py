@@ -4,8 +4,10 @@ Every command reads an optional JSON config (--config) merged with flag
 overrides, echoes the effective config into its output header, and writes to
 stdout or --out. Outputs are deterministic given the config, including across
 --threads settings. Exit codes: 0 success, 2 config error, 3 budget error,
-4 convergence error. Each call builds the parser of the invoked subcommand
-only; `paslab --help` lists every subcommand.
+4 convergence error. A ValueError from a library check on config values,
+under any command, is a config error: `main` maps every error to its exit
+code once. Each call builds the parser of the invoked subcommand only;
+`paslab --help` lists every subcommand.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _load_config(args) -> tuple[dict, dict]:
                 data = json.load(f)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -189,15 +191,6 @@ def _load_config(args) -> tuple[dict, dict]:
             kind = opt.read.__name__.strip("_")
             raise ConfigError(f"{opt.key}: cannot read {json.dumps(value)} as {kind}") from exc
     return cfg, values
-
-
-@contextmanager
-def _config_errors(prefix: str = ""):
-    """Report a ValueError raised by a library check on config values as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @contextmanager
@@ -231,16 +224,15 @@ def _build_channel(v: dict, constellation, p_a: np.ndarray):
         raise ConfigError(f"give exactly one of sigma, snr_db, w or noiseless: true; got {got}")
     if v["noiseless"]:
         return identity_dmc(constellation.points)
-    with _config_errors():
-        if v["w"] is not None:
-            if v["w"].shape[:1] != (constellation.size,):
-                raise ConfigError(f"explicit channel needs {constellation.size} rows, got {v['w'].shape}")
-            return Dmc(w=v["w"])
-        sigma = v["sigma"]
-        if sigma is None:
-            power = float(mirror_pmf(p_a) @ np.asarray(constellation.points, dtype=float) ** 2)
-            sigma = float(np.sqrt(power / _power(v["snr_db"])))
-        return gaussian_dmc(constellation.points, sigma, v["num_bins"], v["clip_sigmas"])
+    if v["w"] is not None:
+        if v["w"].shape[:1] != (constellation.size,):
+            raise ConfigError(f"explicit channel needs {constellation.size} rows, got {v['w'].shape}")
+        return Dmc(w=v["w"])
+    sigma = v["sigma"]
+    if sigma is None:
+        power = float(mirror_pmf(p_a) @ np.asarray(constellation.points, dtype=float) ** 2)
+        sigma = float(np.sqrt(power / _power(v["snr_db"])))
+    return gaussian_dmc(constellation.points, sigma, v["num_bins"], v["clip_sigmas"])
 
 
 def _amplitude_pmf(v: dict, size: int) -> np.ndarray:
@@ -249,18 +241,10 @@ def _amplitude_pmf(v: dict, size: int) -> np.ndarray:
         return np.full(size, 1.0 / size)
     if p.shape != (size,):
         raise ConfigError(f"amplitude_pmf must have {size} entries, got {p.shape}")
-    with _config_errors("amplitude_pmf: "):
+    try:
         return check_pmf(p)
-
-
-def _make_constellation(v: dict):
-    with _config_errors():
-        return make_ask(v["m"])
-
-
-def _awgn_spec(v: dict) -> AwgnSpec:
-    with _config_errors():
-        return AwgnSpec(num_bins=v["num_bins"], clip_sigmas=v["clip_sigmas"])
+    except ValueError as exc:
+        raise ConfigError(f"amplitude_pmf: {exc}") from exc
 
 
 def _emit_json(out: dict, out_path: str | None) -> None:
@@ -271,7 +255,7 @@ def _emit_json(out: dict, out_path: str | None) -> None:
 
 
 def cmd_air_sweep(args, cfg: dict, v: dict) -> None:
-    cst = _make_constellation(v)
+    cst = make_ask(v["m"])
     if v["snr_list"] is not None:
         grid = v["snr_list"].ravel().tolist()
     else:
@@ -285,7 +269,7 @@ def cmd_air_sweep(args, cfg: dict, v: dict) -> None:
         grid = list(np.arange(start, stop + 1e-9, step))
     if not grid:
         raise ConfigError("snr grid is empty")
-    spec = _awgn_spec(v)
+    spec = AwgnSpec(v["num_bins"], v["clip_sigmas"])
     lines = [f"# config: {json.dumps(cfg, sort_keys=True)}"]
     lines.append("snr_db,capacity,h_a,gamma,mi_uniform,r_bmd_star")
     for snr, row in air_sweep(cst, grid, spec):
@@ -301,23 +285,20 @@ def cmd_air_sweep(args, cfg: dict, v: dict) -> None:
 
 
 def cmd_basic_point(args, cfg: dict, v: dict) -> None:
-    cst, spec = _make_constellation(v), _awgn_spec(v)
-    with _config_errors():
-        snr, rate = find_basic_point(cst, spec)
+    cst, spec = make_ask(v["m"]), AwgnSpec(v["num_bins"], v["clip_sigmas"])
+    snr, rate = find_basic_point(cst, spec)
     _emit_json({"config": cfg, "snr_db": snr, "rate": rate}, args.out)
 
 
 def cmd_gamma_split(args, cfg: dict, v: dict) -> None:
-    cst, spec = _make_constellation(v), _awgn_spec(v)
-    with _config_errors():
-        h_a, gamma = gamma_split(cst, v["snr_db"], spec)
+    cst, spec = make_ask(v["m"]), AwgnSpec(v["num_bins"], v["clip_sigmas"])
+    h_a, gamma = gamma_split(cst, v["snr_db"], spec)
     _emit_json({"config": cfg, "h_a": h_a, "gamma": gamma, "rate": h_a + gamma}, args.out)
 
 
 def cmd_shaping_gap(args, cfg: dict, v: dict) -> None:
-    cst, spec = _make_constellation(v), _awgn_spec(v)
-    with _config_errors():
-        gap = shaping_gap(cst, v["target_rate"], spec)
+    cst, spec = make_ask(v["m"]), AwgnSpec(v["num_bins"], v["clip_sigmas"])
+    gap = shaping_gap(cst, v["target_rate"], spec)
     _emit_json({"config": cfg, "gap_db": gap}, args.out)
 
 
@@ -336,8 +317,7 @@ def _member_text(members: np.ndarray, alphabet_size: int) -> str:
 
 
 def cmd_typ_dump(args, cfg: dict, v: dict) -> None:
-    with _config_errors():
-        ts = enumerate_typical(v["pmf"], TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"]))
+    ts = enumerate_typical(v["pmf"], TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"]))
     header = {"config": cfg, "entropy": ts.h, "count": ts.count, **ts.bounds._asdict()}
     _emit(json.dumps(header, sort_keys=True) + "\n" + _member_text(ts.members, len(ts.pmf)), args.out)
 
@@ -348,12 +328,10 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
         if pmf is None:
             raise ConfigError("explicit transition needs an explicit pmf")
     else:
-        cst = _make_constellation(v)
+        cst = make_ask(v["m"])
         pmf = _amplitude_pmf(v, cst.num_amplitudes)
         trans = sign_output_transition(cst, _build_channel(v, cst, pmf))
-    with _config_errors():
-        tc = TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"])
-        b = enumerate_b_typical(pmf, trans, tc)
+    b = enumerate_b_typical(pmf, trans, TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"]))
     report = lemma1_report(b)
     header = {"config": cfg, "h_u": b.base_set.h, "count": b.count, "exact": b.exact}
     header.update(report)
@@ -370,7 +348,7 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
 def cmd_sim(args, cfg: dict, v: dict) -> None:
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    cst = _make_constellation(v)
+    cst = make_ask(v["m"])
     pmf = _amplitude_pmf(v, cst.num_amplitudes)
     keys = ("eps", "n", "gamma", "decoder", "trials", "seed", "codebook_mode", "typ_budget")
     exp = ExperimentConfig(
@@ -379,8 +357,7 @@ def cmd_sim(args, cfg: dict, v: dict) -> None:
         amplitude_pmf=tuple(float(p) for p in pmf),
         **{key: v[key] for key in keys},
     )
-    with _config_errors():
-        stats = run_experiment(exp, threads=args.threads)
+    stats = run_experiment(exp, threads=args.threads)
     summary = stats.to_dict()
     _emit_json({"config": cfg, "stats": summary}, args.out)
     if args.csv:
@@ -437,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         args.func(args, *_load_config(args))
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -12,7 +12,9 @@ class ConfigError(PaslabError):
 class BudgetError(PaslabError):
     """An enumeration or search would exceed its size budget (CLI exit code 3).
 
-    `needed` carries the budget that would have been required.
+    `needed` carries the budget that would have been required: math.inf
+    where that count overflows a float, as the members of a typical set at
+    a block length past about 1030 do.
     """
 
     def __init__(self, message, needed=None):

@@ -95,6 +95,11 @@ def label_joint(joint: np.ndarray, labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2 or labels.shape[0] != joint.shape[0]:
         raise ValueError("the label table needs one row per entry of the joint's axis 0")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("the label table must hold 0/1 bits only")
+    words = labels.astype(np.intp) @ (1 << np.arange(labels.shape[1]))
+    if np.bincount(words, minlength=1).max() > 1:
+        raise ValueError("the label table gives two rows of the joint's axis 0 the same word")
     out = np.zeros((2,) * labels.shape[1] + joint.shape[1:])
     out[tuple(labels.T)] = joint
     return out

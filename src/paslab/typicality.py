@@ -80,7 +80,8 @@ def _log2_prob(letters: np.ndarray, pmf) -> float:
 
 def empirical_rate(seq, pmf) -> float:
     """-(1/n) log2 p(seq) under an iid pmf; inf when a symbol has probability 0."""
-    return -_log2_prob(_letters(seq, np.size(pmf)), pmf) / np.size(seq)
+    p = check_pmf(pmf)
+    return -_log2_prob(_letters(seq, p.size), p) / np.size(seq)
 
 
 def in_box(log2_sum, n: int, h: float, eps: float):
@@ -91,8 +92,12 @@ def in_box(log2_sum, n: int, h: float, eps: float):
 
 
 def is_typical(seq, pmf, config: TypConfig) -> bool:
-    """Weak typicality of one sequence against the entropy of pmf."""
-    return bool(in_box(_log2_prob(_letters(seq, np.size(pmf)), pmf), np.size(seq), entropy(pmf), config.eps))
+    """Weak typicality of one sequence of config.n letters against the entropy of pmf."""
+    p = check_pmf(pmf)
+    u = _letters(seq, p.size)
+    if u.size != config.n:
+        raise ValueError("the sequence must have length config.n")
+    return bool(in_box(_log2_prob(u, p), config.n, entropy(p), config.eps))
 
 
 class SetBounds(NamedTuple):
@@ -107,12 +112,17 @@ class SetBounds(NamedTuple):
 
 def _bounds_ok(count: int, probs: np.ndarray, n: int, h: float, eps: float) -> tuple:
     """The upper_ok, lower_ok and member_prob_ok checks of SetBounds on a set of
-    count sequences with distinct probabilities probs."""
-    lo = 2.0 ** (-n * (h + eps)) * (1 - LOG_SLACK)
-    hi = 2.0 ** (-n * (h - eps)) * (1 + LOG_SLACK)
+    count sequences with distinct probabilities probs. A bound 2^x past the
+    largest float is inf, where Python's power raises OverflowError."""
+
+    def exp2(x: float) -> float:
+        return 2.0 ** x if x < 1024 else math.inf
+
+    lo = exp2(-n * (h + eps)) * (1 - LOG_SLACK)
+    hi = exp2(-n * (h - eps)) * (1 + LOG_SLACK)
     return (
-        count <= 2.0 ** (n * (h + eps)) * (1 + LOG_SLACK),
-        count >= (1 - eps) * 2.0 ** (n * (h - eps)) * (1 - LOG_SLACK),
+        count <= exp2(n * (h + eps)) * (1 + LOG_SLACK),
+        eps >= 1 or count >= (1 - eps) * exp2(n * (h - eps)) * (1 - LOG_SLACK),  # 0 * inf is NaN
         bool(np.all(probs >= lo) and np.all(probs <= hi)),
     )
 
@@ -164,12 +174,14 @@ def _block_types(support: list, m: int, scores: np.ndarray):
         letters = flat.reshape(-1, m)
         # after j + 1 letters, count is that prefix's multinomial, an
         # integer; count * (j + 1) is at most m times the final count, so
-        # float64 holds every step exactly
+        # float64 holds every step exactly below 2^53. A count past the
+        # largest float is inf, which no budget admits
         count = np.ones(len(letters))
         run = np.ones(len(letters))
-        for j in range(1, m):
-            run = np.where(letters[:, j] == letters[:, j - 1], run + 1, 1.0)
-            count = count * (j + 1) / run
+        with np.errstate(over="ignore"):
+            for j in range(1, m):
+                run = np.where(letters[:, j] == letters[:, j - 1], run + 1, 1.0)
+                count = count * (j + 1) / run
         yield letters, count, scores[letters].sum(axis=1)
 
 
@@ -209,7 +221,9 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     and p(u) are decided once per composition class of the s letters with
     p > 0, and only the typical classes' members are listed. The budget bounds
     the C(n + s - 1, s - 1) classes, checked before any is drawn, and the
-    members (BudgetError carries their count, exact below 2^53)."""
+    members (BudgetError carries their count, exact below 2^53 and inf
+    once a class size overflows a float, past about n = 1030 for two
+    letters)."""
     p = check_pmf(pmf)
     if p.ndim != 1:
         raise ValueError(f"pmf must be a vector, got shape {p.shape}")
@@ -228,9 +242,11 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
         sizes.append(count[keep])
         scores.append(score[keep])
     firsts, sizes = np.concatenate(firsts), np.concatenate(sizes)
-    listed = int(sizes.sum())
+    listed = sizes.sum()
     if listed > budget:
-        raise BudgetError(f"enumeration lists {listed} typical sequences, budget is {budget}", needed=listed)
+        needed = int(listed) if listed < math.inf else math.inf
+        raise BudgetError(f"enumeration lists {needed} typical sequences, budget is {budget}", needed=needed)
+    listed = int(listed)
     sizes = sizes.astype(np.int64)
     # Python's float power (libm pow), which numpy's vectorised power does not
     # match bit for bit on every host

@@ -110,6 +110,24 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_non_utf8_config_is_a_config_error_naming_the_file(tmp_path, capsys):
+    # json.load raised UnicodeDecodeError, which escaped as a traceback
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'\xff\xfe{"n": 3}')
+    rc, out, err = run_cli(["typ-dump", "--config", str(cfg)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"config error: config file {cfg} is not valid JSON: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("argv", [["typ-dump"], ["b-typ", "--sigma", "0.45", "--num-bins", "2"]])
+def test_class_sizes_past_the_largest_float_exit_3(capsys, argv):
+    # a class size overflowed float64 (RuntimeWarning), then int() of the
+    # infinite total raised OverflowError: exit 1, where n = 1000 exits 3
+    rc, out, err = run_cli([*argv, "--n", "1100", "--eps", "0.1"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "budget exceeded: enumeration lists inf typical sequences, budget is 10000000\n"
+
+
 def test_b_typ_output_is_self_consistent(tmp_path, capsys):
     cfg = tmp_path / "bt.json"
     cfg.write_text(

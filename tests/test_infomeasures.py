@@ -13,6 +13,7 @@ from paslab.infomeasures import (
     entropy,
     equivocation,
     gmi,
+    label_joint,
     lm_rate,
     mi_inequality_chain,
     mutual_information,
@@ -124,6 +125,19 @@ def test_bit_rates_reject_a_label_table_of_another_size():
     for rate in (partial(bmd_cost, labels=labels), *(partial(f, chan=d) for f in _bit_rates(labels))):
         with pytest.raises(ValueError, match="label table"):
             rate(p)
+
+
+def test_label_joint_needs_a_one_to_one_bit_table():
+    # a repeated word dropped a row's mass (r_bmd read 1.5 bit off a 1-bit
+    # input), and a label 2 raised a bare IndexError
+    joint = np.full((2, 2), 0.25)
+    with pytest.raises(ValueError, match="the same word"):
+        label_joint(joint, np.array([[0], [0]]))
+    with pytest.raises(ValueError, match="the same word"):
+        r_bmd((0.5, 0.5), np.eye(2), np.array([[0], [0]]))
+    with pytest.raises(ValueError, match="0/1 bits only"):
+        label_joint(joint, np.array([[0], [2]]))
+    assert label_joint(np.diag([0.75, 0.25]), np.array([[1], [0]])).tolist() == [[0.0, 0.25], [0.75, 0.0]]
 
 
 def test_mi_identity_channel_is_input_entropy():

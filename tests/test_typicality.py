@@ -69,6 +69,16 @@ def test_empirical_rate_matches_oracle():
         assert empirical_rate(seq, p) == pytest.approx(seq_rate(seq, p), abs=1e-12)
 
 
+def test_single_sequence_checks_read_their_inputs_as_their_siblings_do():
+    # is_typical ignored config.n, and empirical_rate read a pmf summing to 1.2
+    with pytest.raises(ValueError, match="must have length config.n"):
+        is_typical([0, 1, 1], (0.5, 0.5), TypConfig(n=4, eps=0.1))
+    with pytest.raises(ValueError, match="pmf sums to 1.2"):
+        empirical_rate((0, 1), (0.5, 0.7))
+    with pytest.raises(ValueError, match="pmf sums to 1.2"):
+        is_typical((0, 1), (0.5, 0.7), TypConfig(n=2, eps=0.1))
+
+
 def test_empirical_rate_zero_prob_symbol():
     assert empirical_rate((0, 1), (0.0, 1.0)) == float("inf")
     with pytest.raises(ValueError):
@@ -189,6 +199,24 @@ def test_budget_bounds_the_members_listed():
     with pytest.raises(BudgetError) as info:
         enumerate_typical(pmf, TypConfig(n=10, eps=0.25, budget=count - 1))
     assert info.value.needed == count
+
+
+def test_class_sizes_past_the_largest_float_exceed_the_budget():
+    # at n = 1100 the middle class of two letters holds C(1100, 550) > 1.8e308
+    # sequences: the float count overflowed, with a RuntimeWarning, and int()
+    # of the infinite total raised OverflowError
+    with pytest.raises(BudgetError, match="lists inf typical sequences") as info:
+        enumerate_typical((0.5, 0.5), TypConfig(n=1100, eps=0.1))
+    assert info.value.needed == math.inf
+
+
+@pytest.mark.parametrize("eps", [1.0, 5.0])
+def test_set_bounds_past_the_largest_float(eps):
+    # one letter, one member: the bounds 2^{n(H+eps)} and 2^{-n(H-eps)}
+    # overflow a float, and Python's power raised OverflowError on them
+    ts = enumerate_typical((1.0,), TypConfig(n=1100, eps=eps))
+    assert ts.count == 1
+    assert ts.bounds == (True, True, True, True, 1.0)
 
 
 def test_class_budget_is_checked_before_anything_is_allocated(monkeypatch):
