@@ -162,12 +162,18 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
         k = amp.shape[1]
         gen = rng.integers(0, 2, size=(k + n1, n2), dtype=np.int8)
         # (amplitude bits of m_a ++ information bits of m_s) @ gen over GF(2)
-        redundant = ((amp @ gen[:k].astype(np.intp))[:, None] + info @ gen[k:]) % 2
+        amp_part = (amp @ gen[:k].astype(np.intp) % 2).astype(np.int8)
+        redundant = amp_part[:, None] ^ (info @ gen[k:] % 2).astype(np.int8)  # int8, as iid's
     signs = np.empty((layer.n, m_a_count * m_s_count), dtype=np.int8)
-    signs[:n1] = np.tile(info.T, m_a_count)
+    signs[:n1].reshape(n1, m_a_count, m_s_count)[...] = info.T[:, None, :]
     signs[n1:] = redundant.reshape(-1, n2).T
-    amplitudes = np.repeat(layer.amplitude_seqs.T, m_s_count, axis=1)
-    return layer.constellation.sign_amplitude_index[signs, amplitudes]
+    # in place, so the peak stays near the result: point half + a for sign
+    # bit 1 and, as `sign_amplitude_index` has it, half - 1 - a for sign bit 0
+    half = layer.constellation.num_amplitudes
+    points = np.empty(signs.shape, dtype=np.intp)
+    points.reshape(layer.n, m_a_count, m_s_count)[...] = layer.amplitude_seqs.T[:, :, None]
+    points += half
+    return np.subtract(2 * half - 1, points, out=points, where=signs == 0)
 
 
 # every nonempty subset of the axes (a, s, y) of p(a, s, y)

@@ -15,14 +15,15 @@ applicability flag instead of being asserted.
 
 Both sides of typicality follow Csiszar and Korner's method of types, and
 neither scans a sequence grid. Typicality and p(u) are shared by every
-sequence of a composition class, so a set is listed, and its masses and
-probability checks summed and checked, one class at a time. A BoxTest sees
-an output only through its conditional type given the input (how many
-positions holding each input letter carry each output letter), so its pass
-probability is a sum over conditional types, each weighted by the outputs
-it holds (`_type_prob`). `conditional_typical_prob` takes that sum while the
-types fit the budget, and above it counts the outputs that
-`channel.sample_outputs` draws; either way a function of u's type class.
+sequence of a composition class, so both are decided, and a set's masses and
+checks summed, one class at a time; its members are listed in order, with no
+sort, by one prefix expansion over prefix compositions. A BoxTest sees an
+output only through its conditional type given the input (how many positions
+holding each input letter carry each output letter), so its pass probability
+is a sum over conditional types, each weighted by the outputs it holds
+(`_type_prob`). `conditional_typical_prob` takes that sum while the types fit
+the budget, and above it counts the outputs that `channel.sample_outputs`
+draws; either way a function of u's type class.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ DEFAULT_BUDGET = 10_000_000
 MC_SAMPLES = 100_000
 CHUNK = 1 << 16
 _MC_BLOCK = 1 << 14  # Monte Carlo outputs drawn and scored at once
+_LIST_BLOCK = 16  # member columns listed before one transposing write
 
 
 @dataclass(frozen=True)
@@ -185,45 +187,47 @@ def _block_types(support: list, m: int, scores: np.ndarray):
         yield letters, count, scores[letters].sum(axis=1)
 
 
-def _class_members(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The sequences of the classes with first members (letters sorted) firsts
-    and sizes sizes, class after class and each in lexicographic order, as the
-    columns of an (n, N) array. A prefix expansion over each class's distinct
-    letters, O(N n) however wide the alphabet: each row of remaining holds the
-    counts of its class's letters that a prefix has left to place, and size
-    its number of completions, which fill a run of columns."""
-    classes, n = firsts.shape
-    starts = np.ones(firsts.shape, dtype=bool)  # the first place of each distinct letter
-    starts[:, 1:] = firsts[:, 1:] != firsts[:, :-1]
-    at = np.cumsum(starts, axis=1) - 1  # the place of each letter in its class's row
-    w = int(at.max(initial=0)) + 1
-    letters = np.zeros((classes, w), dtype=firsts.dtype)
-    letters[np.nonzero(starts)[0], at[starts]] = firsts[starts]
-    remaining = np.bincount((at + w * np.arange(classes)[:, None]).ravel(), minlength=classes * w)
-    remaining = remaining.reshape(classes, w).astype(np.min_scalar_type(n))
-    cls, size = np.arange(classes), sizes
-    out = np.empty((n, int(sizes.sum())), dtype=firsts.dtype)
-    for j in range(n - 1):
-        flat = np.flatnonzero(remaining)
-        prefix, at = np.divmod(flat, w)
-        # the letter comes next in (its count) of every (n - j) orderings of what remains
-        size = size[prefix] * remaining.ravel()[flat] // (n - j)
-        remaining = remaining[prefix]
-        remaining.ravel()[np.arange(prefix.size) * w + at] -= 1
-        cls = cls[prefix]
-        out[j] = np.repeat(letters[cls, at], size)
-    out[n - 1] = letters[cls, np.flatnonzero(remaining) % w]  # one letter is left to each prefix
-    return out
+def _prefix_members(firsts: np.ndarray, support: np.ndarray) -> tuple:
+    """The members of the classes with first members firsts (C, n), in one
+    C-contiguous (N, n) array in lexicographic order, and each one's class.
+    g(c), the class completions of a prefix composition c (support letter
+    counts below some class's), is 1 at a class and the sum of g(c + e_v) one
+    level up; prefixes expand level by level, children in letter order under
+    their parents, so column j repeats each child's letter over its g."""
+    (_, n), s, letters = firsts.shape, support.size, support.astype(firsts.dtype)
+    states = (firsts[:, :, None] == support).sum(axis=1, dtype=np.min_scalar_type(n))
+    tables, g = [], [np.ones(len(states), dtype=np.int64)]
+    for _ in range(n):  # level n down to the root
+        up, v = np.nonzero(states)
+        down = states[up] - np.eye(s, dtype=states.dtype)[v]
+        keys = down.view(np.dtype((np.void, down.itemsize * s))).ravel().tolist()
+        index = dict(zip(dict.fromkeys(keys), itertools.count()))  # each composition once, unsorted
+        child = np.full((len(index), s), len(states), dtype=np.min_scalar_type(len(states)))
+        child[np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys)), v] = up
+        g.insert(0, np.append(g[0], 0)[child].sum(axis=1))  # a missing child is the appended 0
+        tables.insert(0, child)
+        states = np.frombuffer(b"".join(index), dtype=states.dtype).reshape(-1, s)
+    out = np.empty((int(g[0].sum()), n), dtype=firsts.dtype)
+    block = np.empty((min(n, _LIST_BLOCK), len(out)), dtype=firsts.dtype)
+    nodes = np.arange(len(g[0]))  # the root, if any class is
+    for j, table in enumerate(tables):
+        child = np.take(table, nodes, axis=0)
+        flat = np.flatnonzero(child != len(g[j + 1]))
+        nodes = np.take(child, flat)
+        block[j % _LIST_BLOCK] = np.repeat(np.take(letters, flat % s), np.take(g[j + 1], nodes))
+        if j % _LIST_BLOCK == _LIST_BLOCK - 1 or j == n - 1:
+            out[:, j - j % _LIST_BLOCK : j + 1] = block[: j % _LIST_BLOCK + 1].T
+    return out, nodes.astype(np.intp)  # level n's compositions are the classes, in order
 
 
 def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     """List the typical set in lexicographic order, with bounds. Typicality
     and p(u) are decided once per composition class of the s letters with
-    p > 0, and only the typical classes' members are listed. The budget bounds
-    the C(n + s - 1, s - 1) classes, checked before any is drawn, and the
-    members (BudgetError carries their count, exact below 2^53 and inf
-    once a class size overflows a float, past about n = 1030 for two
-    letters)."""
+    p > 0, and only the typical classes' members are listed, by
+    `_prefix_members`. The budget bounds the C(n + s - 1, s - 1) classes,
+    checked before any is drawn, and the members (BudgetError carries their
+    count, exact below 2^53 and inf once a class size overflows a float,
+    past about n = 1030 for two letters)."""
     p = check_pmf(pmf)
     if p.ndim != 1:
         raise ValueError(f"pmf must be a vector, got shape {p.shape}")
@@ -233,12 +237,11 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     classes = math.comb(n + support.size - 1, support.size - 1)
     if classes > budget:
         raise BudgetError(f"enumeration visits {classes} composition classes, budget is {budget}", needed=classes)
-    dtype = np.min_scalar_type(p.size - 1)  # uint8 up to 256 letters
     log2p = log2_safe(p)
     firsts, sizes, scores = [], [], []  # the typical classes' sorted letters, sizes and log2 p(u)
     for letters, count, score in _block_types(support.tolist(), n, log2p):
         keep = in_box(score, n, h, eps)
-        firsts.append(letters[keep].astype(dtype))
+        firsts.append(letters[keep].astype(np.min_scalar_type(p.size - 1)))
         sizes.append(count[keep])
         scores.append(score[keep])
     firsts, sizes = np.concatenate(firsts), np.concatenate(sizes)
@@ -246,19 +249,16 @@ def enumerate_typical(pmf, config: TypConfig) -> TypicalSet:
     if listed > budget:
         needed = int(listed) if listed < math.inf else math.inf
         raise BudgetError(f"enumeration lists {needed} typical sequences, budget is {budget}", needed=needed)
-    listed = int(listed)
     sizes = sizes.astype(np.int64)
     # Python's float power (libm pow), which numpy's vectorised power does not
     # match bit for bit on every host
     class_prob = np.array([2.0 ** x for x in np.concatenate(scores).tolist()])
-    columns = _class_members(firsts, sizes)
-    order = np.lexsort(columns[::-1])
+    members, member_class = _prefix_members(firsts, support)
     typical_prob = math.fsum((sizes * class_prob).tolist())
-    upper_ok, lower_ok, prob_ok = _bounds_ok(listed, class_prob, n, h, eps)
+    upper_ok, lower_ok, prob_ok = _bounds_ok(len(members), class_prob, n, h, eps)
     bounds = SetBounds(upper_ok, lower_ok, typical_prob >= 1 - eps, prob_ok, typical_prob)
-    member_class = np.repeat(np.arange(len(firsts)), sizes)[order]
-    per_class = [_frozen(a) for a in (firsts, member_class, sizes, class_prob)]
-    return TypicalSet(p, config, h, _frozen(columns.T[order]), bounds, *per_class)
+    per_class = (firsts, member_class, sizes, class_prob)
+    return TypicalSet(p, config, h, _frozen(members), bounds, *map(_frozen, per_class))
 
 
 class BoxTest:

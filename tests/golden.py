@@ -15,7 +15,13 @@ above that, and a header line alone for an empty set. `typ-dump-n48` pins a
 set listed by composition class whose 2^48 sequences are far above the budget:
 18,473 members from the 4 typical classes of 49, every bound check true; its
 hash was first taken when enumeration moved from a scan of all sequences,
-which refused the case, to composition classes. The `sim` runs (the
+which refused the case, to composition classes. `typ-dump-k4-n9` is the
+benchmark's 4^9 listing: 79,894 members from 72 classes whose members
+interleave in lexicographic order. `typ-dump-zero-letter` lists a pmf with a
+zero letter, (0.2, 0, 0.5, 0.3) at n 7: 441 members from 6 classes over the
+three letters with p > 0. Both were pinned before members came to be listed
+in order by one prefix expansion instead of class by class and then sorted.
+The `sim` runs (the
 README line, a bit-level run with pairwise-only acceptances and a
 linear-codebook run) keep the per-trial streams of the time each trial built
 its own numpy Generator; `readme-sim-threads-3` repeats the README line at

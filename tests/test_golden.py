@@ -1,6 +1,8 @@
 """The full stdout of the golden cases (the README `typ-dump`, `b-typ` and
 `sim` lines, an 11-letter `typ-dump` and `b-typ` in the comma format, an empty
-typical set, a `typ-dump` at n = 48 listed by composition class, a bmd `sim` with pairwise-only acceptances, a linear-codebook
+typical set, a `typ-dump` at n = 48 listed by composition class, the
+benchmark's 4^9 `typ-dump`, a `typ-dump` of a pmf with a zero letter, a bmd
+`sim` with pairwise-only acceptances, a linear-codebook
 `sim`, the README `sim` line at `--threads 3`, a Monte Carlo `b-typ` at
 budget 100, an exact 4-bin `b-typ`, an exact 8-ASK `b-typ`, an exact `b-typ`
 on a transition with zero cells, and an 8-bin

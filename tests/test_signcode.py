@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ def test_codebook_shapes_and_determinism():
     np.testing.assert_array_equal(amplitudes, np.repeat(layer.amplitude_seqs.T, 8, axis=1))
     np.testing.assert_array_equal(points, draw_sign_code(layer, 3, seed=9))
     assert not np.array_equal(signs, _amplitudes_and_signs(draw_sign_code(layer, 3, seed=10))[1])
+
+
+@pytest.mark.parametrize("mode", ["iid", "linear"])
+def test_sign_code_peaks_near_its_points(mode):
+    # the points are computed in place from the amplitudes, and a linear
+    # code's redundant signs are summed as int8; summed as intp, they took
+    # the peak to 1.6-1.9 times the result
+    layer = _every_sequence_layer(10)
+    draw_sign_code(layer, 1, mode)  # the generator's first-use allocations
+    tracemalloc.start()
+    try:
+        points = draw_sign_code(layer, 6, mode, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (10, 2**16)
+    assert peak < 1.5 * points.nbytes
 
 
 def test_codebook_info_bits_enumeration():

@@ -267,6 +267,59 @@ def test_class_enumeration_matches_brute_force(case):
     np.testing.assert_allclose(ts.class_prob[ts.member_class], probs, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_listing_matches_brute_force_on_random_pmfs(seed):
+    # 1 to 11 letters, some of probability 0, and n up to 8 while k^n stays
+    # small: the members are the brute-force listing, in its lexicographic
+    # order, and member i's class is the one whose first member is the
+    # letters of member i sorted
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        k = int(rng.integers(1, 12))
+        n = int(rng.integers(1, min(8, int(math.log(16384, max(k, 2)))) + 1))
+        p = rng.random(k) * (rng.random(k) > 0.3)
+        p[rng.integers(k)] += 0.1
+        pmf, eps = tuple((p / p.sum()).tolist()), float(rng.uniform(0.05, 0.8))
+        ts = enumerate_typical(pmf, TypConfig(n=n, eps=eps))
+        assert _rows(ts.members) == typical_set_oracle(pmf, n, eps)[0], (pmf, n, eps)
+        _assert_member_array(ts.members, n)
+        np.testing.assert_array_equal(ts.class_firsts[ts.member_class], np.sort(ts.members, axis=1))
+
+
+def test_listing_sorts_nothing(monkeypatch):
+    # members come out in lexicographic order as they are listed: no member
+    # or row sort, and no dedupe by rows
+    def no_sort(*args, **kwargs):
+        raise AssertionError("enumerate_typical sorted")
+
+    unique = np.unique
+
+    def unique_1d(ar, *args, axis=None, **kwargs):
+        if axis is not None:
+            raise AssertionError("enumerate_typical deduped rows by sorting")
+        return unique(ar, *args, **kwargs)
+
+    for name in ("lexsort", "argsort", "sort"):
+        monkeypatch.setattr(np, name, no_sort)
+    monkeypatch.setattr(np, "unique", unique_1d)
+    for pmf, n, eps in [*BRUTE_FORCE_CASES.values(), ((0.98, 0.02), 48, 0.3)]:
+        enumerate_typical(pmf, TypConfig(n=n, eps=eps))
+
+
+@pytest.mark.parametrize(
+    "pmf,n,eps,members", [((0.3, 0.7), 1, 0.1, []), ((1, 0), 5, 0.1, [[0] * 5])], ids=["empty", "one-letter"]
+)
+def test_listing_shapes_of_an_empty_set_and_one_letter(pmf, n, eps, members):
+    ts = enumerate_typical(pmf, TypConfig(n=n, eps=eps))
+    assert ts.members.tolist() == ts.class_firsts.tolist() == members
+    for a in (ts.members, ts.class_firsts):
+        assert a.shape == (len(members), n)
+        _assert_member_array(a, n)
+    per_class = ((ts.member_class, np.intp, 0), (ts.class_sizes, np.int64, 1), (ts.class_prob, np.float64, 1.0))
+    for a, dtype, want in per_class:
+        assert a.dtype == dtype and a.tolist() == [want] * len(members) and not a.flags.writeable
+
+
 def test_jointly_typical_matches_oracle():
     # correlated pair, every aligned sequence combination at n=4
     joint = np.array([[0.4, 0.1], [0.1, 0.4]])
