@@ -13,7 +13,10 @@ trials:
   a 4-word pool and expanded by `generate_state(4, np.uint64)`;
 - PCG64 (O'Neill, HMC-CS-2014-0905): 128-bit LCG seeded as
   inc = 2 * seq + 1, state = (inc + init) * MULT + inc, each output one LCG
-  step followed by the XSL-RR output function;
+  step followed by the XSL-RR output function. A trial's state and inc are
+  two uint64 words (hi, lo); a step's low products lo * MULT_lo and
+  hi * MULT_lo + lo * MULT_hi wrap natively in 64 bits, and only the high
+  word of lo * MULT_lo is summed from 32-bit halves;
 - `integers(M)` for 1 < M < 2^32: Lemire's 32-bit bounded integers
   (ACM TOMACS 2019) on one 32-bit half of an output, the low half first and
   the buffered high half next; M = 1 draws nothing;
@@ -21,7 +24,9 @@ trials:
 
 Lemire rejects a draw when its low product word is below (2^32 - M) mod M,
 with probability under M / 2^32; those trials, and any case outside the
-ranges above, are redone by `per_trial`, the plain per-trial Generator code.
+ranges above or with a trial number outside [0, 2^32), are redone by
+`per_trial`, the plain per-trial Generator code (which raises ValueError on a
+negative one).
 tests/test_streams.py compares both against numpy itself.
 """
 
@@ -35,8 +40,10 @@ POOL_SIZE = 4
 INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's default 128-bit LCG multiplier
+# PCG64's default 128-bit LCG multiplier, and its 64-bit and low 32-bit words
 PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+MULT_HI, MULT_LO = np.uint64(PCG_MULT >> 64), np.uint64(PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+MULT_LO_HI, MULT_LO_LO = MULT_LO >> 32, MULT_LO & MASK32
 
 
 def per_trial(seed: int, trials, bounds: tuple, n: int):
@@ -96,58 +103,51 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
     return np.array(state)
 
 
-def _limbs(value: int) -> np.ndarray:
-    """A 128-bit constant as (4, 1) 32-bit limbs in uint64, least significant first."""
-    return np.array([[(value >> (32 * i)) & MASK32] for i in range(4)], dtype=np.uint64)
+def _mul_add(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * PCG_MULT + (inc_hi, inc_lo) mod 2^128 on uint64 word arrays."""
+    lo_lo, lo_hi = lo & MASK32, lo >> 32
+    # the high word of lo * MULT_LO from 32-bit halves; neither sum exceeds 2^64 - 1
+    mid = lo_hi * MULT_LO_LO + (lo_lo * MULT_LO_LO >> 32)
+    low_mid = lo_lo * MULT_LO_HI + (mid & MASK32)
+    new_lo = lo * MULT_LO + inc_lo  # carries into new_hi iff it wrapped below inc_lo
+    new_hi = hi * MULT_LO + lo * MULT_HI + lo_hi * MULT_LO_HI + (mid >> 32) + (low_mid >> 32)
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
 
 
-def _mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a * b + c mod 2^128 on (4, ...) limb arrays; each limb product is split
-    into 32-bit halves, so no column sum can overflow 64 bits."""
-    cols = list(c)
-    for i in range(4):
-        for j in range(4 - i):
-            prod = a[i] * b[j]
-            cols[i + j] = cols[i + j] + (prod & MASK32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
-    out, carry = [], 0
-    for col in cols:
-        col = col + carry
-        out.append(col & MASK32)
-        carry = col >> 32
-    return np.array(out)
+def _seed(init_hi, init_lo, seq_hi, seq_lo):
+    """numpy's pcg64_set_seed on uint64 words: inc = 2 * seq + 1 and
+    state = (inc + init) * PCG_MULT + inc, as (state_hi, state_lo, inc_hi, inc_lo)."""
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    lo = inc_lo + init_lo
+    return *_mul_add(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo
 
 
-def _xsl_rr(state: np.ndarray) -> np.ndarray:
-    """PCG64's 64-bit output of (4, T) limb states."""
-    x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
-    rot = state[3] >> 26
-    return (x >> rot) | (x << ((64 - rot) & 63))
+def _xsl_rr(hi, lo, out):
+    """PCG64's 64-bit output of the states (hi, lo), written into out."""
+    np.bitwise_xor(hi, lo, out=out)
+    rot = hi >> 58
+    np.bitwise_or(out >> rot, out << ((64 - rot) & 63), out=out)
 
 
 def draw(seed: int, trials: range, bounds: tuple, n: int):
     """`per_trial(seed, trials, bounds, n)`, computed for all trials at once."""
     seed, bounds = int(seed), tuple(int(bound) for bound in bounds)
-    if trials.stop > 1 << 32 or not all(1 <= bound <= MASK32 for bound in bounds):
+    ends = (trials[0], trials[-1]) if trials else ()  # trials is a range of any step
+    if not all(0 <= t <= MASK32 for t in ends) or not all(1 <= b <= MASK32 for b in bounds):
         return per_trial(seed, trials, bounds, n)
-    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    t = np.arange(trials.start, trials.stop, trials.step).astype(np.uint32)
     head = np.array(_words(seed) + [1], dtype=np.uint32)
     entropy = np.concatenate([np.repeat(head[:, None], len(t), axis=1), t[None]])
     words = _pool_state(entropy).astype(np.uint64)
-    # generate_state(4, uint64) = [init_hi, init_lo, seq_hi, seq_lo]
-    init = words[[2, 3, 0, 1]]
-    seq = words[[6, 7, 4, 5]]
-    inc = ((seq << 1) | np.concatenate([np.ones_like(seq[:1]), seq[:3] >> 31])) & MASK32
-    mult = _limbs(PCG_MULT)
-    state = _mul_add(_mul_add(inc, _limbs(1), init), mult, inc)
+    # generate_state(4, uint64) = [init_hi, init_lo, seq_hi, seq_lo], low 32 bits first
+    hi, lo, inc_hi, inc_lo = _seed(*(words[0::2] | (words[1::2] << 32)))
 
     drawn = [k for k, bound in enumerate(bounds) if bound > 1]
     skip = (len(drawn) + 1) // 2  # outputs whose 32-bit halves the bounded draws take
-    outputs = []
-    for _ in range(skip + n):
-        state = _mul_add(state, mult, inc)
-        outputs.append(_xsl_rr(state))
+    outputs = np.empty((skip + n, len(t)), dtype=np.uint64)
+    for row in outputs:
+        hi, lo = _mul_add(hi, lo, inc_hi, inc_lo)
+        _xsl_rr(hi, lo, row)
     ints = np.zeros((len(t), len(bounds)), dtype=np.int64)
     rejected = np.zeros(len(t), dtype=bool)
     halves = [half for out in outputs[:skip] for half in (out & MASK32, out >> 32)]
@@ -155,8 +155,7 @@ def draw(seed: int, trials: range, bounds: tuple, n: int):
         product = half * np.uint64(bounds[k])
         rejected |= (product & MASK32) < (2**32 - bounds[k]) % bounds[k]
         ints[:, k] = product >> 32
-    x = np.array(outputs[skip:], dtype=np.uint64).reshape(n, len(t)).T
-    u = (x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    u = (outputs[skip:].T >> 11) * (1.0 / 9007199254740992.0)
     if rejected.any():
         redo = np.flatnonzero(rejected)
         ints[redo], u[redo] = per_trial(seed, [trials[j] for j in redo], bounds, n)

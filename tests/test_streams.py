@@ -89,6 +89,61 @@ def test_out_of_range_draws_are_per_trial(fallback_trials, trials, bounds):
     assert fallback_trials[0] == len(trials)
 
 
+def test_draw_honours_the_range_step():
+    for trials in (range(0, 10, 2), range(40, 3, -7), range(5, 5)):
+        _assert_draws_equal(streams.draw(0, trials, (3, 5), 2), _numpy_draws(0, trials, (3, 5), 2))
+
+
+def test_negative_trial_raises_as_per_trial_does():
+    for draws in (streams.draw, streams.per_trial):
+        with pytest.raises(ValueError, match="non-negative"):
+            draws(0, range(-2, 3), (3, 5), 2)
+
+
+MASK64 = 2**64 - 1
+# 128-bit values whose words reach the carries of one LCG step: the low word's
+# product and sum, the high word of lo * MULT_lo, and the 2^128 wrap
+LOW_SUM_WRAPS = (MASK64 * pow(streams.PCG_MULT & MASK64, -1, 2**64)) & MASK64  # lo * MULT_lo = 2^64 - 1
+WORDS = {
+    "zero": 0,
+    "one": 1,
+    "lo-max": MASK64,
+    "hi-max": MASK64 << 64,
+    "all-ones": 2**128 - 1,
+    "lo-top-bit": 2**63,
+    "low-sum-wraps": (3 << 64) | LOW_SUM_WRAPS,
+    "random": 0x9E3779B97F4A7C15F39CC0605CEDC834,
+}
+
+
+def _as_words(values):
+    """(hi, lo) uint64 arrays of 128-bit Python ints."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & MASK64 for v in values], dtype=np.uint64))
+
+
+def _as_ints(hi, lo):
+    return [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
+
+
+@pytest.mark.parametrize("state", WORDS.values(), ids=WORDS.keys())
+def test_lcg_step_matches_python_ints(state):
+    # any 128-bit inc, odd or not; "one" on state "low-sum-wraps" carries at exactly 2^64
+    incs = list(WORDS.values())
+    got = streams._mul_add(*_as_words([state] * len(incs)), *_as_words(incs))
+    assert _as_ints(*got) == [(state * streams.PCG_MULT + inc) % 2**128 for inc in incs]
+
+
+@pytest.mark.parametrize("seq", WORDS.values(), ids=WORDS.keys())
+def test_seeding_matches_python_ints(seq):
+    # numpy's pcg64_set_seed: inc = 2 * seq + 1, state = (inc + init) * MULT + inc
+    inits = list(WORDS.values())
+    state_hi, state_lo, inc_hi, inc_lo = streams._seed(*_as_words(inits), *_as_words([seq] * len(inits)))
+    inc = (2 * seq + 1) % 2**128
+    assert _as_ints(inc_hi, inc_lo) == [inc] * len(inits)
+    assert _as_ints(state_hi, state_lo) == [((inc + init) * streams.PCG_MULT + inc) % 2**128 for init in inits]
+
+
 def test_negative_seed_raises():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         streams.draw(-1, range(3), (4, 2), 2)
