@@ -6,8 +6,10 @@ stdout or --out. Outputs are deterministic given the config, including across
 --threads settings. Exit codes: 0 success, 2 config error, 3 budget error,
 4 convergence error. A ValueError from a library check on config values,
 under any command, is a config error: `main` maps every error to its exit
-code once. Each call builds the parser of the invoked subcommand only;
-`paslab --help` lists every subcommand.
+code once. Each call builds the parser of the invoked subcommand only, and
+the full tree only for help, a bad command or an argument that parser
+leaves over, so every message is the full tree's; `paslab --help` lists
+every subcommand.
 """
 
 from __future__ import annotations
@@ -202,12 +204,18 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, body=b"") -> None:
+    """Write text (UTF-8) and then body, any bytes-like buffer, to out_path or
+    to stdout, through one binary stream."""
     if out_path:
-        with _writing(out_path), open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
+        with _writing(out_path), open(out_path, "wb") as f:
+            f.write(text.encode())
+            f.write(body)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # anything written as text goes first
+        sys.stdout.buffer.write(text.encode())
+        sys.stdout.buffer.write(body)
+        sys.stdout.buffer.flush()
 
 
 def _build_channel(v: dict, constellation, p_a: np.ndarray):
@@ -305,21 +313,23 @@ def cmd_shaping_gap(args, cfg: dict, v: dict) -> None:
 # ----------------------------------------------------------- typ-dump / b-typ
 
 
-def _member_text(members: np.ndarray, alphabet_size: int) -> str:
-    """One newline-terminated line per row of an (N, n) member array: its
-    letters as digits for alphabets of at most 10 letters, comma-separated
-    indices above that."""
+def _member_lines(members: np.ndarray, alphabet_size: int):
+    """One newline-terminated ASCII line per row of an (N, n) member array, as
+    a bytes-like buffer: its letters as digits for alphabets of at most 10
+    letters, an (N, n + 1) uint8 array, and comma-separated indices above
+    that."""
     if alphabet_size > 10:
-        return "".join(",".join(map(str, row)) + "\n" for row in members.tolist())
-    text = np.full((len(members), members.shape[1] + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = members + ord("0")
-    return text.tobytes().decode("ascii")
+        return "".join(",".join(map(str, row)) + "\n" for row in members.tolist()).encode()
+    text = np.empty((len(members), members.shape[1] + 1), dtype=np.uint8)
+    np.add(members, ord("0"), out=text[:, :-1])
+    text[:, -1] = ord("\n")
+    return text
 
 
 def cmd_typ_dump(args, cfg: dict, v: dict) -> None:
     ts = enumerate_typical(v["pmf"], TypConfig(n=v["n"], eps=v["eps"], budget=v["budget"]))
     header = {"config": cfg, "entropy": ts.h, "count": ts.count, **ts.bounds._asdict()}
-    _emit(json.dumps(header, sort_keys=True) + "\n" + _member_text(ts.members, len(ts.pmf)), args.out)
+    _emit(json.dumps(header, sort_keys=True) + "\n", args.out, _member_lines(ts.members, len(ts.pmf)))
 
 
 def cmd_b_typ(args, cfg: dict, v: dict) -> None:
@@ -337,7 +347,7 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
     header.update(report)
     # members of one type class share their probability: format each kept class's once
     labels = {k: f" {b.class_probs[k].prob:.10g}\n" for k in np.flatnonzero(b.class_kept).tolist()}
-    lines = _member_text(b.members, len(pmf)).splitlines()
+    lines = bytes(_member_lines(b.members, len(pmf))).decode("ascii").splitlines()
     body = "".join(line + labels[k] for line, k in zip(lines, b.member_class.tolist()))
     _emit(json.dumps(header, sort_keys=True) + "\n" + body, args.out)
 
@@ -382,36 +392,44 @@ COMMANDS = {
 }
 
 
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p with the options of subcommand name, dispatching to its command."""
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out", help="output path (default stdout)")
+    for opt in OPTIONS[name]:
+        if opt.flag:
+            flag = "--" + opt.key.replace("_", "-")
+            p.add_argument(flag, dest=opt.key, type=_FLAG_TYPES.get(opt.read), choices=opt.choices)
+    if name == "sim":
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--csv", help="append a summary row to this CSV file")
+    p.set_defaults(command=name, func=COMMANDS[name][0])
+    return p
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone with its full
-    options. The one-command parser's usage line still lists every command,
-    so its messages read as the full tree's."""
+    """The parser of every subcommand, or the parser of `command` alone: the
+    subparser the full tree would hand the arguments after the command name,
+    with the same prog, usage, help and messages."""
+    if command is not None:
+        return _add_options(argparse.ArgumentParser(prog=f"paslab {command}"), command)
     ap = argparse.ArgumentParser(prog="paslab", description=__doc__)
-    names = list(COMMANDS) if command is None else [command]
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        func, help_text = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        for opt in OPTIONS[name]:
-            if opt.flag:
-                flag = "--" + opt.key.replace("_", "-")
-                p.add_argument(flag, dest=opt.key, type=_FLAG_TYPES.get(opt.read), choices=opt.choices)
-        if name == "sim":
-            p.add_argument("--threads", type=int, default=1)
-            p.add_argument("--csv", help="append a summary row to this CSV file")
-        p.set_defaults(func=func)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a leading command name needs its own parser only; anything else (help,
-    # a bad or missing command) gets the full tree and its messages
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # a bad or missing command) and any argument that parser leaves over
+    # (which the full tree reports as its own error) gets the full tree
+    args = extra = None
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         args.func(args, *_load_config(args))
     except (ConfigError, ValueError) as exc:

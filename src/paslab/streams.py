@@ -68,24 +68,27 @@ def _words(value: int) -> list:
     return words
 
 
-def _pool_state(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(8) as (8, T) uint32, from (L, T)
-    uint32 entropy words (one column per trial)."""
+def _pool_state(head: list, t: np.ndarray) -> np.ndarray:
+    """SeedSequence(head + [t]).generate_state(8) as (8, T) uint32, from the
+    trial-independent 32-bit entropy words head and the (T,) uint32 trial
+    words t, one column per trial. Words that do not depend on t (head, the
+    zero padding and every mix of those alone) are Python ints, mixed once;
+    array arithmetic starts where t enters."""
     hash_const = INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = (hash_const * MULT_A) & MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+        value = _wrap(value * hash_const)
+        return value ^ (value >> 16)
 
     def mix(x, y):
-        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
+        result = _wrap(_wrap(MIX_MULT_L * x) - _wrap(MIX_MULT_R * y))
+        return result ^ (result >> 16)
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(POOL_SIZE)]
+    entropy = [*head, t]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(POOL_SIZE)]
     for src in range(POOL_SIZE):
         for dst in range(POOL_SIZE):
             if src != dst:
@@ -96,11 +99,16 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
     hash_const = INIT_B
     state = []
     for i in range(8):
-        value = pool[i % POOL_SIZE] ^ np.uint32(hash_const)
+        value = pool[i % POOL_SIZE] ^ hash_const
         hash_const = (hash_const * MULT_B) & MASK32
-        value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> np.uint32(16)))
+        value = _wrap(value * hash_const)
+        state.append(value ^ (value >> 16))
     return np.array(state)
+
+
+def _wrap(value):
+    """value mod 2^32: a Python int is reduced, a uint32 array has wrapped already."""
+    return value & MASK32 if isinstance(value, int) else value
 
 
 def _mul_add(hi, lo, inc_hi, inc_lo):
@@ -136,9 +144,7 @@ def draw(seed: int, trials: range, bounds: tuple, n: int):
     if not all(0 <= t <= MASK32 for t in ends) or not all(1 <= b <= MASK32 for b in bounds):
         return per_trial(seed, trials, bounds, n)
     t = np.arange(trials.start, trials.stop, trials.step).astype(np.uint32)
-    head = np.array(_words(seed) + [1], dtype=np.uint32)
-    entropy = np.concatenate([np.repeat(head[:, None], len(t), axis=1), t[None]])
-    words = _pool_state(entropy).astype(np.uint64)
+    words = _pool_state(_words(seed) + [1], t).astype(np.uint64)
     # generate_state(4, uint64) = [init_hi, init_lo, seq_hi, seq_lo], low 32 bits first
     hi, lo, inc_hi, inc_lo = _seed(*(words[0::2] | (words[1::2] << 32)))
 

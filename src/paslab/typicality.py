@@ -17,13 +17,23 @@ Both sides of typicality follow Csiszar and Korner's method of types, and
 neither scans a sequence grid. Typicality and p(u) are shared by every
 sequence of a composition class, so both are decided, and a set's masses and
 checks summed, one class at a time; its members are listed in order, with no
-sort, by one prefix expansion over prefix compositions. A BoxTest sees an
-output only through its conditional type given the input (how many positions
-holding each input letter carry each output letter), so its pass probability
-is a sum over conditional types, each weighted by the outputs it holds
-(`_type_prob`). `conditional_typical_prob` takes that sum while the types fit
-the budget, and above it counts the outputs that `channel.sample_outputs`
-draws; either way a function of u's type class.
+sort, by one prefix expansion over prefix compositions.
+
+A BoxTest sees an output only through its conditional type given the input
+(how many positions holding each input letter carry each output letter), so
+a candidate's pass probability is a sum over conditional types, each
+weighted by the outputs it holds. One engine, `_type_probs`, takes that sum
+for every candidate of a test in one pass: each input letter's blocks (the
+compositions of m outputs it reaches, for every count m that a candidate
+gives it) are drawn once and shared by all candidates, a candidate's blocks
+are combined CHUNK types at a time, and the score columns of the types are
+stored as the rows of one (J, R) array, so small pieces of many candidates
+are scored together. Each piece's mass is summed alone, so a candidate's
+value does not depend on the others it is scored with. A candidate whose
+types exceed the budget gets a Monte Carlo estimate instead, drawn by
+`channel.sample_outputs`. `enumerate_b_typical` runs the engine once over
+the first members of all typical classes; `conditional_typical_prob` is its
+one-candidate call. Either way the result is a function of u's type class.
 """
 
 from __future__ import annotations
@@ -358,97 +368,202 @@ def _check_transition(transition, size: int) -> np.ndarray:
     return t
 
 
-def _type_blocks(test: BoxTest, t: np.ndarray, c: int = 0) -> list:
-    """Candidate c's blocks of the conditional types of outputs drawn by the
-    rows of t given its inputs x = test.x[:, c]: per letter a of x, the
-    _block_types arguments (the outputs a reaches, a's count, a (|Y|, J)
-    score table). The J columns are log2 t(.|a), the test's y-box table and
-    each y-box term's table at a. Outputs with t(y|a) = 0 are left out of
-    a's block: their sequences have weight 0."""
-    counts = np.bincount(test.x[:, c], minlength=len(t))
-    letters = np.flatnonzero(counts)
-    log_t = log2_safe(t[letters])
-    terms = [table[letters] for table, _ in test.terms]
-    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *terms], axis=-1)  # (letters, |Y|, J)
-    reach = [np.flatnonzero(row > 0).tolist() for row in t[letters]]
-    return list(zip(reach, counts[letters].tolist(), scores))
+def _letter_blocks(x: np.ndarray, k: int) -> list:
+    """Each candidate's blocks of conditional types: the (letter a, count m)
+    of every letter in [0, k) that its column of the (n, C) inputs x holds,
+    in letter order."""
+    counts = np.bincount((x + k * np.arange(x.shape[1])).ravel(), minlength=k * x.shape[1])
+    return [[(a, m) for a, m in enumerate(row) if m] for row in counts.reshape(-1, k).tolist()]
 
 
-def _type_count(blocks) -> int:
-    """The conditional types in the blocks: prod of C(m + s - 1, s - 1), m a letter's count, s its outputs."""
-    return math.prod(math.comb(m + len(support) - 1, len(support) - 1) for support, m, _ in blocks)
+def _type_count(blocks, outputs: list) -> int:
+    """The conditional types of one candidate's blocks: prod of
+    C(m + s - 1, s - 1) over its (a, m), s = outputs[a] the outputs a reaches."""
+    return math.prod(math.comb(m + outputs[a] - 1, outputs[a] - 1) for a, m in blocks)
 
 
-def _outer_types(blocks, count, score):
-    """Yield every combination of one composition per block, as (count,
-    score) with count the product and score the sum over the blocks after
-    the given prefix, at most CHUNK combinations at a time. blocks holds the
-    _block_types arguments of each block, whose compositions are drawn afresh
-    for every slice of the prefix."""
+def _combine(blocks, count, score):
+    """Yield every combination of one composition per block after the given
+    prefix, as (count, score) with count the product and score the (J, R) sum
+    of the blocks' counts and scores, at most CHUNK combinations at a time.
+    blocks holds each block's (count, score) chunks, read again for every
+    slice of the prefix."""
     if not blocks:
         yield count, score
         return
-    for _, b_count, b_score in _block_types(*blocks[0]):
+    for b_count, b_score in blocks[0]:
         step = max(1, CHUNK // len(b_count))
         for i in range(0, len(count), step):
-            yield from _outer_types(
+            yield from _combine(
                 blocks[1:],
                 (count[i:i + step, None] * b_count).ravel(),
-                (score[i:i + step, None] + b_score).reshape(-1, score.shape[1]),
+                (score[:, i:i + step, None] + b_score[:, None]).reshape(len(score), -1),
             )
 
 
-def _type_prob(test: BoxTest, blocks, c: int = 0) -> float:
-    """Pr{candidate c of test passes} over _type_blocks' outputs: count *
-    2^(sum log2 t) summed over the types whose score columns pass every y
-    box at the test's own entropy; 0 if c fails a box without y."""
-    if not test.static[c]:
-        return 0.0
-    total = 0.0
-    for count, score in _outer_types(blocks, np.ones(1), np.zeros((1, len(test.terms) + 2))):
-        ok = in_box(score[:, 1], test.n, test.h_y, test.eps)
-        for j, (_, h) in enumerate(test.terms, 2):
-            ok &= in_box(score[:, j], test.n, h, test.eps)
-        if ok.any():
-            total += float((count[ok] * np.exp2(score[ok, 0])).sum())
-    return total
+def _levels(table: np.ndarray, top: int) -> list:
+    """The compositions of m = 1, 2, ... letters with (J, s) score columns
+    table, up to m = top or the last level of at most CHUNK, as one (count,
+    score) pair per level: the same rows, in the same lexicographic order and
+    with the same floats, as _block_types yields over those letters. Level m
+    extends each composition of level m - 1 by each letter from its last one
+    on; count and score take that letter in one step of _block_types' own
+    recurrences (count * m / run, score + the letter's column)."""
+    s = table.shape[1]
+    last, count, run, score = np.arange(s), np.ones(s), np.ones(s), table
+    levels = [(count, score)]
+    with np.errstate(over="ignore"):
+        for m in range(2, top + 1):
+            if math.comb(m + s - 1, s - 1) > CHUNK:
+                break
+            reps = s - last
+            parent = np.repeat(np.arange(len(last)), reps)
+            child = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps - last, reps)
+            run = np.where(child == last[parent], run[parent] + 1, 1.0)
+            count = count[parent] * m / run
+            score = np.take(score, parent, axis=1) + np.take(table, child, axis=1)  # C order: rows are contiguous
+            last = child
+            levels.append((count, score))
+    return levels
+
+
+class _Redrawn:
+    """The (count, score) chunks of a block of more than CHUNK compositions,
+    drawn afresh by _block_types on every pass over it."""
+
+    def __init__(self, support: list, m: int, scores: np.ndarray):
+        self.args = support, m, scores
+
+    def __iter__(self):
+        return ((count, np.ascontiguousarray(score.T)) for _, count, score in _block_types(*self.args))
+
+
+def _type_pieces(test: BoxTest, t: np.ndarray, blocks: list, cands):
+    """Yield (c, count, score) over the conditional types of every candidate c
+    in cands, in order, at most CHUNK types at a time: the outputs drawn by
+    the rows of t given its inputs test.x[:, c]. Each (letter a, count m) of
+    blocks[c] (_letter_blocks) is a block, the compositions of m outputs that
+    a reaches; the score rows are log2 t(.|a), the test's y-box table and
+    each y-box term's table at a, summed over the composition. Outputs with
+    t(y|a) = 0 are left out of a's block: their sequences have weight 0.
+    Each letter's blocks of at most CHUNK compositions are drawn once per
+    call, all counts together (_levels), and shared by every candidate."""
+    log_t = log2_safe(t)
+    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *(tab for tab, _ in test.terms)])
+    reach = [np.flatnonzero(row > 0) for row in t]
+    top = {}
+    for c in cands:
+        for a, m in blocks[c]:
+            top[a] = max(top.get(a, 0), m)
+    levels = {a: _levels(np.take(scores[:, a], reach[a], axis=1), m) for a, m in top.items()}
+
+    def chunks(a, m):
+        if m <= len(levels[a]):
+            return [levels[a][m - 1]]
+        return _Redrawn(reach[a].tolist(), m, scores[:, a].T)
+
+    for c in cands:
+        first, *rest = [chunks(a, m) for a, m in blocks[c]]
+        for count, score in first:
+            for piece in _combine(rest, count, score):
+                yield c, *piece
+
+
+def _pass_mass(test: BoxTest, pieces: list) -> list:
+    """The pass mass of each (c, count, score) piece of _type_pieces: count *
+    2^(score[0]) summed over the types whose score rows pass every y box at
+    the test's own entropy. The pieces are scored together as one (J, R)
+    array, and each piece's mass is summed alone."""
+    if len(pieces) == 1:
+        (_, count, score), = pieces
+    else:
+        count, score = np.concatenate([p[1] for p in pieces]), np.concatenate([p[2] for p in pieces], axis=1)
+    ok = in_box(score[1], test.n, test.h_y, test.eps)
+    for j, (_, h) in enumerate(test.terms, 2):
+        ok &= in_box(score[j], test.n, h, test.eps)
+    passed = np.flatnonzero(ok)
+    weight = count[passed] * np.exp2(score[0, passed])
+    cuts = np.searchsorted(passed, np.cumsum([len(p[1]) for p in pieces])).tolist()
+    return [float(weight[lo:hi].sum()) for lo, hi in zip([0, *cuts], cuts)]
+
+
+def _batches(pieces):
+    """Yield consecutive (c, count, score) pieces in lists of at most CHUNK
+    types in all; a piece is never split."""
+    batch, rows = [], 0
+    for piece in pieces:
+        if batch and rows + len(piece[1]) > CHUNK:
+            yield batch
+            batch, rows = [], 0
+        batch.append(piece)
+        rows += len(piece[1])
+    if batch:
+        yield batch
+
+
+def _mc_prob(test: BoxTest, t: np.ndarray, c: int) -> float:
+    """Candidate c's pass rate over MC_SAMPLES outputs drawn by the rows of t
+    given its inputs, seeded by their composition, drawn by
+    `channel.sample_outputs` and counted by the test's `pairs`."""
+    u = test.x[:, c]
+    rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=len(t)).tolist()))
+    cdf, inputs = np.cumsum(t, axis=1), np.broadcast_to(u, (_MC_BLOCK, test.n))
+    hits = 0
+    for start in range(0, MC_SAMPLES, _MC_BLOCK):
+        draws = rng.random((min(_MC_BLOCK, MC_SAMPLES - start), test.n))
+        hits += int(test.pairs(sample_outputs(cdf, inputs[: len(draws)], draws), np.full(len(draws), c)).sum())
+    return hits / MC_SAMPLES
+
+
+def _type_probs(test: BoxTest, t: np.ndarray, budget=math.inf) -> tuple:
+    """Pr{candidate c of test passes} for every candidate c, as a
+    CondProbResult each, with the outputs drawn by the rows of t given the
+    inputs test.x[:, c]; 0 where c fails a box without y.
+
+    While a candidate's conditional types fit the budget (_type_count) its
+    probability is exact: the pass mass of its types. Every such candidate's
+    types are scored in one pass, small pieces of many candidates together
+    in up to CHUNK types, each piece summed alone and a candidate's pieces
+    added in order, so no candidate's value depends on the others. Above the
+    budget it is a Monte Carlo estimate (_mc_prob)."""
+    blocks, outputs = _letter_blocks(test.x, len(t)), (t > 0).sum(axis=1).tolist()
+    exact = np.array([not test.static[c] or _type_count(b, outputs) <= budget for c, b in enumerate(blocks)], bool)
+    totals = [0.0] * len(blocks)
+    for batch in _batches(_type_pieces(test, t, blocks, np.flatnonzero(exact & test.static))):
+        for (c, _, _), mass in zip(batch, _pass_mass(test, batch)):
+            totals[c] += mass
+    return tuple(
+        CondProbResult(min(total, 1.0), True) if ok else CondProbResult(_mc_prob(test, t, c), False)
+        for c, (total, ok) in enumerate(zip(totals, exact.tolist()))
+    )
+
+
+def _class_probs(p_u: np.ndarray, t: np.ndarray, x: np.ndarray, config: TypConfig) -> tuple:
+    """_type_probs of the V and (U, V) boxes over p(u, v), of checked factors,
+    with x the (n, C) sorted input letters of C classes, each its own label."""
+    test = BoxTest(p_u[:, None] * t, ((1,), (0, 1)), np.arange(p_u.size)[:, None], x, config.eps)
+    return _type_probs(test, t, config.budget)
 
 
 def conditional_typical_prob(
     u_seq, input_pmf, transition, config: TypConfig
 ) -> CondProbResult:
     """Pr{(u, V) jointly typical | U = u} with V drawn per-symbol from the
-    transition rows.
-
-    Both branches evaluate one BoxTest, the V and (U, V) boxes over p(u, v)
-    with u sorted its one candidate. While the conditional types of V given
-    u fit the budget (_type_count) the result is exact, _type_prob over
-    them; above it, a Monte Carlo estimate of MC_SAMPLES draws, seeded by
-    the composition of u, drawn by `channel.sample_outputs` and counted by
-    the test's `accept`. Either way it is a function of u's type class:
-    every permutation of u gives the same value, bit for bit.
+    transition rows: 0 for an atypical u, else the one-candidate call of the
+    engine that `enumerate_b_typical` runs on every class at once, with u
+    sorted its candidate (_type_probs: exact while the conditional types fit
+    the budget, a Monte Carlo estimate above it). Either way it is a function
+    of u's type class: every permutation of u gives the same value, bit for
+    bit.
     """
     p_u = check_pmf(input_pmf)
     t = _check_transition(transition, p_u.size)
     u = _letters(u_seq, p_u.size, "u_seq")
     if u.size != config.n:
         raise ValueError("u_seq must have length config.n")
-    n, eps = config.n, config.eps
-    if not in_box(_log2_prob(u, p_u), n, entropy(p_u), eps):
+    if not in_box(_log2_prob(u, p_u), config.n, entropy(p_u), config.eps):
         return CondProbResult(prob=0.0, exact=True)
-    u = np.sort(u)
-    # p(u, v), of checked factors; each letter of u is its own label
-    test = BoxTest(p_u[:, None] * t, ((1,), (0, 1)), np.arange(p_u.size)[:, None], u[:, None], eps)
-    blocks = _type_blocks(test, t)
-    if _type_count(blocks) <= config.budget:
-        return CondProbResult(prob=min(_type_prob(test, blocks), 1.0), exact=True)
-    rng = np.random.default_rng(np.random.SeedSequence(np.bincount(u, minlength=p_u.size).tolist()))
-    cdf, inputs = np.cumsum(t, axis=1), np.broadcast_to(u, (_MC_BLOCK, n))
-    hits = 0
-    for start in range(0, MC_SAMPLES, _MC_BLOCK):
-        draws = rng.random((min(_MC_BLOCK, MC_SAMPLES - start), n))
-        hits += int(test.accept(sample_outputs(cdf, inputs[: len(draws)], draws)).sum())
-    return CondProbResult(prob=hits / MC_SAMPLES, exact=False)
+    return _class_probs(p_u, t, np.sort(u)[:, None], config)[0]
 
 
 @dataclass(frozen=True)
@@ -487,13 +602,15 @@ def enumerate_b_typical(input_pmf, transition, config: TypConfig) -> BTypicalSet
 
     The transition is checked first, so a bad one fails even when the typical
     set is empty. The test probability is computed once per composition
-    class, on the class's first member in lexicographic order, and whether to
-    keep the class is decided once on it, for every member of the class.
+    class, on the class's first member in lexicographic order, all classes in
+    one pass of the conditional-type engine (each class's value is the one
+    `conditional_typical_prob` gives it alone), and whether to keep the class
+    is decided once on it, for every member of the class.
     """
     p_u = check_pmf(input_pmf)
     transition = _check_transition(transition, p_u.size)
     base = enumerate_typical(p_u, config)
-    class_probs = tuple(conditional_typical_prob(u, p_u, transition, config) for u in base.class_firsts)
+    class_probs = _class_probs(p_u, transition, base.class_firsts.T.astype(np.intp), config)
     class_kept = np.array([res.prob for res in class_probs]) >= 1.0 - config.eps - LOG_SLACK
     keep = class_kept[base.member_class]
     return BTypicalSet(

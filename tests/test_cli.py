@@ -694,6 +694,25 @@ def test_option_of_another_command_is_unrecognized(capsys):
     assert "{" + ",".join(COMMANDS) + "}" in err  # the usage line still lists every command
 
 
+ONE_COMMAND_ARGV = [
+    ["gamma-split", "--snr", "2"],
+    ["typ-dump", "--config", "c.json", "--n", "9", "--out", "o.txt"],
+    ["b-typ", "--sigma", "0.45", "--n", "5", "--eps", "0.1", "--num-bins", "2"],
+    ["sim", "--sigma", "0.45", "--num-bins", "2", "--decoder", "bmd", "--trials", "3000", "--threads", "1"],
+    ["air-sweep", "--m", "2", "--num-bins", "300"],
+]
+
+
+def test_one_command_parser_reads_as_the_full_tree(capsys):
+    # the subparser alone parses what follows the command name into the
+    # namespace the full tree gives, and prints the same help
+    for argv in ONE_COMMAND_ARGV:
+        assert vars(build_parser(argv[0]).parse_args(argv[1:])) == vars(build_parser().parse_args(argv))
+    for command in COMMANDS:
+        alone = _exit(lambda: build_parser(command).parse_args(["--help"]), capsys)
+        assert alone == _exit(lambda: build_parser().parse_args([command, "--help"]), capsys)
+
+
 def test_long_option_abbreviation_parses(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gamma_split", lambda cst, snr_db, spec: (0.5, snr_db))
     rc, out, _ = run_cli(["gamma-split", "--snr", "2"], capsys)
@@ -713,8 +732,10 @@ def test_main_builds_only_the_invoked_parser(monkeypatch, capsys):
     _exit(lambda: main(["--help"]), capsys)
     assert built == ["gamma-split", None]
     for command in COMMANDS:
+        # the subparser alone: it reads the arguments after the command name
         parser = build_parser(command)
-        assert parser.parse_args([command]).command == command
+        assert parser.prog == f"paslab {command}"
+        assert parser.parse_args([]).command == command
         for other in set(COMMANDS) - {command}:
             assert _exit(lambda: parser.parse_args([other]), capsys)[0] == 2
     assert [build_parser().parse_args([c]).command for c in COMMANDS] == list(COMMANDS)

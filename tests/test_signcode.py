@@ -370,9 +370,10 @@ ENGINE_CASES = {
 @pytest.mark.parametrize("kind", ["smd", "bmd"])
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_type_engine_gives_each_candidates_pass_probability(case, kind):
-    # the conditional-type engine run on a decoder's own box list, with x a
-    # candidate's point indices and t the channel rows, is the probability
-    # that the candidate passes when it is sent: brute force over every y
+    # the conditional-type engine run once on a decoder's own box list, with x
+    # every candidate's point indices and t the channel rows, gives each
+    # candidate's probability of passing when it is sent: brute force over
+    # every y
     cst, sigma, bins, pmf, n, eps = ENGINE_CASES[case]
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=bins)
     layer = build_shaping_layer(cst, dmc, pmf, n, eps)
@@ -384,9 +385,9 @@ def test_type_engine_gives_each_candidates_pass_probability(case, kind):
     for i in range(n):
         weight *= dmc.w[x[:, i]][:, y[:, i]].T
     want = (test.accept(y) * weight).sum(axis=0)
-    got = np.array([
-        typicality._type_prob(test, typicality._type_blocks(test, dmc.w, c), c) for c in range(len(x))
-    ])
+    results = typicality._type_probs(test, dmc.w)
+    assert all(res.exact for res in results)
+    got = np.array([res.prob for res in results])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     assert len(set(got.tolist())) >= 4 and 0 < got.max() < 1  # candidates differ
 

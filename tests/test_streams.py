@@ -100,6 +100,18 @@ def test_negative_trial_raises_as_per_trial_does():
             draws(0, range(-2, 3), (3, 5), 2)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 + 2**40 + 7, 2**64 + 3, 2**96 + 5])
+def test_pool_state_matches_seed_sequence(seed):
+    # the seed's words and 1 are mixed once as ints; the trial word t lands in
+    # the pool for seeds of one or two words and mixes in after it for three
+    # or more, where every pool word is still an int until t enters
+    t = np.array([0, 1, 37, 2**31, 2**32 - 1], dtype=np.uint32)
+    got = streams._pool_state(streams._words(seed) + [1], t)
+    want = np.array([np.random.SeedSequence([seed, 1, int(v)]).generate_state(8) for v in t]).T
+    assert got.dtype == np.uint32
+    np.testing.assert_array_equal(got, want)
+
+
 MASK64 = 2**64 - 1
 # 128-bit values whose words reach the carries of one LCG step: the low word's
 # product and sum, the high word of lo * MULT_lo, and the 2^128 wrap

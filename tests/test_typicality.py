@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from paslab import typicality
 from paslab.alphabets import make_ask
-from paslab.channel import gaussian_dmc
+from paslab.channel import AwgnSpec, gaussian_dmc
 from paslab.errors import BudgetError
 from paslab.infomeasures import entropy, log2_safe
 from paslab.signcode import sign_output_transition
@@ -570,32 +572,68 @@ def test_type_engine_chunks_bound_memory_and_agree(monkeypatch, case):
     firsts = _class_firsts(pmf, cfg)
     want = [conditional_typical_prob(u, pmf, transition, cfg).prob for u in firsts]
     monkeypatch.setattr(typicality, "CHUNK", 5)  # below the blocks' sizes: every split runs
-    got = [conditional_typical_prob(u, pmf, transition, cfg).prob for u in firsts]
+    scored = []
+    pass_mass = typicality._pass_mass
+
+    def counted(test, pieces):
+        scored.append(sum(len(count) for _, count, _ in pieces))
+        return pass_mass(test, pieces)
+
+    monkeypatch.setattr(typicality, "_pass_mass", counted)
+    got = [res.prob for res in enumerate_b_typical(pmf, transition, cfg).class_probs]
     assert got == pytest.approx(want, abs=2e-15)
-    for u in firsts:
-        sizes = [len(count) for count, _ in _walk(u, pmf, transition, eps)[0]]
-        assert max(sizes) <= 5 and sum(sizes) == _type_count(u, transition)
+    assert max(scored) <= 5  # one evaluation never holds more than CHUNK types
+    pieces, counts = _walk(firsts, pmf, transition, eps)
+    assert max(len(count) for _, count, _ in pieces) <= 5
+    for c, u in enumerate(firsts):
+        assert sum(len(count) for k, count, _ in pieces if k == c) == counts[c] == _type_count(u, transition)
 
 
-def _walk(u, pmf, transition, eps):
-    """The (count, score) chunks the engine visits for the class of u: the
-    blocks of the BoxTest conditional_typical_prob builds, combined."""
-    t, u = np.asarray(transition, dtype=float), np.sort(u)
+def _class_test(firsts, pmf, transition, eps):
+    """The BoxTest that enumerate_b_typical scores its classes with: the V and
+    (U, V) boxes over p(u, v), one candidate per (sorted) class first member."""
+    t = np.asarray(transition, dtype=float)
     labels = np.arange(len(pmf))[:, None]  # each letter of u is its own label
-    test = typicality.BoxTest(np.asarray(pmf)[:, None] * t, ((1,), (0, 1)), labels, u[:, None], eps)
-    blocks = typicality._type_blocks(test, t)
-    assert [score.shape for _, _, score in blocks] == [(t.shape[1], 3)] * len(blocks)
-    return list(typicality._outer_types(blocks, np.ones(1), np.zeros((1, 3)))), typicality._type_count(blocks)
+    x = np.sort(np.asarray(firsts, dtype=np.intp), axis=1).T
+    return typicality.BoxTest(np.asarray(pmf)[:, None] * t, ((1,), (0, 1)), labels, x, eps), t
+
+
+def _walk(firsts, pmf, transition, eps):
+    """The (c, count, score) pieces that one pass of the engine visits for the
+    classes with first members firsts, and each class's type count."""
+    test, t = _class_test(firsts, pmf, transition, eps)
+    blocks = typicality._letter_blocks(test.x, len(t))
+    pieces = list(typicality._type_pieces(test, t, blocks, range(len(firsts))))
+    assert all(score.shape == (3, len(count)) for _, count, score in pieces)  # score rows, one column a type
+    outputs = (t > 0).sum(axis=1).tolist()
+    return pieces, [typicality._type_count(b, outputs) for b in blocks]
 
 
 @pytest.mark.parametrize("case", sorted(TYPE_ENGINE_CASES))
 def test_type_engine_walks_the_types_it_counts(case):
     # the count that picks exact over Monte Carlo and the types the engine
-    # visits follow one support rule, and both equal the closed form
+    # visits follow one support rule, and both equal the closed form; one
+    # pass visits the classes in order
     pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
-    for u in _class_firsts(pmf, TypConfig(n=n, eps=eps)):
-        chunks, count = _walk(u, pmf, transition, eps)
-        assert sum(len(c) for c, _ in chunks) == count == _type_count(u, transition)
+    firsts = _class_firsts(pmf, TypConfig(n=n, eps=eps))
+    pieces, counts = _walk(firsts, pmf, transition, eps)
+    order = [c for c, _, _ in pieces]
+    assert order == sorted(order) and set(order) == set(range(len(firsts)))
+    for c, u in enumerate(firsts):
+        assert sum(len(count) for k, count, _ in pieces if k == c) == counts[c] == _type_count(u, transition)
+
+
+@pytest.mark.parametrize("chunk", [typicality.CHUNK, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize("case", sorted(TYPE_ENGINE_CASES))
+def test_one_pass_gives_each_class_its_one_candidate_value(monkeypatch, case, chunk):
+    # the classes scored together, in shared evaluations, against each class
+    # scored alone: equal bit for bit, whatever the evaluations hold
+    monkeypatch.setattr(typicality, "CHUNK", chunk)
+    pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+    cfg = TypConfig(n=n, eps=eps)
+    bt = enumerate_b_typical(pmf, transition, cfg)
+    alone = tuple(conditional_typical_prob(u, pmf, transition, cfg) for u in bt.base_set.class_firsts)
+    assert bt.class_probs == alone and bt.exact
 
 
 def test_type_engine_is_no_further_from_exact_than_grid():
@@ -768,15 +806,15 @@ def test_lemma1_report_reuses_class_results(monkeypatch):
     pmf, trans = (0.4, 0.6), [[0.7, 0.3], [0.3, 0.7]]
     cfg = TypConfig(n=6, eps=0.25)
     calls = []
-    original = typicality.conditional_typical_prob
+    original = typicality._type_probs
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(test, *args, **kwargs):
+        calls.append(test.x.shape[1])
+        return original(test, *args, **kwargs)
 
-    monkeypatch.setattr(typicality, "conditional_typical_prob", counting)
+    monkeypatch.setattr(typicality, "_type_probs", counting)
     bt = enumerate_b_typical(pmf, trans, cfg)
-    assert len(calls) == len(bt.class_probs)
+    assert calls == [len(bt.class_probs)]  # one pass over every class
     assert bt.count < bt.base_set.count  # rejected members exist
     del calls[:]
     rep = lemma1_report(bt)
@@ -826,3 +864,90 @@ def test_b_typical_probs_meet_threshold(p0, cross, eps):
     bt = enumerate_b_typical(pmf, t, TypConfig(n=5, eps=eps))
     for cp in _member_probs(bt):
         assert cp >= 1 - eps - 1e-9
+
+
+CLASS_PROBS = json.loads((Path(__file__).parent / "class_probs.json").read_text())
+
+
+def _exp2_log2_kernel():
+    """The SIMD target numpy runs float64 exp2 and log2 on, when both run on
+    one; their last bits, and so every class probability's, differ between
+    targets (X86_V4, the AVX512 loops, against the baseline ones)."""
+    introspect = getattr(np.lib, "introspect", None)
+    if introspect is None:  # numpy before 2.0 cannot say
+        return None
+    info = introspect.opt_func_info(func_name="^(exp2|log2)$", signature="float64")
+    targets = {ufunc["dd"]["current"] for ufunc in info.values()}
+    return targets.pop() if len(targets) == 1 else None
+
+
+def _pinned_inputs(config):
+    """The pmf and transition that `b-typ` builds from a pinned config: an
+    explicit pair, or an ASK constellation's amplitude pmf (uniform unless
+    given) and the sign-output transition of its quantized Gaussian channel."""
+    if "transition" in config:
+        return config["pmf"], config["transition"]
+    cst = make_ask(config["m"])
+    k = cst.num_amplitudes
+    pmf = np.asarray(config.get("amplitude_pmf", np.full(k, 1.0 / k)), dtype=float)
+    dmc = gaussian_dmc(cst.points, config["sigma"], config["num_bins"], AwgnSpec.clip_sigmas)
+    return pmf, sign_output_transition(cst, dmc)
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_PROBS))
+def test_class_probabilities_hold_bit_for_bit(case):
+    # every class's float.hex, pinned on both kernels while each class was
+    # still scored by its own call: the two benchmark b-typ configs, every
+    # golden b-typ one (b-typ-4-bins-n7 has classes of more than CHUNK
+    # conditional types, summed in slices; b-typ-monte-carlo has every class
+    # over its budget) and an 8-ASK config of 48 classes
+    pinned = CLASS_PROBS[case]["class_probs"]
+    kernel = _exp2_log2_kernel()
+    if kernel not in pinned:
+        pytest.skip(f"no pins for float64 exp2 and log2 on {kernel}; pinned on {', '.join(pinned)}")
+    config, want = CLASS_PROBS[case]["config"], pinned[kernel]
+    pmf, transition = _pinned_inputs(config)
+    cfg = TypConfig(n=config["n"], eps=config["eps"], budget=config.get("budget", typicality.DEFAULT_BUDGET))
+    bt = enumerate_b_typical(pmf, transition, cfg)
+    assert [[res.prob.hex(), res.exact] for res in bt.class_probs] == want
+
+
+def test_class_probabilities_cover_the_slices_and_monte_carlo():
+    # the pins reach both paths that a class can leave the one-chunk sum by
+    counts = {}
+    for case in ("b-typ-4-bins-n7", "b-typ-monte-carlo"):
+        config = CLASS_PROBS[case]["config"]
+        pmf, transition = _pinned_inputs(config)
+        firsts = _class_firsts(pmf, TypConfig(n=config["n"], eps=config["eps"]))
+        counts[case] = max(_type_count(u, transition) for u in firsts)
+    assert counts["b-typ-4-bins-n7"] > typicality.CHUNK
+    assert counts["b-typ-monte-carlo"] > CLASS_PROBS["b-typ-monte-carlo"]["config"]["budget"]
+    for pins in CLASS_PROBS["b-typ-monte-carlo"]["class_probs"].values():
+        assert not any(exact for _, exact in pins)
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 9])
+def test_levels_are_the_block_draws(monkeypatch, s):
+    # each level of a letter's compositions, drawn by extending the level
+    # below, has _block_types' rows, counts and score sums bit for bit, up
+    # to the first level over CHUNK; above it _Redrawn draws the chunks
+    monkeypatch.setattr(typicality, "CHUNK", 100)
+    rng = np.random.default_rng(s)
+    table = rng.standard_normal((3, s)) * 10.0 ** rng.integers(-3, 4, size=(3, s))
+    table[0, 0] = -np.inf  # a dead output: -inf sums stay -inf
+    levels = typicality._levels(table, 200)
+    support = list(range(s))
+    sizes = [math.comb(m + s - 1, s - 1) for m in range(1, len(levels) + 2)]
+    assert max(sizes[:-1]) <= 100 and (sizes[-1] > 100 or len(levels) == 200)  # stops at the first level over CHUNK
+    for m, (count, score) in enumerate(levels, 1):
+        (_, want_count, want_score), = typicality._block_types(support, m, table.T)
+        np.testing.assert_array_equal(count, want_count)
+        np.testing.assert_array_equal(score, want_score.T)
+        assert score.flags.c_contiguous
+    m = len(levels) + 1
+    redrawn = list(typicality._Redrawn(support, m, table.T))
+    drawn = list(typicality._block_types(support, m, table.T))
+    assert len(redrawn) == len(drawn) == -(-sizes[-1] // 100)
+    for (count, score), (_, want_count, want_score) in zip(redrawn, drawn, strict=True):
+        np.testing.assert_array_equal(count, want_count)
+        np.testing.assert_array_equal(score, want_score.T)
