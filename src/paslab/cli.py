@@ -205,17 +205,21 @@ def _writing(path: str):
 
 
 def _emit(text: str, out_path: str | None, body=b"") -> None:
-    """Write text (UTF-8) and then body, any bytes-like buffer, to out_path or
-    to stdout, through one binary stream."""
+    """Write text (UTF-8) and then body, any bytes-like ASCII buffer, to
+    out_path or to stdout, through one binary stream where stdout has one."""
     if out_path:
         with _writing(out_path), open(out_path, "wb") as f:
             f.write(text.encode())
             f.write(body)
-    else:
-        sys.stdout.flush()  # anything written as text goes first
-        sys.stdout.buffer.write(text.encode())
-        sys.stdout.buffer.write(body)
-        sys.stdout.buffer.flush()
+        return
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:  # a text-only stdout, such as an io.StringIO
+        sys.stdout.write(text + bytes(body).decode("ascii"))
+        return
+    sys.stdout.flush()  # anything written as text goes first
+    stream.write(text.encode())
+    stream.write(body)
+    stream.flush()
 
 
 def _build_channel(v: dict, constellation, p_a: np.ndarray):
@@ -346,10 +350,10 @@ def cmd_b_typ(args, cfg: dict, v: dict) -> None:
     header = {"config": cfg, "h_u": b.base_set.h, "count": b.count, "exact": b.exact}
     header.update(report)
     # members of one type class share their probability: format each kept class's once
-    labels = {k: f" {b.class_probs[k].prob:.10g}\n" for k in np.flatnonzero(b.class_kept).tolist()}
-    lines = bytes(_member_lines(b.members, len(pmf))).decode("ascii").splitlines()
-    body = "".join(line + labels[k] for line, k in zip(lines, b.member_class.tolist()))
-    _emit(json.dumps(header, sort_keys=True) + "\n" + body, args.out)
+    labels = {k: f" {b.class_probs[k].prob:.10g}\n".encode() for k in np.flatnonzero(b.class_kept).tolist()}
+    lines = bytes(_member_lines(b.members, len(pmf))).splitlines()
+    body = b"".join(line + labels[k] for line, k in zip(lines, b.member_class.tolist()))
+    _emit(json.dumps(header, sort_keys=True) + "\n", args.out, body)
 
 
 # ------------------------------------------------------------------------ sim

@@ -23,9 +23,10 @@ A BoxTest sees an output only through its conditional type given the input
 (how many positions holding each input letter carry each output letter), so
 a candidate's pass probability is a sum over conditional types, each
 weighted by the outputs it holds. One engine, `_type_probs`, takes that sum
-for every candidate of a test in one pass: each input letter's blocks (the
-compositions of m outputs it reaches, for every count m that a candidate
-gives it) are drawn once and shared by all candidates, a candidate's blocks
+for every candidate of a test in one pass: each block (the compositions of
+m outputs that an input letter reaches, for a count m that a candidate gives
+it) of at most CHUNK compositions is drawn once and shared by all
+candidates, a larger one afresh on each pass over it; a candidate's blocks
 are combined CHUNK types at a time, and the score columns of the types are
 stored as the rows of one (J, R) array, so small pieces of many candidates
 are scored together. Each piece's mass is summed alone, so a candidate's
@@ -382,60 +383,24 @@ def _type_count(blocks, outputs: list) -> int:
     return math.prod(math.comb(m + outputs[a] - 1, outputs[a] - 1) for a, m in blocks)
 
 
-def _combine(blocks, count, score):
+def _combine(draw, blocks, count, score):
     """Yield every combination of one composition per block after the given
     prefix, as (count, score) with count the product and score the (J, R) sum
     of the blocks' counts and scores, at most CHUNK combinations at a time.
-    blocks holds each block's (count, score) chunks, read again for every
-    slice of the prefix."""
+    blocks holds each block's (letter, count) key, whose (count, score)
+    chunks draw gives again for every slice of the prefix."""
     if not blocks:
         yield count, score
         return
-    for b_count, b_score in blocks[0]:
+    for b_count, b_score in draw(*blocks[0]):
         step = max(1, CHUNK // len(b_count))
         for i in range(0, len(count), step):
             yield from _combine(
+                draw,
                 blocks[1:],
                 (count[i:i + step, None] * b_count).ravel(),
                 (score[:, i:i + step, None] + b_score[:, None]).reshape(len(score), -1),
             )
-
-
-def _levels(table: np.ndarray, top: int) -> list:
-    """The compositions of m = 1, 2, ... letters with (J, s) score columns
-    table, up to m = top or the last level of at most CHUNK, as one (count,
-    score) pair per level: the same rows, in the same lexicographic order and
-    with the same floats, as _block_types yields over those letters. Level m
-    extends each composition of level m - 1 by each letter from its last one
-    on; count and score take that letter in one step of _block_types' own
-    recurrences (count * m / run, score + the letter's column)."""
-    s = table.shape[1]
-    last, count, run, score = np.arange(s), np.ones(s), np.ones(s), table
-    levels = [(count, score)]
-    with np.errstate(over="ignore"):
-        for m in range(2, top + 1):
-            if math.comb(m + s - 1, s - 1) > CHUNK:
-                break
-            reps = s - last
-            parent = np.repeat(np.arange(len(last)), reps)
-            child = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps - last, reps)
-            run = np.where(child == last[parent], run[parent] + 1, 1.0)
-            count = count[parent] * m / run
-            score = np.take(score, parent, axis=1) + np.take(table, child, axis=1)  # C order: rows are contiguous
-            last = child
-            levels.append((count, score))
-    return levels
-
-
-class _Redrawn:
-    """The (count, score) chunks of a block of more than CHUNK compositions,
-    drawn afresh by _block_types on every pass over it."""
-
-    def __init__(self, support: list, m: int, scores: np.ndarray):
-        self.args = support, m, scores
-
-    def __iter__(self):
-        return ((count, np.ascontiguousarray(score.T)) for _, count, score in _block_types(*self.args))
 
 
 def _type_pieces(test: BoxTest, t: np.ndarray, blocks: list, cands):
@@ -443,29 +408,29 @@ def _type_pieces(test: BoxTest, t: np.ndarray, blocks: list, cands):
     in cands, in order, at most CHUNK types at a time: the outputs drawn by
     the rows of t given its inputs test.x[:, c]. Each (letter a, count m) of
     blocks[c] (_letter_blocks) is a block, the compositions of m outputs that
-    a reaches; the score rows are log2 t(.|a), the test's y-box table and
-    each y-box term's table at a, summed over the composition. Outputs with
-    t(y|a) = 0 are left out of a's block: their sequences have weight 0.
-    Each letter's blocks of at most CHUNK compositions are drawn once per
-    call, all counts together (_levels), and shared by every candidate."""
+    a reaches, drawn by _block_types; the score rows are log2 t(.|a), the
+    test's y-box table and each y-box term's table at a, summed over the
+    composition. Outputs with t(y|a) = 0 are left out of a's block: their
+    sequences have weight 0. A block of at most CHUNK compositions is drawn
+    once per call and shared by every candidate; a larger one is drawn
+    afresh on every pass over it."""
     log_t = log2_safe(t)
-    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *(tab for tab, _ in test.terms)])
-    reach = [np.flatnonzero(row > 0) for row in t]
-    top = {}
-    for c in cands:
-        for a, m in blocks[c]:
-            top[a] = max(top.get(a, 0), m)
-    levels = {a: _levels(np.take(scores[:, a], reach[a], axis=1), m) for a, m in top.items()}
+    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *(tab for tab, _ in test.terms)], axis=-1)
+    reach = [np.flatnonzero(row > 0).tolist() for row in t]
+    cache = {}
 
-    def chunks(a, m):
-        if m <= len(levels[a]):
-            return [levels[a][m - 1]]
-        return _Redrawn(reach[a].tolist(), m, scores[:, a].T)
+    def draw(a, m):
+        if math.comb(m + len(reach[a]) - 1, len(reach[a]) - 1) > CHUNK:
+            return ((count, np.ascontiguousarray(score.T)) for _, count, score in _block_types(reach[a], m, scores[a]))
+        if (a, m) not in cache:
+            _, count, score = next(_block_types(reach[a], m, scores[a]))
+            cache[a, m] = [(count, np.ascontiguousarray(score.T))]  # C order: rows are contiguous
+        return cache[a, m]
 
     for c in cands:
-        first, *rest = [chunks(a, m) for a, m in blocks[c]]
-        for count, score in first:
-            for piece in _combine(rest, count, score):
+        (a, m), *rest = blocks[c]
+        for count, score in draw(a, m):
+            for piece in _combine(draw, rest, count, score):
                 yield c, *piece
 
 

@@ -239,6 +239,26 @@ def test_out_flag_writes_file(sim_config, tmp_path, capsys):
     assert stats["errors_total"] == 0
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["typ-dump", "--n", "3", "--eps", "0.2"], {}),
+    (["typ-dump"], {"pmf": [0.05] * 10 + [0.5], "n": 2, "eps": 2}),
+    (["b-typ", "--sigma", "0.45", "--n", "5", "--eps", "0.1", "--num-bins", "2"], {}),
+    (["gamma-split", "--snr", "2"], {}),
+], ids=["typ-dump", "typ-dump-11-letters", "b-typ", "gamma-split"])
+def test_text_only_stdout_gets_the_out_file_bytes(tmp_path, argv, config):
+    # a caller whose stdout has no binary buffer, such as an io.StringIO,
+    # reads what --out writes
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "c.json")]
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue().encode() == target.read_bytes()
+
+
 def test_air_sweep_deterministic(capsys):
     argv = [
         "air-sweep", "--snr-start", "2", "--snr-stop", "3",

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -926,28 +927,24 @@ def test_class_probabilities_cover_the_slices_and_monte_carlo():
         assert not any(exact for _, exact in pins)
 
 
-@pytest.mark.parametrize("s", [1, 2, 5, 9])
-def test_levels_are_the_block_draws(monkeypatch, s):
-    # each level of a letter's compositions, drawn by extending the level
-    # below, has _block_types' rows, counts and score sums bit for bit, up
-    # to the first level over CHUNK; above it _Redrawn draws the chunks
-    monkeypatch.setattr(typicality, "CHUNK", 100)
-    rng = np.random.default_rng(s)
-    table = rng.standard_normal((3, s)) * 10.0 ** rng.integers(-3, 4, size=(3, s))
-    table[0, 0] = -np.inf  # a dead output: -inf sums stay -inf
-    levels = typicality._levels(table, 200)
-    support = list(range(s))
-    sizes = [math.comb(m + s - 1, s - 1) for m in range(1, len(levels) + 2)]
-    assert max(sizes[:-1]) <= 100 and (sizes[-1] > 100 or len(levels) == 200)  # stops at the first level over CHUNK
-    for m, (count, score) in enumerate(levels, 1):
-        (_, want_count, want_score), = typicality._block_types(support, m, table.T)
-        np.testing.assert_array_equal(count, want_count)
-        np.testing.assert_array_equal(score, want_score.T)
-        assert score.flags.c_contiguous
-    m = len(levels) + 1
-    redrawn = list(typicality._Redrawn(support, m, table.T))
-    drawn = list(typicality._block_types(support, m, table.T))
-    assert len(redrawn) == len(drawn) == -(-sizes[-1] // 100)
-    for (count, score), (_, want_count, want_score) in zip(redrawn, drawn, strict=True):
-        np.testing.assert_array_equal(count, want_count)
-        np.testing.assert_array_equal(score, want_score.T)
+@pytest.mark.parametrize("chunk", [typicality.CHUNK, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize("case", ["m2-sign-output-n-distinct", "zero-cells", "three-letter-n-distinct"])
+def test_one_pass_draws_each_small_block_once(monkeypatch, case, chunk):
+    # a (letter, count) block of at most CHUNK compositions is drawn once per
+    # pass, whatever number of classes holds it; a larger one is drawn again
+    # on every pass over it
+    monkeypatch.setattr(typicality, "CHUNK", chunk)
+    pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+    firsts = _class_firsts(pmf, TypConfig(n=n, eps=eps))
+    draws, block_types = Counter(), typicality._block_types
+
+    def counted(support, m, scores):
+        draws[tuple(support), m, scores.tobytes()] += 1
+        return block_types(support, m, scores)
+
+    monkeypatch.setattr(typicality, "_block_types", counted)
+    _walk(firsts, pmf, transition, eps)
+    small = [math.comb(m + len(s) - 1, len(s) - 1) <= chunk for s, m, _ in draws]
+    assert any(small) and all(k == 1 for k, ok in zip(draws.values(), small) if ok)
+    shared = Counter((a, m) for b in typicality._letter_blocks(np.sort(firsts, axis=1).T, len(transition)) for a, m in b)
+    assert max(shared.values()) > 1  # some block is held by several classes
