@@ -125,7 +125,7 @@ def _max_mi_at_energy(w, e, energy):
         try:
             sol = np.linalg.solve(kkt, np.concatenate([-c[idx], res]))
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular KKT system: {exc}", last_iterate=p) from exc
+            raise ConvergenceError(f"singular KKT system: {exc}") from exc
         dp, nu = sol[: idx.size], sol[idx.size :]
         if -dp @ hess @ dp < NEWTON_TOL and np.all(np.abs(res) <= FEAS_TOL * b):
             mi = float(p @ c)
@@ -149,9 +149,7 @@ def _max_mi_at_energy(w, e, energy):
             # blocked symbol stalls all the others
             p[idx[block]] = 0.0
             free[idx[block]] = False
-    raise ConvergenceError(
-        f"Newton solve did not converge in {NEWTON_ITER_PER_MASS * k} iterations", last_iterate=p
-    )
+    raise ConvergenceError(f"Newton solve did not converge in {NEWTON_ITER_PER_MASS * k} iterations")
 
 
 def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: AwgnSpec | None = None) -> AirPoint:

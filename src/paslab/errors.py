@@ -23,11 +23,4 @@ class BudgetError(PaslabError):
 
 
 class ConvergenceError(PaslabError):
-    """An iterative solver hit its iteration cap (CLI exit code 4).
-
-    `last_iterate` carries the final state for post-mortem inspection.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """An iterative solver hit its iteration cap (CLI exit code 4)."""

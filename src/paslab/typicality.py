@@ -1,17 +1,20 @@
 """Weak typicality at desk scale: typical sets, joint tests, and the
 conditioned subset whose members stay jointly typical with high probability.
 
-A single sequence is any sequence of letter indices, integers in [0, k).
-An enumerated set holds its members as one C-contiguous (N, n) array of
-letter indices, uint8 for alphabets of at most 256 letters, one member per
-row in lexicographic order; an empty set has shape (0, n). Every membership
-test, here and in the sign-coding decoders, is `in_box`: the empirical
-log-probability rate against entropy with a 1e-12 slack so boundary
-compositions do not flap with float noise. Every joint test is a `BoxTest`,
-a list of such boxes on the margins of one joint pmf: `is_jointly_typical`,
-`conditional_typical_prob` and both sign-coding decoders. Cardinality and
-probability bounds that only hold for large n are reported with an
-applicability flag instead of being asserted.
+A single sequence is any array of letter indices, integers in [0, k), read
+flat and scored as its composition class: its letters sorted into the
+class's first member and summed as the class scan sums them, so every
+permutation gets its class's verdict bit for bit. An enumerated set holds
+its members as one C-contiguous (N, n) array of letter indices, uint8 for
+alphabets of at most 256 letters, one member per row in lexicographic order;
+an empty set has shape (0, n). Every membership test, here and in the
+sign-coding decoders, is `in_box`: the empirical log-probability rate
+against entropy with a 1e-12 slack so boundary compositions do not flap with
+float noise. Every joint test is a `BoxTest`, a list of such boxes on the
+margins of one joint pmf: `is_jointly_typical`, `conditional_typical_prob`
+and both sign-coding decoders. Cardinality and probability bounds that only
+hold for large n are reported with an applicability flag instead of being
+asserted.
 
 Both sides of typicality follow Csiszar and Korner's method of types, and
 neither scans a sequence grid. Typicality and p(u) are shared by every
@@ -77,24 +80,31 @@ class TypConfig:
             raise ValueError(f"budget must be positive, got {self.budget}")
 
 
-def _letters(seq, k: int, name: str = "the sequence") -> np.ndarray:
-    """seq as intp indices; ValueError unless it is one or more integers in [0, k)."""
+def _letters(seq, k: int, name: str = "the sequence", n: int | None = None) -> np.ndarray:
+    """seq flattened into intp indices; ValueError unless it is one or more
+    integers in [0, k), and n of them when n is given."""
     a = np.asarray(seq)
     whole = a.dtype.kind in "biu" or (a.dtype.kind == "f" and np.all(a == np.trunc(a)))  # NaN is not
     if not (whole and a.size and np.all((a >= 0) & (a < k))):
         raise ValueError(f"letters of {name} must be one or more integers in [0, {k})")
-    return a.astype(np.intp)
+    if n is not None and a.size != n:
+        raise ValueError(f"{name} must have length config.n")
+    return a.astype(np.intp).reshape(-1)
 
 
-def _log2_prob(letters: np.ndarray, pmf) -> float:
-    """log2 p(letters) under an iid pmf; -inf when a symbol has probability 0."""
-    return float(log2_safe(np.asarray(pmf, dtype=float))[letters].sum())
+def _class_score(seq, p: np.ndarray, n: int | None = None, name: str = "the sequence") -> tuple:
+    """(first, log2 p(first)): the letters of seq (_letters) sorted into the
+    first member of their composition class, scored as `enumerate_typical`
+    scores the class, so every permutation of seq gets its class's bits;
+    -inf when a letter has probability 0."""
+    first = np.sort(_letters(seq, p.size, name, n))
+    return first, float(log2_safe(p)[first[None, :]].sum(axis=1)[0])
 
 
 def empirical_rate(seq, pmf) -> float:
     """-(1/n) log2 p(seq) under an iid pmf; inf when a symbol has probability 0."""
-    p = check_pmf(pmf)
-    return -_log2_prob(_letters(seq, p.size), p) / np.size(seq)
+    first, score = _class_score(seq, check_pmf(pmf))
+    return -score / first.size
 
 
 def in_box(log2_sum, n: int, h: float, eps: float):
@@ -107,10 +117,7 @@ def in_box(log2_sum, n: int, h: float, eps: float):
 def is_typical(seq, pmf, config: TypConfig) -> bool:
     """Weak typicality of one sequence of config.n letters against the entropy of pmf."""
     p = check_pmf(pmf)
-    u = _letters(seq, p.size)
-    if u.size != config.n:
-        raise ValueError("the sequence must have length config.n")
-    return bool(in_box(_log2_prob(u, p), config.n, entropy(p), config.eps))
+    return bool(in_box(_class_score(seq, p, config.n)[1], config.n, entropy(p), config.eps))
 
 
 class SetBounds(NamedTuple):
@@ -337,19 +344,18 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     """Joint typicality of k aligned sequences: every nonempty subset of
     coordinates must satisfy its own rate/entropy box.
 
-    The cells of the joint that the sequences pick are the one candidate of
-    a BoxTest over every nonempty subset of the joint's axes; the output is
-    a unit axis appended to the joint, whose box always holds."""
+    The cells of the joint that the sequences pick, sorted so that a
+    permutation of the whole tuple keeps the verdict, are the one candidate
+    of a BoxTest over every nonempty subset of the joint's axes; the output
+    is a unit axis appended to the joint, whose box always holds."""
     joint = check_pmf(joint_pmf)
     k, seqs = joint.ndim, tuple(seqs)
     if len(seqs) != k:
         raise ValueError(f"need {k} sequences for this joint pmf")
-    letters = [_letters(s, joint.shape[d], f"sequence {d}").reshape(-1) for d, s in enumerate(seqs)]
-    if any(len(s) != config.n for s in letters):
-        raise ValueError("all sequences must have length config.n")
+    letters = [_letters(s, joint.shape[d], f"sequence {d}", config.n) for d, s in enumerate(seqs)]
     boxes = [tuple(d for d in range(k) if mask >> d & 1) for mask in range(1, 2**k)] + [(k,)]
     labels = np.indices(joint.shape).reshape(k, -1).T
-    x = np.ravel_multi_index(letters, joint.shape)[:, None]
+    x = np.sort(np.ravel_multi_index(letters, joint.shape))[:, None]
     test = BoxTest(joint[..., None], boxes, labels, x, config.eps)
     return bool(test.accept(np.zeros((1, config.n), dtype=np.intp))[0, 0])
 
@@ -518,17 +524,16 @@ def conditional_typical_prob(
     engine that `enumerate_b_typical` runs on every class at once, with u
     sorted its candidate (_type_probs: exact while the conditional types fit
     the budget, a Monte Carlo estimate above it). Either way it is a function
-    of u's type class: every permutation of u gives the same value, bit for
-    bit.
+    of u's type class: u is sorted before its typicality is decided too, so
+    at every eps each permutation of u gives its class's value in
+    `enumerate_b_typical`, bit for bit.
     """
     p_u = check_pmf(input_pmf)
     t = _check_transition(transition, p_u.size)
-    u = _letters(u_seq, p_u.size, "u_seq")
-    if u.size != config.n:
-        raise ValueError("u_seq must have length config.n")
-    if not in_box(_log2_prob(u, p_u), config.n, entropy(p_u), config.eps):
+    first, score = _class_score(u_seq, p_u, config.n, "u_seq")
+    if not in_box(score, config.n, entropy(p_u), config.eps):
         return CondProbResult(prob=0.0, exact=True)
-    return _class_probs(p_u, t, np.sort(u)[:, None], config)[0]
+    return _class_probs(p_u, t, first[:, None], config)[0]
 
 
 @dataclass(frozen=True)

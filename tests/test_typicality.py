@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paslab import typicality
 from paslab.alphabets import make_ask
@@ -175,12 +175,15 @@ def test_members_of_a_wide_alphabet_widen_past_uint8():
 
 
 def test_is_typical_against_membership():
-    cfg = TypConfig(n=5, eps=0.2)
-    ts = enumerate_typical((0.3, 0.7), cfg)
-    member_set = set(_rows(ts.members))
-    for idx in range(2**5):
-        seq = tuple((idx >> k) & 1 for k in range(5))
-        assert is_typical(seq, (0.3, 0.7), cfg) == (seq in member_set)
+    # the second case puts the class of six 0s and five 1s on its box's edge:
+    # summed in its own letter order, (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0) fell
+    # outside, though typ-dump lists it
+    boundary = ((0.78, 1 - 0.78), TypConfig(n=11, eps=0.42827310441539757))
+    for pmf, cfg in (((0.3, 0.7), TypConfig(n=5, eps=0.2)), boundary):
+        member_set = set(_rows(enumerate_typical(pmf, cfg).members))
+        for idx in range(2**cfg.n):
+            seq = tuple((idx >> k) & 1 for k in range(cfg.n))
+            assert is_typical(seq, pmf, cfg) == (seq in member_set)
 
 
 def test_enumeration_budget_error():
@@ -464,6 +467,77 @@ def test_conditional_prob_mc_is_a_function_of_the_type_class():
     small = TypConfig(n=4, eps=0.3, budget=8)
     probs = {conditional_typical_prob(u, (0.3, 0.7), BSC01, small) for u in set(permutations((0, 0, 1, 1)))}
     assert len(probs) == 1 and not probs.pop().exact
+
+
+def test_a_boundary_class_gives_every_permutation_its_bits():
+    # the class of the membership test's boundary case: the permutation used
+    # to score 0.0 and a rate one ulp off its class's
+    pmf, cfg = (0.78, 1 - 0.78), TypConfig(n=11, eps=0.42827310441539757)
+    for u in ((0,) * 6 + (1,) * 5, (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0)):
+        assert empirical_rate(u, pmf).hex() == "0x1.303da4c5edaeap+0"
+        assert conditional_typical_prob(u, pmf, BSC01, cfg).prob.hex() == "0x1.650bf60432fd9p-1"
+
+
+def test_a_shaped_sequence_is_read_flat():
+    # conditional_typical_prob sorted a (1, 6) or (2, 3) array row by row and
+    # scored 0.0 for it
+    cfg, u, v = TypConfig(n=6, eps=0.4), np.array([0, 1, 0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 0])
+    joint = np.full((2, 1), 0.5) * BSC01
+    assert conditional_typical_prob(u, (0.5, 0.5), BSC01, cfg).prob.hex() == "0x1.c57f0ed3d859cp-1"
+    for shape in ((1, 6), (6, 1), (2, 3)):
+        for flat, shaped in (
+            (is_typical(u, (0.3, 0.7), cfg), is_typical(u.reshape(shape), (0.3, 0.7), cfg)),
+            (empirical_rate(u, (0.3, 0.7)).hex(), empirical_rate(u.reshape(shape), (0.3, 0.7)).hex()),
+            (conditional_typical_prob(u, (0.5, 0.5), BSC01, cfg),
+             conditional_typical_prob(u.reshape(shape), (0.5, 0.5), BSC01, cfg)),
+            (is_jointly_typical((u, v), joint, cfg),
+             is_jointly_typical((u.reshape(shape), v.reshape(shape)), joint, cfg)),
+        ):
+            assert shaped == flat, shape
+
+
+def test_a_permuted_tuple_keeps_its_joint_verdict():
+    # the full box sat on its edge: the pair passed in this order and failed
+    # with both sequences permuted by perm
+    joint = [[0.23511477828424493, 0.5817743899505615], [0.04211651398588894, 0.1409943177793046]]
+    cfg = TypConfig(n=8, eps=1.5033169561234425)
+    xs, ys, perm = np.array([0, 1, 1, 1, 1, 0, 0, 1]), np.array([1, 0, 1, 0, 1, 0, 0, 0]), [4, 6, 2, 3, 5, 7, 0, 1]
+    assert is_jointly_typical((xs, ys), joint, cfg) == is_jointly_typical((xs[perm], ys[perm]), joint, cfg)
+
+
+_MAX_N = {2: 16, 3: 10, 4: 8}  # every typical set stays within 2^16 members
+
+
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_permutation_gets_its_class_verdict_bit_for_bit(data):
+    # eps puts the class of u on its box's edge or just inside it, where a
+    # sum in another letter order can land a last bit on the other side
+    k = data.draw(st.integers(2, 4))
+    pmf = np.array(data.draw(st.lists(st.integers(1, 50), min_size=k, max_size=k)), dtype=float)
+    pmf /= pmf.sum()
+    n = data.draw(st.integers(1, _MAX_N[k]))
+    u = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    first = np.sort(u)
+    d = abs(-log2_safe(pmf)[first[None, :]].sum(axis=1)[0] / n - entropy(pmf))
+    eps = d + data.draw(st.sampled_from([-1, 1])) * LOG_SLACK
+    assume(eps > 0)
+    cfg = TypConfig(n=n, eps=eps)
+    t = np.array(data.draw(st.lists(st.integers(1, 9), min_size=2 * k, max_size=2 * k)), dtype=float).reshape(k, 2)
+    t /= t.sum(axis=1, keepdims=True)
+    bt = enumerate_b_typical(pmf, t, cfg)
+    hit = np.flatnonzero((bt.base_set.class_firsts == first).all(axis=1))
+    want = bt.class_probs[hit[0]] if hit.size else typicality.CondProbResult(0.0, True)
+    v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    joint = pmf[:, None] * t
+    rate, verdict = empirical_rate(u, pmf).hex(), is_jointly_typical((u, v), joint, cfg)
+    for _ in range(4):
+        perm = np.array(data.draw(st.permutations(range(n))))
+        assert is_typical(u[perm], pmf, cfg) == bool(hit.size)
+        assert empirical_rate(u[perm], pmf).hex() == rate
+        got = conditional_typical_prob(u[perm], pmf, t, cfg)
+        assert (got.prob.hex(), got.exact) == (want.prob.hex(), want.exact)
+        assert is_jointly_typical((u[perm], v[perm]), joint, cfg) == verdict
 
 
 @pytest.mark.parametrize("case", ["zero-cells", "m2-sign-output-n-distinct", "binary-n10"])
