@@ -24,17 +24,20 @@ sort, by one prefix expansion over prefix compositions.
 
 A BoxTest sees an output only through its conditional type given the input
 (how many positions holding each input letter carry each output letter), so
-a candidate's pass probability is a sum over conditional types, each
-weighted by the outputs it holds. One engine, `_type_probs`, takes that sum
-for every candidate of a test in one pass: each block (the compositions of
-m outputs that an input letter reaches, for a count m that a candidate gives
-it) of at most CHUNK compositions is drawn once and shared by all
-candidates, a larger one afresh on each pass over it; a candidate's blocks
-are combined CHUNK types at a time, and the score columns of the types are
-stored as the rows of one (J, R) array, so small pieces of many candidates
-are scored together. Each piece's mass is summed alone, so a candidate's
-value does not depend on the others it is scored with. A candidate whose
-types exceed the budget gets a Monte Carlo estimate instead, drawn by
+a candidate's pass probability is a sum over conditional types of
+|T(v|u)| prod_i t(v_i|u_i). A type is decided on log sums, as every box is,
+and weighed by products of table entries, its count times its t(v|u): no
+exp2 rounds the weight, so the sum is the same bits whatever SIMD kernels
+numpy dispatches to. One engine, `_type_probs`, takes that sum for every
+candidate of a test in one pass: each block (the compositions of m outputs
+that an input letter reaches, for a count m that a candidate gives it) of
+at most CHUNK compositions is drawn once and shared by all candidates, a
+larger one afresh on each pass over it; a candidate's blocks are combined
+CHUNK types at a time, and the score columns of the types are stored as the
+rows of one (J, R) array, so small pieces of many candidates are scored
+together. Each piece's mass is summed alone, so a candidate's value does
+not depend on the others it is scored with. A candidate whose types exceed
+the budget gets a Monte Carlo estimate instead, drawn by
 `channel.sample_outputs`. `enumerate_b_typical` runs the engine once over
 the first members of all typical classes; `conditional_typical_prob` is its
 one-candidate call. Either way the result is a function of u's type class.
@@ -291,8 +294,10 @@ class BoxTest:
     the axes but y, through which each box's log table is gathered once into
     a (K,) or (K, nout) table. Every box sums its table over positions, one
     position at a time: a box without y once per candidate, into the static
-    candidate mask; the y box once per output; every other box once per
-    (output, candidate), as table[x[i], y[i]].
+    candidate mask, its positions in the order of their words (the labels
+    on the box's axes), so candidates whose words are permutations of each
+    other get one verdict; the y box once per output; every other box once
+    per (output, candidate), as table[x[i], y[i]].
     """
 
     def __init__(self, joint: np.ndarray, boxes, labels: np.ndarray, x: np.ndarray, eps: float):
@@ -309,11 +314,12 @@ class BoxTest:
             if axes == (y_axis,):
                 self.log_y, self.h_y = log, h
                 continue
-            table = log[tuple(labels[:, d] for d in axes if d != y_axis)]
+            words = tuple(labels[:, d] for d in axes if d != y_axis)
             if y_axis in axes:
-                self.terms.append((table, h))
-            else:
-                self.static &= in_box(table[x].sum(axis=0), self.n, h, eps)
+                self.terms.append((log[words], h))
+            else:  # each candidate's cells summed in sorted order
+                cells = np.sort(np.ravel_multi_index(words, marg.shape)[x], axis=0)
+                self.static &= in_box(log.ravel()[cells].sum(axis=0), self.n, h, eps)
 
     def _y_box(self, y: np.ndarray) -> np.ndarray:
         return in_box(self.log_y[y].sum(axis=1), self.n, self.h_y, self.eps)
@@ -389,77 +395,75 @@ def _type_count(blocks, outputs: list) -> int:
     return math.prod(math.comb(m + outputs[a] - 1, outputs[a] - 1) for a, m in blocks)
 
 
-def _combine(draw, blocks, count, score):
+def _combine(draw, blocks, mass, score):
     """Yield every combination of one composition per block after the given
-    prefix, as (count, score) with count the product and score the (J, R) sum
-    of the blocks' counts and scores, at most CHUNK combinations at a time.
-    blocks holds each block's (letter, count) key, whose (count, score)
+    prefix, as (mass, score) with mass the product and score the (J, R) sum
+    of the blocks' masses and scores, at most CHUNK combinations at a time.
+    blocks holds each block's (letter, count) key, whose (mass, score)
     chunks draw gives again for every slice of the prefix."""
     if not blocks:
-        yield count, score
+        yield mass, score
         return
-    for b_count, b_score in draw(*blocks[0]):
-        step = max(1, CHUNK // len(b_count))
-        for i in range(0, len(count), step):
+    for b_mass, b_score in draw(*blocks[0]):
+        step = max(1, CHUNK // len(b_mass))
+        for i in range(0, len(mass), step):
             yield from _combine(
                 draw,
                 blocks[1:],
-                (count[i:i + step, None] * b_count).ravel(),
+                (mass[i:i + step, None] * b_mass).ravel(),
                 (score[:, i:i + step, None] + b_score[:, None]).reshape(len(score), -1),
             )
 
 
 def _type_pieces(test: BoxTest, t: np.ndarray, blocks: list, cands):
-    """Yield (c, count, score) over the conditional types of every candidate c
-    in cands, in order, at most CHUNK types at a time: the outputs drawn by
-    the rows of t given its inputs test.x[:, c]. Each (letter a, count m) of
-    blocks[c] (_letter_blocks) is a block, the compositions of m outputs that
-    a reaches, drawn by _block_types; the score rows are log2 t(.|a), the
-    test's y-box table and each y-box term's table at a, summed over the
-    composition. Outputs with t(y|a) = 0 are left out of a's block: their
-    sequences have weight 0. A block of at most CHUNK compositions is drawn
-    once per call and shared by every candidate; a larger one is drawn
-    afresh on every pass over it."""
-    log_t = log2_safe(t)
-    scores = np.stack([log_t, np.broadcast_to(test.log_y, log_t.shape), *(tab for tab, _ in test.terms)], axis=-1)
+    """Yield (c, mass, score) over the conditional types of every candidate c
+    in cands, in order, at most CHUNK types at a time, the outputs drawn by
+    the rows of t given test.x[:, c]. Each (letter a, count m) of blocks[c]
+    is a block, the compositions of m outputs that a reaches (t(v|a) > 0),
+    drawn by _block_types: its mass is its count times the product of t(v|a)
+    over its letters, and its score rows the test's y-box table and each
+    y-box term's table at a, summed over its letters. A block of at most
+    CHUNK compositions is drawn once per call and shared by every candidate;
+    a larger one is drawn afresh on every pass over it."""
+    scores = np.stack([np.broadcast_to(test.log_y, t.shape), *(tab for tab, _ in test.terms)], axis=-1)
     reach = [np.flatnonzero(row > 0).tolist() for row in t]
     cache = {}
 
     def draw(a, m):
-        if math.comb(m + len(reach[a]) - 1, len(reach[a]) - 1) > CHUNK:
-            return ((count, np.ascontiguousarray(score.T)) for _, count, score in _block_types(reach[a], m, scores[a]))
         if (a, m) not in cache:
-            _, count, score = next(_block_types(reach[a], m, scores[a]))
-            cache[a, m] = [(count, np.ascontiguousarray(score.T))]  # C order: rows are contiguous
+            types = (  # C order: score rows are contiguous
+                (count * t[a, letters].prod(axis=1), np.ascontiguousarray(score.T))
+                for letters, count, score in _block_types(reach[a], m, scores[a])
+            )
+            if math.comb(m + len(reach[a]) - 1, len(reach[a]) - 1) > CHUNK:
+                return types
+            cache[a, m] = list(types)
         return cache[a, m]
 
     for c in cands:
         (a, m), *rest = blocks[c]
-        for count, score in draw(a, m):
-            for piece in _combine(draw, rest, count, score):
+        for mass, score in draw(a, m):
+            for piece in _combine(draw, rest, mass, score):
                 yield c, *piece
 
 
 def _pass_mass(test: BoxTest, pieces: list) -> list:
-    """The pass mass of each (c, count, score) piece of _type_pieces: count *
-    2^(score[0]) summed over the types whose score rows pass every y box at
-    the test's own entropy. The pieces are scored together as one (J, R)
-    array, and each piece's mass is summed alone."""
-    if len(pieces) == 1:
-        (_, count, score), = pieces
-    else:
-        count, score = np.concatenate([p[1] for p in pieces]), np.concatenate([p[2] for p in pieces], axis=1)
-    ok = in_box(score[1], test.n, test.h_y, test.eps)
-    for j, (_, h) in enumerate(test.terms, 2):
-        ok &= in_box(score[j], test.n, h, test.eps)
-    passed = np.flatnonzero(ok)
-    weight = count[passed] * np.exp2(score[0, passed])
-    cuts = np.searchsorted(passed, np.cumsum([len(p[1]) for p in pieces])).tolist()
-    return [float(weight[lo:hi].sum()) for lo, hi in zip([0, *cuts], cuts)]
+    """The pass mass of each (c, mass, score) piece of _type_pieces: its mass
+    summed over the types whose score rows pass every y box at the test's
+    own entropy. The pieces are scored together as one (J, R) array, and
+    each piece's mass is summed alone."""
+    mass, score = pieces[0][1:] if len(pieces) == 1 else (
+        np.concatenate([p[1] for p in pieces]), np.concatenate([p[2] for p in pieces], axis=1))
+    ok = in_box(score[0], test.n, test.h_y, test.eps)
+    for row, (_, h) in zip(score[1:], test.terms):
+        ok &= in_box(row, test.n, h, test.eps)
+    mass = np.where(ok, mass, 0.0)
+    ends = np.cumsum([len(p[1]) for p in pieces]).tolist()
+    return [float(mass[lo:hi].sum()) for lo, hi in zip([0, *ends], ends)]
 
 
 def _batches(pieces):
-    """Yield consecutive (c, count, score) pieces in lists of at most CHUNK
+    """Yield consecutive (c, mass, score) pieces in lists of at most CHUNK
     types in all; a piece is never split."""
     batch, rows = [], 0
     for piece in pieces:

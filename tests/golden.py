@@ -61,8 +61,15 @@ instead of over members: `typ-dump-11-letters` and `typ-dump-n48`, whose
 `b-typ-11-letters`, `b-typ-monte-carlo` and `b-typ-m2-n4`, whose
 `joint_typical_mass` moved by at most 1.6e-15 (and `b_mass` and `p2_mass` of
 `b-typ-11-letters` by at most 1.1e-16); members, member lines, counts and
-booleans stayed byte-identical. A change that alters one of these outputs on
-purpose updates its hash here.
+booleans stayed byte-identical. Three more were re-pinned when each
+conditional type came to be weighed by its count times the product of its
+transition entries instead of by exp2 of its log2 weight: the
+`joint_typical_mass` of `readme-b-typ` moved from 0.9612388202464178 to
+0.9612388202464177, of `b-typ-11-letters` from 0.44116800000000006 to
+0.44116800000000017, and of `b-typ-4-bins-n7` from 0.2972083491422354 to
+0.29720834914223515; every other header value, every member line and every
+keep decision stayed byte-identical. A change that alters one of these
+outputs on purpose updates its hash here.
 """
 
 from __future__ import annotations

@@ -665,6 +665,18 @@ def test_block_mask_applies_y_independent_boxes(kind):
     np.testing.assert_array_equal(dec.triple_mask(y[b], c), full[b, c])
 
 
+@pytest.mark.parametrize("kind", ["smd", "bmd"])
+def test_a_static_box_gives_one_class_one_verdict(kind):
+    # eps is the class's distance on the {a} box minus LOG_SLACK: summed in
+    # each member's own order, 3 of its 60 members landed one ulp outside
+    pmf = (0.009448258906744656, 0.5014203717949333, 0.4009565732509738, 0.08817479604734828)
+    layer = build_shaping_layer(M2, gaussian_dmc(np.asarray(M2.points, float), 0.5, 2), pmf, 6, 1.9232922824658352)
+    members = layer.amplitude_seqs[(np.sort(layer.amplitude_seqs, axis=1) == [0, 0, 1, 1, 1, 3]).all(axis=1)]
+    points = members.T.astype(np.intp) + M2.num_amplitudes  # every sign +1
+    static = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points).test.static
+    assert len(members) == 60 and static.all()
+
+
 def test_experiment_noiseless_is_error_free():
     dmc = identity_dmc(CST.points)
     for kind in ("smd", "bmd"):

@@ -475,7 +475,7 @@ def test_a_boundary_class_gives_every_permutation_its_bits():
     pmf, cfg = (0.78, 1 - 0.78), TypConfig(n=11, eps=0.42827310441539757)
     for u in ((0,) * 6 + (1,) * 5, (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0)):
         assert empirical_rate(u, pmf).hex() == "0x1.303da4c5edaeap+0"
-        assert conditional_typical_prob(u, pmf, BSC01, cfg).prob.hex() == "0x1.650bf60432fd9p-1"
+        assert conditional_typical_prob(u, pmf, BSC01, cfg).prob.hex() == "0x1.650bf60432fdbp-1"
 
 
 def test_a_shaped_sequence_is_read_flat():
@@ -483,7 +483,7 @@ def test_a_shaped_sequence_is_read_flat():
     # scored 0.0 for it
     cfg, u, v = TypConfig(n=6, eps=0.4), np.array([0, 1, 0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 0])
     joint = np.full((2, 1), 0.5) * BSC01
-    assert conditional_typical_prob(u, (0.5, 0.5), BSC01, cfg).prob.hex() == "0x1.c57f0ed3d859cp-1"
+    assert conditional_typical_prob(u, (0.5, 0.5), BSC01, cfg).prob.hex() == "0x1.c57f0ed3d859fp-1"
     for shape in ((1, 6), (6, 1), (2, 3)):
         for flat, shaped in (
             (is_typical(u, (0.3, 0.7), cfg), is_typical(u.reshape(shape), (0.3, 0.7), cfg)),
@@ -651,7 +651,7 @@ def test_type_engine_chunks_bound_memory_and_agree(monkeypatch, case):
     pass_mass = typicality._pass_mass
 
     def counted(test, pieces):
-        scored.append(sum(len(count) for _, count, _ in pieces))
+        scored.append(sum(len(mass) for _, mass, _ in pieces))
         return pass_mass(test, pieces)
 
     monkeypatch.setattr(typicality, "_pass_mass", counted)
@@ -659,9 +659,9 @@ def test_type_engine_chunks_bound_memory_and_agree(monkeypatch, case):
     assert got == pytest.approx(want, abs=2e-15)
     assert max(scored) <= 5  # one evaluation never holds more than CHUNK types
     pieces, counts = _walk(firsts, pmf, transition, eps)
-    assert max(len(count) for _, count, _ in pieces) <= 5
+    assert max(len(mass) for _, mass, _ in pieces) <= 5
     for c, u in enumerate(firsts):
-        assert sum(len(count) for k, count, _ in pieces if k == c) == counts[c] == _type_count(u, transition)
+        assert sum(len(mass) for k, mass, _ in pieces if k == c) == counts[c] == _type_count(u, transition)
 
 
 def _class_test(firsts, pmf, transition, eps):
@@ -674,12 +674,13 @@ def _class_test(firsts, pmf, transition, eps):
 
 
 def _walk(firsts, pmf, transition, eps):
-    """The (c, count, score) pieces that one pass of the engine visits for the
+    """The (c, mass, score) pieces that one pass of the engine visits for the
     classes with first members firsts, and each class's type count."""
     test, t = _class_test(firsts, pmf, transition, eps)
     blocks = typicality._letter_blocks(test.x, len(t))
     pieces = list(typicality._type_pieces(test, t, blocks, range(len(firsts))))
-    assert all(score.shape == (3, len(count)) for _, count, score in pieces)  # score rows, one column a type
+    # the V and (U, V) boxes' score rows, one column a type, and its mass
+    assert all(score.shape == (2, len(mass)) for _, mass, score in pieces)
     outputs = (t > 0).sum(axis=1).tolist()
     return pieces, [typicality._type_count(b, outputs) for b in blocks]
 
@@ -695,7 +696,7 @@ def test_type_engine_walks_the_types_it_counts(case):
     order = [c for c, _, _ in pieces]
     assert order == sorted(order) and set(order) == set(range(len(firsts)))
     for c, u in enumerate(firsts):
-        assert sum(len(count) for k, count, _ in pieces if k == c) == counts[c] == _type_count(u, transition)
+        assert sum(len(mass) for k, mass, _ in pieces if k == c) == counts[c] == _type_count(u, transition)
 
 
 @pytest.mark.parametrize("chunk", [typicality.CHUNK, 7], ids=["default-chunk", "chunk-7"])
@@ -712,21 +713,28 @@ def test_one_pass_gives_each_class_its_one_candidate_value(monkeypatch, case, ch
 
 
 def test_type_engine_is_no_further_from_exact_than_grid():
-    pmf, transition, n, eps = TYPE_ENGINE_CASES["binary-n10"]
-    cfg = TypConfig(n=n, eps=eps)
-    shape = (len(pmf), len(transition[0]))
-    joint = {(a, b): pmf[a] * transition[a][b] for a in range(shape[0]) for b in range(shape[1])}
-    weight = [[Fraction(x) for x in row] for row in transition]  # the floats' exact values
-    for u in _class_firsts(pmf, cfg).tolist():
-        exact = sum(
-            (math.prod(weight[a][b] for a, b in zip(u, v))
-             for v in product(range(shape[1]), repeat=n)
-             if jointly_typical_oracle((u, v), joint, shape, eps)),
-            Fraction(0),
-        )
-        engine = conditional_typical_prob(u, pmf, transition, cfg).prob
-        grid = _grid_prob(u, pmf, transition, cfg)
-        assert abs(Fraction(engine) - exact) <= abs(Fraction(grid) - exact), u
+    # each type's mass is its count times the product of its table entries,
+    # so no exp2 of a log sum rounds it: the engine stays within 4 units of
+    # 2^-53 of the exact rational sum, and on binary-n10 no further from it
+    # than the grid scan, _grid_prob, whose weights are exp2 of log sums
+    # (9.4 units off there)
+    for case in ("binary-n10", "three-letter-n-distinct"):
+        pmf, transition, n, eps = TYPE_ENGINE_CASES[case]
+        cfg = TypConfig(n=n, eps=eps)
+        shape = (len(pmf), len(transition[0]))
+        joint = {(a, b): pmf[a] * transition[a][b] for a in range(shape[0]) for b in range(shape[1])}
+        weight = [[Fraction(x) for x in row] for row in transition]  # the floats' exact values
+        for u in _class_firsts(pmf, cfg).tolist():
+            exact = sum(
+                (math.prod(weight[a][b] for a, b in zip(u, v))
+                 for v in product(range(shape[1]), repeat=n)
+                 if jointly_typical_oracle((u, v), joint, shape, eps)),
+                Fraction(0),
+            )
+            engine = abs(Fraction(conditional_typical_prob(u, pmf, transition, cfg).prob) - exact)
+            assert exact > 0 and engine < 4 * Fraction(1, 2**53) * exact, (case, u)
+            if case == "binary-n10":
+                assert engine <= abs(Fraction(_grid_prob(u, pmf, transition, cfg)) - exact), u
 
 
 def test_type_engine_scans_no_sequence_grid():
@@ -944,18 +952,6 @@ def test_b_typical_probs_meet_threshold(p0, cross, eps):
 CLASS_PROBS = json.loads((Path(__file__).parent / "class_probs.json").read_text())
 
 
-def _exp2_log2_kernel():
-    """The SIMD target numpy runs float64 exp2 and log2 on, when both run on
-    one; their last bits, and so every class probability's, differ between
-    targets (X86_V4, the AVX512 loops, against the baseline ones)."""
-    introspect = getattr(np.lib, "introspect", None)
-    if introspect is None:  # numpy before 2.0 cannot say
-        return None
-    info = introspect.opt_func_info(func_name="^(exp2|log2)$", signature="float64")
-    targets = {ufunc["dd"]["current"] for ufunc in info.values()}
-    return targets.pop() if len(targets) == 1 else None
-
-
 def _pinned_inputs(config):
     """The pmf and transition that `b-typ` builds from a pinned config: an
     explicit pair, or an ASK constellation's amplitude pmf (uniform unless
@@ -971,16 +967,14 @@ def _pinned_inputs(config):
 
 @pytest.mark.parametrize("case", sorted(CLASS_PROBS))
 def test_class_probabilities_hold_bit_for_bit(case):
-    # every class's float.hex, pinned on both kernels while each class was
-    # still scored by its own call: the two benchmark b-typ configs, every
-    # golden b-typ one (b-typ-4-bins-n7 has classes of more than CHUNK
-    # conditional types, summed in slices; b-typ-monte-carlo has every class
-    # over its budget) and an 8-ASK config of 48 classes
-    pinned = CLASS_PROBS[case]["class_probs"]
-    kernel = _exp2_log2_kernel()
-    if kernel not in pinned:
-        pytest.skip(f"no pins for float64 exp2 and log2 on {kernel}; pinned on {', '.join(pinned)}")
-    config, want = CLASS_PROBS[case]["config"], pinned[kernel]
+    # every class's float.hex, one pin list for every SIMD target numpy may
+    # dispatch to: the two benchmark b-typ configs, every golden b-typ one
+    # (b-typ-4-bins-n7 has classes of more than CHUNK conditional types,
+    # summed in slices; b-typ-monte-carlo has every class over its budget),
+    # an 8-ASK config of 48 classes and b-typ-long-blocks, whose letter-0
+    # blocks hold 28 to 30 letters, so a type's mass is a product of that
+    # many table entries
+    config, want = CLASS_PROBS[case]["config"], CLASS_PROBS[case]["class_probs"]
     pmf, transition = _pinned_inputs(config)
     cfg = TypConfig(n=config["n"], eps=config["eps"], budget=config.get("budget", typicality.DEFAULT_BUDGET))
     bt = enumerate_b_typical(pmf, transition, cfg)
@@ -997,8 +991,7 @@ def test_class_probabilities_cover_the_slices_and_monte_carlo():
         counts[case] = max(_type_count(u, transition) for u in firsts)
     assert counts["b-typ-4-bins-n7"] > typicality.CHUNK
     assert counts["b-typ-monte-carlo"] > CLASS_PROBS["b-typ-monte-carlo"]["config"]["budget"]
-    for pins in CLASS_PROBS["b-typ-monte-carlo"]["class_probs"].values():
-        assert not any(exact for _, exact in pins)
+    assert not any(exact for _, exact in CLASS_PROBS["b-typ-monte-carlo"]["class_probs"])
 
 
 @pytest.mark.parametrize("chunk", [typicality.CHUNK, 7], ids=["default-chunk", "chunk-7"])
