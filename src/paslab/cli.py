@@ -72,7 +72,9 @@ def _bool(value) -> bool:
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """An array of JSON numbers in lists (or tuples) at any depth; each leaf is read by `_float`."""
+    leaves = np.asarray(value, dtype=object)
+    return np.array([_float(v) for v in leaves.flat], dtype=float).reshape(leaves.shape)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ A candidate is its channel inputs: the code is one (n, C) array of point
 indices, which the experiment samples outputs from and every decoder test
 scores. Each decoder is a list of weak-typicality boxes, margins of one pmf
 table whose last axis is the output y, and one label table of the letters
-each point puts on the other axes; `typicality.BoxTest` makes the test.
+each point puts on the other axes; `decoder_test` makes each `BoxTest`.
 Both read p(a, s, y) from the shaping layer, which forms it once from the
 product p(a) t((s, y) | a) that its B-typical test is built on:
 - symbol-metric (`smd`): every nonempty subset of (a, s, y) under p(a, s,
@@ -180,55 +180,51 @@ def draw_sign_code(layer: ShapingLayer, n1: int, mode: str = "iid", seed: int = 
 _SMD_BOXES = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
-def _smd_test(layer: ShapingLayer, points: np.ndarray) -> BoxTest:
-    """The symbol-level test of the candidates' points: every box of p(a, s,
-    y), read through each point's (amplitude, sign), the inverse of
-    `sign_amplitude_index`."""
+def decoder_test(layer: ShapingLayer, kind: str, points: np.ndarray) -> BoxTest:
+    """The test of decoder kind ("smd" or "bmd") on the candidates' (n, C)
+    points: its joint, box list and label table, as the module docstring
+    lists them."""
     cst = layer.constellation
-    signs, amplitudes = np.divmod(np.argsort(cst.sign_amplitude_index, axis=None), cst.num_amplitudes)
-    return BoxTest(layer.joint, _SMD_BOXES, np.stack([amplitudes, signs], axis=1), points, layer.eps)
+    if kind == "smd":  # each point's (amplitude, sign), the inverse of `sign_amplitude_index`
+        signs, amplitudes = np.divmod(np.argsort(cst.sign_amplitude_index, axis=None), cst.num_amplitudes)
+        return BoxTest(layer.joint, _SMD_BOXES, np.stack([amplitudes, signs], axis=1), points, layer.eps)
+    bits = layer.amplitude_bits  # (2^m, m)
+    m = bits.shape[1]
+    s, y = m, m + 1
+    boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
+    # p(b_1, ..., b_m, s, y) through each point's Gray label, sign bit last:
+    # the reflection gives x and -x the same amplitude bits
+    labels = np.roll(brgc_label(cst), -1, axis=1)
+    return BoxTest(label_joint(layer.joint, bits), boxes, labels, points, layer.eps)
 
 
 class SmdDecoder:
-    """Accepts (m_a, m_s) iff the amplitude, sign and output sequences are
-    jointly typical as a triple: the box of every subset of (a, s, y) holds."""
+    """The smd `decoder_test` of the candidates, as the three methods that
+    `perfbench/spans.py` wraps by name in this class's own body. Both
+    classes go once those spans time `decoder_test` instead (ROADMAP item 1)."""
 
     def __init__(self, layer: ShapingLayer, points: np.ndarray):
-        self.test = _smd_test(layer, points)
+        self.test = decoder_test(layer, "smd", points)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        """(B, C) acceptances for a (B, n) block of outputs."""
-        return self.test.accept(y)
+        return self.test.accept(y)  # (B, C) acceptances for a (B, n) block of outputs
 
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The same test on candidate rows[p] for output y[p] only."""
-        return self.test.pairs(y, rows)
+        return self.test.pairs(y, rows)  # the test on candidate rows[p] for output y[p] only
 
 
 class BmdDecoder:
-    """Accepts (m_a, m_s) iff (s, y) and every (b_j, y) pair is jointly
-    typical: the boxes of {s}, {y}, {s, y}, and of {b_j} and {b_j, y} for
-    every amplitude bit level j."""
+    """The bmd `decoder_test` of the candidates, with the smd one as its
+    `triple_mask` to count pairwise-only acceptances; kept, like
+    `SmdDecoder`, for the methods that `perfbench/spans.py` wraps."""
 
     def __init__(self, layer: ShapingLayer, points: np.ndarray):
-        bits = layer.amplitude_bits  # (2^m, m)
-        m = bits.shape[1]
-        s, y = m, m + 1
-        boxes = [(s,), (y,), (s, y)] + [box for j in range(m) for box in ((j,), (j, y))]
-        # p(b_1, ..., b_m, s, y) through each point's Gray label, sign bit
-        # last: the reflection gives x and -x the same amplitude bits
-        labels = np.roll(brgc_label(layer.constellation), -1, axis=1)
-        self.test = BoxTest(label_joint(layer.joint, bits), boxes, labels, points, layer.eps)
-        # the symbol-level test, to log pairwise-only acceptances
-        self.triple = _smd_test(layer, points)
+        self.test, self.triple = decoder_test(layer, "bmd", points), decoder_test(layer, "smd", points)
 
     def accept_mask(self, y: np.ndarray) -> np.ndarray:
-        """(B, C) acceptances for a (B, n) block of outputs."""
         return self.test.accept(y)
 
     def triple_mask(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The symbol-level test on candidate rows[p] for output y[p], to log
-        pairwise-only acceptances."""
         return self.triple.pairs(y, rows)
 
 

@@ -350,9 +350,9 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     """Joint typicality of k aligned sequences: every nonempty subset of
     coordinates must satisfy its own rate/entropy box.
 
-    The cells of the joint that the sequences pick, sorted so that a
-    permutation of the whole tuple keeps the verdict, are the one candidate
-    of a BoxTest over every nonempty subset of the joint's axes; the output
+    The cells that the sequences pick are the one candidate of a BoxTest
+    over every nonempty subset of the joint's axes; it sums each box in
+    sorted order, so a permutation of the tuple keeps the verdict. The output
     is a unit axis appended to the joint, whose box always holds."""
     joint = check_pmf(joint_pmf)
     k, seqs = joint.ndim, tuple(seqs)
@@ -361,7 +361,7 @@ def is_jointly_typical(seqs, joint_pmf, config: TypConfig) -> bool:
     letters = [_letters(s, joint.shape[d], f"sequence {d}", config.n) for d, s in enumerate(seqs)]
     boxes = [tuple(d for d in range(k) if mask >> d & 1) for mask in range(1, 2**k)] + [(k,)]
     labels = np.indices(joint.shape).reshape(k, -1).T
-    x = np.sort(np.ravel_multi_index(letters, joint.shape))[:, None]
+    x = np.ravel_multi_index(letters, joint.shape)[:, None]
     test = BoxTest(joint[..., None], boxes, labels, x, config.eps)
     return bool(test.accept(np.zeros((1, config.n), dtype=np.intp))[0, 0])
 

@@ -32,9 +32,10 @@ from paslab.infomeasures import (
     product_bit_metric,
     r_bmd,
 )
-from paslab.signcode import ExperimentConfig, run_experiment
+from paslab.signcode import ExperimentConfig, build_shaping_layer, decoder_test, draw_sign_code, run_experiment
 from paslab.typicality import (
     TypConfig,
+    _type_probs,
     enumerate_b_typical,
     enumerate_typical,
     is_jointly_typical,
@@ -336,3 +337,35 @@ def test_08_gray_label_table():
         ok &= abs(x) == a and tuple(bm[i].tolist()) == ((1 if s > 0 else 0),) + amp_bits
     ok &= len({tuple(row) for row in bm.tolist()}) == 8  # each label names one point
     _report(8, "8-ASK reference labeling", bool(ok), "all 8 columns reproduced exactly")
+
+
+# (m, sigma, bins, amplitude pmf, n, eps, gamma, decoder, codebook mode)
+KIND1_CASES = (
+    (1, 0.45, 2, (0.7, 0.3), 6, 0.1, 0.5, "smd", "iid"),
+    (1, 0.45, 2, (0.7, 0.3), 6, 0.1, 0.5, "bmd", "iid"),
+    (1, 0.45, 2, (0.7, 0.3), 6, 0.1, 0.9, "smd", "linear"),
+    (1, 0.45, 4, (0.7, 0.3), 8, 0.3, 0.25, "smd", "iid"),
+    (2, 0.5, 6, (0.4, 0.3, 0.2, 0.1), 4, 0.4, 0.25, "bmd", "iid"),
+    (2, 0.5, 6, (0.4, 0.3, 0.2, 0.1), 4, 0.4, 0.25, "smd", "linear"),
+)
+
+
+def test_09_sim_kind1_matches_its_exact_value():
+    # every candidate is sent with probability 1/C, so the exact kind-1 rate
+    # is the mean over candidates of 1 - Pr{the candidate passes its own
+    # decoder test}, each by the conditional-type engine
+    trials, ok, lines = 20_000, True, []
+    for m, sigma, bins, pmf, n, eps, gamma, kind, mode in KIND1_CASES:
+        cst = make_ask(m)
+        dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=bins)
+        cfg = ExperimentConfig(
+            constellation=cst, dmc=dmc, amplitude_pmf=pmf, eps=eps, n=n, gamma=gamma,
+            decoder=kind, trials=trials, seed=0, codebook_mode=mode,
+        )
+        layer = build_shaping_layer(cst, dmc, pmf, n, eps)
+        passes = _type_probs(decoder_test(layer, kind, draw_sign_code(layer, cfg.n1, mode, cfg.seed)), dmc.w)
+        p = float(np.mean([1.0 - res.prob for res in passes]))
+        z = (run_experiment(cfg).errors_kind1 - trials * p) / math.sqrt(trials * p * (1 - p))
+        ok &= all(res.exact for res in passes) and abs(z) <= 4
+        lines.append(f"{2**(m + 1)}-ASK n={n} {kind} {mode}: p={p:.4f} z={z:+.2f}")
+    _report(9, "sim kind-1 against its exact value", ok, f"{'; '.join(lines)} ({trials} trials each, |z| <= 4)")

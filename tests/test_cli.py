@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paslab import cli
-from paslab.cli import COMMANDS, OPTIONS, SIM_CSV_COLUMNS, _bool, _float, _int, build_parser, main
+from paslab.cli import COMMANDS, OPTIONS, SIM_CSV_COLUMNS, _bool, _float, _floats, _int, build_parser, main
 from paslab.errors import ConvergenceError
 from paslab.typicality import TypConfig, enumerate_typical
 
@@ -560,20 +560,26 @@ STRICT_KEYS = [
     (command, opt.key, opt.read)
     for command, rows in OPTIONS.items()
     for opt in rows
-    if opt.read in (_int, _bool, _float)
+    if opt.read in (_int, _bool, _float, _floats)
 ]
-STRICT_JUNK = {_int: [True, "4", 3.7], _bool: ["no", 1, None], _float: [True, "0.2"]}
+STRICT_JUNK = {
+    _int: [True, "4", 3.7],
+    _bool: ["no", 1, None],
+    _float: [True, "0.2"],
+    # a string or bool leaf at any depth, and rows JSON cannot make a matrix of
+    _floats: [["0.5", "0.5"], [True, False], ["2", True], [[0.5, 0.5], [0.5, "0.5"]], [[0.5], [0.5, 0.5]]],
+}
 
 
 @pytest.mark.parametrize("command, key, read", STRICT_KEYS, ids=[f"{c}-{k}" for c, k, _ in STRICT_KEYS])
 def test_int_and_bool_keys_are_read_strictly(tmp_path, capsys, command, key, read):
-    """Every int, bool and float key exits 2 on a value of the wrong JSON type."""
+    """Every int, bool, float and float-array key exits 2 on a value of the wrong JSON type."""
     cfg = tmp_path / "cfg.json"
     for value in STRICT_JUNK[read]:
         cfg.write_text(json.dumps({key: value}))
         rc, out, err = run_cli([command, "--config", str(cfg)], capsys)
         assert rc == 2 and out == ""
-        assert f"config error: {key}: cannot read {json.dumps(value)} as" in err
+        assert f"config error: {key}: cannot read {json.dumps(value)} as {read.__name__.strip('_')}\n" in err
 
 
 BSC_TRANSITION = {"transition": [[0.6, 0.4], [0.4, 0.6]], "pmf": [0.4, 0.6], "n": 4}

@@ -18,6 +18,7 @@ from paslab.signcode import (
     ExperimentConfig,
     ShapingLayer,
     build_shaping_layer,
+    decoder_test,
     draw_sign_code,
     run_experiment,
     sign_output_transition,
@@ -74,8 +75,8 @@ def test_decoder_joint_matches_the_sign_output_transition(m, sigma, num_bins, pm
     np.testing.assert_array_equal(joint, sign_amplitude_joint(p_sa, dmc, cst).transpose(1, 0, 2))
     # y, then (a, y), (s, y) and (a, s, y)
     entropies = [entropy_raw(want.sum(axis=ax) if ax else want) for ax in ((0, 1), (1,), (0,), ())]
-    for test in (SmdDecoder(layer, points).test, BmdDecoder(layer, points).triple):
-        assert [test.h_y] + [h for _, h in test.terms] == entropies
+    test = decoder_test(layer, "smd", points)
+    assert [test.h_y] + [h for _, h in test.terms] == entropies
 
 
 def test_build_layer_members_match_direct_enumeration():
@@ -253,21 +254,19 @@ def test_decoder_label_tables_match_the_alphabet(cst):
     points = draw_sign_code(layer, 1)
     half = cst.num_amplitudes
     gray = brgc_label(cst)[half:, 1:]  # Gray bits of ascending amplitudes
-    smd, bmd = SmdDecoder(layer, points), BmdDecoder(layer, points)
+    smd, bmd = (decoder_test(layer, kind, points) for kind in ("smd", "bmd"))
     for p in range(cst.size):
-        a, s = smd.test.labels[p]
+        a, s = smd.labels[p]
         assert cst.sign_amplitude_index[s, a] == p
         amp, sign = _amplitudes_and_signs(np.array(p), cst)
-        assert bmd.test.labels[p].tolist() == [*gray[amp].tolist(), int(sign)]
-    np.testing.assert_array_equal(bmd.triple.labels, smd.test.labels)
-    assert smd.test.x is points
+        assert bmd.labels[p].tolist() == [*gray[amp].tolist(), int(sign)]
 
 
 def test_bmd_test_and_triple_read_one_point_array():
     layer = build_shaping_layer(CST, NOISY, (0.7, 0.3), 6, 0.1)
     points = draw_sign_code(layer, 2, seed=1)
-    dec = BmdDecoder(layer, points)
-    assert dec.test.x is points and dec.triple.x is points
+    # the bmd test and the smd one that counts its pairwise-only acceptances
+    assert all(decoder_test(layer, kind, points).x is points for kind in ("bmd", "smd"))
 
 
 def test_decode_multiple_on_uninformative_channel():
@@ -378,7 +377,7 @@ def test_type_engine_gives_each_candidates_pass_probability(case, kind):
     dmc = gaussian_dmc(np.asarray(cst.points, float), sigma=sigma, num_bins=bins)
     layer = build_shaping_layer(cst, dmc, pmf, n, eps)
     points = draw_sign_code(layer, 1, seed=3)
-    test = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points).test
+    test = decoder_test(layer, kind, points)
     x = points.T  # (C, n)
     y = np.array(list(itertools.product(range(dmc.nout), repeat=n)), dtype=np.intp)
     weight = np.ones((len(y), len(x)))
@@ -653,7 +652,7 @@ def test_block_mask_applies_y_independent_boxes(kind):
     layer = _every_sequence_layer(6, blind)
     points = draw_sign_code(layer, 1, seed=3)
     dec = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points)
-    assert not dec.test.static.all()
+    assert not decoder_test(layer, kind, points).static.all()
     y = np.random.default_rng(0).integers(blind.nout, size=(200, 6))
     reference = _reference(kind, layer, points, blind, (0.7, 0.3))
     masks = np.array([reference(row) for row in y])
@@ -673,7 +672,7 @@ def test_a_static_box_gives_one_class_one_verdict(kind):
     layer = build_shaping_layer(M2, gaussian_dmc(np.asarray(M2.points, float), 0.5, 2), pmf, 6, 1.9232922824658352)
     members = layer.amplitude_seqs[(np.sort(layer.amplitude_seqs, axis=1) == [0, 0, 1, 1, 1, 3]).all(axis=1)]
     points = members.T.astype(np.intp) + M2.num_amplitudes  # every sign +1
-    static = (SmdDecoder if kind == "smd" else BmdDecoder)(layer, points).test.static
+    static = decoder_test(layer, kind, points).static
     assert len(members) == 60 and static.all()
 
 
