@@ -6,7 +6,14 @@ uses the budget exactly. An outer 1-D search runs over the constellation
 scale delta. At each scale the amplitudes on the unit grid must carry energy
 E = P/delta^2, so one Newton solve with the two equality rows sum(p) = 1 and
 sum(p a^2) = E maximises I(X;Y) over the 2^m amplitude masses, and no power
-multiplier is searched for. For 4-ASK the two rows pin p outright.
+multiplier is searched for. For 4-ASK the two rows pin p outright, so no
+Newton step runs.
+
+Every rate reads the channel as `channel.gaussian_rows`, the rows of the
+positive points, each cell taken from the tail on its own side of the point:
+the row of -x is the row of x reversed, bit for bit. The solve works on
+those rows alone, and the full channel (`_channel`) is those rows with their
+mirror images stacked below them, so every rate sees one channel.
 
 optimize_capacity returns the optimum alone. air_sweep, their only reader,
 adds air-sweep's two comparison columns: mi_uniform from uniform_rate, and
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabets import AskConstellation, brgc_label
-from .channel import AwgnSpec, Dmc, gaussian_dmc
+from .channel import AwgnSpec, Dmc, gaussian_rows
 from .errors import ConvergenceError
 from .infomeasures import entropy, equivocation, mutual_information, r_bmd
 from .optim import bisect_until, brent_max
@@ -68,15 +75,25 @@ def _power(snr_db: float) -> float:
     return power
 
 
+def _rows(points, delta, spec: AwgnSpec) -> np.ndarray:
+    """W(y | x) of the positive points at scale delta, mirror-exact rows."""
+    return gaussian_rows(points[points.size // 2 :] * delta, 1.0, spec.num_bins, spec.clip_sigmas)
+
+
 def _channel(points, delta, spec: AwgnSpec) -> np.ndarray:
-    return gaussian_dmc(points * delta, 1.0, spec.num_bins, spec.clip_sigmas).w
+    """W(y | x) of every point at scale delta: the negative points' rows are
+    the positive ones reversed."""
+    w = _rows(points, delta, spec)
+    return np.vstack([w[::-1, ::-1], w])
 
 
 def _max_mi_at_energy(w, e, energy):
-    """max I(X;Y) on channel w over symmetric inputs whose amplitude masses
-    p >= 0 satisfy sum(p) = 1 and p @ e = energy; returns (p, mi_bits).
+    """max I(X;Y) over symmetric inputs whose amplitude masses p >= 0 satisfy
+    sum(p) = 1 and p @ e = energy, on the channel whose positive-point rows
+    are w (`gaussian_rows`, so the row of -x is the row of x reversed);
+    returns (p, mi_bits).
 
-    Works on the positive-point rows with output bins y and -y merged into v:
+    Works on those rows with output bins y and -y merged into v:
     I = sum_j p_j c_j with c_j = sum_y w ln w - v_j . ln(r / mult), r = p @ v
     and mult the number of bins a merged bin holds. Newton runs on the face
     of unpinned masses, with the constraint residual on the KKT right-hand
@@ -84,12 +101,6 @@ def _max_mi_at_energy(w, e, energy):
     drive a mass negative stops at the boundary and pins it to zero; once a
     face is solved, the pinned mass that most wants to grow is released.
     """
-    # the solve keeps the input symmetric, so the problem must be exactly
-    # mirror-symmetric too: quantizer edges from linspace are mirror-equal
-    # only to roundoff, and across thousands of bins that leaves a genuinely
-    # asymmetric gradient (~1e-8) no symmetric iterate can zero
-    w = 0.5 * (w + w[::-1, ::-1])
-    w = w[w.shape[0] // 2 :]
     neg_row_ent = (w * np.log(np.where(w > 0, w, 1.0))).sum(axis=1)
     half = w.shape[1] // 2  # an odd output count leaves the middle bin unpaired
     v = w[:, : w.shape[1] - half].copy()
@@ -109,8 +120,9 @@ def _max_mi_at_energy(w, e, energy):
         r = np.maximum(p @ v, R_FLOOR)
         c = neg_row_ent - v @ (np.log(r) - ln_mult)  # D(w_j || q) in nats
         idx = np.flatnonzero(free)
-        if idx.size < 2:
-            # a vertex: with two constraint rows it is the only feasible point
+        if idx.size < 2 or k == 2:
+            # a vertex, or two amplitudes: the two constraint rows pin p, so
+            # the feasible start is the only feasible point
             return p, float(p @ c) / LN2
         hess = -(v[idx] / r) @ v[idx].T
         # a relative shift of the diagonal keeps the system regular when rows
@@ -173,7 +185,7 @@ def optimize_capacity(constellation: AskConstellation, snr_db: float, spec: Awgn
         e = np.asarray(constellation.amplitudes, dtype=float) ** 2
 
         def solve(delta: float):
-            return _max_mi_at_energy(_channel(points, delta, spec), e, power / delta**2)
+            return _max_mi_at_energy(_rows(points, delta, spec), e, power / delta**2)
 
         d_lo = math.sqrt(power) / (constellation.size - 1)  # all mass on the outer amplitude
         d_hi = math.sqrt(power)  # all mass on the inner amplitude
@@ -280,8 +292,8 @@ def theorem_feasibility(p_a, gamma: float, dmc: Dmc, labels: np.ndarray) -> dict
 def air_sweep(constellation: AskConstellation, snr_grid, spec: AwgnSpec | None = None):
     """Rate curves over a grid: yields (snr_db, row | exception) per point,
     row being (capacity, H(A*), gamma, mi_uniform, r_bmd_star). R_BMD runs on
-    the optimum's channel rebuilt from the winning probe's inputs, so on the
-    same channel bit for bit.
+    the optimum's channel rebuilt from the winning probe's scale: the rows
+    the capacity solve read, with their mirror images, bit for bit.
     """
     spec = spec or AwgnSpec()
     points = np.asarray(constellation.points, dtype=float)

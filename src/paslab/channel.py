@@ -1,6 +1,13 @@
 """Discrete memoryless channels, AWGN bin quantization, and the one sampler
 of a channel's outputs (`sample_outputs`), which both the sign-coding
-experiment and the Monte Carlo conditional typicality estimate draw with."""
+experiment and the Monte Carlo conditional typicality estimate draw with.
+
+One quantizer (`_edge_tails`) serves two channels. `gaussian_dmc` is the full
+channel that typicality and `sim` read; it takes its far cells as 1 - cdf,
+so a few cancel to 0 where their mirror cells are positive. `gaussian_rows`
+gives the rows of the positive points with every cell from the tail on its
+own side of the point, so the row of -x is exactly the row of x reversed;
+the rate solver reads those."""
 
 from __future__ import annotations
 
@@ -69,30 +76,43 @@ def identity_dmc(points) -> Dmc:
     return Dmc(w=np.eye(len(points)))
 
 
+def _edge_tails(mags, sigma: float, num_bins: int, clip_sigmas: float):
+    """The quantizer of `AwgnSpec` around the ascending magnitudes mags: the
+    Gaussian tail T = erfc(|z|) / 2 at every edge for each magnitude x, with
+    z = (edge - x) / (sigma sqrt 2), and the numbers of edges below and
+    above x (the edges rise, so those come first and last). Runs the
+    quantizer's and the noise's checks, and rejects a range whose edges
+    overflow."""
+    AwgnSpec(num_bins, clip_sigmas)  # the quantizer's one check
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"noise sigma must be positive and finite, got {sigma}")
+    half = float(mags[-1]) + clip_sigmas * float(sigma)
+    step = 2.0 * half / num_bins  # Python floats: an overflow is inf, not a warning
+    if not math.isfinite(step):
+        raise ValueError(f"channel transition probabilities must be finite; the bin edges on ±{half:g} are not")
+    edges = (np.arange(num_bins + 1) - num_bins / 2) * step
+    z = np.abs(edges - mags[:, None])
+    z /= sigma * math.sqrt(2.0)
+    below = np.searchsorted(edges, mags, side="left")
+    above = num_bins + 1 - np.searchsorted(edges, mags, side="right")
+    return half_erfc(z), below, above
+
+
 def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = AwgnSpec.clip_sigmas) -> Dmc:
     """Quantize y = x + N(0, sigma^2) onto a uniform bin grid plus two tails.
 
     Each row is the cdf F at every edge, differenced: the lower tail bin is
     F at the first edge, the upper one 1 - F at the last. F comes from the
-    tail T = erfc(|z|) / 2 at z = (edge - x) / (sigma sqrt 2): F = T below x
-    and 1 - T above. Since the edges are symmetric about 0, the z of -x at
-    edge i is minus the z of x at edge num_bins - i, so T is evaluated once
-    per distinct |x| and read reversed for the negative point.
+    tail T of `_edge_tails`: F = T below x and 1 - T above, so a cell far
+    above x can cancel to 0 where its mirror cell is positive. Since the
+    edges are symmetric about 0, the z of -x at edge i is minus the z of x
+    at edge num_bins - i, so T is evaluated once per distinct |x| and read
+    reversed for the negative point. The sign-output tables of typicality
+    and `sim` read this channel; the rate solver reads `gaussian_rows`.
     """
-    AwgnSpec(num_bins, clip_sigmas)  # the quantizer's one check
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"noise sigma must be positive and finite, got {sigma}")
     pts = np.asarray(points, dtype=float)
     mags = np.unique(np.abs(pts))
-    half = mags[-1] + clip_sigmas * sigma
-    edges = (np.arange(num_bins + 1) - num_bins / 2) * (2.0 * half / num_bins)
-    # one row of |z| per |x|, and how many edges lie below and above that |x|
-    # (the edges rise, so those come first and last)
-    below = np.searchsorted(edges, mags, side="left")
-    above = num_bins + 1 - np.searchsorted(edges, mags, side="right")
-    z = np.abs(edges - mags[:, None])
-    z /= sigma * math.sqrt(2.0)
-    tail = half_erfc(z)
+    tail, below, above = _edge_tails(mags, sigma, num_bins, clip_sigmas)
     upper = 1.0 - tail
     # cdf framed by 0 and 1: the tail bins (-inf, edges[0]) and (edges[-1], inf)
     # are its first and last differences
@@ -109,6 +129,37 @@ def gaussian_dmc(points, sigma: float, num_bins: int, clip_sigmas: float = AwgnS
     np.maximum(w, 0.0, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return Dmc(w)
+
+
+def gaussian_rows(mags, sigma: float, num_bins: int, clip_sigmas: float = AwgnSpec.clip_sigmas) -> np.ndarray:
+    """W(y | x) on `gaussian_dmc`'s quantizer, one read-only row per x of the
+    ascending positive mags, each from the tail on its own side of x.
+
+    With T_b the tail at edge b and T = 0 past either end, a cell below x is
+    T_b - T_{b-1}, a cell above x is T_{b-1} - T_b and the cell that holds x,
+    cell b with edge b the first at or above x (the upper tail bin when
+    rounding puts x past the last edge), is (1 - T_b) - T_{b-1}. An edge on
+    x has T_b = 1/2 exactly, so there the last two forms agree. No cell
+    takes 1 - cdf, so none cancels, and since the edges are symmetric about
+    0 the row of -x is exactly this row reversed: the channel of the points
+    -mags[::-1], mags is np.vstack([w[::-1, ::-1], w]).
+    """
+    mags = np.asarray(mags, dtype=float)
+    if mags.ndim != 1 or not mags.size or not (mags[0] > 0 and np.all(mags[1:] > mags[:-1])):
+        raise ValueError("mags must be a non-empty ascending array of positive magnitudes")
+    tail, below, _ = _edge_tails(mags, sigma, num_bins, clip_sigmas)
+    # the tails framed by 0: cell b lies between entries b and b + 1, so the
+    # difference is T_b - T_{b-1}, negated for the cells past the one holding x
+    framed = np.zeros((mags.size, num_bins + 3))
+    framed[:, 1:-1] = tail
+    w = np.diff(framed, axis=1)
+    np.negative(w, out=w, where=np.arange(num_bins + 2) > below[:, None])
+    rows = np.arange(mags.size)
+    w[rows, below] = (1.0 - framed[rows, below + 1]) - framed[rows, below]
+    np.maximum(w, 0.0, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    w.setflags(write=False)
+    return w
 
 
 def sample_outputs(cdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ every subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -416,13 +418,19 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or the parser of `command` alone: the
     subparser the full tree would hand the arguments after the command name,
-    with the same prog, usage, help and messages."""
+    with the same prog, usage, help and messages.
+
+    argparse builds a help formatter for every argument, and each asks the
+    terminal for its size; the width argparse would take from it is read
+    once here instead and handed to every parser."""
+    width = shutil.get_terminal_size().columns - 2
+    fmt = functools.partial(argparse.HelpFormatter, width=width)
     if command is not None:
-        return _add_options(argparse.ArgumentParser(prog=f"paslab {command}"), command)
-    ap = argparse.ArgumentParser(prog="paslab", description=__doc__)
+        return _add_options(argparse.ArgumentParser(prog=f"paslab {command}", formatter_class=fmt), command)
+    ap = argparse.ArgumentParser(prog="paslab", description=__doc__, formatter_class=fmt)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+        _add_options(sub.add_parser(name, help=help_text, formatter_class=fmt), name)
     return ap
 
 

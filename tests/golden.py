@@ -68,8 +68,13 @@ transition entries instead of by exp2 of its log2 weight: the
 0.9612388202464177, of `b-typ-11-letters` from 0.44116800000000006 to
 0.44116800000000017, and of `b-typ-4-bins-n7` from 0.2972083491422354 to
 0.29720834914223515; every other header value, every member line and every
-keep decision stayed byte-identical. A change that alters one of these
-outputs on purpose updates its hash here.
+keep decision stayed byte-identical. The two `air-sweep` hashes were
+re-pinned when the rate solver came to read mirror-exact channel rows, each
+cell from the tail on its own side of the point, instead of symmetrising a
+channel whose far cells took 1 - cdf: `capacity` and `mi_uniform` kept every
+printed digit, while `h_a`, `gamma` and `r_bmd_star` moved by 3.4e-12 to
+4.0e-9 on the flat optimum. A change that alters one of these outputs on
+purpose updates its hash here.
 """
 
 from __future__ import annotations

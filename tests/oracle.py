@@ -186,6 +186,31 @@ def lemma1_oracle(pmf, trans, n, eps):
     }
 
 
+def gaussian_row_oracle(x, mags_max, sigma, num_bins, clip_sigmas):
+    """W(y | x) of the quantized AWGN channel for any real x, on the edges
+    (i - num_bins/2) * 2r/num_bins with r = mags_max + clip_sigmas * sigma:
+    each cell from math.erfc tails on its own side of x (the cell holding x
+    as 1 minus the sum of its two outer tails, a sum that reads the same
+    from either side), clamped at 0 and normalised by math.fsum."""
+    half = mags_max + clip_sigmas * sigma
+    edges = [(i - num_bins / 2) * (2.0 * half / num_bins) for i in range(num_bins + 1)]
+    tails = [0.5 * math.erfc(abs(e - x) / (sigma * math.sqrt(2.0))) for e in edges]
+    lo = [-math.inf, *edges]  # cell b is (lo[b], hi[b]); T is 0 past either end
+    hi = [*edges, math.inf]
+    t_lo, t_hi = [0.0, *tails], [*tails, 0.0]
+    cells = []
+    for b in range(num_bins + 2):
+        if hi[b] <= x:
+            cells.append(t_hi[b] - t_lo[b])
+        elif lo[b] >= x:
+            cells.append(t_lo[b] - t_hi[b])
+        else:
+            cells.append(1.0 - (t_lo[b] + t_hi[b]))
+    cells = [max(c, 0.0) for c in cells]
+    total = math.fsum(cells)
+    return [c / total for c in cells]
+
+
 def bit_joint_oracle(px, w, bit_matrix, level):
     """p(c_level, y) as two lists, by adding p(x) w(y|x) into row c_level(x)."""
     ny = len(w[0])

@@ -9,6 +9,7 @@ from paslab.airsolver import (
     _channel,
     _max_mi_at_energy,
     _power,
+    _rows,
     air_sweep,
     find_basic_point,
     gamma_split,
@@ -18,7 +19,7 @@ from paslab.airsolver import (
     theorem_feasibility,
     uniform_rate,
 )
-from paslab.channel import AwgnSpec, gaussian_dmc
+from paslab.channel import AwgnSpec, gaussian_dmc, gaussian_rows
 from paslab.errors import ConvergenceError
 from paslab.infomeasures import entropy, mutual_information, r_bmd
 from paslab.optim import brent_max
@@ -106,7 +107,7 @@ def _dense_scale_curve(m, snr, spec):
     e = np.asarray(cst.amplitudes, dtype=float) ** 2
 
     def mi(delta):
-        return _max_mi_at_energy(_channel(points, delta, spec), e, power / delta**2)[1]
+        return _max_mi_at_energy(_rows(points, delta, spec), e, power / delta**2)[1]
 
     d_hi = math.sqrt(power)
     grid = np.geomspace(d_hi / (cst.size - 1), d_hi, 49)
@@ -159,10 +160,22 @@ def test_energy_solve_converges_where_it_needs_32_iterations_per_mass(snr):
     d_hi = math.sqrt(power)
     delta = np.geomspace(d_hi / (cst.size - 1), d_hi, 49)[22]
     e = np.asarray(cst.amplitudes, dtype=float) ** 2
-    p, mi = _max_mi_at_energy(_channel(np.asarray(cst.points, dtype=float), delta, FAST), e, power / delta**2)
+    p, mi = _max_mi_at_energy(_rows(np.asarray(cst.points, dtype=float), delta, FAST), e, power / delta**2)
     assert p.min() >= 0.0 and p.sum() == pytest.approx(1.0, abs=1e-12)
     assert p @ e == pytest.approx(power / delta**2, rel=1e-12)
     assert 0.0 < mi < 6.0
+
+
+def test_two_amplitude_solves_take_no_newton_step(monkeypatch):
+    # with two amplitudes sum(p) = 1 and p @ e = E pin p: the feasible start
+    # is the answer, so no KKT system is solved
+    def never(*args, **kwargs):
+        raise AssertionError("a KKT system was solved for 4-ASK")
+
+    monkeypatch.setattr(paslab.airsolver.np.linalg, "solve", never)
+    for snr in (-2.0, 5.0, 20.0):
+        pt = optimize_capacity(make_ask(1), snr, FAST)
+        assert 0.0 < pt.capacity < 2.0
 
 
 def test_64_ask_capacity_where_the_refine_probes_a_slow_energy_solve():
@@ -181,7 +194,7 @@ def test_rates_points_build_few_channels(monkeypatch, m, snr):
 
     def counting(*args, **kwargs):
         builds.append(args)
-        return gaussian_dmc(*args, **kwargs)
+        return gaussian_rows(*args, **kwargs)
 
     def spy(name, f):
         def recording(*args, **kwargs):
@@ -190,7 +203,7 @@ def test_rates_points_build_few_channels(monkeypatch, m, snr):
 
         monkeypatch.setattr(paslab.airsolver, name, recording)
 
-    monkeypatch.setattr(paslab.airsolver, "gaussian_dmc", counting)
+    monkeypatch.setattr(paslab.airsolver, "gaussian_rows", counting)
     spy("uniform_rate", uniform_rate)
     spy("r_bmd", r_bmd)
     gamma_split(make_ask(m), snr)
@@ -288,7 +301,7 @@ def test_air_sweep_reports_failures_inline():
     assert (cap, h_a, gamma) == (pt.capacity, pt.h_a, pt.gamma)
     assert mi_u == uniform_rate(cst, 3.0, FAST)
     # R_BMD at the optimum, on the channel of the optimum's scale
-    w = gaussian_dmc(np.asarray(cst.points, dtype=float) * pt.scale, 1.0, FAST.num_bins, FAST.clip_sigmas)
+    w = _channel(np.asarray(cst.points, dtype=float), pt.scale, FAST)
     assert r_b == r_bmd(mirror_pmf(pt.p_a_star), w, brgc_label(cst))
     assert r_b <= cap + 1e-9
     assert isinstance(out[1][1], Exception)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paslab.alphabets import brgc_label, make_ask
-from paslab.channel import Dmc, gaussian_dmc, identity_dmc
+from paslab.channel import AwgnSpec, Dmc, gaussian_dmc, gaussian_rows, identity_dmc
 from paslab.infomeasures import joint_from_input, label_joint, mutual_information
 
-from oracle import bit_joint_oracle, table_mi_oracle
+from oracle import bit_joint_oracle, gaussian_row_oracle, table_mi_oracle
 
 
 def test_dmc_row_validation():
@@ -82,6 +82,89 @@ def test_gaussian_dmc_matches_ndtr_channel(m):
         np.testing.assert_array_equal(got == 0, want == 0)
         assert np.all(np.abs(got - want) <= 1e-13 * want + 5e-16), (sigma, bins, clip)
         np.testing.assert_array_equal(got == 0, _ndtr_channel(points, sigma, bins, clip, centred=False) == 0)
+
+
+def _assert_rows_match(mags, sigma, bins, clip):
+    """gaussian_rows against the math.erfc oracle on every point, each sign,
+    and against the symmetrised gaussian_dmc; returns the rows."""
+    w = gaussian_rows(mags, sigma, bins, clip)
+    pts = np.concatenate([-mags[::-1], mags])
+    full = np.vstack([w[::-1, ::-1], w])
+    for row, x in zip(full, pts.tolist()):
+        want = np.array(gaussian_row_oracle(x, mags[-1], sigma, bins, clip))
+        # the edges are symmetric about 0: the row of -x is the row of x reversed
+        mirror = np.array(gaussian_row_oracle(-x, mags[-1], sigma, bins, clip))
+        np.testing.assert_array_equal(mirror, want[::-1])
+        big = want >= 1e-300
+        assert np.all(np.abs(row - want)[big] <= 1e-12 * want[big]), (x, bins)
+        assert np.all(row[~big] < 1e-290)
+    dmc = gaussian_dmc(pts, sigma, bins, clip).w
+    assert np.abs(full - 0.5 * (dmc + dmc[::-1, ::-1])).max() <= 1e-15
+    return w
+
+
+@pytest.mark.parametrize("m", [1, 2, 3], ids=["4-ask", "8-ask", "16-ask"])
+def test_gaussian_rows_match_the_erfc_oracle(m):
+    # every cell within 1e-12 relative of nearer-tail math.erfc differences;
+    # the symmetrised gaussian_dmc is off by up to 4.4e-5 on cells >= 1e-12,
+    # from the cells that take 1 - cdf
+    points = np.asarray(make_ask(m).points, dtype=float)
+    for bins, scale in itertools.product((2, 7, 300, 2000), (0.05, 0.4, 1.0, 2.5)):
+        pts = points * scale
+        w = _assert_rows_match(pts[pts.size // 2 :], 1.0, bins, AwgnSpec.clip_sigmas)
+        assert w.shape == (pts.size // 2, bins + 2) and not w.flags.writeable
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-15)
+
+
+def test_gaussian_rows_hold_a_point_past_the_last_edge():
+    # at clip_sigmas 0 rounding can put the outer point past the last edge, so
+    # the upper tail bin holds it
+    delta = 8.472295714961787
+    mags = np.array([delta, 3 * delta])
+    edges = (np.arange(750) - 749 / 2) * (2.0 * mags[-1] / 749)
+    assert edges[-1] < mags[-1]
+    w = _assert_rows_match(mags, 1.0, 749, 0.0)
+    assert w[1, -1] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_gaussian_rows_with_an_edge_on_each_point():
+    # edges at the integers -4..4: each point sits on one, no cell holds it,
+    # and the cells on either side of it carry half the mass each
+    w = _assert_rows_match(np.array([1.0, 3.0]), 1.0, 8, 1.0)
+    for row, edge in zip(w, (5, 7)):  # cells 0..edge end at or below the point
+        assert row[: edge + 1].sum() == pytest.approx(0.5, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=20.0),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=800),
+)
+def test_gaussian_rows_at_zero_clip_match_the_symmetrised_channel(delta, m, bins):
+    points = np.asarray(make_ask(m).points, dtype=float) * delta
+    mags = points[points.size // 2 :]
+    w = gaussian_rows(mags, 1.0, bins, 0.0)
+    dmc = gaussian_dmc(points, 1.0, bins, 0.0).w
+    assert np.abs(np.vstack([w[::-1, ::-1], w]) - 0.5 * (dmc + dmc[::-1, ::-1])).max() <= 1e-15
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-15)
+
+
+def test_gaussian_rows_arg_checks():
+    # a range past the largest float has no finite edges; the rate commands
+    # report it as the full channel's finite check did
+    with pytest.raises(ValueError, match="channel transition probabilities must be finite"):
+        gaussian_rows([1.0, 3.0], 1.0, 8, 1e308)
+    with pytest.raises(ValueError, match="clip_sigmas"):
+        gaussian_rows([1.0, 3.0], 1.0, 8, float("nan"))
+    with pytest.raises(ValueError, match="num_bins"):
+        gaussian_rows([1.0, 3.0], 1.0, 1)
+    for sigma in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_rows([1.0, 3.0], sigma, 8)
+    for mags in ([], [0.0, 1.0], [3.0, 1.0], [1.0, 1.0], [1.0, float("nan"), 3.0], [[1.0, 3.0]]):
+        with pytest.raises(ValueError, match="ascending"):
+            gaussian_rows(mags, 1.0, 8)
 
 
 def test_gaussian_dmc_arg_checks():

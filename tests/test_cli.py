@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -316,10 +317,19 @@ def _forbid(monkeypatch, target: str, message: str) -> None:
 
 @pytest.mark.parametrize("snr", ["nan", "4000", "-4000"])
 def test_gamma_split_rejects_unusable_snr(monkeypatch, capsys, snr):
-    _forbid(monkeypatch, "paslab.airsolver.gaussian_dmc", "a channel was built for an unusable snr")
+    _forbid(monkeypatch, "paslab.airsolver.gaussian_rows", "a channel was built for an unusable snr")
     rc, out, err = run_cli(["gamma-split", "--snr-db", snr], capsys)
     assert rc == 2 and out == ""
     assert "no finite positive power budget" in err
+
+
+def test_gamma_split_rejects_a_quantizer_range_past_the_largest_float(tmp_path, capsys):
+    # the mirror-exact rows keep the full channel's finite check: no NaN gamma
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"clip_sigmas": 1e308}))
+    rc, out, err = run_cli(["gamma-split", "--config", str(cfg)], capsys)
+    assert rc == 2 and out == ""
+    assert "config error: channel transition probabilities must be finite" in err
 
 
 @pytest.mark.parametrize("snr_db", [4000, -4000, 1e308])
@@ -353,7 +363,7 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv, target):
 
 
 def test_air_sweep_reports_unusable_snr_inline(monkeypatch, capsys):
-    _forbid(monkeypatch, "paslab.airsolver.gaussian_dmc", "a channel was built for an unusable snr")
+    _forbid(monkeypatch, "paslab.airsolver.gaussian_rows", "a channel was built for an unusable snr")
     rc, out, err = run_cli(["air-sweep", "--snr-start", "4000", "--snr-stop", "4000"], capsys)
     assert rc == 0
     assert out.strip().split("\n")[-1] == "4000,nan,nan,nan,nan,nan"
@@ -737,6 +747,49 @@ def test_one_command_parser_reads_as_the_full_tree(capsys):
     for command in COMMANDS:
         alone = _exit(lambda: build_parser(command).parse_args(["--help"]), capsys)
         assert alone == _exit(lambda: build_parser().parse_args([command, "--help"]), capsys)
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS], ids=["full-tree", *COMMANDS])
+def test_build_parser_reads_the_terminal_size_once(monkeypatch, command):
+    # argparse asks for it on every add_argument unless it is handed a width
+    # (the full tree asked 56 times, sim's parser 14)
+    lookups = []
+    size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        lookups.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    build_parser(command)
+    assert len(lookups) <= 1
+
+
+GAMMA_SPLIT_HELP_60 = """\
+usage: paslab gamma-split [-h] [--config CONFIG]
+                          [--out OUT] [--m M]
+                          [--snr-db SNR_DB]
+                          [--num-bins NUM_BINS]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON config file
+  --out OUT            output path (default stdout)
+  --m M
+  --snr-db SNR_DB
+  --num-bins NUM_BINS
+"""
+
+
+def test_help_wraps_at_the_terminal_width(monkeypatch, capsys):
+    # the width comes from COLUMNS as argparse's own lookup takes it, for the
+    # one-command parser and the full tree's subparser alike
+    monkeypatch.setenv("COLUMNS", "60")
+    assert _exit(lambda: main(["gamma-split", "--help"]), capsys) == (0, GAMMA_SPLIT_HELP_60, "")
+    assert _exit(lambda: build_parser().parse_args(["gamma-split", "--help"]), capsys) == (0, GAMMA_SPLIT_HELP_60, "")
+    _, out, _ = _exit(lambda: main(["--help"]), capsys)
+    description = out.split("\n\n")[1].splitlines()
+    assert len(description) > 10 and max(map(len, description)) <= 58  # wrapped at COLUMNS - 2
 
 
 def test_long_option_abbreviation_parses(monkeypatch, capsys):
